@@ -3,10 +3,11 @@
     python3 perfbench/run.py --workload kg_rebuild --seed 1 --seconds 10 --trace 0
 
 Run from the repository root. One run builds a seeded synthetic corpus
-(`yago4_ray.corpus`), sets the workload up three times (median reported
+(`yago4_ray.corpus`), sets the workload up five times (median reported
 as setup_s), then repeats the workload's timed iteration for --seconds
 of measured time, checking every output against an independent
-reference. --trace 1 instead makes one untraced and one traced pass and
+reference. Reported medians count only the samples taken while the
+host was quietest (`quiet`). --trace 1 instead makes one untraced and one traced pass and
 reports per-layer metrics from spans (perfbench/README.md lists them).
 
 The last line of stdout is one JSON object:
@@ -23,6 +24,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import statistics
 import sys
 import threading
@@ -37,7 +39,7 @@ N_ENTITIES = 2000  # 37 k statements, 2 000 documents
 N_DOCS = 400  # documents the docs_dedup workload dedups
 WORKLOADS = ("kg_pipeline", "kg_rebuild", "kg_rebuild_dist", "docs_dedup")
 SETUPS = 5
-MIN_ITERATIONS = 3
+MIN_ITERATIONS = 2
 # Ray names sockets <temp dir>/session_<date>_<pid>/sockets/<name>;
 # AF_UNIX paths stop at 107 bytes
 MAX_RAY_TEMP_DIR = 44
@@ -46,6 +48,50 @@ MAX_RAY_TEMP_DIR = 44
 def cpu_jiffies() -> list[int]:
     with open("/proc/stat") as f:
         return [int(x) for x in f.readline().split()[1:]]
+
+
+def steal_share(before: list[int], after: list[int]) -> float:
+    """Share of this VM's CPU time the hypervisor gave to other guests
+    between two cpu_jiffies() readings."""
+    delta = [b - a for a, b in zip(before, after)]
+    return delta[7] / max(1, sum(delta))
+
+
+# a sample counts toward a reported median when the steal share during
+# it is at most this much above the lowest steal share of its run
+STEAL_MARGIN = 0.05
+
+
+def quiet(steals: list[float]) -> list[int]:
+    """Indices of the samples taken while the host was quietest. On a
+    shared host a sample's wall grows with the steal share during it
+    (about 2x at 0.27), and steal comes and goes within seconds, so
+    samples near the run's lowest share measure the program rather than
+    its neighbours. On a quiet host every sample counts."""
+    floor = min(steals)
+    return [i for i, s in enumerate(steals) if s <= floor + STEAL_MARGIN]
+
+
+def quiet_median(values: list[float], steals: list[float]) -> float:
+    return statistics.median(values[i] for i in quiet(steals))
+
+
+def calibrate(reps: int = 5) -> float:
+    """Median seconds of a fixed single-threaded CPU loop that touches no
+    program code. Kept in the run record before and after the timed loop,
+    so host speed drift between runs of the same code shows in the data."""
+    import hashlib
+
+    buf = bytes(range(256)) * 4096  # 1 MiB
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        h = hashlib.sha256()
+        for _ in range(16):
+            h.update(buf)
+        sum(i * i for i in range(200_000))
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 class PeakRSS:
@@ -114,7 +160,9 @@ def start_session(num_cpus: int) -> float:
         include_dashboard=False,
         logging_level="ERROR",
         log_to_driver=False,
-        object_store_memory=512 << 20,
+        # a cap, filled only as objects are stored. At 512 MB the output
+        # dedup stalled: 41 s against 2 s at 20 000 entities
+        object_store_memory=2 << 30,
         **kwargs,
     )
     ctx = ray.data.DataContext.get_current()
@@ -153,16 +201,17 @@ def make_inputs(n_entities: int, seed: int):
     )
 
 
-def set_up(ctx, workload: str) -> list[float]:
+def set_up(ctx, workload: str) -> tuple[list[float], list[float]]:
     """The workload's untimed preparation, made SETUPS times: a
     statement store for the KG workloads (the rebuilds keep the last
     one; on kg_pipeline, which ingests inside its timed part, the
     set-up only warms the session) and the document-text Dataset for
-    docs_dedup."""
+    docs_dedup. Returns each set-up's seconds and steal share."""
     from layers import ingest, load_docs
 
-    times = []
+    times, steals = [], []
     for _ in range(SETUPS):
+        jiffies = cpu_jiffies()
         t0 = time.perf_counter()
         if workload == "docs_dedup":
             ctx.docs = load_docs(ctx, N_DOCS)
@@ -172,27 +221,31 @@ def set_up(ctx, workload: str) -> list[float]:
             ctx.store = ctx.fresh("store")
             ingest(ctx, ctx.store)
         times.append(time.perf_counter() - t0)
-    return times
+        steals.append(steal_share(jiffies, cpu_jiffies()))
+    return times, steals
 
 
 def run_once(ctx, workload: str, docs_reference):
-    """One timed iteration: (wall seconds, items produced)."""
+    """One timed iteration: (wall seconds, items produced, steal share)."""
     from layers import check_docs, check_kg, docs_iteration, kg_iteration
 
     gc.collect()  # drop the previous iteration's Datasets and refs untimed
+    jiffies = cpu_jiffies()
     t0 = time.perf_counter()
     if workload == "docs_dedup":
         it = docs_iteration(ctx)
         wall = time.perf_counter() - t0
+        steal = steal_share(jiffies, cpu_jiffies())
         check_docs(ctx, it, docs_reference)
     else:
         it = kg_iteration(ctx, workload)
         wall = time.perf_counter() - t0
+        steal = steal_share(jiffies, cpu_jiffies())
         check_kg(ctx, it, expect_distributed=workload == "kg_rebuild_dist")
         shutil.rmtree(it["out"], ignore_errors=True)
         if workload == "kg_pipeline":
             shutil.rmtree(ctx.store, ignore_errors=True)
-    return wall, it["items"]
+    return wall, it["items"], steal
 
 
 def main(argv=None) -> int:
@@ -203,6 +256,8 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
     ap.add_argument("--entities", type=int, default=N_ENTITIES)
     args = ap.parse_args(argv)
+    # a terminated run still shuts its Ray session down (finally below)
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
 
     # fail before any set-up when the program or its oracle is missing
     sys.path[:0] = [ROOT, os.path.join(ROOT, "tests")]
@@ -243,7 +298,7 @@ def main(argv=None) -> int:
         record["n_statements"] = inp.n_statements
         record["n_documents"] = inp.n_docs
         ctx = Ctx(inp=inp, work=work)
-        setup = set_up(ctx, args.workload)
+        setup, setup_steals = set_up(ctx, args.workload)
         docs_reference = None
         if args.workload == "docs_dedup" or args.trace:
             if ctx.docs is None:
@@ -251,14 +306,23 @@ def main(argv=None) -> int:
 
                 ctx.docs = load_docs(ctx, N_DOCS)
             docs_reference = docs_truth(ctx)
-        walls, rates = [], []
+        # one untimed, checked iteration first: in quiet runs the first
+        # iteration of a session was the slowest in 16 of 26, by 7 %
+        attempted += 1
+        try:
+            run_once(ctx, args.workload, docs_reference)
+        except Exception:
+            failed += 1
+            traceback.print_exc()
+        walls, rates, steals = [], [], []
+        record["calibration_before_s"] = calibrate()
         jiffies = cpu_jiffies()
         with PeakRSS() as rss:
             measured = 0.0
             while measured < args.seconds or len(walls) < MIN_ITERATIONS:
                 attempted += 1
                 try:
-                    wall, items = run_once(ctx, args.workload, docs_reference)
+                    wall, items, steal = run_once(ctx, args.workload, docs_reference)
                 except Exception:
                     failed += 1
                     traceback.print_exc()
@@ -267,13 +331,14 @@ def main(argv=None) -> int:
                     continue
                 walls.append(wall)
                 rates.append(items / wall)
+                steals.append(steal)
                 measured += wall
                 if args.trace:
                     break
         # CPU time the hypervisor gave to other guests while this run
         # measured: the first thing to look at when a run reads slow
-        delta = [b - a for a, b in zip(jiffies, cpu_jiffies())]
-        record["host_steal_share"] = delta[7] / max(1, sum(delta))
+        record["host_steal_share"] = steal_share(jiffies, cpu_jiffies())
+        record["calibration_after_s"] = calibrate()
         if args.trace:
             ctx.tr = Tracer(run_id)
             attempted += 1
@@ -291,9 +356,9 @@ def main(argv=None) -> int:
             ctx.tr.write(os.path.join(traces, f"{run_id}.json"))
         elif walls:
             metrics = {
-                "setup_s": statistics.median(setup),
-                "wall_s": statistics.median(walls),
-                "items_per_s": statistics.median(rates),
+                "setup_s": quiet_median(setup, setup_steals),
+                "wall_s": quiet_median(walls, steals),
+                "items_per_s": quiet_median(rates, steals),
                 "driver_peak_rss_mb": rss.peak / 2**20,
             }
         report = {
@@ -302,6 +367,10 @@ def main(argv=None) -> int:
             ("docs_per_s" if args.workload == "docs_dedup" else "triples_per_s"):
                 quartiles(rates) if rates else None,
             "driver_peak_rss_mb": rss.peak / 2**20,
+            "setup_steal_share": setup_steals,
+            "iteration_steal_share": steals,
+            "quiet_setups": quiet(setup_steals),
+            "quiet_iterations": quiet(steals) if steals else [],
         }
         bad = [c for c in ctx.checks if not c[1]]
         attempted += len(ctx.checks)
