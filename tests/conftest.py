@@ -8,6 +8,38 @@ sys.path.insert(0, os.path.dirname(__file__))
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
+@pytest.fixture
+def run_concurrently():
+    """Call fn on n threads released at once, with a 1 us switch
+    interval so a lost update between a check and a set shows; returns
+    the n results."""
+    import threading
+
+    def run(fn, n: int = 8) -> list:
+        got = []
+        start = threading.Barrier(n)
+
+        def call():
+            start.wait()
+            got.append(fn())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == n
+        return got
+
+    return run
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray

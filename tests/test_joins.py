@@ -144,3 +144,21 @@ def test_distinct_rows_dict_columns(ray_session):
     assert len(dicted) == len(plain)
     # the dictionary must not leak: output is plain string typed
     assert dicted["predicate"].dtype == object
+
+
+def test_hash_keys_rejects_null_keys(ray_session):
+    """Digest keys would give null keys equal digests on both sides and
+    join them, unlike the plain path's SQL semantics; a null join key
+    under hash_keys=True must raise, also under `python -O`."""
+    from yago4_ray.joins import copartition_join
+
+    left = pd.DataFrame({"k": ["a", None, "c"], "x": ["1", "2", "3"]})
+    right = pd.DataFrame({"k": ["a", None], "y": ["p", "q"]})
+    # the ValueError is raised in a worker task; Ray re-raises it in
+    # the calling process wrapped, with the worker's traceback in the
+    # message
+    with pytest.raises(Exception) as err:
+        copartition_join(
+            _ray_ds(left), _ray_ds(right), "k", ["k", "x"], ["y"], hash_keys=True
+        ).materialize()
+    assert "ValueError: hash_keys join requires non-null keys" in str(err.value)

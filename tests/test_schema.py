@@ -123,3 +123,73 @@ def test_classes_and_properties():
     prop = schema.rdf_property("<http://schema.org/birthDate>")
     assert prop.label == '"birthDate"'
     assert schema.rdf_property("<http://example.org/nope>") is None
+
+
+def test_packaged_rule_set_parsed_once():
+    """Schema.open() parses the packaged rule set once per process and
+    hands every caller the same Schema; extra shape docs get a fresh
+    Schema that leaves the shared one untouched."""
+    extra = """
+    @prefix sh: <http://www.w3.org/ns/shacl#> .
+    @prefix ex: <http://example.org/> .
+    ex:Widget a sh:NodeShape ; sh:targetClass ex:Widget .
+    """
+    widget = "<http://example.org/Widget>"
+    shared = Schema.open()
+    assert Schema.open() is shared
+
+    extended = Schema.open(extra_turtle_docs=[extra])
+    assert extended is not shared
+    assert widget in {s.id for s in extended.node_shapes()}
+    assert len(extended.graph.triples) > len(shared.graph.triples)
+
+    later = Schema.open()
+    assert later is shared
+    assert widget not in {s.id for s in later.node_shapes()}
+
+
+def test_shared_rule_set_not_mutated_by_its_readers():
+    """Every build in a process reads the same Schema, so nothing that
+    walks it may change the lists its Graph hands out: after every
+    reader in the build, extraction and output code has run, the shared
+    graph still equals a fresh parse of the packaged rule set."""
+    from yago4_ray.build import _yago_schema_rows, _yago_shapes_rows, derive_config
+    from yago4_ray.extract import pid_value_kinds
+    from yago4_ray.schema import _packaged_docs
+    from yago4_ray.state import subclass_of_from_yago_schema
+
+    shared = Schema.open()
+    shared.classes()
+    for i, shape in enumerate(shared.property_shapes()):
+        derive_config(shape, shared, f"c{i}")
+    for i, shape in enumerate(shared.annotation_property_shapes()):
+        derive_config(shape, shared, f"a{i}")
+    pid_value_kinds(shared)
+    subclass_of_from_yago_schema(shared)
+    _yago_schema_rows(shared)
+    _yago_shapes_rows(shared)
+
+    fresh = Schema(_packaged_docs())
+    assert shared.graph.triples == fresh.graph.triples
+    assert shared.graph._sp == fresh.graph._sp
+    assert shared.graph._po == fresh.graph._po
+
+
+def test_rule_set_parsed_once_under_concurrent_opens(monkeypatch, run_concurrently):
+    """Extraction opens the rule set on a thread while build_state opens
+    it on the main thread: concurrent first opens still parse once and
+    share one Schema."""
+    from yago4_ray import schema as S
+
+    parses = []
+    packaged_docs = S._packaged_docs
+
+    def counting_docs():
+        parses.append(1)
+        return packaged_docs()
+
+    monkeypatch.setattr(S, "_PACKAGED", None)
+    monkeypatch.setattr(S, "_packaged_docs", counting_docs)
+    got = run_concurrently(Schema.open)
+    assert all(s is got[0] for s in got)
+    assert len(parses) == 1

@@ -1,0 +1,82 @@
+"""Each rebuild pipeline runs once.
+
+A lazy Dataset's `to_arrow_refs()` executes the pipeline, then fetches
+its schema through `limit(1)`, which runs the pipeline a second time
+when the limit cannot be pushed below a sort or shuffle. Every receiver
+on the build path must therefore be materialized first. The distributed
+path's `si_by_item` pre-join is one item-keyed exchange that every
+consumer shares, so it must be built once per BuildState."""
+
+import pytest
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["broadcast", "distributed"])
+def build_calls(request, statements_root, tmp_path_factory):
+    """Run build_state + generate_yago once, recording the class of every
+    `to_arrow_refs` receiver and the number of `si_by_item` builds."""
+    from ray.data.dataset import Dataset
+
+    from yago4_ray import build_dist
+    from yago4_ray.build import generate_yago
+    from yago4_ray.state import build_state
+
+    receivers: list[type] = []
+    si_calls = [0]
+    to_arrow_refs = Dataset.to_arrow_refs
+    si_by_item = build_dist.si_by_item
+
+    def recording_to_arrow_refs(self):
+        receivers.append(type(self))
+        return to_arrow_refs(self)
+
+    def counting_si_by_item(state):
+        si_calls[0] += 1
+        return si_by_item(state)
+
+    out = str(tmp_path_factory.mktemp("single_execution"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Dataset, "to_arrow_refs", recording_to_arrow_refs)
+        mp.setattr(build_dist, "si_by_item", counting_si_by_item)
+        state = build_state(statements_root, distributed=request.param)
+        generate_yago(statements_root, state=state, out_dir=out, write=True)
+    assert state.distributed == request.param
+    return {"distributed": request.param, "receivers": receivers, "si_calls": si_calls[0]}
+
+
+def test_to_arrow_refs_receivers_are_materialized(build_calls):
+    from ray.data.dataset import MaterializedDataset
+
+    receivers = build_calls["receivers"]
+    assert receivers, "the build path no longer calls to_arrow_refs"
+    lazy = [r.__name__ for r in receivers if not issubclass(r, MaterializedDataset)]
+    assert not lazy, f"{len(lazy)} lazy to_arrow_refs receiver(s) re-run their pipeline"
+
+
+def test_si_by_item_built_once_per_state(build_calls):
+    assert build_calls["si_calls"] == (1 if build_calls["distributed"] else 0)
+
+
+def test_si_by_item_cached_builds_once_under_concurrent_consumers(
+    monkeypatch, run_concurrently
+):
+    """generate_yago reaches si_by_item_cached from the facts thread and
+    the scan-output thread at once; they must share one build."""
+    from types import SimpleNamespace
+
+    from yago4_ray import build_dist
+
+    builds = []
+
+    class Built:
+        def materialize(self):
+            return self
+
+    def fake_si_by_item(state):
+        builds.append(state)
+        return Built()
+
+    monkeypatch.setattr(build_dist, "si_by_item", fake_si_by_item)
+    state = SimpleNamespace(datasets={})
+    got = run_concurrently(lambda: build_dist.si_by_item_cached(state))
+    assert len(builds) == 1
+    assert all(ds is got[0] for ds in got)

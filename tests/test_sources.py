@@ -171,3 +171,42 @@ def test_lance_documents_roundtrip(ray_session, corpus_dir, tmp_path):
     a = dict(zip(sig_lance["doc_id"], sig_lance["span_sig"]))
     b = dict(zip(sig_pq["doc_id"], sig_pq["span_sig"]))
     assert a == b
+
+
+def test_gz_sinks_write_identical_bytes(ray_session, tmp_path):
+    """Both N-Triples sinks write gzip headers without a timestamp, so
+    two writes of the same rows give the same .gz bytes (sha256 of
+    every output file is a usable identity check)."""
+    import hashlib
+    import time
+
+    import pandas as pd
+    import ray.data
+
+    from yago4_ray.sources import MultiNTriplesGzDatasink, write_ntriples
+
+    rows = pd.DataFrame(
+        {
+            "subject": [f"<http://e/s{i}>" for i in range(50)],
+            "predicate": "<http://e/p>",
+            "object": [f'"v{i}"' for i in range(50)],
+        }
+    )
+    tagged = rows.assign(file=["a", "b"] * 25, __part=[i % 3 for i in range(50)])
+
+    def write(run: str) -> dict[str, str]:
+        base = tmp_path / run
+        write_ntriples(ray.data.from_pandas(rows), str(base / "single"))
+        ray.data.from_pandas(tagged).write_datasink(
+            MultiNTriplesGzDatasink(str(base / "multi"), {"a": "out-a", "b": "out-b"})
+        )
+        return {
+            str(p.relative_to(base)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(base.rglob("*.nt.gz"))
+        }
+
+    first = write("first")
+    time.sleep(1.1)  # a header timestamp would now differ
+    second = write("second")
+    assert len(first) >= 4
+    assert first == second

@@ -278,7 +278,9 @@ def clean_hmm_refs(root: str, uri_ref) -> tuple:
         lambda b: b.assign(h=_hash_series(b["value_node"])),
         batch_format="pandas",
     )
-    return _pack_clean_hmms.remote(*hashed.to_arrow_refs())
+    # materialize first: a lazy Dataset's to_arrow_refs fetches its
+    # schema through limit(1), which re-runs the whole scan (PERF_NOTES #50)
+    return _pack_clean_hmms.remote(*hashed.materialize().to_arrow_refs())
 
 
 def _clean_hmms_from_ds(ds: Dataset, stats: Stats) -> dict:
@@ -297,7 +299,8 @@ def _clean_hmms_from_ds(ds: Dataset, stats: Stats) -> dict:
         batch_format="pandas",
     )
     tbl = pa.concat_tables(
-        ray.get(hashed.to_arrow_refs()), promote_options="permissive"
+        ray.get(hashed.materialize().to_arrow_refs()),
+        promote_options="permissive",
     ).combine_chunks()
     out: dict[str, "HashedMultiMap"] = {}
     for name in ("time", "coordinates", "duration", "integer", "quantity"):
@@ -738,26 +741,30 @@ def build_facts(
         # against the state Datasets (build_dist module docstring)
         import concurrent.futures as _icf
 
-        from .build_dist import object_side_dist, si_by_item, subject_side_dist
+        from .build_dist import (
+            object_side_dist,
+            si_by_item_cached,
+            subject_side_dist,
+        )
 
         refs = None
         # clean-value scan and the si_by_item state pre-join are
         # independent — materialize them concurrently, both OFF the
         # facts chain's critical path (PERF_NOTES #39: every barrier
-        # removed from the chain is a fixed all-to-all latency saved)
+        # removed from the chain is a fixed all-to-all latency saved);
+        # the pre-join lands in the state's cache, which every
+        # distributed consumer below and in the scan outputs reads
         with _icf.ThreadPoolExecutor(max_workers=2) as _sp:
             f_clean = _sp.submit(
                 lambda: build_clean_values_ds(root, state).materialize()
             )
-            f_si = _sp.submit(lambda: si_by_item(state).materialize())
+            f_si = _sp.submit(si_by_item_cached, state)
             clean_ds = f_clean.result()
-            si_item_ds = f_si.result()
-        subjects = subject_side_dist(
-            root, configs, state, num_partitions, si_item=si_item_ds
-        )
+            f_si.result()
+        subjects = subject_side_dist(root, configs, state, num_partitions)
         objects = object_side_dist(
             root, configs, state, clean_ds, T.PS_PREFIX, T.PSV_PREFIX,
-            num_partitions, si_item=si_item_ds,
+            num_partitions,
         )
     else:
         # the four broadcast-state builds are independent: the two

@@ -34,6 +34,8 @@ equality against the broadcast path, which the e2e oracle gates)."""
 
 from __future__ import annotations
 
+import threading
+
 import pandas as pd
 import ray
 from ray.data import Dataset
@@ -58,7 +60,7 @@ def _empty(columns: list[str]) -> Dataset:
     return ray.data.from_pandas(pd.DataFrame({c: [] for c in columns}).astype(str))
 
 
-_SI_LOCK = None
+_SI_LOCK = threading.Lock()
 
 
 def si_by_item_cached(state) -> Dataset:
@@ -66,11 +68,6 @@ def si_by_item_cached(state) -> Dataset:
     by every distributed pipeline (subject/object sides, labels,
     full-types, sameAs). Lock-guarded: generate_yago builds the facts
     chain on a thread while the scan outputs build on the main one."""
-    global _SI_LOCK
-    import threading
-
-    if _SI_LOCK is None:
-        _SI_LOCK = threading.Lock()
     with _SI_LOCK:
         ds = state.datasets.get("si_by_item")
         if ds is None:
@@ -104,7 +101,6 @@ def subject_side_dist(
     configs: list,
     state,
     num_partitions: int | None = None,
-    si_item: Dataset | None = None,
 ) -> Dataset:
     """(cfg, statement, subject) via TWO co-partitioned joins instead of
     three broadcast lookups (cf. build._subject_side): the best-rank
@@ -147,10 +143,8 @@ def subject_side_dist(
         ["pid", "item", "statement"], [],
         hash_keys=True,
     )
-    if si_item is None:
-        si_item = si_by_item(state).materialize()
     rows = copartition_join(
-        rows, si_item, "item",
+        rows, si_by_item_cached(state), "item",
         ["pid", "statement"], ["shape", "instance"],
         hash_keys=True,
     )
@@ -199,7 +193,6 @@ def object_side_dist(
     simple_prefix: str,
     complex_prefix: str,
     num_partitions: int | None = None,
-    si_item: Dataset | None = None,
 ) -> Dataset:
     """(cfg, statement, object, extras): stateless modes per-batch,
     range modes via ONE item-keyed join against the pre-joined
@@ -246,10 +239,8 @@ def object_side_dist(
             return pd.concat(outs, ignore_index=True)
 
         rows = ds.map_batches(base, batch_format="pandas")
-        if si_item is None:
-            si_item = si_by_item(state).materialize()
         joined = copartition_join(
-            rows, si_item, "item",
+            rows, si_by_item_cached(state), "item",
             ["cfg", "statement"], ["shape", "instance"],
             hash_keys=True,
         )

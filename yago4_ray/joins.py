@@ -270,13 +270,14 @@ def copartition_join(
                 # NOTE null keys: the plain path's acero join never
                 # matches nulls (SQL semantics, documented in join_part);
                 # hash_rows would give all-null rows EQUAL digests on
-                # both sides and silently join them — assert the
+                # both sides and silently join them — enforce the
                 # invariant instead of changing semantics by mode
                 for kc in keys:
-                    assert batch.column(kc).null_count == 0, (
-                        f"hash_keys join requires non-null keys; "
-                        f"column {kc!r} has nulls"
-                    )
+                    if batch.column(kc).null_count:
+                        raise ValueError(
+                            f"hash_keys join requires non-null keys; "
+                            f"column {kc!r} has nulls"
+                        )
                 kt = pl.from_arrow(batch.select(keys))
                 h1 = kt.hash_rows(seed=42).to_numpy()
                 h2 = kt.hash_rows(seed=0x517CC1B7).to_numpy()

@@ -7,12 +7,15 @@ in Turtle, and every pipeline stage is generated from them.
 
 Driver-side only. The parsed `Schema` (plus the derived per-shape
 configs) is tiny and is shipped to workers via `ray.put` / actor
-constructor args — never reparsed per batch.
+constructor args — never reparsed per batch. The packaged rule set is
+parsed once per process (`Schema.open`), so a `Schema` and its `Graph`
+are read-only once built: every build in the process shares them.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import threading
 from dataclasses import dataclass, field
 
 from . import terms as T
@@ -107,6 +110,18 @@ class Graph:
 
 _PROPERTY_TYPES = (T.RDF_PROPERTY, T.OWL_DATATYPE_PROPERTY, T.OWL_OBJECT_PROPERTY)
 
+_PACKAGED_FILES = ("schema.ttl", "shapes.ttl", "bioschemas.ttl", "shapes-bio.ttl")
+# the packaged rule set parsed once per process (~21 k Turtle lines,
+# a few tenths of a second a parse); locked because extraction opens it
+# on a thread while build_state opens it on the main thread
+_PACKAGED: "Schema | None" = None
+_PACKAGED_LOCK = threading.Lock()
+
+
+def _packaged_docs() -> list[str]:
+    data = importlib.resources.files("yago4_ray.data")
+    return [data.joinpath(name).read_text() for name in _PACKAGED_FILES]
+
 
 class Schema:
     """Queryable view over the merged schema + shapes graph."""
@@ -123,14 +138,16 @@ class Schema:
 
         The packaged data is the reference's full public rule set
         (schema.org ontology + YAGO SHACL shapes + bioschemas,
-        schema.rs:304-309): 268 node shapes / 218 property shapes."""
-        docs = []
-        for name in ("schema.ttl", "shapes.ttl", "bioschemas.ttl", "shapes-bio.ttl"):
-            docs.append(
-                importlib.resources.files("yago4_ray.data").joinpath(name).read_text()
-            )
-        docs.extend(extra_turtle_docs or [])
-        return cls(docs)
+        schema.rs:304-309): 268 node shapes / 218 property shapes.
+        Without extra docs every call returns the same `Schema`, parsed
+        on first use; with them, a fresh one."""
+        global _PACKAGED
+        if extra_turtle_docs:
+            return cls(_packaged_docs() + list(extra_turtle_docs))
+        with _PACKAGED_LOCK:
+            if _PACKAGED is None:
+                _PACKAGED = cls(_packaged_docs())
+            return _PACKAGED
 
     # -- classes / properties --------------------------------------------
     def rdfs_class(self, cid: str) -> RdfsClass | None:

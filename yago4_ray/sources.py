@@ -484,7 +484,11 @@ class NTriplesGzDatasink(Datasink):
                 )
                 tmp = out + ".tmp"
                 tmp_paths[part_id] = (tmp, out)
-                writers[part_id] = gzip.open(tmp, "wb", compresslevel=1)
+                # mtime=0: no write time in the gzip header, so a rerun
+                # writes byte-identical files
+                writers[part_id] = gzip.GzipFile(
+                    tmp, "wb", compresslevel=1, mtime=0
+                )
             return writers[part_id]
 
         try:
@@ -629,7 +633,9 @@ class MultiNTriplesGzDatasink(Datasink):
                         )
                         tmp = out + ".tmp"
                         tmp_paths[wkey] = (tmp, out)
-                        writers[wkey] = gzip.open(tmp, "wb", compresslevel=1)
+                        writers[wkey] = gzip.GzipFile(
+                            tmp, "wb", compresslevel=1, mtime=0
+                        )
                     writers[wkey].write(_utf8_payload(lines, a, b))
                     counts[tag] = counts.get(tag, 0) + (b - a)
         finally:

@@ -768,7 +768,8 @@ def build_uri_mapping(
 
         _t = _time.perf_counter()
         cand_tbl = pa.concat_tables(
-            ray.get(candidates.to_arrow_refs()), promote_options="permissive"
+            ray.get(candidates.materialize().to_arrow_refs()),
+            promote_options="permissive",
         )
         if _os.environ.get("YAGO4_RAY_TIMINGS"):
             print(
@@ -1039,11 +1040,13 @@ def collect_input_reductions(
 
     # wide=True: this scan feeds to_arrow_refs + the per-range merge
     # tasks (no sort shuffle), so block count should track the SESSION
-    # width, not the shuffle-exchange bound
+    # width, not the shuffle-exchange bound. Materialized first: a lazy
+    # Dataset's to_arrow_refs fetches its schema through limit(1), which
+    # re-runs the scan (PERF_NOTES #50)
     rows = scan_predicate(root, preds, wide=True).map_batches(
         route, batch_format="pyarrow"
     )
-    block_refs = rows.to_arrow_refs()
+    block_refs = rows.materialize().to_arrow_refs()
     _mark("scan (to_arrow_refs)")
 
     # URI candidate prep the remote merge can't derive from the blocks

@@ -440,7 +440,7 @@ def _ipchar_ok(c: str) -> bool:
 # strings whose encode_iri_path output is themselves with spaces -> '_'
 # (the overwhelmingly common case) -- used by vectorized fast paths
 IPCHAR_OR_SPACE_RE = re.compile(
-    "^[A-Za-z0-9\-._~:@!$&'()*+,;= "
+    r"^[A-Za-z0-9\-._~:@!$&'()*+,;= "
     "\u00A0-\uD7FF\uF900-\uFDCF\uFDF0-\uFFEF\U00010000-\U000EFFFD]*$"
 )
 
