@@ -101,8 +101,10 @@ def test_annotation_join_path_matches_stitch(
     build_outputs under the default cap) and the co-partitioned join
     path (forced via cap=0) must produce the identical annotated-facts
     set — the same both-paths identity gate the minhash verify has."""
-    monkeypatch.setenv("YAGO4_RAY_ANN_BROADCAST_CAP", "0")
+    from yago4_ray import build
     from yago4_ray.build import generate_yago
+
+    monkeypatch.setattr(build, "ANN_BROADCAST_CAP", 0)
 
     outputs = generate_yago(statements_root, write=False)
     df = outputs["annotated-facts"].to_pandas()

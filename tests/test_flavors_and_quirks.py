@@ -138,6 +138,7 @@ def test_maxcount_broadcast_and_exchange_paths_identical(
     must produce the same facts. The small-store fixture DOES contain
     offending groups (test_maxcount_group_dropped), so this is not a
     vacuous gate."""
+    from yago4_ray import build
     from yago4_ray.build import build_facts
     from yago4_ray.state import build_state
 
@@ -148,21 +149,23 @@ def test_maxcount_broadcast_and_exchange_paths_identical(
         df = facts.to_pandas()
         return set(zip(df["subject"], df["predicate"], df["object"]))
 
-    monkeypatch.delenv("YAGO4_RAY_MAXCOUNT_BROADCAST_CAP", raising=False)
     broadcast = run()
-    monkeypatch.setenv("YAGO4_RAY_MAXCOUNT_BROADCAST_CAP", "0")
+    monkeypatch.setattr(build, "MAXCOUNT_BROADCAST_CAP", 0)
     exchange = run()
     assert broadcast == exchange
     assert len(broadcast) > 0
 
 
-def test_hashkey_and_dict_exchange_paths_identical(statements_root, monkeypatch):
-    """The exchange-format levers (YAGO4_RAY_JOIN_HASHKEYS digest keys,
-    YAGO4_RAY_DEDUP_DICT / YAGO4_RAY_JOIN_DICT dictionary encoding —
-    the network-cluster byte levers, PERF_NOTES #38) must produce the
-    same facts + annotated facts as the default plain string exchange.
-    The fixture store exercises the annotation stitch too (force the
-    join path via a zero broadcast cap so the hash-keyed ann join runs)."""
+def test_best_rank_collision_rebuilds_from_strings(
+    statements_root, monkeypatch
+):
+    """When the fused scan's BestRank pack reports a 64-bit collision
+    (set ref None, flag False), build_facts builds the exact set from
+    the statement-id strings in one step — and gives the same facts as
+    the hashed set."""
+    import ray
+
+    from yago4_ray import build
     from yago4_ray.build import build_facts
     from yago4_ray.state import build_state
 
@@ -174,21 +177,19 @@ def test_hashkey_and_dict_exchange_paths_identical(statements_root, monkeypatch)
         adf = annotated.to_pandas()
         return (
             set(zip(df["subject"], df["predicate"], df["object"])),
-            set(
-                zip(adf["subject"], adf["predicate"], adf["object"],
-                    adf["annotation_predicate"], adf["annotation_object"])
-            ),
+            set(map(tuple, adf.itertuples(index=False))),
         )
 
-    for var in ("YAGO4_RAY_JOIN_HASHKEYS", "YAGO4_RAY_DEDUP_DICT",
-                "YAGO4_RAY_JOIN_DICT", "YAGO4_RAY_ANN_BROADCAST_CAP"):
-        monkeypatch.delenv(var, raising=False)
-    plain_facts, plain_ann = run()
-    monkeypatch.setenv("YAGO4_RAY_JOIN_HASHKEYS", "1")
-    monkeypatch.setenv("YAGO4_RAY_DEDUP_DICT", "1")
-    monkeypatch.setenv("YAGO4_RAY_JOIN_DICT", "1")
-    monkeypatch.setenv("YAGO4_RAY_ANN_BROADCAST_CAP", "0")
-    lever_facts, lever_ann = run()
-    assert lever_facts == plain_facts
-    assert lever_ann == plain_ann
-    assert len(plain_facts) > 0 and len(plain_ann) > 0
+    default = run()
+    calls = []
+    original = build.best_rank_statements
+
+    def counted(root):
+        calls.append(root)
+        return original(root)
+
+    monkeypatch.setattr(build, "best_rank_statements", counted)
+    state.prewarmed["best_rank_ref"] = (ray.put(None), ray.put(False))
+    assert run() == default
+    assert calls == [statements_root]
+    assert len(default[0]) > 0

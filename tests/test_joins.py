@@ -1,7 +1,6 @@
-"""copartition_join / distinct_rows exchange-format levers: the
-hash-keyed (128-bit digest) and dictionary-encoded forms must be
-row-set-identical to the plain string-keyed exchange on every shape
-that occurs at the call sites (PERF_NOTES #38)."""
+"""copartition_join exchange formats: the hash-keyed (128-bit digest)
+form build_dist uses must be row-set-identical to the plain string-keyed
+exchange on every shape that occurs at the call sites (PERF_NOTES #38)."""
 
 import numpy as np
 import pandas as pd
@@ -69,7 +68,6 @@ def test_hash_keyed_join_matches_plain(join_inputs):
         right_cols=["object", "extras"],
         num_parts=8,
         hash_keys=True,
-        dict_columns=["cfg"],
     ).to_pandas()
     cols = ["cfg", "statement", "subject", "object", "extras"]
     assert _canon(hashed, cols) == _canon(plain, cols)
@@ -114,36 +112,6 @@ def test_hash_keys_rejects_shared_columns(join_inputs):
             right_cols=["cfg", "statement", "object", "extras"],
             hash_keys=True,
         )
-
-
-def test_distinct_rows_dict_columns(ray_session):
-    from yago4_ray.joins import distinct_rows
-
-    rng = np.random.default_rng(11)
-    n = 20_000
-    df = pd.DataFrame(
-        {
-            "subject": [f"<http://ex.org/s{i % 500}>" for i in range(n)],
-            "predicate": rng.choice(
-                [f"<http://schema.org/p{i}>" for i in range(12)], n
-            ),
-            "object": [f"v{i % 700}" for i in range(n)],
-        }
-    )
-    plain = distinct_rows(
-        _ray_ds(df), ["subject", "predicate", "object"], num_parts=6
-    ).to_pandas()
-    dicted = distinct_rows(
-        _ray_ds(df),
-        ["subject", "predicate", "object"],
-        num_parts=6,
-        dict_columns=["predicate"],
-    ).to_pandas()
-    cols = ["subject", "predicate", "object"]
-    assert _canon(dicted, cols) == _canon(plain, cols)
-    assert len(dicted) == len(plain)
-    # the dictionary must not leak: output is plain string typed
-    assert dicted["predicate"].dtype == object
 
 
 def test_hash_keys_rejects_null_keys(ray_session):

@@ -2,7 +2,7 @@
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yago4_ray import terms as T
@@ -247,50 +247,6 @@ def test_hashedmap_from_arrow_duplicate_keys_fall_back():
     assert m.get("a") == "3" and m.get("b") == "2" and m.get("c") is None
 
 
-def test_sharded_uri_merge_matches_unsharded():
-    """merge_uri_candidates_sharded must produce the exact same mapping
-    SET as the single-shot kernel: sharding by the item hash co-locates
-    complete item groups, so only the row order across items may differ."""
-    import numpy as np
-    import pyarrow as pa
-
-    from yago4_ray.broadcast import _hash_series
-    from yago4_ray.state import (
-        merge_uri_candidates_arrow,
-        merge_uri_candidates_sharded,
-    )
-
-    rng = np.random.default_rng(7)
-    n = 5000
-    items = [
-        f"<http://www.wikidata.org/entity/Q{i}>"
-        for i in rng.integers(0, 1500, n)
-    ]
-    # priorities: 0 = schema, 1 = wiki, 2 = label, 99 = kept marker
-    pr = rng.choice([0, 1, 2, 99], n, p=[0.05, 0.3, 0.4, 0.25])
-    uris = np.where(
-        pr == 99, "", [f"<http://yago-knowledge.org/resource/U{i}>"
-                       for i in rng.integers(0, 4000, n)]
-    )
-    cand = pa.table(
-        {
-            "item": pa.array(items, pa.string()),
-            "priority": pa.array(pr, pa.int64()),
-            "uri": pa.array(uris.tolist(), pa.string()),
-            "h": pa.array(_hash_series(items), pa.uint64()),
-        }
-    )
-    base = merge_uri_candidates_arrow(cand)
-    shard = merge_uri_candidates_sharded(cand, min_rows=0, shards=8)
-
-    def as_set(t):
-        return set(zip(t["item"].to_pylist(), t["uri"].to_pylist(),
-                       t["h"].to_pylist()))
-
-    assert as_set(shard) == as_set(base)
-    assert shard.num_rows == base.num_rows
-
-
 def test_hashedmap_presorted_matches_unsorted():
     """from_arrow(presorted=True) over range-ordered shards must agree
     with the argsort path bit-for-bit (the remote URI merge concatenates
@@ -364,67 +320,122 @@ def test_prepare_linker_hash_sorted_and_first_wins():
     assert got == {"Alpha": "Q3", "Beta": "Q2", "Gamma": "Q4"}
 
 
-def test_arrow_candidate_kernels_match_pandas():
-    """The Arrow/RE2 forms of the URI-candidate kernels must be
-    byte-identical to the pandas forms they replaced in the fused state
-    scan (PERF_NOTES #49) — including percent-escaped titles, non-ipchar
-    bytes (slow path), embedded newlines, backslash escapes, and
-    non-matching rows."""
-    import pandas as pd
+_WD_ENTITY = re.compile(r"<http://www\.wikidata\.org/entity/(Q[0-9]+)>")
+
+
+def _title_spec(subjects, objects):
+    """Per-row spec of the priority-1 kernel: (item, uri) for every
+    enwiki sitelink — the title, percent-decoded, as a YAGO IRI."""
+    from urllib.parse import unquote
+
+    from yago4_ray.state import ENWIKI_PREFIX
+
+    head = "<" + ENWIKI_PREFIX
+    return [
+        (o, T.yago_resource_from_title(unquote(s[len(head):-1])))
+        for s, o in zip(subjects, objects)
+        if s.startswith(head) and s.endswith(">")
+    ]
+
+
+def _enwiki_spec(subjects, objects):
+    """Per-row spec of the enwiki-pairs kernel: (item, url)."""
+    from yago4_ray.state import ENWIKI_PREFIX
+
+    return [
+        (o, s[1:-1])
+        for s, o in zip(subjects, objects)
+        if s.startswith("<" + ENWIKI_PREFIX) and s.endswith(">")
+    ]
+
+
+def _label_spec(subjects, objects):
+    """Per-row spec of the priority-2 kernel: (item, uri) for every
+    entity's English label — encode_iri_path(literal_value(...)) + _Q{id}."""
+    out = []
+    for s, o in zip(subjects, objects):
+        q = _WD_ENTITY.fullmatch(s)
+        v = re.fullmatch(r'"(.*)"@en', o, re.DOTALL)
+        if q and v:
+            enc = T.encode_iri_path(T.literal_value(f'"{v.group(1)}"'))
+            out.append((s, f"<{T.YAGO_RESOURCE_PREFIX}{enc}_{q.group(1)}>"))
+    return out
+
+
+def _kernel_rows(kernel, subjects, objects, value_col):
     import pyarrow as pa
 
+    from yago4_ray.broadcast import _hash_series
+
+    got = kernel(
+        pa.table(
+            {
+                "subject": pa.array(subjects, pa.string()),
+                "object": pa.array(objects, pa.string()),
+            }
+        )
+    )
+    assert list(got["h"]) == list(_hash_series(got["item"]))
+    return list(zip(got["item"], got[value_col]))
+
+
+def test_arrow_candidate_kernels_match_spec():
+    """The Arrow/RE2 URI-candidate kernels of the fused state scan must
+    equal the per-row Python spec on every row: percent-escaped titles,
+    non-ipchar bytes (slow path), embedded and trailing newlines,
+    backslash escapes, and non-matching rows."""
     from yago4_ray.state import (
         ENWIKI_PREFIX,
-        _enwiki_pairs,
         _enwiki_pairs_arrow,
-        _label_candidates,
         _label_candidates_arrow,
-        _wiki_candidates,
         _wiki_candidates_arrow,
     )
 
-    about = pd.DataFrame(
-        {
-            "subject": [
-                f"<{ENWIKI_PREFIX}Douglas_Adams>",
-                f"<{ENWIKI_PREFIX}Caf%C3%A9>",          # percent escape → slow path
-                f"<{ENWIKI_PREFIX}A B>",                 # space fast path
-                f"<{ENWIKI_PREFIX}pipe|char>",           # non-ipchar → slow path
-                "<https://de.wikipedia.org/wiki/Blau>",  # non-enwiki
-                f"<{ENWIKI_PREFIX}new\nline>",           # embedded newline
-            ],
-            "object": [f"<http://www.wikidata.org/entity/Q{i}>" for i in range(6)],
-        }
-    )
-    labels = pd.DataFrame(
-        {
-            "subject": [
-                "<http://www.wikidata.org/entity/Q42>",
-                "<http://www.wikidata.org/entity/Q1>",
-                "<http://www.wikidata.org/entity/Q2>",
-                "<http://www.wikidata.org/statement/x>",  # non-entity subject
-                "<http://www.wikidata.org/entity/Q3>",
-                "<http://www.wikidata.org/entity/Q4>",
-            ],
-            "object": [
-                '"Douglas Adams"@en',
-                '"esc\\\\aped"@en',     # backslash → slow path
-                '"plain"@fr',           # wrong language
-                '"orphan"@en',
-                '"multi\nline"@en',     # embedded newline
-                '"tab\tchar"@en',       # non-ipchar → slow path
-            ],
-        }
-    )
-    for pandas_fn, arrow_fn, df in (
-        (_wiki_candidates, _wiki_candidates_arrow, about),
-        (_enwiki_pairs, _enwiki_pairs_arrow, about),
-        (_label_candidates, _label_candidates_arrow, labels),
+    about_s = [
+        f"<{ENWIKI_PREFIX}Douglas_Adams>",
+        f"<{ENWIKI_PREFIX}Caf%C3%A9>",          # percent escape → slow path
+        f"<{ENWIKI_PREFIX}A B>",                 # space fast path
+        f"<{ENWIKI_PREFIX}pipe|char>",           # non-ipchar → slow path
+        "<https://de.wikipedia.org/wiki/Blau>",  # non-enwiki
+        f"<{ENWIKI_PREFIX}new\nline>",           # embedded newline
+        f"<{ENWIKI_PREFIX}end\n>",               # trailing newline
+    ]
+    about_o = [f"<http://www.wikidata.org/entity/Q{i}>" for i in range(7)]
+    label_s = [
+        "<http://www.wikidata.org/entity/Q42>",
+        "<http://www.wikidata.org/entity/Q1>",
+        "<http://www.wikidata.org/entity/Q2>",
+        "<http://www.wikidata.org/statement/x>",  # non-entity subject
+        "<http://www.wikidata.org/entity/Q3>",
+        "<http://www.wikidata.org/entity/Q4>",
+        "<http://www.wikidata.org/entity/Q5>",
+        "<http://www.wikidata.org/entity/Q6>",
+    ]
+    label_o = [
+        '"Douglas Adams"@en',
+        '"esc\\\\aped"@en',     # escaped backslash → slow path
+        '"plain"@fr',           # wrong language
+        '"orphan"@en',
+        '"multi\nline"@en',     # embedded newline
+        '"tab\tchar"@en',       # non-ipchar → slow path
+        '"a\n"@en',             # trailing newline
+        '"100%"@en',            # percent sign
+    ]
+    for kernel, spec, subjects, objects, col in (
+        (_wiki_candidates_arrow, _title_spec, about_s, about_o, "uri"),
+        (_enwiki_pairs_arrow, _enwiki_spec, about_s, about_o, "url"),
+        (_label_candidates_arrow, _label_spec, label_s, label_o, "uri"),
     ):
-        want = pandas_fn(df).reset_index(drop=True)
-        got = arrow_fn(pa.Table.from_pandas(df, preserve_index=False))
-        got = got.reset_index(drop=True)[want.columns]
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        want = spec(subjects, objects)
+        assert want, kernel.__name__
+        assert _kernel_rows(kernel, subjects, objects, col) == want
+    # the spec itself, pinned: a trailing newline is percent-encoded
+    assert dict(_label_spec(label_s, label_o))[label_s[6]] == (
+        "<http://yago-knowledge.org/resource/a%A_Q5>"
+    )
+    assert dict(_title_spec(about_s, about_o))[about_o[6]] == (
+        "<http://yago-knowledge.org/resource/end%A>"
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -433,7 +444,7 @@ def test_arrow_candidate_kernels_match_pandas():
         st.text(
             # store terms are CANONICAL N-Triples: a raw lone backslash
             # or quote can't occur inside a literal (escapes like \\
-            # and \n are covered by the explicit edge-case test above)
+            # are pinned by the examples below)
             alphabet=st.characters(
                 blacklist_categories=("Cs",), blacklist_characters='"\\'
             ),
@@ -443,28 +454,26 @@ def test_arrow_candidate_kernels_match_pandas():
     ),
     st.lists(st.integers(min_value=0, max_value=99), max_size=8),
 )
+@example(["\n"], [0])
+@example(["a\n"], [1])
+@example(["\\\\"], [2])  # an escaped backslash
+@example(["%"], [3])
+@example(["\x00"], [4])
+@example(["\t"], [5])
+@example(["a|b"], [6])  # '|' is not an ipchar
+@example(["x\n", "plain", "\x00\n", "a b"], [7, 8, 9, 10])
 def test_label_kernel_parity_fuzz(texts, qids):
-    """Hypothesis: _label_candidates_arrow ≡ _label_candidates on
-    arbitrary label content (the pandas/Arrow split is exactly the kind
-    of dual-implementation that drifted on embedded NULs last round)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    from yago4_ray.state import _label_candidates, _label_candidates_arrow
+    """Hypothesis: _label_candidates_arrow ≡ the per-row spec
+    encode_iri_path(literal_value(...)) + _Q{id} on arbitrary label
+    content, trailing newlines included (Python's `$` matches before a
+    final newline, RE2's does not — the fast-path guard must not let
+    such a label skip the encode)."""
+    from yago4_ray.state import _label_candidates_arrow
 
     n = min(len(texts), len(qids))
     if n == 0:
         return
-    df = pd.DataFrame(
-        {
-            "subject": [
-                f"<http://www.wikidata.org/entity/Q{q}>" for q in qids[:n]
-            ],
-            "object": [f'"{t}"@en' for t in texts[:n]],
-        }
-    )
-    want = _label_candidates(df).reset_index(drop=True)
-    got = _label_candidates_arrow(
-        pa.Table.from_pandas(df, preserve_index=False)
-    ).reset_index(drop=True)[want.columns]
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    subjects = [f"<http://www.wikidata.org/entity/Q{q}>" for q in qids[:n]]
+    objects = [f'"{t}"@en' for t in texts[:n]]
+    got = _kernel_rows(_label_candidates_arrow, subjects, objects, "uri")
+    assert got == _label_spec(subjects, objects)

@@ -112,15 +112,16 @@ def test_store_is_key_unique(ray_session, tmp_path):
 
 def test_size_flavors(statements_root):
     """full ⊇ all-wikipedias ⊇ en-wikipedia item universes
-    (plan.rs:263-279)."""
+    (plan.rs:263-279), on the fused input scan build_state runs."""
     from yago4_ray.schema import Schema
-    from yago4_ray.state import Stats, build_uri_mapping
+    from yago4_ray.state import Stats, collect_input_reductions
 
-    schema = Schema.open()
     sizes = {}
     for size in ("full", "all-wikipedias", "en-wikipedia"):
-        mapping, _ = build_uri_mapping(statements_root, schema, Stats(), size)
-        sizes[size] = len(mapping)
+        uri_mapping = collect_input_reductions(
+            statements_root, Schema.open(), Stats(), size
+        )[0]
+        sizes[size] = len(uri_mapping)
     assert sizes["full"] >= sizes["all-wikipedias"] >= sizes["en-wikipedia"] > 0
 
 

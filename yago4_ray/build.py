@@ -12,7 +12,7 @@ Ray Data pipelines over the predicate-partitioned statement store:
   best-rank ids) is shipped once per worker process; with
   `state.distributed=True` (auto above ~50M mapped items, or
   YAGO4_RAY_DISTRIBUTED_STATE=1) every such call site flips to
-  `hash_join`s against the state Datasets (build_dist module).
+  co-partitioned joins against the state Datasets (build_dist module).
 - maxCount drops the whole (shape, subject) group — never truncates
   (A2, plan.rs:1141-1158).
 
@@ -46,9 +46,15 @@ from .joins import (
 )
 from .schema import PropertyShape, Schema
 from .sources import scan_predicate
-from .state import BuildState, Stats, build_state
+from .state import BuildState, build_state
 
 LABEL_PATHS = [T.RDFS_LABEL, T.RDFS_COMMENT, T.SCHEMA_ALTERNATE_NAME]
+
+# volume gates, in bytes: at or under the cap the small side is collected
+# and broadcast, above it the full exchange runs (both sides of each gate
+# are pytest-gated identical)
+MAXCOUNT_BROADCAST_CAP = 64 << 20  # maxCount offender (cfg, subject) rows
+ANN_BROADCAST_CAP = 64 << 20  # pq:/pqv: partition bytes (annotation stitch)
 
 _TIMING_T0: dict[str, float] = {}
 
@@ -189,64 +195,32 @@ def derive_config(shape: PropertyShape, schema: Schema, cfg_id: str) -> PropConf
 def build_clean_values_ds(root: str, state: BuildState) -> Dataset:
     """(family, value_node, object, extras) Dataset (ST4) from ONE scan +
     ONE partitioned groupby (reference: five point-lookup chains in five
-    threads, plan.rs:908-1032). In distributed mode the only broadcast
-    is the unit→YAGO mapping restricted to units that actually occur —
-    Wikidata has ~10k units, class-graph scale, never instance scale."""
-    if state.distributed:
-        units = (
-            scan_predicate(root, T.WIKIBASE_QUANTITY_UNIT)
-            .map_batches(
-                lambda b: b[["object"]].drop_duplicates(), batch_format="pandas"
-            )
-            .to_pandas()["object"]
-            .unique()
+    threads, plan.rs:908-1032) — the distributed-state form, consumed by
+    build_dist's joins (the broadcast path packs the same scan remotely,
+    clean_hmm_refs). The only broadcast is the unit→YAGO mapping
+    restricted to units that actually occur — Wikidata has ~10k units,
+    class-graph scale, never instance scale."""
+    units = (
+        scan_predicate(root, T.WIKIBASE_QUANTITY_UNIT)
+        .map_batches(
+            lambda b: b[["object"]].drop_duplicates(), batch_format="pandas"
         )
-        unit_map = {
-            u: v for u in units if (v := state.uri_mapping.get(u)) is not None
-        }
-        uri_ref = ray.put(unit_map)
-    else:
-        uri_ref = state.packed_ref("uri_mapping")
-    return C.build_value_maps(root, scan_predicate, uri_ref)
-
-
-def build_clean_maps(root: str, state: BuildState, stats: Stats) -> dict:
-    """Driver-dict form of build_clean_values_ds for the broadcast path."""
-    df = build_clean_values_ds(root, state).to_pandas()
-    maps: dict[str, dict[str, tuple[str, str]]] = {
-        k: {} for k in ("time", "coordinates", "duration", "integer", "quantity")
-    }
-    for family, node, obj, extras in zip(
-        df["family"], df["value_node"], df["object"], df["extras"]
-    ):
-        maps[family][node] = (obj, extras)
-    for name, m in maps.items():
-        stats.set_local("Cleaned complex type", name, len(m))
-    return maps
-
-
-def build_clean_hmms(root: str, state: BuildState, stats: Stats) -> dict:
-    """HashedMultiMaps per clean family (broadcast-path form of ST4)."""
-    return _clean_hmms_from_ds(build_clean_values_ds(root, state), stats)
-
-
-def build_clean_hmms_from_ref(root: str, uri_ref, stats: Stats) -> dict:
-    """Like build_clean_hmms but fed a packed URI-mapping ObjectRef
-    directly — lets state.build_state start this wide scan as soon as
-    the URI merge resolves (overlapping shape-instance resolution),
-    without a BuildState existing yet."""
-    return _clean_hmms_from_ds(
-        C.build_value_maps(root, scan_predicate, uri_ref), stats
+        .to_pandas()["object"]
+        .unique()
     )
+    unit_map = {
+        u: v for u in units if (v := state.uri_mapping.get(u)) is not None
+    }
+    return C.build_value_maps(root, scan_predicate, ray.put(unit_map))
 
 
 @ray.remote(num_returns=2)
 def _pack_clean_hmms(*blocks):
-    """Worker-side form of _clean_hmms_from_ds: concat the hashed Arrow
-    blocks and build the per-family HashedMultiMaps OFF the driver, so
-    the broadcast object goes worker → object store with no driver
-    concat, build, or ray.put serialize (measured 3.7 s of idle-cluster
-    driver wait at 22 M statements). Returns (hmm_dict, counts)."""
+    """Concat the hashed Arrow clean-value blocks and build the
+    per-family HashedMultiMaps OFF the driver, so the broadcast object
+    goes worker → object store with no driver concat, build, or ray.put
+    serialize (measured 3.7 s of idle-cluster driver wait at 22 M
+    statements). Returns (hmm_dict, counts)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -283,68 +257,18 @@ def clean_hmm_refs(root: str, uri_ref) -> tuple:
     return _pack_clean_hmms.remote(*hashed.materialize().to_arrow_refs())
 
 
-def _clean_hmms_from_ds(ds: Dataset, stats: Stats) -> dict:
-    """HashedMultiMaps per clean family, built from Arrow blocks with
-    worker-computed key hashes — the value-node/object/extras strings
-    never materialize as Python objects on the driver (the pandas
-    dict/object round trips this replaces each cost seconds per million
-    value nodes)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from .broadcast import HashedMultiMap, _hash_series
-
-    hashed = ds.map_batches(
-        lambda b: b.assign(h=_hash_series(b["value_node"])),
-        batch_format="pandas",
-    )
-    tbl = pa.concat_tables(
-        ray.get(hashed.materialize().to_arrow_refs()),
-        promote_options="permissive",
-    ).combine_chunks()
-    out: dict[str, "HashedMultiMap"] = {}
-    for name in ("time", "coordinates", "duration", "integer", "quantity"):
-        fam = tbl.filter(pc.equal(tbl["family"], name))
-        out[name] = HashedMultiMap.from_arrow(
-            fam["value_node"], fam["object"], fam["extras"], hashes=fam["h"]
-        )
-        stats.set_local("Cleaned complex type", name, len(out[name]))
-    return out
-
-
 def best_rank_statements(root: str) -> pd.Series:
-    """Statement ids typed wikibase:BestRank (M16/J6) — broadcast-path
-    form, returned as a Series (HashedSet consumes it without a Python
-    set pass; statement ids are store-unique). The distributed path
-    joins against build_dist.best_rank_ds instead."""
+    """Statement ids typed wikibase:BestRank (M16/J6) as a Series
+    (HashedSet consumes it without a Python set pass; statement ids are
+    store-unique) — build_facts' exact fallback when the fused scan's
+    64-bit BestRank hashes collide. The distributed path joins against
+    build_dist.best_rank_ds instead."""
     ds = scan_predicate(root, T.RDF_TYPE)
     df = ds.map_batches(
         lambda b: b[b["object"] == T.WIKIBASE_BEST_RANK][["subject"]],
         batch_format="pandas",
     ).to_pandas()
     return df["subject"]
-
-
-def best_rank_hashed_set(root: str):
-    """BestRank membership as a HashedSet whose 64-bit key hashes are
-    computed IN the scan tasks — the driver collects 8-byte hashes
-    (~26 MB at full Wikidata's ~3 G statements per 100 M BestRank ids),
-    never the id strings. Store key-uniqueness makes the ids distinct,
-    so the collision check needs only the row count; the (never yet
-    observed) collision falls back to the string path."""
-    from .broadcast import HashedSet, _hash_series
-
-    ds = scan_predicate(root, T.RDF_TYPE)
-
-    def h(b: pd.DataFrame) -> pd.DataFrame:
-        sel = b[b["object"] == T.WIKIBASE_BEST_RANK]["subject"]
-        return pd.DataFrame({"h": _hash_series(sel)})
-
-    hashes = ds.map_batches(h, batch_format="pandas").to_pandas()["h"]
-    try:
-        return HashedSet.from_prehashed(hashes.to_numpy(), len(hashes))
-    except ValueError:
-        return HashedSet(best_rank_statements(root))
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +537,7 @@ def _apply_max_count(
     broadcast anti-filter map over the materialized blocks. The
     HashedSet probe verifies hits exactly, so a hash collision cannot
     silently drop a valid group. Above
-    YAGO4_RAY_MAXCOUNT_BROADCAST_CAP offender bytes the full-exchange
+    MAXCOUNT_BROADCAST_CAP offender bytes the full-exchange
     path stands (both paths pytest-gated identical).
 
     Returns a LAZY map over `joined`'s blocks (or `joined` unchanged
@@ -655,10 +579,7 @@ def _apply_max_count(
         sum_offenders,
         num_parts=max(4, num_partitions // 4),
     ).materialize()
-    cap = int(
-        os.environ.get("YAGO4_RAY_MAXCOUNT_BROADCAST_CAP", str(64 << 20))
-    )
-    if (offenders.size_bytes() or 0) > cap:
+    if (offenders.size_bytes() or 0) > MAXCOUNT_BROADCAST_CAP:
         # materialized: the exchange output feeds 3+ consumers and must
         # not re-shuffle per consumption (the broadcast path below stays
         # lazy because its filter is a cheap hash-probe map)
@@ -683,15 +604,6 @@ def _apply_max_count(
         return b[~bad]
 
     return joined.map_batches(drop_offenders, batch_format="pandas")
-
-
-def _dict_cols(cols: list[str]) -> list[str] | None:
-    """Low-cardinality columns to dictionary-encode through a dedup
-    exchange. OFF by default: measured at 22 M / 8 CPUs the per-row
-    encode+decode passes cost as much as the plasma bytes they save on
-    a single node (PERF_NOTES #38); on a network cluster bytes win —
-    YAGO4_RAY_DEDUP_DICT=1 enables."""
-    return cols if os.environ.get("YAGO4_RAY_DEDUP_DICT") == "1" else None
 
 
 def build_facts(
@@ -767,47 +679,28 @@ def build_facts(
             num_partitions,
         )
     else:
-        # the four broadcast-state builds are independent: the two
-        # cluster-bound ones (clean values, best-rank hashes) normally
-        # start inside build_state the moment the URI merge resolves
-        # (state.prewarmed futures) — here we only fall back for states
-        # constructed without that hook, and overlap the driver-bound
-        # packings in threads either way
+        # the two cluster-bound broadcast states (clean values, best-rank
+        # hashes) started inside build_state the moment the URI merge
+        # resolved (state.prewarmed); the two driver-bound packings
+        # overlap in threads
         import concurrent.futures as _cf
 
-        pre = state.prewarmed or {}
-        with _cf.ThreadPoolExecutor(max_workers=4) as _pool:
-            if "clean_maps_ref" in pre:
-                # remote-packed: (hmm_ref, counts_ref) resolve as soon
-                # as the scan does; the pack overlaps the facts join
-                f_clean = None
-            else:
-                f_clean = pre.get("clean_maps") or _pool.submit(
-                    build_clean_hmms, root, state, state.stats
-                )
-            if "best_rank_ref" in pre:
-                f_rank = None  # remote-packed by the fused state scan
-            else:
-                f_rank = pre.get("best_rank") or _pool.submit(
-                    best_rank_hashed_set, root
-                )
+        pre = state.prewarmed
+        with _cf.ThreadPoolExecutor(max_workers=2) as _pool:
             f_uri = _pool.submit(state.packed_ref, "uri_mapping")
             f_si = _pool.submit(state.packed_ref, "shape_instances")
             refs = {"uri_mapping": f_uri.result()}
             refs["shape_instances"] = f_si.result()
-            if f_rank is None:
-                set_ref, ok_ref = pre["best_rank_ref"]
-                if ray.get(ok_ref):  # tiny bool; the pack resolved long ago
-                    refs["best_rank"] = set_ref
-                else:  # 64-bit collision: rebuild from the id strings
-                    refs["best_rank"] = ray.put(best_rank_hashed_set(root))
-            else:
-                refs["best_rank"] = ray.put(f_rank.result())
-            if f_clean is not None:
-                refs["clean_maps"] = ray.put(f_clean.result())
-            else:
-                hmm_ref, clean_counts_ref = pre["clean_maps_ref"].result()
-                refs["clean_maps"] = hmm_ref
+        set_ref, ok_ref = pre["best_rank_ref"]
+        if ray.get(ok_ref):  # tiny bool; the pack resolved long ago
+            refs["best_rank"] = set_ref
+        else:  # 64-bit collision: exact set from the id strings
+            from .broadcast import HashedSet
+
+            refs["best_rank"] = ray.put(HashedSet(best_rank_statements(root)))
+        # remote-packed: (hmm_ref, counts_ref) resolve as soon as the
+        # clean-value scan does; the pack overlaps the facts join
+        refs["clean_maps"], clean_counts_ref = pre["clean_maps_ref"].result()
         _mark_timing("build_facts", "broadcast-state (clean+rank+uri+si)")
 
         subjects = _subject_side(root, configs, refs)
@@ -827,33 +720,17 @@ def build_facts(
     _rows = _snr(root)
     _row_bytes = max(1, _snb(root) // max(1, _rows))
     tag_bs = max(8192, (32 << 20) // _row_bytes)
-    # YAGO4_RAY_JOIN_HASHKEYS=1: the object side stops shipping its
-    # ~65 B/row cfg+statement strings through the exchange (the join
-    # rides a 128-bit digest; the subject side still carries the
-    # strings the downstream passes need). OFF by default: at 22 M / 8
-    # CPUs on single-node plasma the string exchange measured ~1 s
-    # FASTER per join (3-pair interleaved A/B, PERF_NOTES #38) — short
-    # keys + shared-memory exchange beat the extra hash passes. On a
-    # network cluster bytes dominate and this gate is the lever; the
-    # distributed-state path (build_dist) uses digests unconditionally
-    # because its semi-join sides drop their payload entirely.
-    hashk = os.environ.get("YAGO4_RAY_JOIN_HASHKEYS", "0") == "1"
+    # plain string keys: at 22 M / 8 CPUs on single-node plasma the
+    # string exchange measured ~1 s FASTER per join than 128-bit digest
+    # keys, and dictionary-encoded cfg saved nothing (PERF_NOTES #38)
     joined = copartition_join(
         subjects,
         objects,
         on=("cfg", "statement"),
         left_cols=["cfg", "statement", "subject"],
-        right_cols=(
-            ["object", "extras"]
-            if hashk
-            else ["cfg", "statement", "object", "extras"]
-        ),
+        right_cols=["cfg", "statement", "object", "extras"],
         num_parts=num_partitions,
         tag_batch_size=tag_bs,
-        hash_keys=hashk,
-        dict_columns=(
-            ["cfg"] if os.environ.get("YAGO4_RAY_JOIN_DICT") == "1" else None
-        ),
     )
 
     # materialize once: consumed by the facts file, the annotation join
@@ -904,10 +781,7 @@ def build_facts(
 
     facts = joined.map_batches(to_triples, batch_format="pandas")
     if dedup:
-        facts = distinct_rows(
-            facts, ["subject", "predicate", "object"],
-            dict_columns=_dict_cols(["predicate"]),
-        )
+        facts = distinct_rows(facts, ["subject", "predicate", "object"])
     # advisory size/rows for downstream shuffle sizing (the facts rows
     # skip parquet staging and union straight into the combined dedup,
     # so its partition count must account for them — and its BLOCK
@@ -966,11 +840,8 @@ def build_facts(
             prefix = T.PQV_PREFIX if cfg.complex_value else T.PQ_PREFIX
             for pid in cfg.pids:
                 ann_preds.append(T.iri(f"{prefix}{pid}"))
-        ann_cap = int(
-            os.environ.get("YAGO4_RAY_ANN_BROADCAST_CAP", str(64 << 20))
-        )
         ann_src_bytes = store_nbytes(root, ann_preds)
-        if not state.distributed and ann_src_bytes <= ann_cap:
+        if not state.distributed and ann_src_bytes <= ANN_BROADCAST_CAP:
             ann_df = annotations.to_pandas()  # bounded by the gate
             ann_ref = ray.put((HashedSet(ann_df["statement"]), ann_df))
 
@@ -997,26 +868,13 @@ def build_facts(
                 lambda b: b[["statement", "cfg", "subject", "object"]],
                 batch_format="pandas",
             )
-            # to_annotated never reads `statement` — under hash_keys
-            # neither side ships the ~53 B statement string at all
-            # (same gate + default as the facts join above)
-            hashk = os.environ.get("YAGO4_RAY_JOIN_HASHKEYS", "0") == "1"
             ann_joined = copartition_join(
                 kept,
                 annotations,
                 on="statement",
-                left_cols=(
-                    ["cfg", "subject", "object"]
-                    if hashk
-                    else ["statement", "cfg", "subject", "object"]
-                ),
-                right_cols=(
-                    ["ann_pred", "ann_obj", "ann_extras"]
-                    if hashk
-                    else ["statement", "ann_pred", "ann_obj", "ann_extras"]
-                ),
+                left_cols=["statement", "cfg", "subject", "object"],
+                right_cols=["statement", "ann_pred", "ann_obj", "ann_extras"],
                 num_parts=num_partitions,
-                hash_keys=hashk,
             )
 
         def to_annotated(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1055,7 +913,6 @@ def build_facts(
                 annotated,
                 ["subject", "predicate", "object",
                  "annotation_predicate", "annotation_object"],
-                dict_columns=_dict_cols(["predicate", "annotation_predicate"]),
             )
     else:
         annotated = ray.data.from_pandas(
@@ -1693,61 +1550,6 @@ def _yago_shapes_rows(schema: Schema) -> list:
 # Top-level orchestration (generate_yago, plan.rs:64-203)
 # ---------------------------------------------------------------------------
 
-def build_outputs_raw(
-    statements_root: str, state: BuildState
-) -> tuple[dict[str, Dataset], Dataset]:
-    """All 8 triple outputs (un-deduplicated) + the RDF* output."""
-    facts, annotated = build_facts(statements_root, state, dedup=False)
-    outputs = {
-        "class": build_classes_description(statements_root, state, dedup=False),
-        "simple-types": build_simple_types(state),
-        "full-types": build_full_types(statements_root, state, dedup=False),
-        "labels": build_labels(statements_root, state, dedup=False),
-        "facts": facts,
-        "sameAs": build_same_as(statements_root, state, dedup=False),
-        "schema": build_yago_schema(state.schema),
-        "shapes": build_yago_shapes(state.schema),
-    }
-    return outputs, annotated
-
-
-def build_combined(statements_root: str, state: BuildState) -> tuple[Dataset, Dataset]:
-    """The whole build as ONE streaming DAG: every output tagged with a
-    `file` column, unioned, deduplicated in a single full-key shuffle
-    (instead of one shuffle per output) — the scale-efficient
-    materialization path. Returns (combined triples, annotated)."""
-    outputs, annotated = build_outputs_raw(statements_root, state)
-
-    def tag(name):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            batch = batch.copy()
-            batch["file"] = name
-            return batch
-
-        return fn
-
-    tagged = [
-        ds.map_batches(tag(name), batch_format="pandas")
-        for name, ds in outputs.items()
-    ]
-    from .sources import store_nbytes
-
-    # dedup partition count follows data volume (output triples scale
-    # with the store); 32 stays the small-input floor
-    n_parts = max(32, partitions_for_nbytes(store_nbytes(statements_root)))
-    combined = tagged[0].union(*tagged[1:])
-    combined = distinct_rows(
-        combined, ["file", "subject", "predicate", "object"], num_parts=n_parts,
-        dict_columns=_dict_cols(["file", "predicate"]),
-    )
-    annotated = distinct_rows(
-        annotated,
-        ["subject", "predicate", "object", "annotation_predicate", "annotation_object"],
-        num_parts=n_parts,
-        dict_columns=_dict_cols(["predicate", "annotation_predicate"]),
-    )
-    return combined, annotated
-
 def output_lineage(statements_root: str, state: BuildState) -> str:
     import hashlib
 
@@ -1789,10 +1591,15 @@ def generate_yago(
 
     write=False → returns the 9 output Datasets (each independently
     deduplicated) for inspection / per-output consumption.
-    write=True  → runs the single-DAG combined path: one union + one
-    full-key dedup shuffle + one global sort + one partitioned write
-    producing all sorted .nt.gz output dirs, each with a checkpoint
-    manifest; completed outputs (same lineage) are skipped on rerun.
+    write=True  → stages the driver-built and small Dataset outputs as
+    zstd parquet (on the distributed path the store-scan outputs too),
+    keeps the facts join and the broadcast path's fused scan outputs in
+    memory, and runs ONE full-key dedup shuffle over all of them
+    feeding one partitioned gz write; the annotated facts dedup and
+    write as their own job alongside. Every output dir holds
+    hash-partitioned .nt.gz parts, each sorted within itself, plus a
+    checkpoint manifest; completed outputs (same lineage) are skipped
+    on rerun.
     """
     if state is None:
         state = build_state(
@@ -1984,19 +1791,11 @@ def generate_yago(
                 .select(_STAGE_COLS)
             )
 
-        def stage_tagged(name, ds):
-            ds.map_batches(_tag_scan_cols, batch_format="pyarrow").write_parquet(
-                os.path.join(stage_dir, name), compression="zstd"
-            )
-
         # scan-outputs skip the zstd-parquet round trip (write + re-read
         # through a ~100 MB/s disk) and union straight into the combined
         # dedup, like the facts leg. Blocks are bundled to ~32 MB BEFORE
         # the materialize so the dedup exchange width stays
         # volume-bounded at any session width (PERF_NOTES #33).
-        # YAGO4_RAY_STAGE_SCAN=1 restores parquet staging (A/B lever).
-        stage_scan = os.environ.get("YAGO4_RAY_STAGE_SCAN") == "1"
-
         def collect_tagged(ds):
             from .sources import store_num_rows
 
@@ -2024,10 +1823,7 @@ def generate_yago(
                 for name, ds in others.items()
             ]
             if scan_ds is not None:
-                if stage_scan:
-                    stage_tagged("scan-outputs", scan_ds)
-                else:
-                    scan_mem = collect_tagged(scan_ds)
+                scan_mem = collect_tagged(scan_ds)
             for f in small_futs:
                 f.result()
             _mark("stage-others (overlapping facts join)")
@@ -2041,12 +1837,7 @@ def generate_yago(
             ]
             f_scan = None
             if scan_ds is not None:
-                if stage_scan:
-                    futures.append(
-                        pool.submit(stage_tagged, "scan-outputs", scan_ds)
-                    )
-                else:
-                    f_scan = pool.submit(collect_tagged, scan_ds)
+                f_scan = pool.submit(collect_tagged, scan_ds)
             facts, annotated = f_facts.result()
             _mark("facts-join (overlapping other staging)")
             for f in futures:
@@ -2066,16 +1857,8 @@ def generate_yago(
         # bound). It shares nothing with the main dedup beyond the
         # already-materialized join, so it runs as its own dedup+sink
         # job in a thread, fully overlapped with the main dedup+write.
-        # YAGO4_RAY_STAGE_FACTS=1 restores parquet staging for facts
-        # (A/B lever).
-        stage_facts = os.environ.get("YAGO4_RAY_STAGE_FACTS") == "1"
-        if stage_facts:
-            stage_one("facts", facts)
-
         ann_name = "annotated-facts"
-        facts_bytes = (
-            0 if stage_facts else getattr(facts, "join_size_bytes", 0) or 0
-        )
+        facts_bytes = getattr(facts, "join_size_bytes", 0) or 0
 
         def ann_job():
             ann_in = annotated.map_batches(
@@ -2084,9 +1867,6 @@ def generate_yago(
             ann_out = distinct_rows(
                 ann_in,
                 _STAGE_COLS,
-                dict_columns=_dict_cols(
-                    ["file", "predicate", "annotation_predicate"]
-                ),
                 # annotations are a small fraction of the facts join
                 num_parts=max(8, partitions_for_nbytes(facts_bytes) // 4),
                 keep_part_column=True,
@@ -2133,36 +1913,31 @@ def generate_yago(
                 # block-bounded by collect_tagged
                 scan_bytes = scan_mem.size_bytes() or 0
                 staged_read = staged_read.union(scan_mem)
-            if stage_facts:
-                combined_in = staged_read
-            else:
-                # coalesce the facts leg to the same volume-bounded
-                # block count as the staged read: the materialized join
-                # arrives as one block per join/max-count part (128 at
-                # 22 M), and the dedup's sort shuffle sizes BOTH its
-                # exchange width and its output partition count to the
-                # input block count — measured 161 input blocks → a
-                # 161×161 exchange and a flat ~10 s dedup at every CPU
-                # count. batch_size bundles adjacent blocks per map
-                # task (no extra exchange).
-                facts_rows = getattr(facts, "join_rows", 0) or 0
-                n_facts_blocks = read_blocks_for_nbytes(facts_bytes)
-                coalesce_bs = (
-                    max(8192, -(-facts_rows // n_facts_blocks))
-                    if facts_rows
-                    else None
+            # coalesce the facts leg to the same volume-bounded block
+            # count as the staged read: the materialized join arrives as
+            # one block per join/max-count part (128 at 22 M), and the
+            # dedup's sort shuffle sizes BOTH its exchange width and its
+            # output partition count to the input block count — measured
+            # 161 input blocks → a 161×161 exchange and a flat ~10 s
+            # dedup at every CPU count. batch_size bundles adjacent
+            # blocks per map task (no extra exchange).
+            facts_rows = getattr(facts, "join_rows", 0) or 0
+            n_facts_blocks = read_blocks_for_nbytes(facts_bytes)
+            coalesce_bs = (
+                max(8192, -(-facts_rows // n_facts_blocks))
+                if facts_rows
+                else None
+            )
+            combined_in = staged_read.union(
+                facts.map_batches(
+                    tag("facts"),
+                    batch_format="pyarrow",
+                    batch_size=coalesce_bs,
                 )
-                combined_in = staged_read.union(
-                    facts.map_batches(
-                        tag("facts"),
-                        batch_format="pyarrow",
-                        batch_size=coalesce_bs,
-                    )
-                )
+            )
             combined = distinct_rows(
                 combined_in,
                 _STAGE_COLS,  # full key incl. annotation columns ("")
-                dict_columns=_dict_cols(["file", "predicate"]),
                 num_parts=max(
                     32,
                     partitions_for_nbytes(

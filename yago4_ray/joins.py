@@ -6,10 +6,10 @@ Two regimes, chosen explicitly per call site (SURVEY §2.4, ray_guide):
   maps — reference state ST2-ST5) is `ray.put` once on the driver and
   resolved at most once per worker *process* via a module-level cache,
   then used as a vectorized pandas dict/set lookup per batch. No shuffle.
-  At 100 TB these same call sites switch to the dataset path below by
-  flipping `broadcast_threshold`.
-- **Dataset hash join**: both sides large → `Dataset.join` (Ray's
-  hash-partitioned join) with an explicit partition count.
+  At 100 TB these same call sites switch to the dataset path below
+  (`BuildState.distributed`).
+- **Co-partitioned join**: both sides large → `copartition_join`, one
+  task-based hash exchange with an explicit partition count.
 
 Exact dedup of triples hash-partitions on the *full* (s,p,o) key, so hub
 subjects (Q5-class entities) spread across partitions by construction —
@@ -45,57 +45,6 @@ def get_broadcast(ref: "ray.ObjectRef") -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Broadcast-side operations (vectorized per batch)
-# ---------------------------------------------------------------------------
-
-def map_column(
-    ds: Dataset,
-    column: str,
-    mapping_ref: "ray.ObjectRef",
-    drop_unmatched: bool = True,
-) -> Dataset:
-    """Dictionary semi-join + projection: rewrite `column` through a
-    broadcast dict; rows without a mapping are dropped (the load-bearing
-    filter semantics of map_key_to_yago / map_value_to_yago,
-    plan.rs:2204-2223)."""
-
-    def apply(batch: pd.DataFrame) -> pd.DataFrame:
-        mapping = get_broadcast(mapping_ref)
-        mapped = batch[column].map(mapping)
-        if drop_unmatched:
-            batch = batch[mapped.notna()]
-            batch[column] = mapped[mapped.notna()]
-        else:
-            batch[column] = mapped.fillna(batch[column])
-        return batch
-
-    return ds.map_batches(apply, batch_format="pandas")
-
-
-def semi_join(
-    ds: Dataset,
-    column: str,
-    keys_ref: "ray.ObjectRef",
-    anti: bool = False,
-) -> Dataset:
-    """Keep rows whose `column` is (not, for anti) in a broadcast key set
-    (domain/range/best-rank filters, plan.rs:1074-1495)."""
-
-    def apply(batch: pd.DataFrame) -> pd.DataFrame:
-        keys = get_broadcast(keys_ref)
-        if hasattr(keys, "contains"):  # HashedSet: prebuilt sorted index
-            mask = keys.contains(batch[column])
-        else:
-            # raw set/list broadcast: pandas rebuilds a hash table over
-            # the whole key set per batch (PERF_NOTES #36) — fine for
-            # small sets, ship a HashedSet for large ones
-            mask = batch[column].isin(keys)
-        return batch[~mask] if anti else batch[mask]
-
-    return ds.map_batches(apply, batch_format="pandas")
-
-
-# ---------------------------------------------------------------------------
 # Dataset ⨝ Dataset
 # ---------------------------------------------------------------------------
 
@@ -114,7 +63,7 @@ def default_join_partitions(cap: int | None = 8) -> int:
 
 
 def partitions_for_nbytes(
-    nbytes: int, target_mb: int | None = None, cap: int = 512, min_mb: int = 8
+    nbytes: int, target_mb: int = 96, cap: int = 512, min_mb: int = 8
 ) -> int:
     """Partition count sized to DATA VOLUME with a cluster floor.
 
@@ -135,37 +84,13 @@ def partitions_for_nbytes(
     kg_build regression this caused).
 
     `target_mb` defaults to 96 (re-validated round 4: 48 MB → 33 parts
-    at 22 M measured no better at 32 CPUs; YAGO4_RAY_JOIN_TARGET_MB
-    overrides for tuning runs)."""
-    import os as _os
-
-    if target_mb is None:
-        target_mb = int(_os.environ.get("YAGO4_RAY_JOIN_TARGET_MB", "96"))
+    at 22 M measured no better at 32 CPUs)."""
     base = min(
         default_join_partitions(cap=None),
         int(nbytes // (min_mb << 20)) + 1,
     )
     by_size = int(nbytes // (target_mb << 20)) + 1
     return max(base, min(by_size, cap))
-
-
-def hash_join(
-    left: Dataset,
-    right: Dataset,
-    on: str | tuple[str, ...],
-    join_type: str = "inner",
-    num_partitions: int | None = None,
-) -> Dataset:
-    """Hash-partitioned join of two Datasets on equal column names."""
-    keys = (on,) if isinstance(on, str) else tuple(on)
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=num_partitions,
-        on=keys,
-    )
 
 
 def copartition_join(
@@ -179,7 +104,6 @@ def copartition_join(
     col_types: dict | None = None,
     tag_batch_size: int | None = None,
     hash_keys: bool = False,
-    dict_columns: list[str] | None = None,
 ) -> Dataset:
     """Task-based co-partitioned equi-join: tag each side, hash-partition
     the UNION on the join key, merge per part with vectorized pandas.
@@ -232,14 +156,7 @@ def copartition_join(
     128-bit digests; at n distinct keys the expected count is
     n²/2^129 ≈ 3·10⁻¹⁵ even at n = 10¹² — the same content-address
     discipline as git. Both digests were verified decorrelated on the
-    statement-id shape (2 M keys → 2 M distinct pairs, zero h1==h2).
-
-    `dict_columns` dictionary-encodes the named (low-cardinality)
-    payload columns through the exchange — index+one-small-dict per
-    block instead of a repeated string per row (cfg: ~12 B → 4 B).
-    Only list columns with FEW distinct values: Ray's shuffle
-    serializes each per-partition slice with its FULL dictionary, so a
-    high-cardinality dictionary ships num_parts times."""
+    statement-id shape (2 M keys → 2 M distinct pairs, zero h1==h2)."""
     keys = [on] if isinstance(on, str) else list(on)
     if hash_keys:
         # under hash_keys the former key columns are plain payload; a
@@ -248,7 +165,6 @@ def copartition_join(
         assert not shared, f"hash_keys: columns on both sides: {shared}"
     all_cols = list(dict.fromkeys(left_cols + right_cols))
     types = col_types or {}
-    dict_cols = set(dict_columns or ())
 
     def tag(side: int, cols: list[str]):
         # ship ONLY this side's declared columns: anything else in
@@ -305,14 +221,9 @@ def copartition_join(
                         want = pa.string()
                     if want is not None and col.type != want:
                         col = col.cast(want)
-                    if c in dict_cols:
-                        col = pc.dictionary_encode(col)
                     arrays.append(col)
                 else:
-                    filler = pa.nulls(n, types.get(c, pa.string()))
-                    if c in dict_cols:
-                        filler = pc.dictionary_encode(filler)
-                    arrays.append(filler)
+                    arrays.append(pa.nulls(n, types.get(c, pa.string())))
             names = list(all_cols)
             if hash_keys:
                 arrays.append(pa.array(h1, pa.uint64()))
@@ -355,12 +266,6 @@ def copartition_join(
         # under ~32 concurrent parts (same convention as the dedup
         # group_by kernel below).
         side = t.column("__side")
-        if dict_cols:
-            # decode before acero: its hash join rejects dictionary
-            # columns, and the decode touches only this part's rows
-            for i, c in enumerate(t.column_names):
-                if c in dict_cols:
-                    t = t.set_column(i, c, pc.cast(t.column(c), pa.string()))
         join_keys = ["__k1", "__k2"] if hash_keys else keys
         lcols = left_cols + join_keys if hash_keys else left_cols
         rcols = right_cols + join_keys if hash_keys else right_cols
@@ -464,7 +369,6 @@ def distinct_rows(
     columns: list[str],
     num_parts: int = 32,
     keep_part_column: bool = False,
-    dict_columns: list[str] | None = None,
 ) -> Dataset:
     """Exact distinct on `columns` (G6; SURVEY §2.7): per-batch
     combiner pre-dedup, then one partitioned dedup. Keyed on ALL
@@ -477,14 +381,7 @@ def distinct_rows(
     triple dedup), both the combiner and the per-part dedup run
     Arrow's hash group-by and no pandas object frame is ever built;
     otherwise the per-part step falls back to drop_duplicates to keep
-    the non-key columns.
-
-    `dict_columns` dictionary-encodes the named low-cardinality
-    columns through the shuffle (encoded AFTER the combiner + part-id
-    hash, decoded first thing per part) — a repeated ~40 B predicate
-    IRI ships as a 4 B index + one small per-block dictionary. Same
-    caveat as copartition_join: low-cardinality columns only."""
-    dict_cols = [c for c in (dict_columns or ())]
+    the non-key columns."""
 
     def pre(batch: pa.Table) -> pa.Table:
         if batch.schema.metadata:
@@ -503,20 +400,11 @@ def distinct_rows(
                 batch.to_pandas().drop_duplicates(columns),
                 preserve_index=False,
             ).replace_schema_metadata(None)
-        batch = batch.append_column(
+        return batch.append_column(
             "__part", _part_ids(batch, columns, num_parts)
         )
-        for c in dict_cols:
-            i = batch.column_names.index(c)
-            batch = batch.set_column(
-                i, c, pc.dictionary_encode(batch.column(i))
-            )
-        return batch
 
     def per_part(t: pa.Table) -> pa.Table:
-        for c in dict_cols:
-            i = t.column_names.index(c)
-            t = t.set_column(i, c, pc.cast(t.column(i), pa.string()))
         if all(c in columns or c == "__part" for c in t.column_names):
             # __part is a pure function of the key columns, so keying
             # on it too changes nothing and keeps it in the output

@@ -7,9 +7,10 @@ Wikidata→enwiki mapping (ST5), the Wikidata→YAGO URI mapping (ST2, the
 
 Ray-native split of labor:
 - *Instance-scale* relations (rdf:type items, sitelinks, labels, P31)
-  are scanned and reduced with Dataset ops — the URI-mapping priority
-  merge is ONE `groupby(qid)` instead of three anti-joins (SURVEY J7),
-  and shape-instance construction + disjoint-instance removal is ONE
+  are read in ONE fused store scan (collect_input_reductions) — the
+  URI-mapping priority merge runs over complete item groups in
+  hash-range shard tasks instead of three anti-joins (SURVEY J7), and
+  shape-instance construction + disjoint-instance removal is ONE
   `groupby(instance)` (SURVEY G5).
 - *Class-graph-scale* data (P279 edges, per-class instance counts) is
   collected to the driver and closed with plain Python (SURVEY G1-G4):
@@ -19,8 +20,8 @@ The resulting state is small relative to the fact volume and is
 broadcast to fact-pipeline workers (`ray.put` once, cached per worker
 process). At 10^12-doc scale the uri_mapping/instance sets outgrow a
 single broadcast object; the same call sites then switch to
-`joins.hash_join` against the Datasets kept in `self.datasets` —
-both representations are produced here.
+`joins.copartition_join` against the Datasets kept in `self.datasets`
+(build_dist) — both representations are produced here.
 """
 
 from __future__ import annotations
@@ -132,9 +133,11 @@ class BuildState:
     # by build_state from state size / YAGO4_RAY_DISTRIBUTED_STATE=1
     distributed: bool = False
     datasets: dict[str, Dataset] = field(default_factory=dict)
-    # futures for broadcast-state built EARLY (kicked off by build_state
-    # the moment the URI merge resolves, overlapping shape-instance
-    # resolution): {"clean_maps": Future[dict], "best_rank": Future[HashedSet]}
+    # broadcast state built EARLY by build_state (broadcast path only;
+    # build_facts requires both keys): "clean_maps_ref" is a
+    # Future[(hmm_ref, counts_ref)] submitted the moment the URI merge
+    # ref exists, "best_rank_ref" is (HashedSet ref, collision-free
+    # flag ref) from the fused scan
     prewarmed: dict = field(default_factory=dict)
 
     # broadcast refs, created lazily
@@ -194,111 +197,8 @@ class BuildState:
 
 
 # ---------------------------------------------------------------------------
-# ST5: Wikidata → English Wikipedia
+# ST2/ST5: URI-mapping candidates and enwiki sitelinks (fused-scan kernels)
 # ---------------------------------------------------------------------------
-
-def _enwiki_pairs(batch: pd.DataFrame) -> pd.DataFrame:
-    """(item, url, h) rows for en.wikipedia sitelinks in a schema:about
-    batch (the shared kernel of build_enwiki_mapping and the fused
-    single-scan reduction)."""
-    urls = batch["subject"].str.slice(1, -1)
-    mask = urls.str.startswith(ENWIKI_PREFIX) & batch["subject"].str.startswith("<")
-    out = batch[mask]
-    return pd.DataFrame(
-        {
-            "item": out["object"],
-            "url": urls[mask],
-            "h": _hash_series(out["object"]),
-        }
-    )
-
-
-def build_enwiki_mapping(root: str) -> tuple["HashedMap", Dataset]:
-    """schema:about sitelinks restricted to en.wikipedia (plan.rs:206-223).
-    Returns (driver HashedMap, (item, url) Dataset) — the Dataset is the
-    distributed-state join side. The driver map is built from Arrow
-    blocks + worker-computed key hashes (get/in/len protocol); its only
-    driver consumers are class-scale membership probes, so the 2.4 M
-    item/url strings never materialize as Python objects."""
-    from .broadcast import HashedMap
-
-    ds = scan_predicate(root, T.SCHEMA_ABOUT)
-
-    pairs_ds = ds.map_batches(_enwiki_pairs, batch_format="pandas").materialize()
-    tbl = pa.concat_tables(
-        ray.get(pairs_ds.to_arrow_refs()), promote_options="permissive"
-    )
-    mapping = HashedMap.from_arrow(tbl["item"], tbl["url"], hashes=tbl["h"])
-    return mapping, pairs_ds.select_columns(["item", "url"])
-
-
-# ---------------------------------------------------------------------------
-# ST2: Wikidata → YAGO URI mapping (priority merge as ONE groupby)
-# ---------------------------------------------------------------------------
-
-def _wiki_candidates(batch: pd.DataFrame) -> pd.DataFrame:
-    """Priority-1 URI candidates from a schema:about batch: the enwiki
-    title becomes the YAGO IRI (plan.rs:300-320). Vectorized fast path:
-    titles that are pure ipchar with no percent-escapes skip the
-    decode/encode round trip entirely."""
-    urls = batch["subject"].str.slice(1, -1)
-    mask = urls.str.startswith(ENWIKI_PREFIX)
-    items_col = batch.loc[mask, "object"]
-    titles = urls[mask].str.slice(len(ENWIKI_PREFIX))
-    simple = (~titles.str.contains("%", regex=False)) & titles.str.match(
-        T.IPCHAR_OR_SPACE_RE
-    )
-    fast = "<" + T.YAGO_RESOURCE_PREFIX + titles.str.replace(" ", "_") + ">"
-    uris = fast.where(
-        simple,
-        titles.map(
-            lambda t: T.iri(
-                T.YAGO_RESOURCE_PREFIX + T.encode_iri_path(unquote(t))
-            )
-        ),
-    )
-    return pd.DataFrame(
-        {
-            "item": items_col,
-            "priority": 1,
-            "uri": uris,
-            "h": _hash_series(items_col),
-        }
-    )
-
-
-def _label_candidates(batch: pd.DataFrame) -> pd.DataFrame:
-    """Priority-2 URI candidates from a skos:prefLabel batch: English
-    label + _Q{id} (plan.rs:322-341); vectorized qid extract + encode
-    fast path."""
-    mask = batch["object"].str.endswith('"@en')
-    sub = batch[mask]
-    qids = sub["subject"].str.extract(
-        r"^<http://www\.wikidata\.org/entity/(Q[0-9]+)>$", expand=False
-    )
-    keep = qids.notna()
-    sub = sub[keep]
-    qids = qids[keep]
-    values = sub["object"].str.slice(1, -4)  # strip quotes + @en
-    simple = (~values.str.contains("\\", regex=False)) & values.str.match(
-        T.IPCHAR_OR_SPACE_RE
-    )
-    encoded = values.str.replace(" ", "_").where(
-        simple,
-        values.map(
-            lambda v: T.encode_iri_path(T.literal_value(f'"{v}"'))
-        ),
-    )
-    uris = "<" + T.YAGO_RESOURCE_PREFIX + encoded + "_" + qids + ">"
-    return pd.DataFrame(
-        {
-            "item": sub["subject"],
-            "priority": 2,
-            "uri": uris,
-            "h": _hash_series(sub["subject"]),
-        }
-    )
-
 
 def _slow_encode_scatter(values, simple_mask, fast, encode_one):
     """Combine the vectorized fast-path results with the per-row slow
@@ -314,11 +214,12 @@ def _slow_encode_scatter(values, simple_mask, fast, encode_one):
 
 
 def _wiki_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
-    """Arrow/RE2 form of `_wiki_candidates` (byte-identical output,
-    parity-gated by tests/test_properties): ONE extract_regex pass
-    replaces the slice/startswith/slice pandas chain — the pandas
-    kernel's 7 object-array passes were 2/3 of the fused state scan's
-    wall (PERF_NOTES #49)."""
+    """Priority-1 URI candidates from a schema:about batch: the enwiki
+    title becomes the YAGO IRI (plan.rs:300-320). ONE extract_regex
+    pass pulls the title; titles that are pure ipchar with no
+    percent-escapes skip the decode/encode round trip, the rest run
+    the per-row spec `terms.yago_resource_from_title(unquote(t))`
+    (parity-gated against it by tests/test_properties)."""
     import re as _re
 
     import pyarrow.compute as pc
@@ -332,7 +233,7 @@ def _wiki_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
     titles = pc.struct_field(ex.filter(keep), "t")
     simple = pc.and_(
         pc.invert(pc.match_substring(titles, "%")),
-        pc.match_substring_regex(titles, T.IPCHAR_OR_SPACE_RE.pattern),
+        pc.match_substring_regex(titles, T.IPCHAR_OR_SPACE_RE),
     )
     fast = pc.binary_join_element_wise(
         pa.scalar("<" + T.YAGO_RESOURCE_PREFIX),
@@ -344,7 +245,7 @@ def _wiki_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
         titles.to_pandas().to_numpy(),
         simple.to_numpy(zero_copy_only=False),
         fast.to_pandas().to_numpy(),
-        lambda t: T.iri(T.YAGO_RESOURCE_PREFIX + T.encode_iri_path(unquote(t))),
+        lambda t: T.yago_resource_from_title(unquote(t)),
     )
     items = sel.column("object").to_pandas()
     return pd.DataFrame(
@@ -353,7 +254,8 @@ def _wiki_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
 
 
 def _enwiki_pairs_arrow(tbl: "pa.Table") -> pd.DataFrame:
-    """Arrow/RE2 form of `_enwiki_pairs` (byte-identical, parity-gated)."""
+    """(item, url, h) rows for en.wikipedia sitelinks in a schema:about
+    batch (ST5, plan.rs:206-223): the url is the subject IRI's value."""
     import re as _re
 
     import pyarrow.compute as pc
@@ -369,9 +271,10 @@ def _enwiki_pairs_arrow(tbl: "pa.Table") -> pd.DataFrame:
 
 
 def _label_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
-    """Arrow/RE2 form of `_label_candidates` (byte-identical,
-    parity-gated): two extract_regex passes replace the pandas
-    endswith/extract/slice/contains/match/replace chain."""
+    """Priority-2 URI candidates from a skos:prefLabel batch: English
+    label + _Q{id} (plan.rs:322-341). Two extract_regex passes pull the
+    qid and the label; labels that are pure ipchar with no escapes skip
+    the per-row spec `encode_iri_path(literal_value(...))`."""
     import pyarrow.compute as pc
 
     qx = pc.extract_regex(
@@ -385,7 +288,7 @@ def _label_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
     values = pc.struct_field(vx.filter(keep), "v")
     simple = pc.and_(
         pc.invert(pc.match_substring(values, "\\")),
-        pc.match_substring_regex(values, T.IPCHAR_OR_SPACE_RE.pattern),
+        pc.match_substring_regex(values, T.IPCHAR_OR_SPACE_RE),
     )
     fast = pc.replace_substring(values, " ", "_")
     encoded = _slow_encode_scatter(
@@ -516,32 +419,6 @@ def merge_uri_candidates_arrow(tbl: "pa.Table") -> "pa.Table":
     return pa.table(cols)
 
 
-def merge_uri_candidates_sharded(
-    cand: "pa.Table", min_rows: int = 1_000_000, shards: int = 8
-) -> "pa.Table":
-    """`merge_uri_candidates_arrow` sharded by item hash: every
-    candidate row of an item carries the same worker-computed `h`, so
-    `h % shards` co-locates complete item groups and the per-shard
-    merges are independent — they run in a thread pool (the kernels are
-    Arrow/numpy C code that releases the GIL, so threads scale on the
-    driver without serializing the strings). `filter` preserves row
-    order within a shard, so each item sees its candidates in the same
-    order as the unsharded merge — identical output content. Below
-    `min_rows` the single-shot merge wins (sharding pays one
-    filter+concat pass)."""
-    import pyarrow as pa
-
-    if cand.num_rows < min_rows or "h" not in cand.schema.names:
-        return merge_uri_candidates_arrow(cand)
-    import concurrent.futures as cf
-
-    sel = cand.column("h").to_numpy() % np.uint64(shards)
-    parts = [cand.filter(pa.array(sel == s)) for s in range(shards)]
-    with cf.ThreadPoolExecutor(max_workers=shards) as pool:
-        outs = list(pool.map(merge_uri_candidates_arrow, parts))
-    return pa.concat_tables(outs).combine_chunks()
-
-
 # hash-range shard count for the remote URI merge: 2**_UM_BITS tasks,
 # each owning h >> (64 - _UM_BITS) == shard — complete item groups stay
 # together (every candidate row of an item carries the same h), and the
@@ -620,7 +497,7 @@ def _pack_best_rank(*blocks):
     the ObjectRef straight from the object store. Returns
     (HashedSet | None, collision_free) — callers ray.get only the tiny
     flag; on the (never-observed) 64-bit collision they rebuild from
-    the statement strings (best_rank_hashed_set)."""
+    the statement strings (build.best_rank_statements)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -659,147 +536,6 @@ def _assemble_uri(*shard_tbls):
     return mapping, tbl.select(["item", "uri"])
 
 
-def merge_uri_candidates(pdf: pd.DataFrame) -> pd.DataFrame:
-    """pandas adapter over merge_uri_candidates_arrow (used by the
-    distributed groupby(item) strategy, whose parts arrive as pandas)."""
-    import pyarrow as pa
-
-    out = merge_uri_candidates_arrow(pa.Table.from_pandas(pdf, preserve_index=False))
-    return out.to_pandas()
-
-
-def build_uri_mapping(
-    root: str,
-    schema: Schema,
-    stats: Stats,
-    size: str = "full",
-    strategy: str = "driver",
-) -> tuple[dict[str, str], Dataset]:
-    """4-source priority merge (plan.rs:227-382) as a single
-    `groupby(item)`:
-
-    priority 0: shape ys:fromClass → schema.org class IRI
-    priority 1: English-Wikipedia title IRI
-    priority 2: English label + _Q{id}
-    priority 3 (computed in-group): _Q{id} fallback
-
-    Wikipedia/label/fallback candidates only count for *kept* items
-    (marker rows); shape-class entries always win unconditionally.
-    Returns (driver dict, Dataset) — the Dataset is the scale path.
-    """
-    # marker rows: which items exist / are kept under the flavor
-    if size == "full":
-        items = scan_predicate(root, T.RDF_TYPE)
-        items = items.map_batches(
-            lambda b: b[b["object"] == T.WIKIBASE_ITEM][["subject"]],
-            batch_format="pandas",
-        )
-    else:
-        sitelinks = scan_predicate(root, T.SCHEMA_ABOUT)
-        needle = (
-            ENWIKI_PREFIX if size == "en-wikipedia" else ".wikipedia.org/wiki/"
-        )
-
-        def from_links(batch: pd.DataFrame) -> pd.DataFrame:
-            mask = batch["subject"].str.contains(needle, regex=False)
-            return pd.DataFrame({"subject": batch[mask]["object"]})
-
-        items = sitelinks.map_batches(from_links, batch_format="pandas")
-
-    mandatory = ray.data.from_pandas(
-        pd.DataFrame({"subject": list(T.MANDATORY_WD_ITEMS)})
-    )
-    markers = items.union(mandatory).map_batches(
-        lambda b: pd.DataFrame(
-            {
-                "item": b["subject"],
-                "priority": 99,
-                "uri": "",
-                "h": _hash_series(b["subject"]),
-            }
-        ),
-        batch_format="pandas",
-    )
-
-    # priority 0: from schema shapes (driver-side, tiny)
-    from_schema = {}
-    for shape in schema.node_shapes():
-        for from_class in shape.from_classes:
-            from_schema[from_class] = shape.target_class
-    schema_rows = ray.data.from_pandas(
-        pd.DataFrame(
-            {
-                "item": list(from_schema),
-                "priority": [0] * len(from_schema),
-                "uri": list(from_schema.values()),
-                "h": _hash_series(list(from_schema)),
-            }
-        )
-    )
-
-    # priority 1: enwiki titles — vectorized fast path: titles that are
-    # pure ipchar with no percent-escapes skip decode/encode entirely
-    sitelinks = scan_predicate(root, T.SCHEMA_ABOUT)
-    wiki_rows = sitelinks.map_batches(_wiki_candidates, batch_format="pandas")
-
-    # priority 2: english labels — vectorized qid extract + encode fast path
-    labels = scan_predicate(root, T.SKOS_PREF_LABEL)
-    label_rows = labels.map_batches(_label_candidates, batch_format="pandas")
-
-    from .joins import partitioned_group_apply
-
-    candidates = schema_rows.union(wiki_rows, label_rows, markers)
-    if strategy == "distributed":
-        # the 100 TB path: ONE groupby(item) over all candidate rows
-        merged = partitioned_group_apply(candidates, ["item"], merge_uri_candidates).materialize()
-        out_tbl = pa.concat_tables(
-            ray.get(merged.to_arrow_refs()), promote_options="permissive"
-        )
-    else:
-        # driver merge (the reference's own architecture, plan.rs:284-379):
-        # candidate generation stays distributed, the priority merge runs
-        # once over the collected ARROW table — blocks transfer zero-copy
-        # (no object-dtype conversion of 6 M strings on the driver) and
-        # the merge itself is Arrow/numpy; ~3× faster than the shuffle at
-        # driver-feasible scale, bit-identical result
-        # (merge_uri_candidates_arrow is the same kernel either way)
-        import os as _os
-        import time as _time
-
-        _t = _time.perf_counter()
-        cand_tbl = pa.concat_tables(
-            ray.get(candidates.materialize().to_arrow_refs()),
-            promote_options="permissive",
-        )
-        if _os.environ.get("YAGO4_RAY_TIMINGS"):
-            print(
-                f"[uri_mapping] candidate-scan+collect: "
-                f"{_time.perf_counter() - _t:.1f}s ({cand_tbl.num_rows} rows)",
-                flush=True,
-            )
-            _t = _time.perf_counter()
-        out_tbl = merge_uri_candidates_sharded(cand_tbl)
-        if _os.environ.get("YAGO4_RAY_TIMINGS"):
-            print(
-                f"[uri_mapping] driver-merge-kernel: "
-                f"{_time.perf_counter() - _t:.1f}s ({out_tbl.num_rows} rows)",
-                flush=True,
-            )
-        merged = ray.data.from_arrow(out_tbl)
-    from .broadcast import HashedMap
-
-    # the driver-side mapping is a HashedMap built straight from the
-    # Arrow columns (get/in/[] protocol) with the worker-computed key
-    # hashes — 2.4 M key/value strings are never materialized as Python
-    # objects on the happy path
-    mapping = HashedMap.from_arrow(
-        out_tbl["item"], out_tbl["uri"], hashes=out_tbl["h"]
-    )
-    merged = merged.select_columns(["item", "uri"])
-    stats.set_global("Total URI mapping size", len(mapping))
-    return mapping, merged
-
-
 # ---------------------------------------------------------------------------
 # Class machinery (driver-side closures over the class graph)
 # ---------------------------------------------------------------------------
@@ -836,31 +572,6 @@ def subclass_of_from_yago_schema(schema: Schema) -> list[tuple[str, str]]:
     return edges
 
 
-def collect_p279_edges(root: str) -> list[tuple[str, str]]:
-    """P279 edge list (class-graph scale → driver)."""
-    p279 = scan_predicate(root, f"<{T.WDT}P279>").to_pandas()
-    return list(zip(p279["subject"], p279["object"]))
-
-
-def collect_instance_counts(root: str) -> dict[str, int]:
-    """Distinct-instance count per class: per-batch combiner (store rows
-    are globally distinct, so batch-level nunique partials sum exactly),
-    then a partitioned reduce — hub classes like Q5 cannot skew it."""
-    from .joins import partitioned_group_apply
-
-    p31 = scan_predicate(root, f"<{T.WDT}P31>")
-    counts_df = partitioned_group_apply(
-        p31.map_batches(
-            lambda b: b.groupby("object", as_index=False)
-            .agg(n=("subject", "nunique")),
-            batch_format="pandas",
-        ),
-        ["object"],
-        lambda pdf: pdf.groupby("object", as_index=False).agg(n=("n", "sum")),
-    ).to_pandas()
-    return dict(zip(counts_df["object"], counts_df["n"]))
-
-
 # fused-reduction row kinds (routing column of the single-scan job)
 (
     _K_MARKER, _K_WIKI, _K_LABEL, _K_ENWIKI, _K_P279, _K_COUNT,
@@ -881,17 +592,17 @@ def collect_input_reductions(
     edges and per-class P31 instance counts, routed by predicate inside
     one map_batches and split by a `kind` column on the driver.
 
-    Replaces four CONCURRENT Ray jobs (build_enwiki_mapping,
-    build_uri_mapping, collect_p279_edges, collect_instance_counts) that
-    contended for the same CPUs — the URI candidate scan alone measured
-    7.9 s solo but 15.0 s under the 4-way overlap at 22 M statements /
-    32 CPUs — scans the schema:about partition once instead of twice,
-    and turns the P31 count reduce into per-batch partials summed on the
-    driver (class-graph scale) instead of a shuffle.
+    Replaces four CONCURRENT Ray jobs (enwiki map, URI mapping, P279
+    edges, instance counts) that contended for the same CPUs — the URI
+    candidate scan alone measured 7.9 s solo but 15.0 s under the 4-way
+    overlap at 22 M statements / 32 CPUs — scans the schema:about
+    partition once instead of twice, and turns the P31 count reduce
+    into per-batch partials summed on the driver (class-graph scale)
+    instead of a shuffle.
 
     Returns (uri_mapping, uri_ds, enwiki_mapping, enwiki_ds, p279_edges,
-    instance_counts, best_rank) with content identical to the separate
-    builders (the merge kernel and candidate kernels are shared).
+    instance_counts, (best_rank_set_ref, collision_free_ref),
+    uri_packed).
     """
     import pyarrow.compute as pc
 
@@ -902,7 +613,7 @@ def collect_input_reductions(
     # rdf:type is ALWAYS scanned: it carries the wikibase:Item markers
     # (full size only) AND the BestRank statement ids — folding the
     # best-rank reduction in here removes a second full pass over the
-    # store's biggest partition (best_rank_hashed_set's own scan)
+    # store's biggest partition
     preds = [
         T.SCHEMA_ABOUT, T.SKOS_PREF_LABEL, p279_pred, p31_pred, T.RDF_TYPE,
     ]
@@ -1008,9 +719,9 @@ def collect_input_reductions(
         if p31.num_rows:
             # per-batch combiner partials: store rows are globally
             # distinct, so batch-level distinct-count partials sum
-            # exactly (collect_instance_counts' own argument). Arrow
-            # count_distinct is exact-byte (strictly better than pandas
-            # nunique's C-string NUL collapse — see broadcast._n_distinct)
+            # exactly. Arrow count_distinct is exact-byte (strictly
+            # better than pandas nunique's C-string NUL collapse — see
+            # broadcast._n_distinct)
             agg = pa.TableGroupBy(
                 p31.select(["object", "subject"]), "object", use_threads=False
             ).aggregate([("subject", "count_distinct")])
@@ -1167,18 +878,16 @@ def build_class_machinery(
     stats: Stats,
     uri_mapping: dict[str, str],
     enwiki_mapping: dict[str, str],
-    all_sub_class_of: list[tuple[str, str]] | None = None,
-    instance_counts: dict[str, int] | None = None,
+    all_sub_class_of: list[tuple[str, str]],
+    instance_counts: dict[str, int],
 ) -> tuple[set[str], dict[str, list[str]], dict[str, list[str]]]:
     """The 7-step class algorithm of plan.rs:384-614. P279 edges and
-    per-class instance counts come from two Dataset reductions; the
-    closures run on the driver."""
+    per-class instance counts come from the fused input scan
+    (collect_input_reductions); the closures run on the driver."""
     from_classes = [
         fc for shape in schema.node_shapes() for fc in shape.from_classes
     ]
 
-    if all_sub_class_of is None:
-        all_sub_class_of = collect_p279_edges(root)
     stats.set_global("Wikidata sub class of", len(all_sub_class_of))
 
     # mapped classes keep only schema-side superclasses (plan.rs:433-436)
@@ -1186,9 +895,6 @@ def build_class_machinery(
         (s, o) for s, o in all_sub_class_of if s not in from_classes
     )
     super_class_of = G.invert(sub_class_of)
-
-    if instance_counts is None:
-        instance_counts = collect_instance_counts(root)
 
     bad_classes = G.transitive_closure(T.WD_BAD_CLASSES, super_class_of)
     stats.set_global("bad classes", len(bad_classes))

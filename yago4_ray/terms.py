@@ -438,8 +438,11 @@ def _ipchar_ok(c: str) -> bool:
 
 
 # strings whose encode_iri_path output is themselves with spaces -> '_'
-# (the overwhelmingly common case) -- used by vectorized fast paths
-IPCHAR_OR_SPACE_RE = re.compile(
+# (the overwhelmingly common case): the RE2 pattern text of the Arrow
+# fast paths (pyarrow.compute.match_substring_regex). A plain string, not
+# a compiled Python `re`: Python's `$` also matches before a trailing
+# newline, RE2's only at the end of the text.
+IPCHAR_OR_SPACE_RE = (
     r"^[A-Za-z0-9\-._~:@!$&'()*+,;= "
     "\u00A0-\uD7FF\uF900-\uFDCF\uFDF0-\uFFEF\U00010000-\U000EFFFD]*$"
 )
