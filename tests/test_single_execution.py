@@ -4,8 +4,13 @@ A lazy Dataset's `to_arrow_refs()` executes the pipeline, then fetches
 its schema through `limit(1)`, which runs the pipeline a second time
 when the limit cannot be pushed below a sort or shuffle. Every receiver
 on the build path must therefore be materialized first. The distributed
-path's `si_by_item` pre-join is one item-keyed exchange that every
-consumer shares, so it must be built once per BuildState."""
+path's item join (with its `si_by_item` pre-join) is one item-keyed
+exchange that every consumer shares, so it must be built once per
+BuildState.
+
+Every build-path exchange is one `Dataset.groupby("__part")` in
+joins.py, and each is a fixed all-to-all latency: the distributed path
+runs one exchange per join key, and neither path may grow new ones."""
 
 import pytest
 
@@ -13,7 +18,8 @@ import pytest
 @pytest.fixture(scope="module", params=[False, True], ids=["broadcast", "distributed"])
 def build_calls(request, statements_root, tmp_path_factory):
     """Run build_state + generate_yago once, recording the class of every
-    `to_arrow_refs` receiver and the number of `si_by_item` builds."""
+    `to_arrow_refs` receiver, the number of `si_by_item` builds and the
+    number of `Dataset.groupby` exchanges."""
     from ray.data.dataset import Dataset
 
     from yago4_ray import build_dist
@@ -22,12 +28,18 @@ def build_calls(request, statements_root, tmp_path_factory):
 
     receivers: list[type] = []
     si_calls = [0]
+    exchanges = [0]
     to_arrow_refs = Dataset.to_arrow_refs
+    groupby = Dataset.groupby
     si_by_item = build_dist.si_by_item
 
     def recording_to_arrow_refs(self):
         receivers.append(type(self))
         return to_arrow_refs(self)
+
+    def counting_groupby(self, *args, **kwargs):
+        exchanges[0] += 1
+        return groupby(self, *args, **kwargs)
 
     def counting_si_by_item(state):
         si_calls[0] += 1
@@ -36,11 +48,17 @@ def build_calls(request, statements_root, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("single_execution"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Dataset, "to_arrow_refs", recording_to_arrow_refs)
+        mp.setattr(Dataset, "groupby", counting_groupby)
         mp.setattr(build_dist, "si_by_item", counting_si_by_item)
         state = build_state(statements_root, distributed=request.param)
         generate_yago(statements_root, state=state, out_dir=out, write=True)
     assert state.distributed == request.param
-    return {"distributed": request.param, "receivers": receivers, "si_calls": si_calls[0]}
+    return {
+        "distributed": request.param,
+        "receivers": receivers,
+        "si_calls": si_calls[0],
+        "exchanges": exchanges[0],
+    }
 
 
 def test_to_arrow_refs_receivers_are_materialized(build_calls):
@@ -56,10 +74,21 @@ def test_si_by_item_built_once_per_state(build_calls):
     assert build_calls["si_calls"] == (1 if build_calls["distributed"] else 0)
 
 
-def test_si_by_item_cached_builds_once_under_concurrent_consumers(
+def test_exchange_budget(build_calls):
+    """Broadcast: shape instances, clean values, the facts join,
+    maxCount and the two output dedups. Distributed: those plus
+    si_by_item, the item and value-node joins and the annotation join —
+    one exchange per join key."""
+    if build_calls["distributed"]:
+        assert build_calls["exchanges"] <= 10, build_calls["exchanges"]
+    else:
+        assert build_calls["exchanges"] == 6, build_calls["exchanges"]
+
+
+def test_item_join_cached_builds_once_under_concurrent_consumers(
     monkeypatch, run_concurrently
 ):
-    """generate_yago reaches si_by_item_cached from the facts thread and
+    """generate_yago reaches item_join_cached from the facts thread and
     the scan-output thread at once; they must share one build."""
     from types import SimpleNamespace
 
@@ -71,12 +100,12 @@ def test_si_by_item_cached_builds_once_under_concurrent_consumers(
         def materialize(self):
             return self
 
-    def fake_si_by_item(state):
+    def fake_item_join(root, state):
         builds.append(state)
         return Built()
 
-    monkeypatch.setattr(build_dist, "si_by_item", fake_si_by_item)
+    monkeypatch.setattr(build_dist, "item_join", fake_item_join)
     state = SimpleNamespace(datasets={})
-    got = run_concurrently(lambda: build_dist.si_by_item_cached(state))
+    got = run_concurrently(lambda: build_dist.item_join_cached("store", state))
     assert len(builds) == 1
     assert all(ds is got[0] for ds in got)

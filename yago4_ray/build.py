@@ -159,7 +159,7 @@ def derive_config(shape: PropertyShape, schema: Schema, cfg_id: str) -> PropConf
             mode = "datatype"
     elif nodes:
         range_classes = tuple(
-            schema.node_shape(n).target_class for n in nodes
+            schema.target_class(n) for n in nodes
         )
         if range_classes == (T.SCHEMA_GEO_COORDINATES,):
             mode = "geo"
@@ -174,7 +174,7 @@ def derive_config(shape: PropertyShape, schema: Schema, cfg_id: str) -> PropConf
     )
     parent_class = None
     if shape.parent_shape is not None:
-        parent_class = schema.node_shape(shape.parent_shape).target_class
+        parent_class = schema.target_class(shape.parent_shape)
     return PropConfig(
         cfg_id=cfg_id,
         path=shape.path,
@@ -192,14 +192,16 @@ def derive_config(shape: PropertyShape, schema: Schema, cfg_id: str) -> PropConf
 # Shared broadcastable fact-pipeline state
 # ---------------------------------------------------------------------------
 
-def build_clean_values_ds(root: str, state: BuildState) -> Dataset:
-    """(family, value_node, object, extras) Dataset (ST4) from ONE scan +
-    ONE partitioned groupby (reference: five point-lookup chains in five
-    threads, plan.rs:908-1032) — the distributed-state form, consumed by
-    build_dist's joins (the broadcast path packs the same scan remotely,
-    clean_hmm_refs). The only broadcast is the unit→YAGO mapping
-    restricted to units that actually occur — Wikidata has ~10k units,
-    class-graph scale, never instance scale."""
+def clean_values_ds(root: str, uri_ref) -> Dataset:
+    """The materialized (family, value_node, object, extras) Dataset
+    (ST4) from ONE scan + ONE partitioned groupby (reference: five
+    point-lookup chains in five threads, plan.rs:908-1032) — the
+    distributed-state form, consumed by build_dist.value_join (the
+    broadcast path packs the same scan remotely, clean_hmm_refs).
+    build_state starts it the moment the URI merge ref exists. The only
+    broadcast is the unit→YAGO mapping restricted to units that
+    actually occur — Wikidata has ~10k units, class-graph scale, never
+    instance scale."""
     units = (
         scan_predicate(root, T.WIKIBASE_QUANTITY_UNIT)
         .map_batches(
@@ -208,10 +210,9 @@ def build_clean_values_ds(root: str, state: BuildState) -> Dataset:
         .to_pandas()["object"]
         .unique()
     )
-    unit_map = {
-        u: v for u in units if (v := state.uri_mapping.get(u)) is not None
-    }
-    return C.build_value_maps(root, scan_predicate, ray.put(unit_map))
+    uri_mapping = ray.get(uri_ref)
+    unit_map = {u: v for u in units if (v := uri_mapping.get(u)) is not None}
+    return C.build_value_maps(root, scan_predicate, ray.put(unit_map)).materialize()
 
 
 @ray.remote(num_returns=2)
@@ -298,6 +299,17 @@ def _literal_values(obj: pd.Series) -> pd.Series:
     """Vectorized plain-string literal values (no unescaping; sh:pattern
     targets — identifiers without escapes)."""
     return obj.str.extract(r'^"(.*)"$', expand=False)
+
+
+def matches_pattern(obj: pd.Series, pattern: str) -> pd.Series:
+    """sh:pattern mask: only plain strings can pass (plan.rs:1388-1397)."""
+    lit = _literal_values(obj)
+    with warnings.catch_warnings():
+        # SHACL patterns carry capture groups; contains() only tests
+        # for a match, so pandas' groups warning is noise
+        warnings.simplefilter("ignore", UserWarning)
+        has_pat = lit.str.contains(pattern, regex=True, na=False)
+    return (datatype_series(obj) == T.XSD_STRING) & lit.notna() & has_pat
 
 
 _EMPTY_SUBJECT = {"cfg": [], "statement": [], "subject": []}
@@ -444,19 +456,7 @@ def _object_side(
             }
         )
         if cfg.pattern is not None:
-            # only plain strings can pass a sh:pattern (plan.rs:1388-1397)
-            lit = _literal_values(out["object"])
-            with warnings.catch_warnings():
-                # SHACL patterns carry capture groups; contains() only
-                # tests for a match, so pandas' groups warning is noise
-                warnings.simplefilter("ignore", UserWarning)
-                has_pat = lit.str.contains(cfg.pattern, regex=True, na=False)
-            ok = (
-                (datatype_series(out["object"]) == T.XSD_STRING)
-                & lit.notna()
-                & has_pat
-            )
-            out = out[ok]
+            out = out[matches_pattern(out["object"], cfg.pattern)]
         return out if len(out) else None
 
     def stage(batch: pd.DataFrame) -> pd.DataFrame:
@@ -606,34 +606,18 @@ def _apply_max_count(
     return joined.map_batches(drop_offenders, batch_format="pandas")
 
 
-def build_facts(
-    root: str,
-    state: BuildState,
-    exclude_paths: list[str] | None = None,
-    num_partitions: int | None = None,
-    dedup: bool = True,
-) -> tuple[Dataset, Dataset]:
-    """The core: (facts, annotated-facts) Datasets
-    (plan.rs:896-1202). See module docstring for the dataflow."""
-    import time as _time
-
-    _TIMING_T0["build_facts"] = _time.perf_counter()
-    schema = state.schema
-    if num_partitions is None:
-        # size the statement⨝statement exchanges by DATA volume, not
-        # CPU count: a fixed count means per-partition size grows
-        # without bound as the store grows (the 100-TB killer)
-        from .sources import store_nbytes
-
-        num_partitions = partitions_for_nbytes(store_nbytes(root))
-    exclude = set(exclude_paths or LABEL_PATHS)
+def prop_configs(schema: Schema) -> tuple[list[PropConfig], list[PropConfig]]:
+    """(fact configs, annotation configs): every property shape's value
+    dispatch, minus skipped shapes and the label paths (built by
+    build_labels). build_facts and build_dist.item_scan share it."""
     configs: list[PropConfig] = []
     seen_ids: set[str] = set()
     for i, shape in enumerate(schema.property_shapes()):
-        if shape.path in exclude:
+        if shape.path in LABEL_PATHS:
             continue
         cfg_id = f"c{i}_{T.string_name([shape.path])}"
-        assert cfg_id not in seen_ids
+        if cfg_id in seen_ids:
+            raise ValueError(f"duplicate property config id {cfg_id}")
         seen_ids.add(cfg_id)
         cfg = derive_config(shape, schema, cfg_id)
         if cfg.mode == "skip" or not cfg.pids:
@@ -646,45 +630,76 @@ def build_facts(
         if cfg.mode == "skip" or not cfg.pids:
             continue
         ann_configs.append(cfg)
+    return configs, ann_configs
+
+
+def build_facts(
+    root: str,
+    state: BuildState,
+    num_partitions: int | None = None,
+    dedup: bool = True,
+) -> tuple[Dataset, Dataset]:
+    """The core: (facts, annotated-facts) Datasets
+    (plan.rs:896-1202). See module docstring for the dataflow."""
+    import concurrent.futures as _cf
+    import time as _time
+
+    _TIMING_T0["build_facts"] = _time.perf_counter()
+    if num_partitions is None:
+        # size the statement⨝statement exchanges by DATA volume, not
+        # CPU count: a fixed count means per-partition size grows
+        # without bound as the store grows (the 100-TB killer)
+        from .sources import store_nbytes
+
+        num_partitions = partitions_for_nbytes(store_nbytes(root))
+    configs, ann_configs = prop_configs(state.schema)
 
     clean_counts_ref = None
     if state.distributed:
         # the 10^12-doc path: every broadcast below becomes a hash join
-        # against the state Datasets (build_dist module docstring)
-        import concurrent.futures as _icf
-
-        from .build_dist import (
-            object_side_dist,
-            si_by_item_cached,
-            subject_side_dist,
-        )
+        # against the state Datasets, one exchange per join key
+        # (build_dist module docstring)
+        from . import build_dist as D
 
         refs = None
-        # clean-value scan and the si_by_item state pre-join are
-        # independent — materialize them concurrently, both OFF the
-        # facts chain's critical path (PERF_NOTES #39: every barrier
-        # removed from the chain is a fixed all-to-all latency saved);
-        # the pre-join lands in the state's cache, which every
-        # distributed consumer below and in the scan outputs reads
-        with _icf.ThreadPoolExecutor(max_workers=2) as _sp:
-            f_clean = _sp.submit(
-                lambda: build_clean_values_ds(root, state).materialize()
+        # the item join and the value-node join are independent — both
+        # run concurrently, OFF the statement exchange's critical path;
+        # the clean-value Dataset started materializing in build_state
+        def join_values():
+            clean_ds = state.prewarmed["clean_values"].result()
+            v = D.value_join(root, configs, ann_configs, clean_ds)
+            return None if v is None else v.materialize()
+
+        with _cf.ThreadPoolExecutor(max_workers=3) as _pool:
+            f_items = _pool.submit(D.item_join_cached, root, state)
+            f_values = _pool.submit(join_values)
+            # plans only: their store scans' metadata reads overlap the
+            # two joins instead of following them
+            f_objects = _pool.submit(
+                lambda: D.object_rows(
+                    root, configs, f_values.result(), T.PS_PREFIX, T.PSV_PREFIX
+                )
             )
-            f_si = _sp.submit(si_by_item_cached, state)
-            clean_ds = f_clean.result()
-            f_si.result()
-        subjects = subject_side_dist(root, configs, state, num_partitions)
-        objects = object_side_dist(
-            root, configs, state, clean_ds, T.PS_PREFIX, T.PSV_PREFIX,
-            num_partitions,
-        )
+            best = D.best_rank_ds(root)
+            items, values = f_items.result(), f_values.result()
+            objects = f_objects.result()
+        _mark_timing("build_facts", "item+value joins")
+        subjects = D.subject_rows(items, configs)
+        # ONE statement-keyed exchange: the best-rank semi-join and the
+        # exact range-row dedup run inside each part (D.facts_part)
+        exchange = {
+            "on": "statement",
+            "extra_sides": [
+                (D.range_rows(items, configs), D.OBJ_COLS),
+                (best, ["statement"]),
+            ],
+            "part_fn": D.facts_part,
+        }
     else:
         # the two cluster-bound broadcast states (clean values, best-rank
         # hashes) started inside build_state the moment the URI merge
         # resolved (state.prewarmed); the two driver-bound packings
         # overlap in threads
-        import concurrent.futures as _cf
-
         pre = state.prewarmed
         with _cf.ThreadPoolExecutor(max_workers=2) as _pool:
             f_uri = _pool.submit(state.packed_ref, "uri_mapping")
@@ -705,6 +720,7 @@ def build_facts(
 
         subjects = _subject_side(root, configs, refs)
         objects = _object_side(root, configs, refs, T.PS_PREFIX, T.PSV_PREFIX)
+        exchange = {"on": ("cfg", "statement")}
 
     # task-based co-partitioned join: ONE Arrow exchange fed directly by
     # the (lazy) subject/object scan stages — the native Dataset.join
@@ -726,11 +742,11 @@ def build_facts(
     joined = copartition_join(
         subjects,
         objects,
-        on=("cfg", "statement"),
         left_cols=["cfg", "statement", "subject"],
         right_cols=["cfg", "statement", "object", "extras"],
         num_parts=num_partitions,
         tag_batch_size=tag_bs,
+        **exchange,
     )
 
     # materialize once: consumed by the facts file, the annotation join
@@ -798,13 +814,13 @@ def build_facts(
 
     # ---- annotations (plan.rs:1034-1064, 1165-1192) ----
     if ann_configs:
+        ann_ranges = None
         if state.distributed:
-            from .build_dist import object_side_dist
-
-            ann_objects = object_side_dist(
-                root, ann_configs, state, clean_ds, T.PQ_PREFIX, T.PQV_PREFIX,
-                num_partitions,
+            ann_objects = D.object_rows(
+                root, ann_configs, values, T.PQ_PREFIX, T.PQV_PREFIX
             )
+            if any(c.mode == "range" for c in ann_configs):
+                ann_ranges = D.range_rows(items, ann_configs)
         else:
             ann_objects = _object_side(
                 root, ann_configs, refs, T.PQ_PREFIX, T.PQV_PREFIX
@@ -868,13 +884,25 @@ def build_facts(
                 lambda b: b[["statement", "cfg", "subject", "object"]],
                 batch_format="pandas",
             )
+            ann_cols = ["statement", "ann_pred", "ann_obj", "ann_extras"]
+            exchange = {}
+            if ann_ranges is not None:
+                # sh:or range rows are deduped inside the same exchange
+                exchange = {
+                    "extra_sides": [
+                        (ann_ranges.map_batches(ann_rows, batch_format="pandas"),
+                         ann_cols)
+                    ],
+                    "part_fn": D.annotation_part,
+                }
             ann_joined = copartition_join(
                 kept,
                 annotations,
                 on="statement",
                 left_cols=["statement", "cfg", "subject", "object"],
-                right_cols=["statement", "ann_pred", "ann_obj", "ann_extras"],
+                right_cols=ann_cols,
                 num_parts=num_partitions,
+                **exchange,
             )
 
         def to_annotated(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1004,14 +1032,11 @@ def _wikipedia_group(group: pd.DataFrame, uri_map, things):
     )
 
 
-def _label_pred_to_shapes(
-    state: BuildState, paths: list[str]
-) -> dict[str, list]:
-    """predicate → [(path, datatypes, parent target class)] for the
+def label_shapes(schema: Schema) -> list[tuple[str, frozenset, str, tuple[str, ...]]]:
+    """(path, datatypes, parent target class, source predicates) of the
     simple label shapes (plan.rs:818-892 dispatch table)."""
-    schema = state.schema
-    pred_to_shapes: dict[str, list] = {}
-    for shape in (s for s in schema.property_shapes() if s.path in paths):
+    shapes = []
+    for shape in (s for s in schema.property_shapes() if s.path in LABEL_PATHS):
         if not shape.datatypes:
             raise NotImplementedError("label path without datatypes")
         if shape.nodes:
@@ -1020,81 +1045,70 @@ def _label_pred_to_shapes(
             raise NotImplementedError(
                 "maxCount/pattern on the simple label path (plan.rs:864-881)"
             )
-        parent = schema.node_shape(shape.parent_shape).target_class
-        for pred in shape.from_properties:
-            pred_to_shapes.setdefault(pred, []).append(
-                (shape.path, frozenset(shape.datatypes), parent)
-            )
+        parent = schema.target_class(shape.parent_shape)
+        shapes.append(
+            (shape.path, frozenset(shape.datatypes), parent,
+             tuple(shape.from_properties))
+        )
+    return shapes
+
+
+def _label_pred_to_shapes(state: BuildState) -> dict[str, list]:
+    """predicate → [(path, datatypes, parent target class)]."""
+    pred_to_shapes: dict[str, list] = {}
+    for path, dts, parent, preds in label_shapes(state.schema):
+        for pred in preds:
+            pred_to_shapes.setdefault(pred, []).append((path, dts, parent))
     return pred_to_shapes
+
+
+def _dedup(ds: Dataset, dedup: bool) -> Dataset:
+    return distinct_rows(ds, ["subject", "predicate", "object"]) if dedup else ds
 
 
 # ---------------------------------------------------------------------------
 # Labels (build_simple_properties_from_schema, plan.rs:818-892)
 # ---------------------------------------------------------------------------
 
-def build_labels(root: str, state: BuildState, paths: list[str] | None = None, dedup: bool = True) -> Dataset:
+def build_labels(root: str, state: BuildState, dedup: bool = True) -> Dataset:
     """Label/comment/alternateName triples in ONE fused scan over every
     label predicate (per-shape dispatch vectorized inside batches); the
     reference scans per shape (plan.rs:818-892)."""
-    paths = paths or LABEL_PATHS
-    schema = state.schema
-    shapes_meta: list[tuple[str, frozenset, str, tuple[str, ...]]] = []
-    for shape in (s for s in schema.property_shapes() if s.path in paths):
-        if not shape.datatypes:
-            raise NotImplementedError("label path without datatypes")
-        if shape.nodes:
-            continue
-        if shape.max_count is not None or shape.pattern is not None:
-            raise NotImplementedError(
-                "maxCount/pattern on the simple label path (plan.rs:864-881)"
-            )
-        parent = schema.node_shape(shape.parent_shape).target_class
-        shapes_meta.append(
-            (shape.path, frozenset(shape.datatypes), parent,
-             tuple(shape.from_properties))
-        )
-    if not shapes_meta:
+    pred_to_shapes = _label_pred_to_shapes(state)
+    if not pred_to_shapes:
         return _empty_triples()
-
     if state.distributed:
-        from .build_dist import labels_dist
+        from .build_dist import output_rows
 
-        ds = labels_dist(root, state, shapes_meta)
-    else:
-        pred_to_shapes: dict[str, list] = {}
-        for path, dts, parent, preds in shapes_meta:
-            for pred in preds:
-                pred_to_shapes.setdefault(pred, []).append((path, dts, parent))
-        refs = {
-            "uri_mapping": state.packed_ref("uri_mapping"),
-            "shape_instances": state.packed_ref("shape_instances"),
-        }
+        return _dedup(output_rows(root, state, "label"), dedup)
+    refs = {
+        "uri_mapping": state.packed_ref("uri_mapping"),
+        "shape_instances": state.packed_ref("shape_instances"),
+    }
 
-        def stage(batch: pd.DataFrame):
-            uri_map = get_broadcast(refs["uri_mapping"])
-            instances = get_broadcast(refs["shape_instances"])
-            subs, preds, objs = [], [], []
-            for pred, group in batch.groupby("predicate", sort=False):
-                for path, s, o in _label_shape_groups(
-                    group, pred_to_shapes.get(pred, ()), uri_map, instances
-                ):
-                    subs.append(s)
-                    preds.append(np.full(len(s), path, dtype=object))
-                    objs.append(o)
-            if not subs:
-                return _spo_arrow([], "", [])
-            return _spo_arrow(
-                np.concatenate(subs),
-                np.concatenate(preds),
-                np.concatenate(objs),
-            )
-
-        ds = scan_predicate(root, list(pred_to_shapes)).map_batches(
-            stage, batch_format="pandas"
+    def stage(batch: pd.DataFrame):
+        uri_map = get_broadcast(refs["uri_mapping"])
+        instances = get_broadcast(refs["shape_instances"])
+        subs, preds, objs = [], [], []
+        for pred, group in batch.groupby("predicate", sort=False):
+            for path, s, o in _label_shape_groups(
+                group, pred_to_shapes.get(pred, ()), uri_map, instances
+            ):
+                subs.append(s)
+                preds.append(np.full(len(s), path, dtype=object))
+                objs.append(o)
+        if not subs:
+            return _spo_arrow([], "", [])
+        return _spo_arrow(
+            np.concatenate(subs),
+            np.concatenate(preds),
+            np.concatenate(objs),
         )
-    if dedup:
-        ds = distinct_rows(ds, ["subject", "predicate", "object"])
-    return ds
+
+    ds = scan_predicate(root, list(pred_to_shapes)).map_batches(
+        stage, batch_format="pandas"
+    )
+    return _dedup(ds, dedup)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,12 +1134,9 @@ def build_simple_types(state: BuildState) -> Dataset:
 
 def build_full_types(root: str, state: BuildState, dedup: bool = True) -> Dataset:
     if state.distributed:
-        from .build_dist import full_types_dist
+        from .build_dist import output_rows
 
-        out = full_types_dist(root, state)
-        if dedup:
-            out = distinct_rows(out, ["subject", "predicate", "object"])
-        return out
+        return _dedup(output_rows(root, state, "types"), dedup)
     refs = {
         "uri_mapping": state.packed_ref("uri_mapping"),
         "things": state.packed_ref("things"),
@@ -1143,10 +1154,7 @@ def build_full_types(root: str, state: BuildState, dedup: bool = True) -> Datase
         )
         return _spo_arrow(s, T.RDF_TYPE, o)
 
-    out = p31.map_batches(stage, batch_format="pandas")
-    if dedup:
-        out = distinct_rows(out, ["subject", "predicate", "object"])
-    return out
+    return _dedup(p31.map_batches(stage, batch_format="pandas"), dedup)
 
 
 def _classes_static_rows(state: BuildState) -> list:
@@ -1161,12 +1169,10 @@ def _classes_static_rows(state: BuildState) -> list:
     return rows
 
 
-def _classes_static_ds(state: BuildState) -> Dataset:
-    return _triples_ds(_classes_static_rows(state))
-
-
-def build_classes_description(root: str, state: BuildState, dedup: bool = True) -> Dataset:
-    static = _classes_static_ds(state)
+def _class_labels(root: str, state: BuildState) -> Dataset:
+    """Class label/comment rows (plan.rs:1741-1781): skos:prefLabel and
+    schema:description of the YAGO classes. The class set is
+    class-graph scale, so both state paths broadcast it."""
     from .broadcast import HashedSet
 
     refs = {
@@ -1188,10 +1194,12 @@ def build_classes_description(root: str, state: BuildState, dedup: bool = True) 
     comments = scan_predicate(root, T.SCHEMA_DESCRIPTION).map_batches(
         lambda b: class_labels(b, T.RDFS_COMMENT), batch_format="pandas"
     )
-    out = static.union(labels, comments)
-    if dedup:
-        out = distinct_rows(out, ["subject", "predicate", "object"])
-    return out
+    return labels.union(comments)
+
+
+def build_classes_description(root: str, state: BuildState, dedup: bool = True) -> Dataset:
+    static = _triples_ds(_classes_static_rows(state))
+    return _dedup(static.union(_class_labels(root, state)), dedup)
 
 
 # ---------------------------------------------------------------------------
@@ -1234,12 +1242,9 @@ def _same_as_static(state: BuildState, refs: dict | None = None) -> Dataset:
 
 def build_same_as(root: str, state: BuildState, dedup: bool = True) -> Dataset:
     if state.distributed:
-        from .build_dist import same_as_dist
+        from .build_dist import output_rows
 
-        out = same_as_dist(root, state)
-        if dedup:
-            out = distinct_rows(out, ["subject", "predicate", "object"])
-        return out
+        return _dedup(output_rows(root, state, "sameAs"), dedup)
 
     refs = {
         "uri_mapping": state.packed_ref("uri_mapping"),
@@ -1270,31 +1275,60 @@ def build_same_as(root: str, state: BuildState, dedup: bool = True) -> Dataset:
     wikipedia_ds = scan_predicate(root, T.SCHEMA_ABOUT).map_batches(
         wikipedia, batch_format="pandas"
     )
-    out = static.union(freebase_ds, wikipedia_ds)
-    if dedup:
-        out = distinct_rows(out, ["subject", "predicate", "object"])
-    return out
+    return _dedup(static.union(freebase_ds, wikipedia_ds), dedup)
 
 
 # ---------------------------------------------------------------------------
-# Fused output scan (generate_yago's staging path)
+# Fused output scan (generate_yago's in-memory leg)
 # ---------------------------------------------------------------------------
 
 def build_scan_outputs(root: str, state: BuildState) -> Dataset:
     """Every STORE-SCAN output row (labels, class label/comment,
-    full-types, sameAs freebase/wikipedia) in ONE tagged pass over the
-    union of their predicate partitions, emitting (file, subject,
-    predicate, object). Four separate pipelines re-read overlapping
-    partitions (skos:prefLabel twice) and pay four executor startups;
-    at 100 TB one scan is strictly less I/O and exchange. Broadcast-
-    state mode only — the distributed path joins per pipeline
-    (build_dist) — and uses the SAME per-group kernels as the
-    individual builders, so the fused and per-pipeline paths cannot
-    drift. The static/dataset-driven parts (ontology rows, wd/dbpedia
-    links, simple-types) stay separate tiny jobs in generate_yago."""
+    full-types, sameAs freebase/wikipedia) as (file, subject, predicate,
+    object), for generate_yago's in-memory dedup leg.
+
+    Broadcast state: ONE tagged pass over the union of their predicate
+    partitions. Four separate pipelines re-read overlapping partitions
+    (skos:prefLabel twice) and pay four executor startups; at 100 TB one
+    scan is strictly less I/O and exchange. It uses the SAME per-group
+    kernels as the individual builders, so the fused and per-pipeline
+    paths cannot drift. The static/dataset-driven parts (ontology rows,
+    wd/dbpedia links, simple-types) stay separate tiny jobs in
+    generate_yago.
+
+    Distributed state: the labels, full-types and sameAs rows (wd and
+    dbpedia links included) are family selections of the one item join
+    (build_dist.output_rows — the per-output builders read the same
+    selections); the class label/comment rows keep the broadcast kernel."""
+    if state.distributed:
+        from .build_dist import output_rows
+
+        legs = {
+            "class": _class_labels(root, state),
+            "labels": output_rows(root, state, "label"),
+            "full-types": output_rows(root, state, "types"),
+            "sameAs": output_rows(root, state, "sameAs"),
+        }
+
+        def tag(file: str):
+            def fn(batch: pa.Table) -> pa.Table:
+                files = pa.array([file] * batch.num_rows, pa.string())
+                return pa.table(
+                    {"file": files, **{c: batch[c] for c in
+                                       ("subject", "predicate", "object")}}
+                )
+
+            return fn
+
+        tagged = [
+            ds.map_batches(tag(file), batch_format="pyarrow")
+            for file, ds in legs.items()
+        ]
+        return tagged[0].union(*tagged[1:])
+
     from .broadcast import HashedSet
 
-    pred_to_shapes = _label_pred_to_shapes(state, LABEL_PATHS)
+    pred_to_shapes = _label_pred_to_shapes(state)
     refs = {
         "uri_mapping": state.packed_ref("uri_mapping"),
         "shape_instances": state.packed_ref("shape_instances"),
@@ -1592,9 +1626,9 @@ def generate_yago(
     write=False → returns the 9 output Datasets (each independently
     deduplicated) for inspection / per-output consumption.
     write=True  → stages the driver-built and small Dataset outputs as
-    zstd parquet (on the distributed path the store-scan outputs too),
-    keeps the facts join and the broadcast path's fused scan outputs in
-    memory, and runs ONE full-key dedup shuffle over all of them
+    zstd parquet, keeps the facts join and the store-scan outputs
+    (build_scan_outputs, on either state path) in memory, and runs ONE
+    full-key dedup shuffle over all of them
     feeding one partitioned gz write; the annotated facts dedup and
     write as their own job alongside. Every output dir holds
     hash-partitioned .nt.gz parts, each sorted within itself, plus a
@@ -1729,37 +1763,23 @@ def generate_yago(
         # the facts pipeline (broadcast-state + statement join) runs in
         # a thread; non-facts staging proceeds underneath it
         f_facts = pool.submit(build_facts, statements_root, state, dedup=False)
-        # DRIVER-backed outputs (schema/shapes, and the class static rows
-        # in broadcast mode) are plain Python lists: staging each through
-        # a Ray job paid ~0.5-1.5s of executor startup per output at
-        # EVERY CPU count — pure flat time. They are written as staged
-        # parquet directly on the driver (a few thousand rows each).
+        # DRIVER-backed outputs (schema/shapes, the class static rows)
+        # are plain Python lists: staging each through a Ray job paid
+        # ~0.5-1.5s of executor startup per output at EVERY CPU count —
+        # pure flat time. They are written as staged parquet directly
+        # on the driver (a few thousand rows each).
         static_rows = {
             "schema": _yago_schema_rows(state.schema),
             "shapes": _yago_shapes_rows(state.schema),
+            "class": _classes_static_rows(state),
         }
-        if state.distributed:
-            # the distributed path joins per pipeline (build_dist);
-            # each builder routes there internally
-            others = {
-                "class": build_classes_description(statements_root, state, dedup=False),
-                "simple-types": build_simple_types(state),
-                "full-types": build_full_types(statements_root, state, dedup=False),
-                "labels": build_labels(statements_root, state, dedup=False),
-                "sameAs": build_same_as(statements_root, state, dedup=False),
-            }
-            scan_ds = None
-        else:
-            # ONE fused scan covers the four store-scan pipelines
-            # (labels, class label/comment, full-types, sameAs
-            # freebase/wikipedia); only the static/dataset-driven rows
-            # stay as separate tiny jobs
-            static_rows["class"] = _classes_static_rows(state)
-            others = {
-                "simple-types": build_simple_types(state),
-                "sameAs": _same_as_static(state),
-            }
-            scan_ds = build_scan_outputs(statements_root, state)
+        # the store-scan outputs (labels, class label/comment,
+        # full-types, sameAs freebase/wikipedia — on the distributed
+        # path the wd/dbpedia links too) come from build_scan_outputs;
+        # only the state-dataset rows stay as separate tiny jobs
+        others = {"simple-types": build_simple_types(state)}
+        if not state.distributed:
+            others["sameAs"] = _same_as_static(state)
 
         def stage_static(name, rows):
             import pyarrow.parquet as _pq
@@ -1795,10 +1815,13 @@ def generate_yago(
         # through a ~100 MB/s disk) and union straight into the combined
         # dedup, like the facts leg. Blocks are bundled to ~32 MB BEFORE
         # the materialize so the dedup exchange width stays
-        # volume-bounded at any session width (PERF_NOTES #33).
-        def collect_tagged(ds):
+        # volume-bounded at any session width (PERF_NOTES #33). The
+        # plan is built here, off the main thread: on the distributed
+        # path it waits on the item join the facts thread shares.
+        def collect_tagged():
             from .sources import store_num_rows
 
+            ds = build_scan_outputs(statements_root, state)
             rows = store_num_rows(statements_root)
             row_bytes = max(1, _store_bytes // max(1, rows))
             bs = max(8192, (32 << 20) // row_bytes)
@@ -1806,7 +1829,6 @@ def generate_yago(
                 _tag_scan_cols, batch_format="pyarrow", batch_size=bs
             ).materialize()
 
-        scan_mem = None
         _mark("raw-plans")
         for name, rows in static_rows.items():
             stage_static(name, rows)
@@ -1822,8 +1844,7 @@ def generate_yago(
                 pool.submit(stage_one, name, ds)
                 for name, ds in others.items()
             ]
-            if scan_ds is not None:
-                scan_mem = collect_tagged(scan_ds)
+            scan_mem = collect_tagged()
             for f in small_futs:
                 f.result()
             _mark("stage-others (overlapping facts join)")
@@ -1835,15 +1856,12 @@ def generate_yago(
             futures = [
                 pool.submit(stage_one, name, ds) for name, ds in others.items()
             ]
-            f_scan = None
-            if scan_ds is not None:
-                f_scan = pool.submit(collect_tagged, scan_ds)
+            f_scan = pool.submit(collect_tagged)
             facts, annotated = f_facts.result()
             _mark("facts-join (overlapping other staging)")
             for f in futures:
                 f.result()
-            if f_scan is not None:
-                scan_mem = f_scan.result()
+            scan_mem = f_scan.result()
             _mark("stage-others")
 
         # facts rows skip the parquet round trip (the join output is
@@ -1907,12 +1925,10 @@ def generate_yago(
             staged_read = ray.data.read_parquet(
                 staged_files, override_num_blocks=n_read_blocks
             )
-            scan_bytes = 0
-            if scan_mem is not None:
-                # the in-memory scan-outputs leg: already tagged, already
-                # block-bounded by collect_tagged
-                scan_bytes = scan_mem.size_bytes() or 0
-                staged_read = staged_read.union(scan_mem)
+            # the in-memory scan-outputs leg: already tagged, already
+            # block-bounded by collect_tagged
+            scan_bytes = scan_mem.size_bytes() or 0
+            staged_read = staged_read.union(scan_mem)
             # coalesce the facts leg to the same volume-bounded block
             # count as the staged read: the materialized join arrives as
             # one block per join/max-count part (128 at 22 M), and the

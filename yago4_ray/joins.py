@@ -19,7 +19,7 @@ use `salted_group_filter` when a hot-key pre-pass finds skew.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 import pandas as pd
@@ -104,9 +104,20 @@ def copartition_join(
     col_types: dict | None = None,
     tag_batch_size: int | None = None,
     hash_keys: bool = False,
+    extra_sides: Sequence[tuple[Dataset, list[str]]] = (),
+    part_fn=None,
 ) -> Dataset:
     """Task-based co-partitioned equi-join: tag each side, hash-partition
     the UNION on the join key, merge per part with vectorized pandas.
+
+    N-way form: `extra_sides` adds further (Dataset, cols) sides to the
+    SAME exchange, and `part_fn(tables, keys)` replaces the default
+    per-part 2-way acero join — it gets one Arrow table per side (left,
+    right, then `extra_sides` in order, each holding that side's
+    declared columns, plus the `__k1`/`__k2` digests under hash_keys)
+    and the column names to join on, and returns the part's output
+    table. Every row of a key lands in one part, so per-key work inside
+    `part_fn` (semi-joins, exact dedups) is exact.
 
     Why not `Dataset.join`: Ray's native hash join spawns one
     CPU-reserving AGGREGATOR ACTOR per partition per call (~1 s startup
@@ -118,7 +129,8 @@ def copartition_join(
 
     `left_cols`/`right_cols` are each side's full column lists (schemas
     are known statically at every call site; asking the Dataset would
-    trigger execution). Non-key columns must be disjoint across sides.
+    trigger execution). Under the default join, non-key columns must be
+    disjoint across the two sides.
 
     The exchange ships ARROW blocks (same treatment as
     partitioned_group_apply): the key hash is computed on the key
@@ -158,12 +170,13 @@ def copartition_join(
     discipline as git. Both digests were verified decorrelated on the
     statement-id shape (2 M keys → 2 M distinct pairs, zero h1==h2)."""
     keys = [on] if isinstance(on, str) else list(on)
-    if hash_keys:
+    sides = [(left, left_cols), (right, right_cols), *extra_sides]
+    if hash_keys and part_fn is None:
         # under hash_keys the former key columns are plain payload; a
         # column on BOTH sides would collide in the per-part acero join
         shared = set(left_cols) & set(right_cols)
         assert not shared, f"hash_keys: columns on both sides: {shared}"
-    all_cols = list(dict.fromkeys(left_cols + right_cols))
+    all_cols = list(dict.fromkeys(c for _, cols in sides for c in cols))
     types = col_types or {}
 
     def tag(side: int, cols: list[str]):
@@ -235,12 +248,12 @@ def copartition_join(
 
         return fn
 
-    lt = left.map_batches(
-        tag(0, left_cols), batch_format="pyarrow", batch_size=tag_batch_size
-    )
-    rt = right.map_batches(
-        tag(1, right_cols), batch_format="pyarrow", batch_size=tag_batch_size
-    )
+    tagged = [
+        ds.map_batches(
+            tag(i, cols), batch_format="pyarrow", batch_size=tag_batch_size
+        )
+        for i, (ds, cols) in enumerate(sides)
+    ]
 
     # acero join_type names for the pandas-style `how` values
     _ACERO_HOW = {
@@ -250,37 +263,47 @@ def copartition_join(
         "outer": "full outer",
     }
 
-    def join_part(t: pa.Table) -> pa.Table:
-        # split sides in Arrow and join with acero's C++ hash join: the
-        # previous pandas merge materialized every string of both sides
-        # as PyObjects per part — the single hottest CPU cost of the
-        # facts join at narrow sessions. Row order within a part is not
-        # guaranteed by acero; every consumer is set-semantic (dedup
-        # shuffles, sinks that sort within part, aggregations).
+    def join2(tables: list[pa.Table], join_keys: list[str]) -> pa.Table:
+        # acero's C++ hash join: the previous pandas merge materialized
+        # every string of both sides as PyObjects per part — the single
+        # hottest CPU cost of the facts join at narrow sessions. Row
+        # order within a part is not guaranteed by acero; every
+        # consumer is set-semantic (dedup shuffles, sinks that sort
+        # within part, aggregations).
         # NOTE on null keys: acero (like SQL) never matches null join
         # keys; the pandas merge this replaced matched NaN==NaN. No call
         # site produces null keys (statement ids / custkeys / pair ids),
         # and null-key equality was never intended semantics.
-        # use_threads=False: each join_part runs in a 1-CPU Ray task —
+        # use_threads=False: each part runs in a 1-CPU Ray task —
         # acero's default process-wide pool would oversubscribe the node
         # under ~32 concurrent parts (same convention as the dedup
         # group_by kernel below).
-        side = t.column("__side")
-        join_keys = ["__k1", "__k2"] if hash_keys else keys
-        lcols = left_cols + join_keys if hash_keys else left_cols
-        rcols = right_cols + join_keys if hash_keys else right_cols
-        lhs = t.filter(pc.equal(side, 0)).select(lcols)
-        rhs = t.filter(pc.equal(side, 1)).select(rcols)
-        out = lhs.join(
+        lhs, rhs = tables
+        return lhs.join(
             rhs, keys=join_keys, join_type=_ACERO_HOW[how], use_threads=False
         )
+
+    merge = part_fn or join2
+    join_keys = ["__k1", "__k2"] if hash_keys else keys
+
+    def join_part(t: pa.Table) -> pa.Table:
+        side = t.column("__side")
+        tables = [
+            t.filter(pc.equal(side, i)).select(
+                cols + join_keys if hash_keys else cols
+            )
+            for i, (_, cols) in enumerate(sides)
+        ]
+        out = merge(tables, join_keys)
         if hash_keys:
-            out = out.drop_columns(["__k1", "__k2"])
+            out = out.drop_columns(
+                [c for c in ("__k1", "__k2") if c in out.column_names]
+            )
         return (
             out.replace_schema_metadata(None) if out.schema.metadata else out
         )
 
-    return lt.union(rt).groupby("__part").map_groups(
+    return tagged[0].union(*tagged[1:]).groupby("__part").map_groups(
         join_part, batch_format="pyarrow"
     )
 

@@ -223,11 +223,16 @@ class Schema:
             from_properties=tuple(g.objects(shape_id, T.YS_FROM_PROPERTY)),
         )
 
+    def target_class(self, shape_id: str) -> str:
+        """`node_shape(shape_id).target_class` without building the
+        shape's property shapes."""
+        return self.graph.object(shape_id, T.SH_TARGET_CLASS) or shape_id
+
     def node_shape(self, shape_id: str) -> NodeShape:
         g = self.graph
         return NodeShape(
             id=shape_id,
-            target_class=g.object(shape_id, T.SH_TARGET_CLASS) or shape_id,
+            target_class=self.target_class(shape_id),
             properties=tuple(
                 self.property_shape(ps) for ps in g.objects(shape_id, T.SH_PROPERTY)
             ),

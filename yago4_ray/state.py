@@ -133,12 +133,17 @@ class BuildState:
     # by build_state from state size / YAGO4_RAY_DISTRIBUTED_STATE=1
     distributed: bool = False
     datasets: dict[str, Dataset] = field(default_factory=dict)
-    # broadcast state built EARLY by build_state (broadcast path only;
-    # build_facts requires both keys): "clean_maps_ref" is a
-    # Future[(hmm_ref, counts_ref)] submitted the moment the URI merge
-    # ref exists, "best_rank_ref" is (HashedSet ref, collision-free
-    # flag ref) from the fused scan
+    # state build_facts needs, started EARLY by build_state. Broadcast
+    # path: "clean_maps_ref" is a Future[(hmm_ref, counts_ref)]
+    # submitted the moment the URI merge ref exists, "best_rank_ref" is
+    # (HashedSet ref, collision-free flag ref) from the fused scan.
+    # Distributed path: "clean_values" is a Future of the materialized
+    # clean-value Dataset, submitted at the same moment, and
+    # "item_scan" a Future of build_dist.item_scan's planned store scan
     prewarmed: dict = field(default_factory=dict)
+    # the statement store this state was built from (sizes the
+    # distributed state-side exchanges)
+    statements_root: str = ""
 
     # broadcast refs, created lazily
     _refs: dict[str, "ray.ObjectRef"] = field(default_factory=dict)
@@ -1304,72 +1309,60 @@ def build_state(
             >= DISTRIBUTED_STATE_THRESHOLD
             or _os.environ.get("YAGO4_RAY_DISTRIBUTED_STATE") == "1"
         )
-    prewarmed: dict = {}
-    uri_packed: "ray.ObjectRef | None" = None
+    # ONE fused scan job over the union of the state-input predicate
+    # partitions on BOTH state paths — four concurrent jobs contended
+    # for the same CPUs (see collect_input_reductions; measured 14.8 s
+    # as four scan jobs vs ~4 s fused at 44 M / 32 CPUs). What differs
+    # at scale is the statement-path JOINS (build_dist joins against
+    # the state Datasets instead of broadcasts); the input reductions
+    # themselves are class-graph / hash-range-sharded either way.
+    from . import build as B  # deferred: build imports state
+
+    # the clean-value scan needs ONLY the URI broadcast REF, which the
+    # remote merge task provides the moment the fused scan resolves —
+    # submit the scan from the callback so it overlaps the merge
+    # itself, class machinery AND shape-instance resolution instead of
+    # serializing behind them in build_facts. The broadcast path packs
+    # it into per-family maps; the distributed path joins the
+    # materialized Dataset (and joins best_rank_ds instead of packing
+    # the best-rank set).
+    _pre_pool = _cf.ThreadPoolExecutor(max_workers=2)
+    _pre: dict = {}
+    clean_key, clean_fn = (
+        ("clean_values", B.clean_values_ds)
+        if distributed
+        else ("clean_maps_ref", B.clean_hmm_refs)
+    )
+    if distributed:
+        # the item join's store scan needs only the schema: plan it now,
+        # under the state build (see build_dist.item_scan)
+        from .build_dist import item_scan
+
+        _pre["item_scan"] = _pre_pool.submit(item_scan, statements_root, schema)
+
+    def _launch_clean(uri_ref) -> None:
+        _pre[clean_key] = _pre_pool.submit(clean_fn, statements_root, uri_ref)
+
+    (
+        uri_mapping,
+        uri_ds,
+        enwiki_mapping,
+        enwiki_ds,
+        p279_edges,
+        instance_counts,
+        best_rank_refs,
+        uri_packed,
+    ) = collect_input_reductions(
+        statements_root, schema, stats, size, on_uri_ref=_launch_clean,
+        pack_best_rank=not distributed,
+    )
+    prewarmed = dict(_pre)
     if not distributed:
-        # ONE fused scan job over the union of the state-input predicate
-        # partitions — four concurrent jobs contended for the same CPUs
-        # (see collect_input_reductions)
-        from . import build as B  # deferred: build imports state
-
-        # the clean-value scan needs ONLY the URI broadcast REF, which
-        # the remote merge task provides the moment the fused scan
-        # resolves — submit the scan from the callback so it overlaps
-        # the merge itself, class machinery AND shape-instance
-        # resolution instead of serializing behind them in build_facts
-        _pre_pool = _cf.ThreadPoolExecutor(max_workers=1)
-        _pre: dict = {}
-
-        def _launch_clean(uri_ref) -> None:
-            _pre["clean_maps_ref"] = _pre_pool.submit(
-                B.clean_hmm_refs, statements_root, uri_ref
-            )
-
-        (
-            uri_mapping,
-            uri_ds,
-            enwiki_mapping,
-            enwiki_ds,
-            p279_edges,
-            instance_counts,
-            best_rank_refs,
-            uri_packed,
-        ) = collect_input_reductions(
-            statements_root, schema, stats, size, on_uri_ref=_launch_clean
-        )
-        prewarmed = {
-            "clean_maps_ref": _pre["clean_maps_ref"],
-            # BestRank packed REMOTELY out of the same fused scan:
-            # (HashedSet ref, collision-free-flag ref) — build_facts
-            # broadcasts the set ref directly, no driver materialization
-            "best_rank_ref": best_rank_refs,
-        }
-        _pre_pool.shutdown(wait=False)
-    else:
-        # distributed state shares the SAME fused input scan (measured
-        # 14.8 s as four concurrent scan jobs vs ~4 s fused at 44 M /
-        # 32 CPUs — the scans contend for the same partitions). What
-        # stays different at scale is the statement-path JOINS
-        # (build_dist joins against uri_ds / shape-instance Datasets
-        # instead of broadcasts); the input reductions themselves
-        # (class graph, enwiki map, URI merge shards) are class-graph /
-        # hash-range-sharded either way. No clean-scan hook (build_dist
-        # consumes the clean VALUES Dataset, not the packed maps) and
-        # no best-rank pack (it joins best_rank_ds).
-        (
-            uri_mapping,
-            uri_ds,
-            enwiki_mapping,
-            enwiki_ds,
-            p279_edges,
-            instance_counts,
-            _rank_unused,
-            uri_packed_dist,
-        ) = collect_input_reductions(
-            statements_root, schema, stats, size, pack_best_rank=False
-        )
-        uri_packed = None  # build_facts' broadcast refs are unused here
-        del uri_packed_dist
+        # BestRank packed REMOTELY out of the same fused scan:
+        # (HashedSet ref, collision-free-flag ref) — build_facts
+        # broadcasts the set ref directly, no driver materialization
+        prewarmed["best_rank_ref"] = best_rank_refs
+    _pre_pool.shutdown(wait=False)
     _mark("input-reductions (enwiki+uri+p279+counts)")
     stats.set_global(
         "Wikidata items mapped to English Wikipedia articles", len(enwiki_mapping)
@@ -1402,9 +1395,12 @@ def build_state(
         shape_instances=shape_instances,
         distributed=bool(distributed),
         prewarmed=prewarmed,
+        statements_root=statements_root,
     )
-    if uri_packed is not None:
-        state._refs["packed:uri_mapping"] = uri_packed
+    # the remote-packed URI map IS the broadcast (class labels on both
+    # paths, the broadcast path's facts and scan outputs): no second
+    # driver-side ray.put of the largest state object
+    state._refs["packed:uri_mapping"] = uri_packed
     state.datasets["uri_mapping"] = uri_ds
     state.datasets["shape_instances"] = inst_ds
     state.datasets["enwiki"] = enwiki_ds
