@@ -65,13 +65,18 @@ def _part_hashes(out_dir) -> dict:
 def test_written_parts_identical_across_state_paths(statements_root, tmp_path_factory):
     """The write=True path byte for byte: every .nt.gz/.ntx.gz part the
     distributed build writes equals the broadcast build's (the gz sinks
-    write mtime=0 headers, so equal content means equal bytes)."""
+    write mtime=0 headers, so equal content means equal bytes), and so
+    does stats.tsv."""
+    import pathlib
+
     from yago4_ray.build import generate_yago
 
-    hashes = {}
+    hashes, stats = {}, {}
     for distributed in (False, True):
         out = str(tmp_path_factory.mktemp(f"written_dist{int(distributed)}"))
         generate_yago(statements_root, out_dir=out, write=True, distributed=distributed)
         hashes[distributed] = _part_hashes(out)
+        stats[distributed] = (pathlib.Path(out) / "stats.tsv").read_bytes()
     assert hashes[False], "the broadcast build wrote no parts"
     assert hashes[True] == hashes[False]
+    assert stats[True] == stats[False]

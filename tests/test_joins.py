@@ -103,7 +103,7 @@ def test_hash_keys_rejects_shared_columns(join_inputs):
     from yago4_ray.joins import copartition_join
 
     left, right = join_inputs
-    with pytest.raises(AssertionError, match="both sides"):
+    with pytest.raises(ValueError, match="both sides"):
         copartition_join(
             _ray_ds(left),
             _ray_ds(right),
@@ -130,3 +130,27 @@ def test_hash_keys_rejects_null_keys(ray_session):
             _ray_ds(left), _ray_ds(right), "k", ["k", "x"], ["y"], hash_keys=True
         ).materialize()
     assert "ValueError: hash_keys join requires non-null keys" in str(err.value)
+
+
+def test_hash_keys_rejects_shared_columns_under_optimize():
+    """The shared-column invariant is a raise, not an `assert`: it must
+    hold under `python -O` too. The check runs before either side is
+    touched, so no Ray session is needed."""
+    import pathlib
+    import subprocess
+    import sys
+
+    code = (
+        "from yago4_ray.joins import copartition_join\n"
+        "try:\n"
+        "    copartition_join(None, None, 'k', ['k', 'x'], ['k', 'y'], hash_keys=True)\n"
+        "except ValueError as e:\n"
+        "    print('raised:', e)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        timeout=120, cwd=pathlib.Path(__file__).resolve().parent.parent,
+    )
+    assert "raised: hash_keys: columns on both sides: ['k']" in out.stdout, (
+        out.stdout + out.stderr
+    )

@@ -10,7 +10,10 @@ BuildState.
 
 Every build-path exchange is one `Dataset.groupby("__part")` in
 joins.py, and each is a fixed all-to-all latency: the distributed path
-runs one exchange per join key, and neither path may grow new ones."""
+runs one exchange per join key, and neither path may grow new ones.
+Every store scan (`sources.scan_predicate`) costs driver planning that
+grows with the files it reads, so neither path may grow new scans
+either."""
 
 import pytest
 
@@ -18,17 +21,19 @@ import pytest
 @pytest.fixture(scope="module", params=[False, True], ids=["broadcast", "distributed"])
 def build_calls(request, statements_root, tmp_path_factory):
     """Run build_state + generate_yago once, recording the class of every
-    `to_arrow_refs` receiver, the number of `si_by_item` builds and the
-    number of `Dataset.groupby` exchanges."""
+    `to_arrow_refs` receiver, the number of `si_by_item` builds, of
+    `Dataset.groupby` exchanges and of store-scan plans."""
     from ray.data.dataset import Dataset
 
-    from yago4_ray import build_dist
+    from yago4_ray import build, build_dist, sources, state as state_mod
     from yago4_ray.build import generate_yago
     from yago4_ray.state import build_state
 
     receivers: list[type] = []
     si_calls = [0]
     exchanges = [0]
+    scans = [0]
+    scan_predicate = sources.scan_predicate
     to_arrow_refs = Dataset.to_arrow_refs
     groupby = Dataset.groupby
     si_by_item = build_dist.si_by_item
@@ -41,6 +46,10 @@ def build_calls(request, statements_root, tmp_path_factory):
         exchanges[0] += 1
         return groupby(self, *args, **kwargs)
 
+    def counting_scan_predicate(*args, **kwargs):
+        scans[0] += 1
+        return scan_predicate(*args, **kwargs)
+
     def counting_si_by_item(state):
         si_calls[0] += 1
         return si_by_item(state)
@@ -50,6 +59,9 @@ def build_calls(request, statements_root, tmp_path_factory):
         mp.setattr(Dataset, "to_arrow_refs", recording_to_arrow_refs)
         mp.setattr(Dataset, "groupby", counting_groupby)
         mp.setattr(build_dist, "si_by_item", counting_si_by_item)
+        # every module that scans imports the function by name
+        for module in (sources, build, build_dist, state_mod):
+            mp.setattr(module, "scan_predicate", counting_scan_predicate)
         state = build_state(statements_root, distributed=request.param)
         generate_yago(statements_root, state=state, out_dir=out, write=True)
     assert state.distributed == request.param
@@ -58,6 +70,7 @@ def build_calls(request, statements_root, tmp_path_factory):
         "receivers": receivers,
         "si_calls": si_calls[0],
         "exchanges": exchanges[0],
+        "scans": scans[0],
     }
 
 
@@ -83,6 +96,18 @@ def test_exchange_budget(build_calls):
         assert build_calls["exchanges"] <= 10, build_calls["exchanges"]
     else:
         assert build_calls["exchanges"] == 6, build_calls["exchanges"]
+
+
+def test_store_scan_budget(build_calls):
+    """Broadcast: the fused state scan, clean values, the shape
+    instances' P31, the output scan, and the facts' subject, object and
+    annotation scans. Distributed: the item-keyed families of all of
+    these share one item scan; the value nodes, the best-rank ids, the
+    stateless object rows and the class labels are scanned apart."""
+    if build_calls["distributed"]:
+        assert build_calls["scans"] <= 10, build_calls["scans"]
+    else:
+        assert build_calls["scans"] <= 7, build_calls["scans"]
 
 
 def test_item_join_cached_builds_once_under_concurrent_consumers(

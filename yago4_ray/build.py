@@ -6,13 +6,13 @@ Ray Data pipelines over the predicate-partitioned statement store:
 - ONE combined pass over the p:/ps:/psv: statement families covers every
   property shape at once (the reference loops shapes and rescans,
   plan.rs:1069-1199); per-shape dispatch is vectorized inside batches.
-- The statement-subject × statement-object join is a hash-partitioned
-  `Dataset.join` keyed on statement id (J1).
-- Broadcast state (URI mapping, instance sets, clean-value maps,
-  best-rank ids) is shipped once per worker process; with
-  `state.distributed=True` (auto above ~50M mapped items, or
-  YAGO4_RAY_DISTRIBUTED_STATE=1) every such call site flips to
-  co-partitioned joins against the state Datasets (build_dist module).
+- Every store-reading output runs the family plan of build_dist: store
+  rows routed into families, each key met with its state (a per-batch
+  map over packed broadcasts, or with `state.distributed=True` — auto
+  above ~50M rdf:type rows — a co-partitioned join against the state
+  Datasets), then one set of selections to outputs.
+- The statement-subject × statement-object join is one task-based
+  co-partitioned exchange keyed on statement id (`copartition_join`).
 - maxCount drops the whole (shape, subject) group — never truncates
   (A2, plan.rs:1141-1158).
 
@@ -24,6 +24,7 @@ Outputs (same logical tables as plan.rs:105-196):
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -36,6 +37,7 @@ import ray
 import ray.data
 from ray.data import Dataset
 
+from . import build_dist as D
 from . import cleaners as C
 from . import terms as T
 from .joins import (
@@ -192,7 +194,27 @@ def derive_config(shape: PropertyShape, schema: Schema, cfg_id: str) -> PropConf
 # Shared broadcastable fact-pipeline state
 # ---------------------------------------------------------------------------
 
-def clean_values_ds(root: str, uri_ref) -> Dataset:
+# complex-value cfg mode → clean-value family
+CLEAN_FAMILY = {
+    "time": "time", "duration": "duration", "integer": "integer",
+    "geo": "coordinates", "quantity": "quantity",
+}
+
+
+@ray.remote
+def _count_families(block) -> dict[str, int]:
+    """Rows per clean-value family of one block."""
+    import pyarrow.compute as pc
+
+    if "family" not in block.column_names:  # an empty shuffle part
+        return {}
+    counts = pc.value_counts(block["family"])
+    return dict(
+        zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist())
+    )
+
+
+def clean_values_ds(root: str, uri_ref) -> tuple:
     """The materialized (family, value_node, object, extras) Dataset
     (ST4) from ONE scan + ONE partitioned groupby (reference: five
     point-lookup chains in five threads, plan.rs:908-1032) — the
@@ -201,7 +223,8 @@ def clean_values_ds(root: str, uri_ref) -> Dataset:
     build_state starts it the moment the URI merge ref exists. The only
     broadcast is the unit→YAGO mapping restricted to units that
     actually occur — Wikidata has ~10k units, class-graph scale, never
-    instance scale."""
+    instance scale. Returns (Dataset, per-block family-count refs): one
+    tiny task per materialized block, no exchange."""
     units = (
         scan_predicate(root, T.WIKIBASE_QUANTITY_UNIT)
         .map_batches(
@@ -212,7 +235,8 @@ def clean_values_ds(root: str, uri_ref) -> Dataset:
     )
     uri_mapping = ray.get(uri_ref)
     unit_map = {u: v for u in units if (v := uri_mapping.get(u)) is not None}
-    return C.build_value_maps(root, scan_predicate, ray.put(unit_map)).materialize()
+    ds = C.build_value_maps(root, scan_predicate, ray.put(unit_map)).materialize()
+    return ds, [_count_families.remote(b) for b in ds.to_arrow_refs()]
 
 
 @ray.remote(num_returns=2)
@@ -232,7 +256,7 @@ def _pack_clean_hmms(*blocks):
     ).combine_chunks()
     out: dict[str, "HashedMultiMap"] = {}
     counts: dict[str, int] = {}
-    for name in ("time", "coordinates", "duration", "integer", "quantity"):
+    for name in CLEAN_FAMILY.values():
         fam = tbl.filter(pc.equal(tbl["family"], name))
         out[name] = HashedMultiMap.from_arrow(
             fam["value_node"], fam["object"], fam["extras"], hashes=fam["h"]
@@ -243,7 +267,7 @@ def _pack_clean_hmms(*blocks):
 
 def clean_hmm_refs(root: str, uri_ref) -> tuple:
     """Run the clean-value scan, then hand its Arrow block refs to a
-    remote packing task. Returns (hmm_ref, counts_ref) the moment the
+    remote packing task. Returns (hmm_ref, [counts_ref]) the moment the
     scan resolves — the pack itself overlaps whatever Dataset job runs
     next (the facts join), and build_facts can assemble its broadcast
     refs without waiting for (or ever holding) the multimaps."""
@@ -255,7 +279,10 @@ def clean_hmm_refs(root: str, uri_ref) -> tuple:
     )
     # materialize first: a lazy Dataset's to_arrow_refs fetches its
     # schema through limit(1), which re-runs the whole scan (PERF_NOTES #50)
-    return _pack_clean_hmms.remote(*hashed.materialize().to_arrow_refs())
+    hmm_ref, counts_ref = _pack_clean_hmms.remote(
+        *hashed.materialize().to_arrow_refs()
+    )
+    return hmm_ref, [counts_ref]
 
 
 def best_rank_statements(root: str) -> pd.Series:
@@ -263,7 +290,7 @@ def best_rank_statements(root: str) -> pd.Series:
     (HashedSet consumes it without a Python set pass; statement ids are
     store-unique) — build_facts' exact fallback when the fused scan's
     64-bit BestRank hashes collide. The distributed path joins against
-    build_dist.best_rank_ds instead."""
+    the best-rank ids instead (build_dist.best_rank_sides)."""
     ds = scan_predicate(root, T.RDF_TYPE)
     df = ds.map_batches(
         lambda b: b[b["object"] == T.WIKIBASE_BEST_RANK][["subject"]],
@@ -275,9 +302,6 @@ def best_rank_statements(root: str) -> pd.Series:
 # ---------------------------------------------------------------------------
 # The combined facts pipeline
 # ---------------------------------------------------------------------------
-
-_SEP = "\x00"
-
 
 def datatype_series(obj: pd.Series) -> pd.Series:
     """Vectorized YagoTerm::datatype over canonical term strings
@@ -310,185 +334,6 @@ def matches_pattern(obj: pd.Series, pattern: str) -> pd.Series:
         warnings.simplefilter("ignore", UserWarning)
         has_pat = lit.str.contains(pattern, regex=True, na=False)
     return (datatype_series(obj) == T.XSD_STRING) & lit.notna() & has_pat
-
-
-_EMPTY_SUBJECT = {"cfg": [], "statement": [], "subject": []}
-_EMPTY_OBJECT = {"cfg": [], "statement": [], "object": [], "extras": []}
-_EMPTY_SUBJECT_TBL = pa.table(
-    {c: pa.array([], pa.string()) for c in _EMPTY_SUBJECT}
-)
-_OBJECT_SCHEMA = pa.schema([(c, pa.string()) for c in _EMPTY_OBJECT])
-
-
-def _subject_side(
-    root: str,
-    configs: list[PropConfig],
-    refs: dict,
-) -> Dataset:
-    """(cfg, statement, subject): p:Pid scan → per-config fan-out →
-    best-rank filter → URI-map subject → domain filter
-    (plan.rs:1073-1102). Fully vectorized: packed zero-copy broadcasts,
-    numpy membership, one pandas pass per (pid, cfg)."""
-    pid_to_cfgs: dict[str, list[PropConfig]] = {}
-    for cfg in configs:
-        if cfg.parent_class is None:
-            raise ValueError(f"No parent shape for {cfg.path}")
-        for pid in cfg.pids:
-            pid_to_cfgs.setdefault(pid, []).append(cfg)
-    preds = {T.iri(f"{T.P_PREFIX}{pid}"): pid for pid in pid_to_cfgs}
-    ds = scan_predicate(root, list(preds))
-
-    def stage(batch: pd.DataFrame) -> pd.DataFrame:
-        uri_map = get_broadcast(refs["uri_mapping"])
-        best = get_broadcast(refs["best_rank"])
-        instances = get_broadcast(refs["shape_instances"])
-        subjects = uri_map.lookup(batch["subject"])
-        keep = subjects.notna().to_numpy() & best.contains(batch["object"])
-        base = pd.DataFrame(
-            {
-                "pid": batch["predicate"].map(preds),
-                "statement": batch["object"],
-                "subject": subjects,
-            }
-        )[keep]
-        cfgs_a, stmts, subs = [], [], []
-        for pid, group in base.groupby("pid", sort=False):
-            for cfg in pid_to_cfgs.get(pid, ()):
-                inst = instances.get(cfg.parent_class)
-                if inst is None:
-                    continue
-                sel = group[inst.contains(group["subject"])]
-                if len(sel):
-                    cfgs_a.append(np.full(len(sel), cfg.cfg_id, dtype=object))
-                    stmts.append(sel["statement"].to_numpy())
-                    subs.append(sel["subject"].to_numpy())
-        # Arrow out: these rows feed the facts-join exchange — Arrow
-        # string blocks ship zero-copy where pandas blocks pickle
-        if not cfgs_a:
-            return _EMPTY_SUBJECT_TBL
-        return pa.table(
-            {
-                "cfg": pa.array(
-                    np.concatenate(cfgs_a), pa.string(), from_pandas=True
-                ),
-                "statement": pa.array(
-                    np.concatenate(stmts), pa.string(), from_pandas=True
-                ),
-                "subject": pa.array(
-                    np.concatenate(subs), pa.string(), from_pandas=True
-                ),
-            }
-        )
-
-    return ds.map_batches(stage, batch_format="pandas")
-
-
-_CLEAN_FAMILY = {
-    "time": "time", "duration": "duration", "integer": "integer",
-    "geo": "coordinates", "quantity": "quantity",
-}
-
-
-def _object_side(
-    root: str,
-    configs: list[PropConfig],
-    refs: dict | None,
-    simple_prefix: str,
-    complex_prefix: str,
-) -> Dataset:
-    """(cfg, statement, object, extras): ps:/psv: scan → per-mode value
-    dispatch → pattern filter (plan.rs:1209-1399). Vectorized per
-    (predicate, cfg) group; scalar converters only run on candidate
-    rows of their own mode. refs=None restricts to stateless modes
-    (anyuri/image/datatype — the build_dist stateless leg)."""
-    pred_to_cfgs: dict[str, list[PropConfig]] = {}
-    for cfg in configs:
-        if cfg.mode == "skip":
-            continue
-        prefix = complex_prefix if cfg.complex_value else simple_prefix
-        for pid in cfg.pids:
-            pred_to_cfgs.setdefault(T.iri(f"{prefix}{pid}"), []).append(cfg)
-    ds = scan_predicate(root, list(pred_to_cfgs))
-
-    def dispatch(cfg: PropConfig, rows: pd.DataFrame, refs_local) -> pd.DataFrame | None:
-        """rows: (statement, object) for one cfg; returns
-        (statement, object, extras) or None."""
-        objs = rows["object"]
-        mode = cfg.mode
-        extras = None
-        if mode == "anyuri":
-            mapped = objs.map(C.validate_any_uri)
-            keep = mapped.notna()
-            values = mapped[keep]
-        elif mode == "image":
-            keep = objs.str.startswith("<" + C.COMMONS_PREFIX)
-            values = objs[keep]
-        elif mode == "datatype":
-            keep = datatype_series(objs).isin(cfg.datatypes)
-            values = objs[keep]
-        elif mode == "range":
-            mapped = refs_local["uri_mapping"].lookup(objs)
-            keep = mapped.notna().to_numpy()
-            import numpy as np
-
-            in_range = np.zeros(len(rows), dtype=bool)
-            instances = refs_local["shape_instances"]
-            for cls in cfg.range_classes:
-                inst = instances.get(cls)
-                if inst is not None:
-                    in_range |= keep & inst.contains(mapped.fillna(""))
-            keep = in_range
-            values = mapped[keep]
-        else:  # complex value families
-            clean = refs_local["clean_maps"][_CLEAN_FAMILY[mode]]
-            mapped, mapped_extras = clean.lookup(objs)
-            keep = mapped.notna()
-            values = mapped[keep]
-            extras = mapped_extras[keep].fillna("")
-        if keep is None or not keep.any():
-            return None
-        out = pd.DataFrame(
-            {
-                "cfg": cfg.cfg_id,
-                "statement": rows["statement"][keep],
-                "object": values,
-                "extras": extras if extras is not None else "",
-            }
-        )
-        if cfg.pattern is not None:
-            out = out[matches_pattern(out["object"], cfg.pattern)]
-        return out if len(out) else None
-
-    def stage(batch: pd.DataFrame) -> pd.DataFrame:
-        refs_local = (
-            {
-                "uri_mapping": get_broadcast(refs["uri_mapping"]),
-                "shape_instances": get_broadcast(refs["shape_instances"]),
-                "clean_maps": get_broadcast(refs["clean_maps"]),
-            }
-            if refs is not None
-            else None
-        )
-        outs = []
-        for pred, group in batch.groupby("predicate", sort=False):
-            rows = pd.DataFrame(
-                {"statement": group["subject"], "object": group["object"]}
-            )
-            for cfg in pred_to_cfgs.get(pred, ()):
-                res = dispatch(cfg, rows, refs_local)
-                if res is not None:
-                    outs.append(res)
-        # Arrow out with a pinned all-string schema (downstream
-        # `fillna("")` treats the NaN→null promotion as empty extras)
-        if not outs:
-            return _OBJECT_SCHEMA.empty_table()
-        return pa.Table.from_pandas(
-            pd.concat(outs, ignore_index=True),
-            schema=_OBJECT_SCHEMA,
-            preserve_index=False,
-        )
-
-    return ds.map_batches(stage, batch_format="pandas")
 
 
 def _apply_max_count_exchange(
@@ -606,10 +451,13 @@ def _apply_max_count(
     return joined.map_batches(drop_offenders, batch_format="pandas")
 
 
-def prop_configs(schema: Schema) -> tuple[list[PropConfig], list[PropConfig]]:
+@functools.lru_cache(maxsize=8)
+def prop_configs(schema: Schema) -> tuple[tuple[PropConfig, ...], tuple[PropConfig, ...]]:
     """(fact configs, annotation configs): every property shape's value
     dispatch, minus skipped shapes and the label paths (built by
-    build_labels). build_facts and build_dist.item_scan share it."""
+    build_labels). build_facts and the family plan (build_dist) share it;
+    cached per Schema (never mutated once parsed), as every family-plan
+    consumer reads it."""
     configs: list[PropConfig] = []
     seen_ids: set[str] = set()
     for i, shape in enumerate(schema.property_shapes()):
@@ -630,97 +478,34 @@ def prop_configs(schema: Schema) -> tuple[list[PropConfig], list[PropConfig]]:
         if cfg.mode == "skip" or not cfg.pids:
             continue
         ann_configs.append(cfg)
-    return configs, ann_configs
+    return tuple(configs), tuple(ann_configs)
 
 
 def build_facts(
     root: str,
     state: BuildState,
-    num_partitions: int | None = None,
     dedup: bool = True,
 ) -> tuple[Dataset, Dataset]:
     """The core: (facts, annotated-facts) Datasets
     (plan.rs:896-1202). See module docstring for the dataflow."""
-    import concurrent.futures as _cf
     import time as _time
 
     _TIMING_T0["build_facts"] = _time.perf_counter()
-    if num_partitions is None:
-        # size the statement⨝statement exchanges by DATA volume, not
-        # CPU count: a fixed count means per-partition size grows
-        # without bound as the store grows (the 100-TB killer)
-        from .sources import store_nbytes
-
-        num_partitions = partitions_for_nbytes(store_nbytes(root))
+    # size the statement⨝statement exchanges by DATA volume, not CPU
+    # count: a fixed count means per-partition size grows without bound
+    # as the store grows (the 100-TB killer)
+    num_partitions = D.exchange_parts(root)
     configs, ann_configs = prop_configs(state.schema)
 
-    clean_counts_ref = None
-    if state.distributed:
-        # the 10^12-doc path: every broadcast below becomes a hash join
-        # against the state Datasets, one exchange per join key
-        # (build_dist module docstring)
-        from . import build_dist as D
-
-        refs = None
-        # the item join and the value-node join are independent — both
-        # run concurrently, OFF the statement exchange's critical path;
-        # the clean-value Dataset started materializing in build_state
-        def join_values():
-            clean_ds = state.prewarmed["clean_values"].result()
-            v = D.value_join(root, configs, ann_configs, clean_ds)
-            return None if v is None else v.materialize()
-
-        with _cf.ThreadPoolExecutor(max_workers=3) as _pool:
-            f_items = _pool.submit(D.item_join_cached, root, state)
-            f_values = _pool.submit(join_values)
-            # plans only: their store scans' metadata reads overlap the
-            # two joins instead of following them
-            f_objects = _pool.submit(
-                lambda: D.object_rows(
-                    root, configs, f_values.result(), T.PS_PREFIX, T.PSV_PREFIX
-                )
-            )
-            best = D.best_rank_ds(root)
-            items, values = f_items.result(), f_values.result()
-            objects = f_objects.result()
-        _mark_timing("build_facts", "item+value joins")
-        subjects = D.subject_rows(items, configs)
-        # ONE statement-keyed exchange: the best-rank semi-join and the
-        # exact range-row dedup run inside each part (D.facts_part)
-        exchange = {
-            "on": "statement",
-            "extra_sides": [
-                (D.range_rows(items, configs), D.OBJ_COLS),
-                (best, ["statement"]),
-            ],
-            "part_fn": D.facts_part,
-        }
-    else:
-        # the two cluster-bound broadcast states (clean values, best-rank
-        # hashes) started inside build_state the moment the URI merge
-        # resolved (state.prewarmed); the two driver-bound packings
-        # overlap in threads
-        pre = state.prewarmed
-        with _cf.ThreadPoolExecutor(max_workers=2) as _pool:
-            f_uri = _pool.submit(state.packed_ref, "uri_mapping")
-            f_si = _pool.submit(state.packed_ref, "shape_instances")
-            refs = {"uri_mapping": f_uri.result()}
-            refs["shape_instances"] = f_si.result()
-        set_ref, ok_ref = pre["best_rank_ref"]
-        if ray.get(ok_ref):  # tiny bool; the pack resolved long ago
-            refs["best_rank"] = set_ref
-        else:  # 64-bit collision: exact set from the id strings
-            from .broadcast import HashedSet
-
-            refs["best_rank"] = ray.put(HashedSet(best_rank_statements(root)))
-        # remote-packed: (hmm_ref, counts_ref) resolve as soon as the
-        # clean-value scan does; the pack overlaps the facts join
-        refs["clean_maps"], clean_counts_ref = pre["clean_maps_ref"].result()
-        _mark_timing("build_facts", "broadcast-state (clean+rank+uri+si)")
-
-        subjects = _subject_side(root, configs, refs)
-        objects = _object_side(root, configs, refs, T.PS_PREFIX, T.PSV_PREFIX)
-        exchange = {"on": ("cfg", "statement")}
+    # objects first: on the distributed path it starts the item and
+    # value-node exchanges together; the subject rows then select from
+    # the materialized item join
+    objects = D.object_rows(
+        D.resolved(root, state, D.OBJECT_FAMILIES, configs), configs
+    )
+    subjects = D.subject_rows(D.resolved(root, state, {"subject"}, configs), configs)
+    _mark_timing("build_facts", "state lookups planned")
+    range_ids = {c.cfg_id for c in configs if c.mode == "range"}
 
     # task-based co-partitioned join: ONE Arrow exchange fed directly by
     # the (lazy) subject/object scan stages — the native Dataset.join
@@ -739,14 +524,19 @@ def build_facts(
     # plain string keys: at 22 M / 8 CPUs on single-node plasma the
     # string exchange measured ~1 s FASTER per join than 128-bit digest
     # keys, and dictionary-encoded cfg saved nothing (PERF_NOTES #38)
+    # keyed on statement alone: every row of a statement shares a part,
+    # so the best-rank semi-join (distributed) and the range-row dedup
+    # inside D.facts_part are exact
     joined = copartition_join(
         subjects,
         objects,
-        left_cols=["cfg", "statement", "subject"],
-        right_cols=["cfg", "statement", "object", "extras"],
+        on="statement",
+        left_cols=D.SUBJ_COLS,
+        right_cols=D.OBJ_COLS,
         num_parts=num_partitions,
         tag_batch_size=tag_bs,
-        **exchange,
+        extra_sides=D.best_rank_sides(root, state),
+        part_fn=D.facts_part(range_ids),
     )
 
     # materialize once: consumed by the facts file, the annotation join
@@ -760,11 +550,6 @@ def build_facts(
         print(joined_raw.stats(), flush=True)
     joined = _apply_max_count(joined_raw, configs, num_partitions)
     _mark_timing("build_facts", "max-count")
-    if refs is not None and clean_counts_ref is not None:
-        # the remote pack finished long before the join it overlapped;
-        # fold its per-family sizes into stats with zero added wait
-        for name, n in ray.get(clean_counts_ref).items():
-            state.stats.set_local("Cleaned complex type", name, n)
 
     cfg_path = {c.cfg_id: c.path for c in configs}
     path_ref = ray.put(cfg_path)
@@ -814,28 +599,18 @@ def build_facts(
 
     # ---- annotations (plan.rs:1034-1064, 1165-1192) ----
     if ann_configs:
-        ann_ranges = None
-        if state.distributed:
-            ann_objects = D.object_rows(
-                root, ann_configs, values, T.PQ_PREFIX, T.PQV_PREFIX
-            )
-            if any(c.mode == "range" for c in ann_configs):
-                ann_ranges = D.range_rows(items, ann_configs)
-        else:
-            ann_objects = _object_side(
-                root, ann_configs, refs, T.PQ_PREFIX, T.PQV_PREFIX
-            )
+        ann_objects = D.object_rows(
+            D.resolved(root, state, D.OBJECT_FAMILIES, ann_configs), ann_configs
+        )
+        annotations = ann_objects.map_batches(
+            lambda b: pa.table(
+                {"statement": b["statement"], "ann_cfg": b["cfg"],
+                 "ann_obj": b["object"], "ann_extras": b["extras"]}
+            ),
+            batch_format="pyarrow",
+        )
+        ann_range_ids = {c.cfg_id for c in ann_configs if c.mode == "range"}
         ann_paths = ray.put({c.cfg_id: c.path for c in ann_configs})
-
-        def ann_rows(batch: pd.DataFrame) -> pd.DataFrame:
-            paths = get_broadcast(ann_paths)
-            batch = batch.copy()
-            batch["ann_pred"] = batch["cfg"].map(paths)
-            return batch.rename(
-                columns={"object": "ann_obj", "extras": "ann_extras"}
-            )[["statement", "ann_pred", "ann_obj", "ann_extras"]]
-
-        annotations = ann_objects.map_batches(ann_rows, batch_format="pandas")
 
         # Volume-gated stitch (same discipline as the minhash verify):
         # annotations are a small fraction of the statements (qualifier
@@ -858,7 +633,10 @@ def build_facts(
                 ann_preds.append(T.iri(f"{prefix}{pid}"))
         ann_src_bytes = store_nbytes(root, ann_preds)
         if not state.distributed and ann_src_bytes <= ANN_BROADCAST_CAP:
-            ann_df = annotations.to_pandas()  # bounded by the gate
+            ann_df = D.distinct_ranges(  # bounded by the gate
+                pa.Table.from_pandas(annotations.to_pandas(), preserve_index=False),
+                ann_range_ids, "ann_cfg",
+            ).to_pandas()
             ann_ref = ray.put((HashedSet(ann_df["statement"]), ann_df))
 
             def stitch(batch: pd.DataFrame) -> pd.DataFrame:
@@ -870,8 +648,7 @@ def build_facts(
                 if not keep.any():
                     empty = {
                         c: pd.Series([], dtype=object)
-                        for c in cols
-                        + ["ann_pred", "ann_obj", "ann_extras"]
+                        for c in cols + D.ANN_COLS[1:]
                     }
                     return pd.DataFrame(empty)
                 return batch.loc[keep, cols].merge(
@@ -884,25 +661,14 @@ def build_facts(
                 lambda b: b[["statement", "cfg", "subject", "object"]],
                 batch_format="pandas",
             )
-            ann_cols = ["statement", "ann_pred", "ann_obj", "ann_extras"]
-            exchange = {}
-            if ann_ranges is not None:
-                # sh:or range rows are deduped inside the same exchange
-                exchange = {
-                    "extra_sides": [
-                        (ann_ranges.map_batches(ann_rows, batch_format="pandas"),
-                         ann_cols)
-                    ],
-                    "part_fn": D.annotation_part,
-                }
             ann_joined = copartition_join(
                 kept,
                 annotations,
                 on="statement",
                 left_cols=["statement", "cfg", "subject", "object"],
-                right_cols=ann_cols,
+                right_cols=D.ANN_COLS,
                 num_parts=num_partitions,
-                **exchange,
+                part_fn=D.annotation_part(ann_range_ids),
             )
 
         def to_annotated(batch: pd.DataFrame) -> pd.DataFrame:
@@ -914,7 +680,9 @@ def build_facts(
                     "subject": batch["subject"].to_numpy(),
                     "predicate": batch["cfg"].map(paths).to_numpy(),
                     "object": batch["object"].to_numpy(),
-                    "annotation_predicate": batch["ann_pred"].to_numpy(),
+                    "annotation_predicate": batch["ann_cfg"].map(
+                        get_broadcast(ann_paths)
+                    ).to_numpy(),
                     "annotation_object": batch["ann_obj"].to_numpy(),
                 }
             )
@@ -953,88 +721,11 @@ def build_facts(
     return facts, annotated
 
 
-# ---------------------------------------------------------------------------
-# Shared per-predicate-group kernels: used by BOTH the individual output
-# builders (the queries() API) and generate_yago's fused output scan, so
-# the two paths cannot drift.
-# ---------------------------------------------------------------------------
-
-def _label_shape_groups(group: pd.DataFrame, pred_shapes, uri_map, instances):
-    """(path, subjects, objects) per label shape matching this predicate
-    group (datatype filter + shape-instance membership, plan.rs:845-880)."""
-    subjects = uri_map.lookup(group["subject"])
-    dtypes = datatype_series(group["object"])
-    mapped = subjects.notna()
-    for path, dts, parent in pred_shapes:
-        inst = instances.get(parent)
-        if inst is None:
-            continue
-        keep = (
-            dtypes.isin(dts)
-            & mapped
-            & pd.Series(inst.contains(subjects.fillna("")), index=group.index)
-        )
-        if keep.any():
-            yield path, subjects[keep].to_numpy(), group["object"][keep].to_numpy()
-
-
-def _class_label_group(group: pd.DataFrame, uri_map, classes):
-    """Subjects/objects of class label/comment rows (plan.rs:1741-1781)."""
-    subjects = uri_map.lookup(group["subject"])
-    keep = subjects.notna().to_numpy() & classes.contains(subjects.fillna(""))
-    return subjects[keep].to_numpy(), group["object"][keep].to_numpy()
-
-
-def _full_types_group(group: pd.DataFrame, uri_map, things, class_map):
-    """P31 rows → (instance, yago class) pairs via the class mapping
-    fan-out (plan.rs:744-770)."""
-    instances = uri_map.lookup(group["subject"])
-    keep = instances.notna().to_numpy() & things.contains(instances.fillna(""))
-    base = pd.DataFrame(
-        {"instance": instances, "wd_class": group["object"]}
-    )[keep]
-    subs, objs = [], []
-    for wd_class, g in base.groupby("wd_class", sort=False):
-        for yago_class in class_map.get(wd_class, ()):
-            subs.append(g["instance"].to_numpy())
-            objs.append(np.full(len(g), yago_class, dtype=object))
-    if not subs:
-        e = np.empty(0, dtype=object)
-        return e, e
-    return np.concatenate(subs), np.concatenate(objs)
-
-
-def _freebase_group(group: pd.DataFrame, uri_map, things):
-    """P646 rows → owl:sameAs freebase ids (plan.rs:1730-1739)."""
-    yago = uri_map.lookup(group["subject"])
-    keep = yago.notna().to_numpy() & things.contains(yago.fillna(""))
-    fb = group["object"][keep].map(C.convert_freebase_id)
-    keep2 = fb.notna()
-    return yago[keep][keep2].to_numpy(), fb[keep2].to_numpy()
-
-
-def _wikipedia_group(group: pd.DataFrame, uri_map, things):
-    """schema:about rows with wikipedia subjects → schema:sameAs URL
-    literals (plan.rs:1711-1728)."""
-    is_wp = group["subject"].str.startswith("<") & group["subject"].str.contains(
-        ".wikipedia.org/wiki/", regex=False
-    )
-    yago = uri_map.lookup(group["object"])
-    keep = (
-        is_wp.to_numpy()
-        & yago.notna().to_numpy()
-        & things.contains(yago.fillna(""))
-    )
-    urls = group["subject"][keep].str.slice(1, -1)
-    return (
-        yago[keep].to_numpy(),
-        ('"' + urls + f'"^^<{T.XSD_ANY_URI}>').to_numpy(),
-    )
-
-
-def label_shapes(schema: Schema) -> list[tuple[str, frozenset, str, tuple[str, ...]]]:
+@functools.lru_cache(maxsize=8)
+def label_shapes(schema: Schema) -> tuple[tuple[str, frozenset, str, tuple[str, ...]], ...]:
     """(path, datatypes, parent target class, source predicates) of the
-    simple label shapes (plan.rs:818-892 dispatch table)."""
+    simple label shapes (plan.rs:818-892 dispatch table), cached like
+    `prop_configs`."""
     shapes = []
     for shape in (s for s in schema.property_shapes() if s.path in LABEL_PATHS):
         if not shape.datatypes:
@@ -1050,65 +741,30 @@ def label_shapes(schema: Schema) -> list[tuple[str, frozenset, str, tuple[str, .
             (shape.path, frozenset(shape.datatypes), parent,
              tuple(shape.from_properties))
         )
-    return shapes
-
-
-def _label_pred_to_shapes(state: BuildState) -> dict[str, list]:
-    """predicate → [(path, datatypes, parent target class)]."""
-    pred_to_shapes: dict[str, list] = {}
-    for path, dts, parent, preds in label_shapes(state.schema):
-        for pred in preds:
-            pred_to_shapes.setdefault(pred, []).append((path, dts, parent))
-    return pred_to_shapes
+    return tuple(shapes)
 
 
 def _dedup(ds: Dataset, dedup: bool) -> Dataset:
     return distinct_rows(ds, ["subject", "predicate", "object"]) if dedup else ds
 
 
-# ---------------------------------------------------------------------------
-# Labels (build_simple_properties_from_schema, plan.rs:818-892)
-# ---------------------------------------------------------------------------
+def _store_output(root: str, state: BuildState, family: str, dedup: bool) -> Dataset:
+    """(subject, predicate, object) of one output family of the family
+    plan (build_dist.output_rows)."""
+    rows = D.output_rows(D.resolved(root, state, {family}), state)
+    return _dedup(
+        rows.map_batches(
+            lambda b: b.drop_columns(["file"]), batch_format="pyarrow"
+        ),
+        dedup,
+    )
+
 
 def build_labels(root: str, state: BuildState, dedup: bool = True) -> Dataset:
-    """Label/comment/alternateName triples in ONE fused scan over every
-    label predicate (per-shape dispatch vectorized inside batches); the
-    reference scans per shape (plan.rs:818-892)."""
-    pred_to_shapes = _label_pred_to_shapes(state)
-    if not pred_to_shapes:
-        return _empty_triples()
-    if state.distributed:
-        from .build_dist import output_rows
-
-        return _dedup(output_rows(root, state, "label"), dedup)
-    refs = {
-        "uri_mapping": state.packed_ref("uri_mapping"),
-        "shape_instances": state.packed_ref("shape_instances"),
-    }
-
-    def stage(batch: pd.DataFrame):
-        uri_map = get_broadcast(refs["uri_mapping"])
-        instances = get_broadcast(refs["shape_instances"])
-        subs, preds, objs = [], [], []
-        for pred, group in batch.groupby("predicate", sort=False):
-            for path, s, o in _label_shape_groups(
-                group, pred_to_shapes.get(pred, ()), uri_map, instances
-            ):
-                subs.append(s)
-                preds.append(np.full(len(s), path, dtype=object))
-                objs.append(o)
-        if not subs:
-            return _spo_arrow([], "", [])
-        return _spo_arrow(
-            np.concatenate(subs),
-            np.concatenate(preds),
-            np.concatenate(objs),
-        )
-
-    ds = scan_predicate(root, list(pred_to_shapes)).map_batches(
-        stage, batch_format="pandas"
-    )
-    return _dedup(ds, dedup)
+    """Label/comment/alternateName triples
+    (build_simple_properties_from_schema, plan.rs:818-892) in ONE fused
+    scan over every label predicate; the reference scans per shape."""
+    return _store_output(root, state, "label", dedup)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,33 +789,13 @@ def build_simple_types(state: BuildState) -> Dataset:
 
 
 def build_full_types(root: str, state: BuildState, dedup: bool = True) -> Dataset:
-    if state.distributed:
-        from .build_dist import output_rows
-
-        return _dedup(output_rows(root, state, "types"), dedup)
-    refs = {
-        "uri_mapping": state.packed_ref("uri_mapping"),
-        "things": state.packed_ref("things"),
-        # class mapping is class-graph scale — a plain dict is fine
-        "class_mapping": ray.put(state.wd_to_yago_class_mapping),
-    }
-    p31 = scan_predicate(root, f"<{T.WDT}P31>")
-
-    def stage(batch: pd.DataFrame):
-        s, o = _full_types_group(
-            batch,
-            get_broadcast(refs["uri_mapping"]),
-            get_broadcast(refs["things"]),
-            get_broadcast(refs["class_mapping"]),
-        )
-        return _spo_arrow(s, T.RDF_TYPE, o)
-
-    return _dedup(p31.map_batches(stage, batch_format="pandas"), dedup)
+    return _store_output(root, state, "types", dedup)
 
 
 def _classes_static_rows(state: BuildState) -> list:
-    """The driver-derived class rows (owl:Class types + subclass edges)
-    — the store-scan label/comment rows live in the shared kernels."""
+    """The driver-derived class rows (owl:Class types + subclass edges);
+    the store-scan label/comment rows are the family plan's "class"
+    family."""
     rows = [(c, T.RDF_TYPE, T.OWL_CLASS) for c in state.yago_classes]
     rows += [
         (sub, T.RDFS_SUB_CLASS_OF, sup)
@@ -1169,113 +805,19 @@ def _classes_static_rows(state: BuildState) -> list:
     return rows
 
 
-def _class_labels(root: str, state: BuildState) -> Dataset:
-    """Class label/comment rows (plan.rs:1741-1781): skos:prefLabel and
-    schema:description of the YAGO classes. The class set is
-    class-graph scale, so both state paths broadcast it."""
-    from .broadcast import HashedSet
-
-    refs = {
-        "uri_mapping": state.packed_ref("uri_mapping"),
-        "classes": ray.put(HashedSet(state.yago_classes)),
-    }
-
-    def class_labels(batch: pd.DataFrame, predicate: str):
-        s, o = _class_label_group(
-            batch,
-            get_broadcast(refs["uri_mapping"]),
-            get_broadcast(refs["classes"]),
-        )
-        return _spo_arrow(s, predicate, o)
-
-    labels = scan_predicate(root, T.SKOS_PREF_LABEL).map_batches(
-        lambda b: class_labels(b, T.RDFS_LABEL), batch_format="pandas"
-    )
-    comments = scan_predicate(root, T.SCHEMA_DESCRIPTION).map_batches(
-        lambda b: class_labels(b, T.RDFS_COMMENT), batch_format="pandas"
-    )
-    return labels.union(comments)
-
-
 def build_classes_description(root: str, state: BuildState, dedup: bool = True) -> Dataset:
     static = _triples_ds(_classes_static_rows(state))
-    return _dedup(static.union(_class_labels(root, state)), dedup)
+    return _dedup(
+        static.union(_store_output(root, state, "class", dedup=False)), dedup
+    )
 
 
 # ---------------------------------------------------------------------------
 # sameAs (plan.rs:1690-1780)
 # ---------------------------------------------------------------------------
 
-def _same_as_static(state: BuildState, refs: dict | None = None) -> Dataset:
-    """wd identity + dbpedia links from the state DATASETS (no store
-    scan, no driver-side row loop); the things membership is a broadcast."""
-    if refs is None:
-        refs = {
-            "uri_mapping": state.packed_ref("uri_mapping"),
-            "things": state.packed_ref("things"),
-        }
-
-    def wd_links(batch: pd.DataFrame):
-        things_b = get_broadcast(refs["things"])
-        keep = things_b.contains(batch["uri"])
-        sel = batch[keep]
-        return _spo_arrow(sel["uri"], T.OWL_SAME_AS, sel["item"])
-
-    def dbpedia_links(batch: pd.DataFrame):
-        uri_map = get_broadcast(refs["uri_mapping"])
-        things_b = get_broadcast(refs["things"])
-        yago = uri_map.lookup(batch["item"])
-        keep = yago.notna().to_numpy() & things_b.contains(yago.fillna(""))
-        sel = batch[keep]
-        return _spo_arrow(
-            yago[keep],
-            T.OWL_SAME_AS,
-            "<" + sel["url"].map(C.enwiki_to_dbpedia) + ">",
-        )
-
-    return state.datasets["uri_mapping"].map_batches(
-        wd_links, batch_format="pandas"
-    ).union(
-        state.datasets["enwiki"].map_batches(dbpedia_links, batch_format="pandas")
-    )
-
-
 def build_same_as(root: str, state: BuildState, dedup: bool = True) -> Dataset:
-    if state.distributed:
-        from .build_dist import output_rows
-
-        return _dedup(output_rows(root, state, "sameAs"), dedup)
-
-    refs = {
-        "uri_mapping": state.packed_ref("uri_mapping"),
-        "things": state.packed_ref("things"),
-    }
-    static = _same_as_static(state, refs)
-
-    def freebase(batch: pd.DataFrame):
-        s, o = _freebase_group(
-            batch,
-            get_broadcast(refs["uri_mapping"]),
-            get_broadcast(refs["things"]),
-        )
-        return _spo_arrow(s, T.OWL_SAME_AS, o)
-
-    freebase_ds = scan_predicate(root, f"<{T.WDT}P646>").map_batches(
-        freebase, batch_format="pandas"
-    )
-
-    def wikipedia(batch: pd.DataFrame):
-        s, o = _wikipedia_group(
-            batch,
-            get_broadcast(refs["uri_mapping"]),
-            get_broadcast(refs["things"]),
-        )
-        return _spo_arrow(s, T.SCHEMA_SAME_AS, o)
-
-    wikipedia_ds = scan_predicate(root, T.SCHEMA_ABOUT).map_batches(
-        wikipedia, batch_format="pandas"
-    )
-    return _dedup(static.union(freebase_ds, wikipedia_ds), dedup)
+    return _store_output(root, state, "sameAs", dedup)
 
 
 # ---------------------------------------------------------------------------
@@ -1283,136 +825,17 @@ def build_same_as(root: str, state: BuildState, dedup: bool = True) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def build_scan_outputs(root: str, state: BuildState) -> Dataset:
-    """Every STORE-SCAN output row (labels, class label/comment,
-    full-types, sameAs freebase/wikipedia) as (file, subject, predicate,
-    object), for generate_yago's in-memory dedup leg.
-
-    Broadcast state: ONE tagged pass over the union of their predicate
-    partitions. Four separate pipelines re-read overlapping partitions
-    (skos:prefLabel twice) and pay four executor startups; at 100 TB one
-    scan is strictly less I/O and exchange. It uses the SAME per-group
-    kernels as the individual builders, so the fused and per-pipeline
-    paths cannot drift. The static/dataset-driven parts (ontology rows,
-    wd/dbpedia links, simple-types) stay separate tiny jobs in
-    generate_yago.
-
-    Distributed state: the labels, full-types and sameAs rows (wd and
-    dbpedia links included) are family selections of the one item join
-    (build_dist.output_rows — the per-output builders read the same
-    selections); the class label/comment rows keep the broadcast kernel."""
-    if state.distributed:
-        from .build_dist import output_rows
-
-        legs = {
-            "class": _class_labels(root, state),
-            "labels": output_rows(root, state, "label"),
-            "full-types": output_rows(root, state, "types"),
-            "sameAs": output_rows(root, state, "sameAs"),
-        }
-
-        def tag(file: str):
-            def fn(batch: pa.Table) -> pa.Table:
-                files = pa.array([file] * batch.num_rows, pa.string())
-                return pa.table(
-                    {"file": files, **{c: batch[c] for c in
-                                       ("subject", "predicate", "object")}}
-                )
-
-            return fn
-
-        tagged = [
-            ds.map_batches(tag(file), batch_format="pyarrow")
-            for file, ds in legs.items()
-        ]
-        return tagged[0].union(*tagged[1:])
-
-    from .broadcast import HashedSet
-
-    pred_to_shapes = _label_pred_to_shapes(state)
-    refs = {
-        "uri_mapping": state.packed_ref("uri_mapping"),
-        "shape_instances": state.packed_ref("shape_instances"),
-        "things": state.packed_ref("things"),
-        "classes": ray.put(HashedSet(state.yago_classes)),
-        "class_mapping": ray.put(state.wd_to_yago_class_mapping),
-    }
-    p31_pred = f"<{T.WDT}P31>"
-    p646_pred = f"<{T.WDT}P646>"
-    preds = set(pred_to_shapes) | {
-        T.SKOS_PREF_LABEL, T.SCHEMA_DESCRIPTION, p31_pred, p646_pred,
-        T.SCHEMA_ABOUT,
-    }
-
-    def route(batch: pd.DataFrame) -> pa.Table:
-        uri_map = get_broadcast(refs["uri_mapping"])
-        instances = get_broadcast(refs["shape_instances"])
-        things = get_broadcast(refs["things"])
-        classes = get_broadcast(refs["classes"])
-        class_map = get_broadcast(refs["class_mapping"])
-        files, subs, prs, objs = [], [], [], []
-
-        def emit(file: str, s, p, o):
-            n = len(s)
-            if n == 0:
-                return
-            files.append(np.full(n, file, dtype=object))
-            subs.append(np.asarray(s, dtype=object))
-            prs.append(
-                np.full(n, p, dtype=object)
-                if isinstance(p, str)
-                else np.asarray(p, dtype=object)
-            )
-            objs.append(np.asarray(o, dtype=object))
-
-        for pred, group in batch.groupby("predicate", sort=False):
-            shapes = pred_to_shapes.get(pred)
-            if shapes:
-                for path, s, o in _label_shape_groups(
-                    group, shapes, uri_map, instances
-                ):
-                    emit("labels", s, path, o)
-            if pred == T.SKOS_PREF_LABEL:
-                s, o = _class_label_group(group, uri_map, classes)
-                emit("class", s, T.RDFS_LABEL, o)
-            elif pred == T.SCHEMA_DESCRIPTION:
-                s, o = _class_label_group(group, uri_map, classes)
-                emit("class", s, T.RDFS_COMMENT, o)
-            elif pred == p31_pred:
-                s, o = _full_types_group(group, uri_map, things, class_map)
-                emit("full-types", s, T.RDF_TYPE, o)
-            elif pred == p646_pred:
-                s, o = _freebase_group(group, uri_map, things)
-                emit("sameAs", s, T.OWL_SAME_AS, o)
-            elif pred == T.SCHEMA_ABOUT:
-                s, o = _wikipedia_group(group, uri_map, things)
-                emit("sameAs", s, T.SCHEMA_SAME_AS, o)
-        if not files:
-            return pa.table(
-                {
-                    c: pa.array([], pa.string())
-                    for c in ("file", "subject", "predicate", "object")
-                }
-            )
-        return pa.table(
-            {
-                "file": pa.array(
-                    np.concatenate(files), pa.string(), from_pandas=True
-                ),
-                "subject": pa.array(
-                    np.concatenate(subs), pa.string(), from_pandas=True
-                ),
-                "predicate": pa.array(
-                    np.concatenate(prs), pa.string(), from_pandas=True
-                ),
-                "object": pa.array(
-                    np.concatenate(objs), pa.string(), from_pandas=True
-                ),
-            }
-        )
-
-    return scan_predicate(root, sorted(preds)).map_batches(
-        route, batch_format="pandas"
-    )
+    """Every store-reading output row but the facts' — labels, class
+    label/comment, full-types, sameAs (freebase, wikipedia, wd and
+    dbpedia links) — as (file, subject, predicate, object), for
+    generate_yago's in-memory dedup leg: the output families of the
+    family plan, the same selections the per-output builders read. On
+    the broadcast path that is ONE tagged pass over the union of their
+    predicate partitions (four separate pipelines would re-read
+    overlapping partitions and pay four executor startups); on the
+    distributed path the item-keyed families are selections of the one
+    shared item join."""
+    return D.output_rows(D.resolved(root, state, D.OUTPUT_FAMILIES), state)
 
 
 # ---------------------------------------------------------------------------
@@ -1774,12 +1197,9 @@ def generate_yago(
             "class": _classes_static_rows(state),
         }
         # the store-scan outputs (labels, class label/comment,
-        # full-types, sameAs freebase/wikipedia — on the distributed
-        # path the wd/dbpedia links too) come from build_scan_outputs;
-        # only the state-dataset rows stay as separate tiny jobs
+        # full-types, sameAs) come from build_scan_outputs; only the
+        # simple types stay a separate tiny job
         others = {"simple-types": build_simple_types(state)}
-        if not state.distributed:
-            others["sameAs"] = _same_as_static(state)
 
         def stage_static(name, rows):
             import pyarrow.parquet as _pq
@@ -1834,11 +1254,11 @@ def generate_yago(
             stage_static(name, rows)
         if stage_workers == 1:
             # wide regime: the fused scan collect dominates this phase;
-            # the 1-2 small state-dataset jobs (simple-types, sameAs
-            # static) ride the pool UNDER it — 3-4 bounded concurrent
-            # consumers, not the 8-way executor thrash the sequential
-            # gate was measured against (30.3 s vs 12 s was EIGHT
-            # concurrent staging executors). Measured at 22 M / 32
+            # the small state-dataset job (simple-types) rides the pool
+            # UNDER it — a few bounded concurrent consumers, not the
+            # 8-way executor thrash the sequential gate was measured
+            # against (30.3 s vs 12 s was EIGHT concurrent staging
+            # executors). Measured at 22 M / 32
             # CPUs: stage-others 5.4 → ~4.4 s with the join unchanged.
             small_futs = [
                 pool.submit(stage_one, name, ds)

@@ -1,33 +1,48 @@
-"""Distributed (join-based) state consumption for the fact pipelines.
+"""The family plan: the one build plan both state paths share.
 
-The broadcast path in build.py ships the URI mapping / instance sets /
-best-rank ids / clean-value maps to every worker (the reference's whole
-in-RAM architecture, plan.rs:227-382, 641-731). That is the right call
-while the state fits a worker's heap; at 10^12-document scale those
-relations are themselves datasets, and every broadcast call site here
-flips to a co-partitioned join against the state Datasets kept in
-`BuildState.datasets` — ONE exchange per join key:
+The reference answers every state question with an in-RAM point lookup
+(URI map, shape instances, clean values, best rank; plan.rs:227-382,
+641-731). Every store-reading output here (facts, annotated facts,
+labels, full types, sameAs, class labels) is built in three steps, and
+only the middle one depends on the state regime:
 
-- item:        one scan over every item-keyed family — p: subject rows,
-  ps:/pq: range rows, label rows, P31 (full types), P646 and
-  schema:about (sameAs) — plus the enwiki and URI-mapping Datasets
-  (dbpedia and wd sameAs), each row tagged with its family, joined
-  once against `si_by_item` (uri ⨝ shape_instances: the mapped uri AND
-  its shape memberships) and materialized (`item_join_cached`). Each
-  row keeps only the shapes its family admits: the cfg's parent shape,
-  the range classes, the label's parent shape, schema:Thing. The
-  subject side, the range leg and the labels/full-types/sameAs outputs
-  are family selections of this one result.
-- value node:  the complex psv:/pqv: rows of facts AND annotations ⨝
-  the clean-value Dataset on (family, value_node) (`value_join`).
-- statement:   subject rows, object rows and best-rank ids in one
-  exchange; each part runs the best-rank semi-join, the exact range-row
-  dedup and the (cfg, statement) join (`facts_part`, driven by
-  build.build_facts).
+- Routing (`family_scan`): one map routes store rows into
+  (family, tag, key, value) rows. Families and their (tag, key, value):
+  - subject: (pid, item, statement) of p: rows
+  - range:   (cfg id, item, statement) of the ps:/pq: rows of range cfgs
+  - label:   (label shape index, item, object) of datatype-filtered
+    label rows
+  - types:   ("", item, wd class) of P31 rows
+  - sameAs:  (output predicate, item, object) of P646 and schema:about
+    rows, plus the enwiki (dbpedia) and URI-mapping (wd) state rows
+  - value:   (cfg id, value node, statement) of the psv:/pqv: rows of
+    complex-value cfgs
+  - object:  (cfg id, object, statement) of the stateless cfgs'
+    (anyuri/image/datatype) ps:/pq: rows, already converted
+  - class:   (output predicate, class, object) of class label/comment
+    rows
+- Lookups (`resolved`): each key meets its state, giving
+  (family, tag, value, shape, instance, extras) rows. An item keeps one
+  row per shape its family admits (a cfg's parent shape or range
+  classes, a label's parent shape, schema:Thing); a value node resolves
+  to its cleaned (object, extras).
+  - Broadcast state: a per-batch map over the packed refs (URI map,
+    shape instances, clean-value maps, best-rank set) streamed into the
+    consumer's own scan job; the best-rank filter runs in that map.
+  - Distributed state: the item families in ONE hash-keyed exchange
+    against `si_by_item`, the value nodes in ONE (family, value_node)
+    exchange against the clean-value Dataset, each materialized once
+    per BuildState and shared by every consumer; the best-rank ids are
+    a side of the statement exchange (`best_rank_sides`).
+  Stateless object rows and the class-graph-scale class labels take
+  the per-batch map on both paths.
+- Selections (`subject_rows`, `object_rows`, `output_rows`): resolved
+  rows to the statement exchange's sides and to output triples.
 
-The class mapping (full types) and the class label rows are
-class-graph scale and stay broadcast; stateless object modes
-(anyuri/image/datatype/pattern) stay per-batch compute.
+build.build_facts runs the statement exchange with `facts_part`: the
+best-rank semi-join (distributed), the exact range-row dedup (an sh:or
+range admits an item once per class, and maxCount counts rows) and the
+(cfg, statement) join.
 
 All joins are `joins.copartition_join` — task-based co-partitioned
 merges, NOT Ray's actor-based `Dataset.join` (a DAG this join-dense
@@ -43,12 +58,15 @@ stay in joins.partitioned_group_apply / salted paths).
 Mode selection lives in state.build_state(distributed=...); both paths
 produce identical outputs (tests/test_distributed.py gates set equality
 against the broadcast path, which the e2e oracle gates, and the written
-part files' sha256 across the two paths)."""
+part files' sha256 and stats.tsv across the two paths)."""
 
 from __future__ import annotations
 
+import concurrent.futures as _cf
+import functools
 import threading
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -60,31 +78,61 @@ from . import terms as T
 from .joins import _arrow_distinct, copartition_join, get_broadcast
 from .sources import scan_predicate
 
+ROUTED = ["family", "tag", "key", "value"]
+RESOLVED = ["family", "tag", "value", "shape", "instance", "extras"]
+SUBJ_COLS = ["cfg", "statement", "subject"]
 OBJ_COLS = ["cfg", "statement", "object", "extras"]
-_ANN_COLS = ["statement", "ann_pred", "ann_obj", "ann_extras"]
-_SPO = ["subject", "predicate", "object"]
+ANN_COLS = ["statement", "ann_cfg", "ann_obj", "ann_extras"]
+OUT_COLS = ["file", "subject", "predicate", "object"]
+
+ITEM_FAMILIES = frozenset({"subject", "range", "label", "types", "sameAs"})
+OBJECT_FAMILIES = frozenset({"range", "object", "value"})
+# output family → generate_yago output name
+OUTPUT_FILES = {
+    "label": "labels", "types": "full-types", "sameAs": "sameAs",
+    "class": "class",
+}
+OUTPUT_FAMILIES = frozenset(OUTPUT_FILES)
 
 
 def exchange_parts(root: str) -> int:
-    """Partition count of every build_dist exchange: the store's data
-    volume, as build_facts sizes its own exchanges."""
+    """Partition count of every build exchange: the store's data
+    volume."""
     from .joins import partitions_for_nbytes
     from .sources import store_nbytes
 
     return partitions_for_nbytes(store_nbytes(root))
 
 
-def best_rank_ds(root: str) -> Dataset:
-    """Statement ids typed wikibase:BestRank as a Dataset (the semi-join
-    side of the facts exchange)."""
-    return scan_predicate(root, T.RDF_TYPE).map_batches(
-        lambda b: pa.table(
-            {"statement": b.filter(
-                pc.equal(b["object"], T.WIKIBASE_BEST_RANK)
-            )["subject"]}
-        ),
-        batch_format="pyarrow",
-    )
+class _Rows:
+    """Column-wise accumulator of string rows. `add` takes one aligned
+    Series/array or str constant per column; `table` makes one Arrow
+    string block, so empty and non-empty blocks share one schema through
+    the downstream exchanges."""
+
+    def __init__(self, cols: list[str]):
+        self.parts: dict[str, list] = {c: [] for c in cols}
+
+    def add(self, *values) -> None:
+        n = next(len(v) for v in values if not isinstance(v, str))
+        if not n:
+            return
+        for part, v in zip(self.parts.values(), values):
+            part.append(
+                np.full(n, v, dtype=object) if isinstance(v, str)
+                else np.asarray(v, dtype=object)
+            )
+
+    def table(self) -> pa.Table:
+        return pa.table(
+            {
+                c: pa.array(
+                    np.concatenate(p) if p else np.empty(0, dtype=object),
+                    pa.string(), from_pandas=True,
+                )
+                for c, p in self.parts.items()
+            }
+        )
 
 
 def _empty(columns: list[str]) -> Dataset:
@@ -93,172 +141,398 @@ def _empty(columns: list[str]) -> Dataset:
     )
 
 
-_ITEM_LOCK = threading.Lock()
+# ---------------------------------------------------------------------------
+# Routing
+# ---------------------------------------------------------------------------
+
+def _subject_keyed(g: pd.DataFrame, dtypes):
+    return g["subject"], g["object"]
+
+
+def _object_keyed(g: pd.DataFrame, dtypes):
+    return g["object"], g["subject"]
+
+
+def _datatyped(dts: frozenset):
+    def emit(g: pd.DataFrame, dtypes):
+        keep = dtypes().isin(dts)
+        return g["subject"][keep], g["object"][keep]
+
+    return emit
+
+
+def _freebase(g: pd.DataFrame, dtypes):
+    """P646 rows → owl:sameAs freebase ids (plan.rs:1730-1739)."""
+    fb = g["object"].map(C.convert_freebase_id)
+    keep = fb.notna()
+    return g["subject"][keep], fb[keep]
+
+
+def _wikipedia(g: pd.DataFrame, dtypes):
+    """schema:about rows with wikipedia subjects → schema:sameAs URL
+    literals (plan.rs:1711-1728)."""
+    subj = g["subject"]
+    keep = subj.str.startswith("<") & subj.str.contains(
+        ".wikipedia.org/wiki/", regex=False
+    )
+    urls = subj[keep].str.slice(1, -1)
+    return g["object"][keep], '"' + urls + f'"^^<{T.XSD_ANY_URI}>'
+
+
+def _stateless(cfg):
+    """ps:/pq: rows of a stateless cfg → (converted object, statement)
+    (plan.rs:1209-1399's anyuri/image/datatype dispatch)."""
+
+    def emit(g: pd.DataFrame, dtypes):
+        objs = g["object"]
+        if cfg.mode == "anyuri":
+            objs = objs.map(C.validate_any_uri)
+            keep = objs.notna()
+        elif cfg.mode == "image":
+            keep = objs.str.startswith("<" + C.COMMONS_PREFIX)
+        else:
+            keep = dtypes().isin(cfg.datatypes)
+        return objs[keep], g["subject"][keep]
+
+    return emit
+
+
+def _routes(schema, families, cfg_ids=None) -> dict[str, list]:
+    """predicate → [(family, tag, emit)] for the rows of `families`,
+    restricted to the cfgs in `cfg_ids` (None: every cfg); emit(group,
+    dtypes) → (key, value) Series."""
+    from .build import label_shapes, prop_configs
+
+    configs, ann_configs = prop_configs(schema)
+    routes: dict[str, list] = {}
+
+    def add(pred, family, tag, emit):
+        if family not in families:
+            return
+        known = routes.setdefault(pred, [])
+        if all((f, t) != (family, tag) for f, t, _ in known):
+            known.append((family, tag, emit))
+
+    for cfgs, (subject, simple, complex_) in (
+        (configs, (T.P_PREFIX, T.PS_PREFIX, T.PSV_PREFIX)),
+        (ann_configs, (None, T.PQ_PREFIX, T.PQV_PREFIX)),
+    ):
+        for cfg in cfgs:
+            if cfg_ids is not None and cfg.cfg_id not in cfg_ids:
+                continue
+            for pid in cfg.pids:
+                if subject is not None:
+                    add(T.iri(f"{subject}{pid}"), "subject", pid, _subject_keyed)
+                if cfg.mode == "range":
+                    add(T.iri(f"{simple}{pid}"), "range", cfg.cfg_id, _object_keyed)
+                elif cfg.complex_value:
+                    add(T.iri(f"{complex_}{pid}"), "value", cfg.cfg_id, _object_keyed)
+                else:
+                    add(T.iri(f"{simple}{pid}"), "object", cfg.cfg_id, _stateless(cfg))
+    for i, (_path, dts, _parent, preds) in enumerate(label_shapes(schema)):
+        for pred in preds:
+            add(pred, "label", str(i), _datatyped(dts))
+    add(f"<{T.WDT}P31>", "types", "", _subject_keyed)
+    add(f"<{T.WDT}P646>", "sameAs", T.OWL_SAME_AS, _freebase)
+    add(T.SCHEMA_ABOUT, "sameAs", T.SCHEMA_SAME_AS, _wikipedia)
+    add(T.SKOS_PREF_LABEL, "class", T.RDFS_LABEL, _subject_keyed)
+    add(T.SCHEMA_DESCRIPTION, "class", T.RDFS_COMMENT, _subject_keyed)
+    return routes
+
+
+def family_scan(root: str, schema, families, cfg_ids=None) -> Dataset | None:
+    """The routed (family, tag, key, value) rows of `families` from ONE
+    store scan over their predicates; None when no predicate feeds
+    them."""
+    from .build import datatype_series
+
+    routes = _routes(schema, families, cfg_ids)
+    if not routes:
+        return None
+
+    def route(batch: pd.DataFrame) -> pa.Table:
+        rows = _Rows(ROUTED)
+        for pred, group in batch.groupby("predicate", sort=False):
+            dtypes = functools.cache(
+                functools.partial(datatype_series, group["object"])
+            )
+            for family, tag, emit in routes.get(pred, ()):
+                key, value = emit(group, dtypes)
+                rows.add(family, tag, key, value)
+        return rows.table()
+
+    return scan_predicate(root, sorted(routes)).map_batches(
+        route, batch_format="pandas"
+    )
+
+
+def item_scan(root: str, schema) -> Dataset:
+    """The store leg of `item_join`: every item-keyed family in one
+    scan. build_state plans it (state.prewarmed["item_scan"]) while the
+    state builds: read_parquet fetches the footers of a scan over more
+    than a few dozen files in remote tasks, a wait that would otherwise
+    head the facts chain."""
+    return family_scan(root, schema, ITEM_FAMILIES)
+
+
+def _same_as_state_rows(state) -> list[Dataset]:
+    """The sameAs family's rows from the state Datasets: enwiki →
+    dbpedia links and the URI mapping's wd identity links, keyed by
+    item."""
+
+    def rows(values):
+        def fn(b: pd.DataFrame) -> pa.Table:
+            out = _Rows(ROUTED)
+            out.add("sameAs", T.OWL_SAME_AS, b["item"], values(b))
+            return out.table()
+
+        return fn
+
+    return [
+        state.datasets["enwiki"].map_batches(
+            rows(lambda b: "<" + b["url"].map(C.enwiki_to_dbpedia) + ">"),
+            batch_format="pandas",
+        ),
+        state.datasets["uri_mapping"].map_batches(
+            rows(lambda b: b["item"]), batch_format="pandas"
+        ),
+    ]
+
+
+def _admitted(schema) -> dict[tuple[str, str], tuple[str, ...]]:
+    """(family, tag) → the shapes an item of that family must be an
+    instance of; the row keeps one resolved row per such shape."""
+    from .build import label_shapes, prop_configs
+
+    configs, ann_configs = prop_configs(schema)
+    admitted: dict[tuple[str, str], list[str]] = {}
+    for cfg in configs:
+        if cfg.parent_class is None:
+            raise ValueError(f"No parent shape for {cfg.path}")
+        for pid in cfg.pids:
+            shapes = admitted.setdefault(("subject", pid), [])
+            if cfg.parent_class not in shapes:
+                shapes.append(cfg.parent_class)
+    for cfg in configs + ann_configs:
+        if cfg.mode == "range":
+            admitted[("range", cfg.cfg_id)] = list(dict.fromkeys(cfg.range_classes))
+    for i, (_path, _dts, parent, _preds) in enumerate(label_shapes(schema)):
+        admitted[("label", str(i))] = [parent]
+    admitted[("types", "")] = [T.SCHEMA_THING]
+    admitted[("sameAs", T.OWL_SAME_AS)] = [T.SCHEMA_THING]
+    admitted[("sameAs", T.SCHEMA_SAME_AS)] = [T.SCHEMA_THING]
+    return {k: tuple(v) for k, v in admitted.items()}
+
+
+# ---------------------------------------------------------------------------
+# Lookups: where a key meets its state
+# ---------------------------------------------------------------------------
+
+def resolved(root: str, state, families, configs=None) -> Dataset:
+    """(family, tag, value, shape, instance, extras) rows of `families`
+    (the cfg-fed families for the cfgs in `configs`; None: every cfg),
+    each key met with its state. The one place the state regime shows:
+    joined from the shared materialized exchanges on the distributed
+    path, a per-batch map over the consumer's own scan otherwise. The
+    selections filter the shared exchanges' rows down to `configs`."""
+    cfg_ids = None if configs is None else {c.cfg_id for c in configs}
+    # only the families some predicate of these cfgs feeds: a join leg
+    # without rows would still read a whole materialized exchange
+    families = frozenset(
+        f for routes in _routes(state.schema, families, cfg_ids).values()
+        for f, _, _ in routes
+    )
+    joins = []
+    local = families
+    if state.distributed:
+        joins = [
+            fn for fn, fams in ((item_join_cached, ITEM_FAMILIES),
+                                (value_join_cached, {"value"}))
+            if families & fams
+        ]
+        local = families - ITEM_FAMILIES - {"value"}
+    with _cf.ThreadPoolExecutor(max_workers=2) as pool:
+        # the two state exchanges materialize concurrently and the local
+        # scan plans under them
+        futures = [pool.submit(fn, root, state) for fn in joins]
+        legs = [_local_rows(root, state, local, cfg_ids)] if local else []
+        joined = [f.result() for f in futures]
+    fams = pa.array(sorted(families), pa.string())
+    legs += [
+        ds.map_batches(
+            lambda b: b.filter(pc.is_in(b["family"], value_set=fams)),
+            batch_format="pyarrow",
+        )
+        for ds in joined
+        if ds is not None
+    ]
+    legs = [ds for ds in legs if ds is not None]
+    if not legs:
+        return _empty(RESOLVED)
+    return legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
+
+
+def _local_rows(root: str, state, families, cfg_ids) -> Dataset | None:
+    """`families` resolved by a per-batch map over packed refs."""
+    from .broadcast import HashedSet
+    from .build import CLEAN_FAMILY, prop_configs
+
+    scanned = family_scan(root, state.schema, families, cfg_ids)
+    legs = [scanned] if scanned is not None else []
+    if "sameAs" in families:
+        legs += _same_as_state_rows(state)
+    if not legs:
+        return None
+    refs: dict = {}
+    admitted = {}
+    if families & (ITEM_FAMILIES | {"class"}):
+        refs["uri"] = state.packed_ref("uri_mapping")
+    if families & ITEM_FAMILIES:
+        refs["instances"] = state.packed_ref("shape_instances")
+        admitted = _admitted(state.schema)
+    if "subject" in families:
+        refs["best"] = _best_rank_ref(root, state)
+    clean_family = {}
+    if "value" in families:
+        refs["clean"] = state.prewarmed["clean_maps_ref"].result()[0]
+        configs, ann_configs = prop_configs(state.schema)
+        clean_family = {
+            c.cfg_id: CLEAN_FAMILY[c.mode]
+            for c in configs + ann_configs if c.complex_value
+        }
+    if "class" in families:
+        refs["classes"] = ray.put(HashedSet(state.yago_classes))
+    keyed = ITEM_FAMILIES | {"class"}
+
+    def lookup(batch: pd.DataFrame) -> pa.Table:
+        family = batch["family"]
+        if "best" in refs:
+            subj = (family == "subject").to_numpy()
+            if subj.any():
+                keep = ~subj
+                keep[subj] = get_broadcast(refs["best"]).contains(
+                    batch["value"][subj]
+                )
+                batch = batch[keep]
+                family = batch["family"]
+        inst = pd.Series(None, index=batch.index, dtype=object)
+        item = family.isin(keyed)
+        if item.any():
+            inst[item] = get_broadcast(refs["uri"]).lookup(batch["key"][item])
+        batch = batch.assign(instance=inst)
+        out = _Rows(RESOLVED)
+        for (fam, tag), g in batch.groupby(["family", "tag"], sort=False):
+            if fam == "object":
+                out.add(fam, tag, g["value"], "", g["key"], "")
+            elif fam == "value":
+                clean = get_broadcast(refs["clean"])[clean_family[tag]]
+                objs, extras = clean.lookup(g["key"])
+                keep = objs.notna()
+                out.add(fam, tag, g["value"][keep], "", objs[keep],
+                        extras[keep].fillna(""))
+            elif fam == "class":
+                found = g["instance"].fillna("")
+                keep = g["instance"].notna().to_numpy() & get_broadcast(
+                    refs["classes"]
+                ).contains(found)
+                out.add(fam, tag, g["value"][keep], "", g["instance"][keep], "")
+            else:
+                instances = get_broadcast(refs["instances"])
+                mapped = g["instance"].notna().to_numpy()
+                found = g["instance"].fillna("")
+                for shape in admitted.get((fam, tag), ()):
+                    members = instances.get(shape)
+                    if members is None:
+                        continue
+                    keep = mapped & members.contains(found)
+                    out.add(fam, tag, g["value"][keep], shape,
+                            g["instance"][keep], "")
+        return out.table()
+
+    rows = legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
+    return rows.map_batches(lookup, batch_format="pandas")
+
+
+def _best_rank_ref(root: str, state) -> "ray.ObjectRef":
+    """The broadcast best-rank set: packed remotely out of build_state's
+    fused scan; rebuilt exactly from the statement ids when two of them
+    share a 64-bit hash."""
+    from . import build as B
+
+    set_ref, ok_ref = state.prewarmed["best_rank_ref"]
+    if ray.get(ok_ref):  # tiny bool; the pack resolved long ago
+        return set_ref
+    from .broadcast import HashedSet
+
+    return ray.put(HashedSet(B.best_rank_statements(root)))
+
+
+def best_rank_sides(root: str, state) -> list[tuple[Dataset, list[str]]]:
+    """The statement exchange's best-rank side: the distributed path
+    semi-joins the best-rank ids inside `facts_part`; the broadcast
+    lookup has already filtered the subject rows."""
+    if not state.distributed:
+        return []
+    return [(
+        scan_predicate(root, T.RDF_TYPE).map_batches(
+            lambda b: pa.table(
+                {"statement": b.filter(
+                    pc.equal(b["object"], T.WIKIBASE_BEST_RANK)
+                )["subject"]}
+            ),
+            batch_format="pyarrow",
+        ),
+        ["statement"],
+    )]
+
+
+_LOCKS = {"item_join": threading.Lock(), "value_join": threading.Lock()}
+
+
+def _cached(state, name: str, build) -> Dataset | None:
+    """`build()` materialized once per BuildState under its own lock
+    (the facts thread and the scan-output thread reach it at once)."""
+    with _LOCKS[name]:
+        if name not in state.datasets:
+            ds = build()
+            state.datasets[name] = None if ds is None else ds.materialize()
+        return state.datasets[name]
 
 
 def si_by_item(state) -> Dataset:
-    """(item, instance, shape): shape_instances pre-joined with the URI
+    """(key, instance, shape): shape_instances pre-joined with the URI
     mapping, keyed by wd item — the item join then attaches the uri AND
     its shape memberships in a SINGLE item-keyed exchange. It is the
     item join's only consumer and runs inside the item join's job, so
     its exchange overlaps the item rows' store scan (PERF_NOTES #39:
     each barrier is a fixed-latency all-to-all)."""
     uri_items = state.datasets["uri_mapping"].map_batches(
-        lambda b: pd.DataFrame({"instance": b["uri"], "item": b["item"]}),
+        lambda b: pd.DataFrame({"instance": b["uri"], "key": b["item"]}),
         batch_format="pandas",
     )
     return copartition_join(
         state.datasets["shape_instances"], uri_items, "instance",
-        ["shape", "instance"], ["item"],
+        ["shape", "instance"], ["key"],
         num_parts=exchange_parts(state.statements_root),
         hash_keys=True,
     )
 
 
-# ---------------------------------------------------------------------------
-# The item exchange
-# ---------------------------------------------------------------------------
-
 def item_join_cached(root: str, state) -> Dataset:
-    """Materialized `item_join`, built once per BuildState: build_facts
-    (subject side, range legs) and the store-scan outputs (labels,
-    full-types, sameAs) all select from it."""
-    with _ITEM_LOCK:
-        ds = state.datasets.get("item_join")
-        if ds is None:
-            ds = item_join(root, state).materialize()
-            state.datasets["item_join"] = ds
-        return ds
-
-
-def item_scan(root: str, schema) -> tuple[Dataset, pa.Array]:
-    """The store-scan leg of `item_join` and the keys it admits: lazy
-    (family, tag, item, value) rows of every item-keyed family from ONE
-    scan, and the admitted (family, tag, shape) keys, NUL-joined.
-    Families and their (tag, value):
-
-    - subject: (pid, statement) of p: rows; admits the parent shape of
-      any cfg reading that pid
-    - range:   (cfg id, statement) of ps:/pq: rows; admits the cfg's
-      range classes (an sh:or range can admit one item twice — the
-      statement exchanges dedup those rows exactly)
-    - label:   (label shape index, object) of datatype-filtered label
-      rows; admits the label shape's parent
-    - types:   ("", wd class) of P31 rows; admits schema:Thing
-    - sameAs:  (output predicate, object) of P646 / schema:about rows
-      (item_join adds the enwiki and URI-mapping rows); admits
-      schema:Thing
-
-    build_state plans it (state.prewarmed["item_scan"]) while the state
-    builds: read_parquet fetches the footers of a scan over more than a
-    few dozen files in remote tasks, a wait that would otherwise head
-    the facts chain."""
-    from .build import label_shapes, prop_configs
-
-    configs, ann_configs = prop_configs(schema)
-    thing = T.SCHEMA_THING
-    allowed: set[tuple[str, str, str]] = set()
-    subject_preds: dict[str, str] = {}
-    for cfg in configs:
-        if cfg.parent_class is None:
-            raise ValueError(f"No parent shape for {cfg.path}")
-        for pid in cfg.pids:
-            subject_preds[T.iri(f"{T.P_PREFIX}{pid}")] = pid
-            allowed.add(("subject", pid, cfg.parent_class))
-    range_preds: dict[str, list[str]] = {}
-    for cfgs, prefix in ((configs, T.PS_PREFIX), (ann_configs, T.PQ_PREFIX)):
-        for cfg in cfgs:
-            if cfg.mode != "range":
-                continue
-            for pid in cfg.pids:
-                range_preds.setdefault(T.iri(f"{prefix}{pid}"), []).append(
-                    cfg.cfg_id
-                )
-            allowed.update(("range", cfg.cfg_id, c) for c in cfg.range_classes)
-    label_preds: dict[str, list[tuple[str, frozenset]]] = {}
-    for i, (_path, dts, parent, preds) in enumerate(label_shapes(schema)):
-        for pred in preds:
-            label_preds.setdefault(pred, []).append((str(i), dts))
-        allowed.add(("label", str(i), parent))
-    p31, p646 = f"<{T.WDT}P31>", f"<{T.WDT}P646>"
-    allowed.add(("types", "", thing))
-    allowed.add(("sameAs", T.OWL_SAME_AS, thing))
-    allowed.add(("sameAs", T.SCHEMA_SAME_AS, thing))
-    preds = set(subject_preds) | set(range_preds) | set(label_preds)
-    preds |= {p31, p646, T.SCHEMA_ABOUT}
-
-    def route(batch: pd.DataFrame) -> pa.Table:
-        from .build import datatype_series
-
-        fams, tags, items, values = [], [], [], []
-
-        def emit(family, tag, item, value):
-            if len(item):
-                fams.append(pd.Series(family, index=item.index))
-                tags.append(pd.Series(tag, index=item.index))
-                items.append(item)
-                values.append(value)
-
-        for pred, group in batch.groupby("predicate", sort=False):
-            if pred in subject_preds:
-                emit("subject", subject_preds[pred], group["subject"],
-                     group["object"])
-            for cfg_id in range_preds.get(pred, ()):
-                emit("range", cfg_id, group["object"], group["subject"])
-            shapes = label_preds.get(pred)
-            if shapes:
-                dtypes = datatype_series(group["object"])
-                for tag, dts in shapes:
-                    sel = group[dtypes.isin(dts)]
-                    emit("label", tag, sel["subject"], sel["object"])
-            if pred == p31:
-                emit("types", "", group["subject"], group["object"])
-            elif pred == p646:
-                fb = group["object"].map(C.convert_freebase_id)
-                keep = fb.notna()
-                emit("sameAs", T.OWL_SAME_AS, group["subject"][keep], fb[keep])
-            elif pred == T.SCHEMA_ABOUT:
-                subj = group["subject"]
-                sel = group[
-                    subj.str.startswith("<")
-                    & subj.str.contains(".wikipedia.org/wiki/", regex=False)
-                ]
-                urls = sel["subject"].str.slice(1, -1)
-                emit("sameAs", T.SCHEMA_SAME_AS, sel["object"],
-                     '"' + urls + f'"^^<{T.XSD_ANY_URI}>')
-        return _item_rows(fams, tags, items, values)
-
-    scanned = scan_predicate(root, sorted(preds)).map_batches(
-        route, batch_format="pandas"
-    )
-    return scanned, pa.array(sorted("\x00".join(k) for k in allowed), pa.string())
+    return _cached(state, "item_join", lambda: item_join(root, state))
 
 
 def item_join(root: str, state) -> Dataset:
-    """(family, tag, value, shape, instance): every item-keyed row of the
-    build — `item_scan`'s store rows plus the enwiki (dbpedia sameAs)
-    and URI-mapping (wd sameAs: (owl:sameAs, item)) rows — in ONE
-    hash-keyed exchange against `si_by_item` (planned into the same
-    job), keeping each row's admitted shapes only."""
-    scanned, admitted = state.prewarmed["item_scan"].result()
-
-    def same_as_rows(values):
-        def fn(b: pd.DataFrame) -> pa.Table:
-            return _item_rows(
-                [pd.Series("sameAs", index=b.index)],
-                [pd.Series(T.OWL_SAME_AS, index=b.index)],
-                [b["item"]],
-                [values(b)],
-            )
-
-        return fn
-
-    enwiki = state.datasets["enwiki"].map_batches(
-        same_as_rows(lambda b: "<" + b["url"].map(C.enwiki_to_dbpedia) + ">"),
-        batch_format="pandas",
-    )
-    wd = state.datasets["uri_mapping"].map_batches(
-        same_as_rows(lambda b: b["item"]), batch_format="pandas"
+    """Every item-keyed family resolved in ONE hash-keyed exchange
+    against `si_by_item` (planned into the same job), keeping each row's
+    admitted shapes only."""
+    admitted = pa.array(
+        sorted(
+            "\x00".join((family, tag, shape))
+            for (family, tag), shapes in _admitted(state.schema).items()
+            for shape in shapes
+        ),
+        pa.string(),
     )
 
     def keep_admitted(tables: list[pa.Table], keys: list[str]) -> pa.Table:
@@ -267,12 +541,16 @@ def item_join(root: str, state) -> Dataset:
         key = pc.binary_join_element_wise(
             out["family"], out["tag"], out["shape"], "\x00"
         )
-        return out.filter(pc.is_in(key, value_set=admitted))
+        out = out.filter(pc.is_in(key, value_set=admitted))
+        return out.append_column(
+            "extras", pa.repeat(pa.scalar("", pa.string()), out.num_rows)
+        ).select(RESOLVED)
 
+    rows = [state.prewarmed["item_scan"].result(), *_same_as_state_rows(state)]
     return copartition_join(
-        scanned.union(enwiki, wd),
+        rows[0].union(*rows[1:]),
         si_by_item(state),
-        "item",
+        "key",
         ["family", "tag", "value"],
         ["shape", "instance"],
         num_parts=exchange_parts(root),
@@ -281,253 +559,185 @@ def item_join(root: str, state) -> Dataset:
     )
 
 
-def _item_rows(fams, tags, items, values) -> pa.Table:
-    cols = ("family", "tag", "item", "value")
-    if not items:
-        return pa.table({c: pa.array([], pa.string()) for c in cols})
-    return pa.table(
-        {
-            c: pa.array(pd.concat(parts, ignore_index=True), pa.string())
-            for c, parts in zip(cols, (fams, tags, items, values))
-        }
-    )
+def value_join_cached(root: str, state) -> Dataset | None:
+    return _cached(state, "value_join", lambda: value_join(root, state))
 
 
-def _family(joined: Dataset, family: str, fn) -> Dataset:
-    """`fn` (pandas in, pandas out) over the rows of one family of the
-    item join; Arrow string blocks out, so empty and non-empty blocks
-    share one schema through the downstream exchanges."""
+def value_join(root: str, state) -> Dataset | None:
+    """Every complex value node of the facts (psv:) AND the annotations
+    (pqv:) resolved in ONE (family, value_node) exchange against the
+    clean-value Dataset; None when no cfg has a complex value."""
+    from .build import CLEAN_FAMILY, prop_configs
 
-    def select(batch: pa.Table) -> pa.Table:
-        sub = batch.filter(pc.equal(batch["family"], family))
-        out = fn(sub.drop_columns(["family"]).to_pandas())
-        return pa.table(
-            {c: pa.array(out[c], pa.string(), from_pandas=True) for c in out}
+    scanned = family_scan(root, state.schema, {"value"})
+    if scanned is None:
+        return None
+    configs, ann_configs = prop_configs(state.schema)
+    clean_family = {
+        c.cfg_id: CLEAN_FAMILY[c.mode]
+        for c in configs + ann_configs if c.complex_value
+    }
+
+    def to_nodes(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {"tag": b["tag"], "value": b["value"],
+             "family": b["tag"].map(clean_family), "value_node": b["key"]}
         )
 
-    return joined.map_batches(select, batch_format="pyarrow")
+    def to_resolved(b: pa.Table) -> pa.Table:
+        n = b.num_rows
+        return pa.table(
+            {
+                "family": pa.repeat(pa.scalar("value", pa.string()), n),
+                "tag": b["tag"],
+                "value": b["value"],
+                "shape": pa.repeat(pa.scalar("", pa.string()), n),
+                "instance": b["object"],
+                "extras": pc.fill_null(b["extras"], ""),
+            }
+        )
+
+    clean_ds = state.prewarmed["clean_values"].result()[0]
+    return copartition_join(
+        scanned.map_batches(to_nodes, batch_format="pandas"),
+        clean_ds, ("family", "value_node"),
+        ["tag", "value"], ["object", "extras"],
+        num_parts=exchange_parts(root),
+        hash_keys=True,
+    ).map_batches(to_resolved, batch_format="pyarrow")
 
 
-def subject_rows(joined: Dataset, configs: list) -> Dataset:
+# ---------------------------------------------------------------------------
+# Selections
+# ---------------------------------------------------------------------------
+
+def subject_rows(rows: Dataset, configs: list) -> Dataset:
     """(cfg, statement, subject): the subject family fanned out to every
-    cfg whose parent shape the row's admitted shape is (cf.
-    build._subject_side). The best-rank semi-join runs inside the facts
-    exchange (`facts_part`)."""
+    cfg whose parent shape the row's admitted shape is
+    (plan.rs:1073-1102)."""
     fan: dict[tuple[str, str], list[str]] = {}
     for cfg in configs:
         for pid in cfg.pids:
             fan.setdefault((pid, cfg.parent_class), []).append(cfg.cfg_id)
 
-    def rows(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [
-            pd.DataFrame(
-                {"cfg": cfg_id, "statement": g["value"], "subject": g["instance"]}
-            )
-            for key, g in df.groupby(["tag", "shape"], sort=False)
-            for cfg_id in fan.get(key, ())
-        ]
-        if not outs:
-            return pd.DataFrame({c: [] for c in ("cfg", "statement", "subject")})
-        return pd.concat(outs, ignore_index=True)
+    def select(b: pd.DataFrame) -> pa.Table:
+        out = _Rows(SUBJ_COLS)
+        subjects = b[b["family"] == "subject"]
+        for key, g in subjects.groupby(["tag", "shape"], sort=False):
+            for cfg_id in fan.get(key, ()):
+                out.add(cfg_id, g["value"], g["instance"])
+        return out.table()
 
-    return _family(joined, "subject", rows)
+    return rows.map_batches(select, batch_format="pandas")
 
 
-def range_rows(joined: Dataset, configs: list) -> Dataset:
-    """(cfg, statement, object, extras) of the range cfgs among
-    `configs` (cf. the range mode of build._object_side); rows are NOT
-    yet distinct — see `facts_part` / `annotation_part`."""
-    ids = {c.cfg_id for c in configs if c.mode == "range"}
-
-    def rows(df: pd.DataFrame) -> pd.DataFrame:
-        sel = df[df["tag"].isin(ids)]
-        return pd.DataFrame(
-            {"cfg": sel["tag"], "statement": sel["value"],
-             "object": sel["instance"], "extras": ""}
-        )
-
-    return _patterned(
-        _family(joined, "range", rows), [c for c in configs if c.mode == "range"]
-    )
-
-
-def output_rows(root: str, state, family: str) -> Dataset:
-    """(subject, predicate, object) rows of one item-keyed OUTPUT family
-    — "label", "types" (full types) or "sameAs" — selected from the
-    item join; the per-output builders and the distributed store-scan
-    outputs both read these."""
-    from .build import label_shapes
-
-    joined = item_join_cached(root, state)
-    if family == "label":
-        paths = {str(i): s[0] for i, s in enumerate(label_shapes(state.schema))}
-
-        def rows(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"subject": df["instance"], "predicate": df["tag"].map(paths),
-                 "object": df["value"]}
-            )
-
-    elif family == "types":
-        class_ref = ray.put(state.wd_to_yago_class_mapping)
-
-        def rows(df: pd.DataFrame) -> pd.DataFrame:
-            class_map = get_broadcast(class_ref)
-            outs = [
-                pd.DataFrame(
-                    {"subject": g["instance"], "predicate": T.RDF_TYPE,
-                     "object": yago_class}
-                )
-                for wd_class, g in df.groupby("value", sort=False)
-                for yago_class in class_map.get(wd_class, ())
-            ]
-            if not outs:
-                return pd.DataFrame({c: [] for c in _SPO})
-            return pd.concat(outs, ignore_index=True)
-
-    elif family == "sameAs":
-
-        def rows(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {"subject": df["instance"], "predicate": df["tag"],
-                 "object": df["value"]}
-            )
-
-    else:
-        raise ValueError(f"not an item-keyed output family: {family!r}")
-    return _family(joined, family, rows)
-
-
-# ---------------------------------------------------------------------------
-# The value-node exchange and the statement-keyed part functions
-# ---------------------------------------------------------------------------
-
-def value_join(
-    root: str, configs: list, ann_configs: list, clean_ds: Dataset
-) -> Dataset | None:
-    """(cfg, statement, object, extras) for every complex-value cfg of
-    the facts (psv:) AND the annotations (pqv:) in ONE (family,
-    value_node) exchange against the clean-value Dataset; None when no
-    cfg has a complex value."""
-    from .build import _CLEAN_FAMILY
-
-    complex_preds: dict[str, list] = {}
-    for cfgs, prefix in ((configs, T.PSV_PREFIX), (ann_configs, T.PQV_PREFIX)):
-        for cfg in cfgs:
-            if cfg.complex_value:
-                for pid in cfg.pids:
-                    complex_preds.setdefault(T.iri(f"{prefix}{pid}"), []).append(cfg)
-    if not complex_preds:
-        return None
-
-    def to_nodes(batch: pd.DataFrame) -> pd.DataFrame:
-        outs = [
-            pd.DataFrame(
-                {"cfg": cfg.cfg_id, "statement": group["subject"],
-                 "family": _CLEAN_FAMILY[cfg.mode], "value_node": group["object"]}
-            )
-            for pred, group in batch.groupby("predicate", sort=False)
-            for cfg in complex_preds.get(pred, ())
-        ]
-        if not outs:
-            return pd.DataFrame(
-                {c: [] for c in ("cfg", "statement", "family", "value_node")}
-            ).astype(str)
-        return pd.concat(outs, ignore_index=True)
-
-    rows = scan_predicate(root, list(complex_preds)).map_batches(
-        to_nodes, batch_format="pandas"
-    )
-    return copartition_join(
-        rows, clean_ds, ("family", "value_node"),
-        ["cfg", "statement"], ["object", "extras"],
-        num_parts=exchange_parts(root),
-        hash_keys=True,
-    ).map_batches(
-        lambda b: b.set_column(
-            b.schema.get_field_index("extras"), "extras",
-            pc.fill_null(b["extras"], ""),
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def object_rows(
-    root: str,
-    configs: list,
-    values: Dataset | None,
-    simple_prefix: str,
-    complex_prefix: str,
-) -> Dataset:
-    """(cfg, statement, object, extras) of the non-range cfgs among
-    `configs`: stateless modes per batch (build._object_side's own
-    dispatch), complex values selected from the value join."""
-    from .build import _object_side
-
-    stateless = [c for c in configs if c.mode in ("anyuri", "image", "datatype")]
-    ids = {c.cfg_id for c in configs if c.complex_value}
-    legs = []
-    if stateless:
-        legs.append(
-            _object_side(root, stateless, None, simple_prefix, complex_prefix)
-        )
-    if ids and values is not None:
-        id_set = pa.array(sorted(ids), pa.string())
-        legs.append(
-            _patterned(
-                values.map_batches(
-                    lambda b: b.filter(pc.is_in(b["cfg"], value_set=id_set)),
-                    batch_format="pyarrow",
-                ),
-                [c for c in configs if c.complex_value],
-            )
-        )
-    if not legs:
-        return _empty(OBJ_COLS)
-    return legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
-
-
-def _patterned(ds: Dataset, configs: list) -> Dataset:
-    """sh:pattern filter for joined object rows (the stateless modes
-    apply it inside build._object_side's dispatch)."""
+def object_rows(rows: Dataset, configs: list) -> Dataset:
+    """(cfg, statement, object, extras) of the range, stateless and
+    complex-value rows of `configs`, sh:pattern-filtered
+    (plan.rs:1388-1397). Range rows are NOT yet distinct — see
+    `distinct_ranges`."""
     from .build import matches_pattern
 
+    ids = pa.array(sorted(c.cfg_id for c in configs), pa.string())
+    fams = pa.array(sorted(OBJECT_FAMILIES), pa.string())
     patterns = {c.cfg_id: c.pattern for c in configs if c.pattern is not None}
-    if not patterns:
-        return ds
 
-    def keep(batch: pa.Table) -> pa.Table:
-        df = batch.select(["cfg", "object"]).to_pandas()
+    def select(b: pa.Table) -> pa.Table:
+        b = b.filter(
+            pc.and_(pc.is_in(b["family"], value_set=fams),
+                    pc.is_in(b["tag"], value_set=ids))
+        )
+        out = pa.table(
+            {"cfg": b["tag"], "statement": b["value"], "object": b["instance"],
+             "extras": b["extras"]}
+        )
+        if not patterns or not out.num_rows:
+            return out
+        df = out.select(["cfg", "object"]).to_pandas()
         mask = pd.Series(True, index=df.index)
         for cfg_id, pattern in patterns.items():
             sel = df["cfg"] == cfg_id
             if sel.any():
                 mask.loc[sel] = matches_pattern(df.loc[sel, "object"], pattern)
-        return batch.filter(pa.array(mask.to_numpy(dtype=bool)))
+        return out.filter(pa.array(mask.to_numpy(dtype=bool)))
 
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return rows.map_batches(select, batch_format="pyarrow")
 
 
-def facts_part(tables: list[pa.Table], keys: list[str]) -> pa.Table:
+def output_rows(rows: Dataset, state) -> Dataset:
+    """(file, subject, predicate, object) of the output families —
+    labels, full types (the class-graph-scale class mapping fan-out,
+    plan.rs:744-770), sameAs and class labels (plan.rs:1741-1781)."""
+    from .build import label_shapes
+
+    paths = {str(i): s[0] for i, s in enumerate(label_shapes(state.schema))}
+    class_ref = ray.put(state.wd_to_yago_class_mapping)
+
+    def select(b: pd.DataFrame) -> pa.Table:
+        out = _Rows(OUT_COLS)
+        for family, g in b.groupby("family", sort=False):
+            file = OUTPUT_FILES.get(family)
+            if file is None:
+                continue
+            if family == "label":
+                out.add(file, g["instance"], g["tag"].map(paths), g["value"])
+            elif family == "types":
+                class_map = get_broadcast(class_ref)
+                for wd_class, t in g.groupby("value", sort=False):
+                    for yago_class in class_map.get(wd_class, ()):
+                        out.add(file, t["instance"], T.RDF_TYPE, yago_class)
+            else:
+                out.add(file, g["instance"], g["tag"], g["value"])
+        return out.table()
+
+    return rows.map_batches(select, batch_format="pandas")
+
+
+# ---------------------------------------------------------------------------
+# The statement-keyed part functions
+# ---------------------------------------------------------------------------
+
+def distinct_ranges(t: pa.Table, range_ids, cfg_col: str) -> pa.Table:
+    """`t` with its range-cfg rows (`cfg_col` in `range_ids`) made
+    distinct: an sh:or range admits an item through each of its
+    classes, and maxCount counts rows."""
+    is_range = pc.is_in(t[cfg_col], value_set=pa.array(sorted(range_ids), pa.string()))
+    return pa.concat_tables(
+        [t.filter(pc.invert(is_range)),
+         _arrow_distinct(t.filter(is_range), t.column_names)]
+    )
+
+
+def facts_part(range_ids):
     """One part of the statement-keyed facts exchange, sides (subjects,
-    objects, range objects, best-rank ids): subjects ⋉ best-rank, then
-    ⨝ (objects ∪ distinct range objects) on (cfg, statement). Every row
-    of a statement shares the part, so the semi-join and the range
-    dedup (an sh:or range admits an item through each class) are exact."""
-    subjects, objects, ranges, best = tables
-    subjects = subjects.join(
-        best, keys=keys, join_type="left semi", use_threads=False
-    )
-    objects = pa.concat_tables([objects, _arrow_distinct(ranges, OBJ_COLS)])
-    return subjects.join(
-        objects, keys=["cfg", "statement"], join_type="inner", use_threads=False
-    )
+    objects[, best-rank ids]): subjects ⋉ best-rank, then ⨝ objects
+    (range rows made distinct) on (cfg, statement). Every row of a
+    statement shares the part, so the semi-join and the dedup are
+    exact."""
+
+    def part(tables: list[pa.Table], keys: list[str]) -> pa.Table:
+        subjects, objects, *best = tables
+        for ids in best:
+            subjects = subjects.join(
+                ids, keys=keys, join_type="left semi", use_threads=False
+            )
+        objects = distinct_ranges(objects, range_ids, "cfg")
+        return subjects.join(
+            objects, keys=["cfg", "statement"], join_type="inner",
+            use_threads=False,
+        )
+
+    return part
 
 
-def annotation_part(tables: list[pa.Table], keys: list[str]) -> pa.Table:
+def annotation_part(range_ids):
     """One part of the statement-keyed annotation join, sides (facts,
-    annotations, range annotations): the range rows are deduped exactly
-    as in `facts_part` before the join."""
-    facts, anns, ranges = tables
-    anns = pa.concat_tables([anns, _arrow_distinct(ranges, _ANN_COLS)])
-    return facts.join(anns, keys=keys, join_type="inner", use_threads=False)
+    annotations): the range rows are made distinct as in `facts_part`
+    before the join."""
+
+    def part(tables: list[pa.Table], keys: list[str]) -> pa.Table:
+        facts, anns = tables
+        anns = distinct_ranges(anns, range_ids, "ann_cfg")
+        return facts.join(anns, keys=keys, join_type="inner", use_threads=False)
+
+    return part

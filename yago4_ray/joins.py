@@ -14,7 +14,9 @@ Two regimes, chosen explicitly per call site (SURVEY §2.4, ray_guide):
 Exact dedup of triples hash-partitions on the *full* (s,p,o) key, so hub
 subjects (Q5-class entities) spread across partitions by construction —
 no salting needed there. Group-bys keyed on subject alone (maxCount)
-use `salted_group_filter` when a hot-key pre-pass finds skew.
+shuffle per-batch partial counts, not rows (build._apply_max_count), so
+a hub subject is one row per batch; `salted_aggregate` spreads the hot
+keys of a decomposable aggregate that a `top_hot_keys` pre-pass finds.
 """
 
 from __future__ import annotations
@@ -175,7 +177,8 @@ def copartition_join(
         # under hash_keys the former key columns are plain payload; a
         # column on BOTH sides would collide in the per-part acero join
         shared = set(left_cols) & set(right_cols)
-        assert not shared, f"hash_keys: columns on both sides: {shared}"
+        if shared:
+            raise ValueError(f"hash_keys: columns on both sides: {sorted(shared)}")
     all_cols = list(dict.fromkeys(c for _, cols in sides for c in cols))
     types = col_types or {}
 

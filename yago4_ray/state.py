@@ -128,18 +128,19 @@ class BuildState:
     # 64-bit hashes collected from the cluster; instance strings never
     # transit the driver, see build_shape_instances)
     shape_instances: dict
-    # distributed=True → the fact pipelines consume `datasets` via hash
-    # joins (build_dist) instead of the packed broadcasts below; chosen
-    # by build_state from state size / YAGO4_RAY_DISTRIBUTED_STATE=1
+    # distributed=True → the family plan's lookups join against
+    # `datasets` (build_dist) instead of the packed broadcasts below;
+    # chosen by build_state from state size or its `distributed=`
     distributed: bool = False
     datasets: dict[str, Dataset] = field(default_factory=dict)
     # state build_facts needs, started EARLY by build_state. Broadcast
-    # path: "clean_maps_ref" is a Future[(hmm_ref, counts_ref)]
+    # path: "clean_maps_ref" is a Future[(hmm_ref, [counts_ref])]
     # submitted the moment the URI merge ref exists, "best_rank_ref" is
     # (HashedSet ref, collision-free flag ref) from the fused scan.
-    # Distributed path: "clean_values" is a Future of the materialized
-    # clean-value Dataset, submitted at the same moment, and
-    # "item_scan" a Future of build_dist.item_scan's planned store scan
+    # Distributed path: "clean_values" is a Future[(materialized
+    # clean-value Dataset, [per-block counts refs])], submitted at the
+    # same moment, and "item_scan" a Future of build_dist.item_scan's
+    # planned store scan
     prewarmed: dict = field(default_factory=dict)
     # the statement store this state was built from (sizes the
     # distributed state-side exchanges)
@@ -181,24 +182,10 @@ class BuildState:
                         self._refs[key] = self.shape_instances.packs_ref
                         return self._refs[key]
                     obj = self.shape_instances  # already packed HashedSets
-                elif name == "things":
-                    if isinstance(self.shape_instances, LazyShapePacks):
-                        self._refs[key] = _extract_pack.remote(
-                            self.shape_instances.packs_ref, T.SCHEMA_THING
-                        )
-                        return self._refs[key]
-                    obj = self.things()
                 else:
                     raise KeyError(name)
                 self._refs[key] = ray.put(obj)
             return self._refs[key]
-
-    def things(self):
-        from .broadcast import HashedSet
-
-        return self.shape_instances.get(
-            T.SCHEMA_THING, HashedSet([])
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +793,8 @@ def collect_input_reductions(
     # the packed set is consumed by build_facts straight from the object
     # store (the driver used to sort, hold AND re-ray.put them — a flat
     # ~0.5 s at every CPU width). The distributed-state path joins
-    # against best_rank_ds instead and skips the pack.
+    # against the best-rank ids (build_dist.best_rank_sides) instead
+    # and skips the pack.
     rank_set_ref = rank_ok_ref = None
     if pack_best_rank:
         rank_set_ref, rank_ok_ref = _pack_best_rank.options(
@@ -1064,16 +1052,6 @@ def _pack_shape_instances(shape_targets, *blocks):
     return packs, {t: len(p) for t, p in packs.items()}
 
 
-@ray.remote
-def _extract_pack(packs, target):
-    """One shape's HashedSet out of a remote packs dict — chained on
-    the packs ref so the driver never fetches the full dict just to
-    broadcast a single member (packed_ref('things'))."""
-    from .broadcast import HashedSet
-
-    return packs.get(target) or HashedSet([])
-
-
 class LazyShapePacks:
     """Driver handle for remotely packed shape instances: `.packs_ref`
     feeds broadcasts with zero driver fetch; any driver-side dict access
@@ -1307,7 +1285,6 @@ def build_state(
         distributed = (
             store_num_rows(statements_root, [T.RDF_TYPE])
             >= DISTRIBUTED_STATE_THRESHOLD
-            or _os.environ.get("YAGO4_RAY_DISTRIBUTED_STATE") == "1"
         )
     # ONE fused scan job over the union of the state-input predicate
     # partitions on BOTH state paths — four concurrent jobs contended
@@ -1324,8 +1301,9 @@ def build_state(
     # itself, class machinery AND shape-instance resolution instead of
     # serializing behind them in build_facts. The broadcast path packs
     # it into per-family maps; the distributed path joins the
-    # materialized Dataset (and joins best_rank_ds instead of packing
-    # the best-rank set).
+    # materialized Dataset (and joins the best-rank ids instead of
+    # packing the best-rank set). Either form carries refs of its
+    # per-family row counts, the "Cleaned complex type" stats.
     _pre_pool = _cf.ThreadPoolExecutor(max_workers=2)
     _pre: dict = {}
     clean_key, clean_fn = (
@@ -1357,6 +1335,15 @@ def build_state(
         pack_best_rank=not distributed,
     )
     prewarmed = dict(_pre)
+
+    def _clean_counts() -> dict[str, int]:
+        counts = dict.fromkeys(B.CLEAN_FAMILY.values(), 0)
+        for block in ray.get(prewarmed[clean_key].result()[1]):
+            for family, n in block.items():
+                counts[family] += n
+        return counts
+
+    stats.set_lazy("Cleaned complex type", _clean_counts)
     if not distributed:
         # BestRank packed REMOTELY out of the same fused scan:
         # (HashedSet ref, collision-free-flag ref) — build_facts
