@@ -92,3 +92,51 @@ def test_rewrite_clears_stale_parts(ray_session, tmp_path):
     manifest = cp.read_manifest(out)
     assert manifest["lineage"] == "L2"
     assert set(manifest["parts"]) == set(parts)
+
+
+# one digest per output directory of generate_yago(write=True) on the
+# session corpus (600 entities, seed 42): sha256 over the sorted
+# "<part name>\t<part sha256>\n" lines. A change to output bytes must
+# add a new OUTPUT_FORMAT_VERSION with its digests here, so that resume
+# never takes parts written by older code for current ones.
+GOLDEN_OUTPUT_DIGESTS = {
+    "yago4_ray-0.1": {
+        "yago-wd-annotated-facts": "a06ab3f74acc3d994bc5de2b0d19637ab738eeaa98feeafdb91f773274f400dd",
+        "yago-wd-class": "2828db8ea6d5502bc2108e118fe99b42cfa0f9ca02813d8c4737dddf7556d78f",
+        "yago-wd-facts": "66d4bfe9615f1408ab85dd1cac7f6d7f21c74c4e396cbb68909db58fc0b5e516",
+        "yago-wd-full-types": "718cf64dc7881ea57e55256d380ffdf33b93a14c4ec90f6862406f2ab86b016e",
+        "yago-wd-labels": "570ed629bc049c31ac810a1ec8f09b5800ea0a375419a4bb00e669c4aec34345",
+        "yago-wd-sameAs": "e5648cd90211eb362eb245e4c37995eefc49744a3566fb7235ec782dcf61abdc",
+        "yago-wd-schema": "dfe788b5b3a18dcc5d9d8ad424e3dd6bf58b7d04e05b92eaed27bd8ecd812649",
+        "yago-wd-shapes": "792f099930e7ecc6382edd2fcf5defe30e49cb366a8cb7ed72e6b553dd7f6572",
+        "yago-wd-simple-types": "f67381979be6bd7e07310485b1961784d2db0ae6acb0131e36cf78d67e75cbf1",
+    },
+}
+
+
+def _output_digests(out_dir: str) -> dict:
+    import hashlib
+    import pathlib
+
+    digests = {}
+    for d in sorted(p for p in pathlib.Path(out_dir).iterdir() if p.is_dir()):
+        lines = sorted(
+            f"{p.name}\t{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+            for p in d.iterdir()
+            if p.name.endswith((".nt.gz", ".ntx.gz"))
+        )
+        digests[d.name] = hashlib.sha256("".join(lines).encode()).hexdigest()
+    return digests
+
+
+def test_output_format_golden(statements_root, tmp_path):
+    """The written parts are the bytes pinned for OUTPUT_FORMAT_VERSION,
+    the token every output lineage carries."""
+    from yago4_ray.build import OUTPUT_FORMAT_VERSION, generate_yago
+
+    assert OUTPUT_FORMAT_VERSION in GOLDEN_OUTPUT_DIGESTS, (
+        f"no pinned digests for {OUTPUT_FORMAT_VERSION}"
+    )
+    out = str(tmp_path / "out")
+    generate_yago(statements_root, out_dir=out, write=True)
+    assert _output_digests(out) == GOLDEN_OUTPUT_DIGESTS[OUTPUT_FORMAT_VERSION]

@@ -13,7 +13,8 @@ joins.py, and each is a fixed all-to-all latency: the distributed path
 runs one exchange per join key, and neither path may grow new ones.
 Every store scan (`sources.scan_predicate`) costs driver planning that
 grows with the files it reads, so neither path may grow new scans
-either."""
+either. generate_yago writes its outputs from memory: no parquet file is
+staged on the way to the gz sinks."""
 
 import pytest
 
@@ -22,7 +23,9 @@ import pytest
 def build_calls(request, statements_root, tmp_path_factory):
     """Run build_state + generate_yago once, recording the class of every
     `to_arrow_refs` receiver, the number of `si_by_item` builds, of
-    `Dataset.groupby` exchanges and of store-scan plans."""
+    `Dataset.groupby` exchanges, of store-scan plans and of the parquet
+    writes generate_yago makes."""
+    import pyarrow.parquet as pq
     from ray.data.dataset import Dataset
 
     from yago4_ray import build, build_dist, sources, state as state_mod
@@ -33,10 +36,13 @@ def build_calls(request, statements_root, tmp_path_factory):
     si_calls = [0]
     exchanges = [0]
     scans = [0]
+    parquet_writes = [0]
     scan_predicate = sources.scan_predicate
     to_arrow_refs = Dataset.to_arrow_refs
     groupby = Dataset.groupby
     si_by_item = build_dist.si_by_item
+    write_parquet = Dataset.write_parquet
+    write_table = pq.write_table
 
     def recording_to_arrow_refs(self):
         receivers.append(type(self))
@@ -50,6 +56,14 @@ def build_calls(request, statements_root, tmp_path_factory):
         scans[0] += 1
         return scan_predicate(*args, **kwargs)
 
+    def counting_write_parquet(self, *args, **kwargs):
+        parquet_writes[0] += 1
+        return write_parquet(self, *args, **kwargs)
+
+    def counting_write_table(*args, **kwargs):
+        parquet_writes[0] += 1
+        return write_table(*args, **kwargs)
+
     def counting_si_by_item(state):
         si_calls[0] += 1
         return si_by_item(state)
@@ -59,10 +73,13 @@ def build_calls(request, statements_root, tmp_path_factory):
         mp.setattr(Dataset, "to_arrow_refs", recording_to_arrow_refs)
         mp.setattr(Dataset, "groupby", counting_groupby)
         mp.setattr(build_dist, "si_by_item", counting_si_by_item)
+        mp.setattr(Dataset, "write_parquet", counting_write_parquet)
+        mp.setattr(pq, "write_table", counting_write_table)
         # every module that scans imports the function by name
         for module in (sources, build, build_dist, state_mod):
             mp.setattr(module, "scan_predicate", counting_scan_predicate)
         state = build_state(statements_root, distributed=request.param)
+        writes_before = parquet_writes[0]
         generate_yago(statements_root, state=state, out_dir=out, write=True)
     assert state.distributed == request.param
     return {
@@ -71,6 +88,8 @@ def build_calls(request, statements_root, tmp_path_factory):
         "si_calls": si_calls[0],
         "exchanges": exchanges[0],
         "scans": scans[0],
+        "parquet_writes": parquet_writes[0] - writes_before,
+        "out_dir": out,
     }
 
 
@@ -108,6 +127,17 @@ def test_store_scan_budget(build_calls):
         assert build_calls["scans"] <= 10, build_calls["scans"]
     else:
         assert build_calls["scans"] <= 7, build_calls["scans"]
+
+
+def test_write_path_stages_nothing(build_calls):
+    """Every output leg reaches the dedup in memory: no parquet write
+    and no staging directory."""
+    import os
+
+    assert build_calls["parquet_writes"] == 0, build_calls["parquet_writes"]
+    assert not [
+        d for d in os.listdir(build_calls["out_dir"]) if d.startswith(".")
+    ]
 
 
 def test_item_join_cached_builds_once_under_concurrent_consumers(

@@ -30,7 +30,6 @@ import os
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
@@ -57,23 +56,6 @@ LABEL_PATHS = [T.RDFS_LABEL, T.RDFS_COMMENT, T.SCHEMA_ALTERNATE_NAME]
 # are pytest-gated identical)
 MAXCOUNT_BROADCAST_CAP = 64 << 20  # maxCount offender (cfg, subject) rows
 ANN_BROADCAST_CAP = 64 << 20  # pq:/pqv: partition bytes (annotation stitch)
-
-_TIMING_T0: dict[str, float] = {}
-
-
-def _mark_timing(scope: str, phase: str) -> None:
-    """YAGO4_RAY_TIMINGS=1 → per-phase wall prints (perf work on a
-    noisy host needs phase-level numbers, not end-to-end walls)."""
-    import os
-    import time
-
-    if not os.environ.get("YAGO4_RAY_TIMINGS"):
-        return
-    now = time.perf_counter()
-    t0 = _TIMING_T0.get(scope)
-    if t0 is not None:
-        print(f"[{scope}] {phase}: {now - t0:.1f}s", flush=True)
-    _TIMING_T0[scope] = now
 
 _TIME_DTS = frozenset(
     {T.XSD_DATE, T.XSD_DATE_TIME, T.XSD_G_YEAR, T.XSD_G_YEAR_MONTH}
@@ -488,9 +470,6 @@ def build_facts(
 ) -> tuple[Dataset, Dataset]:
     """The core: (facts, annotated-facts) Datasets
     (plan.rs:896-1202). See module docstring for the dataflow."""
-    import time as _time
-
-    _TIMING_T0["build_facts"] = _time.perf_counter()
     # size the statement⨝statement exchanges by DATA volume, not CPU
     # count: a fixed count means per-partition size grows without bound
     # as the store grows (the 100-TB killer)
@@ -504,7 +483,6 @@ def build_facts(
         D.resolved(root, state, D.OBJECT_FAMILIES, configs), configs
     )
     subjects = D.subject_rows(D.resolved(root, state, {"subject"}, configs), configs)
-    _mark_timing("build_facts", "state lookups planned")
     range_ids = {c.cfg_id for c in configs if c.mode == "range"}
 
     # task-based co-partitioned join: ONE Arrow exchange fed directly by
@@ -545,11 +523,7 @@ def build_facts(
     # anti-filter (a lazy cheap map over the materialized blocks), not
     # as a second full exchange before it.
     joined_raw = joined.materialize()
-    _mark_timing("build_facts", "facts-join-materialize")
-    if os.environ.get("YAGO4_RAY_DS_STATS"):
-        print(joined_raw.stats(), flush=True)
     joined = _apply_max_count(joined_raw, configs, num_partitions)
-    _mark_timing("build_facts", "max-count")
 
     cfg_path = {c.cfg_id: c.path for c in configs}
     path_ref = ray.put(cfg_path)
@@ -583,12 +557,11 @@ def build_facts(
     facts = joined.map_batches(to_triples, batch_format="pandas")
     if dedup:
         facts = distinct_rows(facts, ["subject", "predicate", "object"])
-    # advisory size/rows for downstream shuffle sizing (the facts rows
-    # skip parquet staging and union straight into the combined dedup,
-    # so its partition count must account for them — and its BLOCK
-    # count must be re-bounded: the materialized join carries one block
-    # per join/max-count part, and a sort shuffle's exchange is
-    # (input blocks × output partitions) objects sized to the input
+    # advisory size/rows for downstream shuffle sizing (generate_yago
+    # sizes the combined dedup's partition count and re-bounds the
+    # facts leg's block count from them: the materialized join carries
+    # one block per join/max-count part, and a sort shuffle's exchange
+    # is (input blocks × output partitions) objects sized to the input
     # block count, so an unbounded union leg makes the dedup quadratic
     # in part count again — PERF_NOTES #20/#23)
     # advisory sizes come from the RAW materialized join (free) — an
@@ -1007,6 +980,12 @@ def _yago_shapes_rows(schema: Schema) -> list:
 # Top-level orchestration (generate_yago, plan.rs:64-203)
 # ---------------------------------------------------------------------------
 
+# the engine's token in every output lineage: bump it with any change
+# to output bytes, so resume never reuses parts written by older code
+# (tests/test_checkpoint.py pins the written parts' digests per version)
+OUTPUT_FORMAT_VERSION = "yago4_ray-0.1"
+
+
 def output_lineage(statements_root: str, state: BuildState) -> str:
     import hashlib
 
@@ -1019,7 +998,63 @@ def output_lineage(statements_root: str, state: BuildState) -> str:
         ).encode(),
         digest_size=8,
     ).hexdigest()
-    return compute_lineage(statements_root, [shapes_hash, "yago4_ray-0.1"])
+    return compute_lineage(statements_root, [shapes_hash, OUTPUT_FORMAT_VERSION])
+
+
+# the columns of every row entering an output dedup; plain triples
+# carry empty annotation columns
+_OUT_COLS = [
+    "file", "subject", "predicate", "object",
+    "annotation_predicate", "annotation_object",
+]
+
+
+def _static_rows_table(state: BuildState) -> pa.Table:
+    """The driver-built rows (schema, shapes, class types and subclass
+    edges; a few thousand) as one (subject, predicate, object, file)
+    table: one in-memory block, no Ray job of its own."""
+    outputs = {
+        "schema": _yago_schema_rows(state.schema),
+        "shapes": _yago_shapes_rows(state.schema),
+        "class": _classes_static_rows(state),
+    }
+    rows = [r for out in outputs.values() for r in out]
+    files = [name for name, out in outputs.items() for _ in out]
+    return _spo_arrow(
+        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+    ).append_column("file", pa.array(files, pa.string()))
+
+
+def _dedup_rows(
+    ds: Dataset, file: str | None, nbytes: int = 0, rows: int = 0
+) -> Dataset:
+    """`ds` as output-dedup rows (_OUT_COLS, Arrow): the `file` column
+    the rows carry, else `file`; absent annotation columns empty. With
+    `rows`, map tasks bundle the input to the volume-sized block count
+    of `read_blocks_for_nbytes(nbytes)`: the dedup's sort shuffle sizes
+    its exchange to the input block count, so a leg must not pass an
+    upstream's part count through (measured 161 input blocks → a
+    161×161 exchange and a flat ~10 s dedup at every CPU count,
+    PERF_NOTES #20/#23/#33)."""
+    from .sources import read_blocks_for_nbytes
+
+    def fn(batch: pa.Table) -> pa.Table:
+        def col(c):
+            if c in batch.column_names:
+                a = batch.column(c)
+                return a.cast(pa.string()) if pa.types.is_null(a.type) else a
+            return pa.repeat(
+                pa.scalar(file if c == "file" else "", pa.string()),
+                batch.num_rows,
+            )
+
+        return pa.table({c: col(c) for c in _OUT_COLS})
+
+    batch_size = (
+        max(8192, -(-rows // read_blocks_for_nbytes(nbytes)))
+        if rows else None
+    )
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
 
 
 OUTPUT_FILE_NAMES = {
@@ -1048,15 +1083,15 @@ def generate_yago(
 
     write=False → returns the 9 output Datasets (each independently
     deduplicated) for inspection / per-output consumption.
-    write=True  → stages the driver-built and small Dataset outputs as
-    zstd parquet, keeps the facts join and the store-scan outputs
-    (build_scan_outputs, on either state path) in memory, and runs ONE
-    full-key dedup shuffle over all of them
-    feeding one partitioned gz write; the annotated facts dedup and
-    write as their own job alongside. Every output dir holds
-    hash-partitioned .nt.gz parts, each sorted within itself, plus a
-    checkpoint manifest; completed outputs (same lineage) are skipped
-    on rerun.
+    write=True  → one in-memory plan at every input size: the facts
+    join (build_facts) runs in one thread while the fused output scan
+    (build_scan_outputs) materializes in another. The driver-built
+    rows (schema, shapes, class), the simple types, the output scan and
+    the facts then union into ONE full-key dedup shuffle feeding one
+    partitioned gz write; the annotated facts dedup and write as their
+    own job alongside. Every output dir holds hash-partitioned .nt.gz
+    parts, each sorted within itself, plus a checkpoint manifest;
+    completed outputs (same lineage) are skipped on rerun.
     """
     if state is None:
         state = build_state(
@@ -1077,6 +1112,7 @@ def generate_yago(
             "shapes": build_yago_shapes(state.schema),
         }
 
+    import concurrent.futures as _cf
 
     from .checkpoint import is_complete
     from .sources import MultiNTriplesGzDatasink
@@ -1084,10 +1120,7 @@ def generate_yago(
     os.makedirs(out_dir, exist_ok=True)
     lineage = output_lineage(statements_root, state)
     # partial resume: only outputs without a valid manifest are rewritten
-    # (the sink ignores rows of files not in its name map). The
-    # annotated-facts (RDF*) output rides the SAME staged dedup+write job
-    # as the 8 triple outputs — its rows carry the two annotation columns
-    # (empty on plain triples) and the sink formats/extensions per tag.
+    # (the sink ignores rows of files not in its name map)
     triple_names = {
         k: v
         for k, v in OUTPUT_FILE_NAMES.items()
@@ -1096,215 +1129,38 @@ def generate_yago(
     if not triple_names:
         return {}  # resume: everything already written from this input
 
-    # Staged materialization: the 9 raw output pipelines run as
-    # CONCURRENT small jobs (thread-submitted) into a parquet staging
-    # dir, then ONE linear job does the full-key dedup shuffle and the
-    # partitioned gz write. A single union-of-9-pipelines DAG is
-    # scheduler-bound and anti-scales (measured 47.6 s vs 28.0 s at 32
-    # CPUs on 2.2 M statements); the staged split keeps every job's
-    # operator count small. No global sort: hash partitioning is
-    # deterministic and the sink sorts within each part file, so reruns
-    # are byte-identical.
-    import concurrent.futures as _cf
-    import glob
-    import shutil
-    import time as _time
-
-    # YAGO4_RAY_TIMINGS=1 → print per-phase wall times (perf work on a
-    # noisy host needs phase-level numbers, not end-to-end walls)
-    _t0 = _time.perf_counter()
-
-    def _mark(phase: str):
-        nonlocal _t0
-        if os.environ.get("YAGO4_RAY_TIMINGS"):
-            now = _time.perf_counter()
-            print(f"[generate_yago] {phase}: {now - _t0:.1f}s", flush=True)
-            _t0 = now
-
-    stage_dir = os.path.join(out_dir, ".stage")
-    shutil.rmtree(stage_dir, ignore_errors=True)
-
-    # one staging schema for all outputs (fixed column order so the
-    # combined read's schema unification is trivial); plain triples
-    # carry empty annotation columns — constant strings RLE-compress to
-    # ~nothing in the staged parquet
-    _STAGE_COLS = [
-        "file", "subject", "predicate", "object",
-        "annotation_predicate", "annotation_object",
-    ]
-
-    def tag(name):
-        # Arrow out: tagged rows feed either the staged parquet write or
-        # the combined dedup exchange directly — never pandas pickles
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            names = set(batch.column_names)
-
-            def col(c):
-                if c == "file":
-                    return pa.array(
-                        np.full(n, name, dtype=object), pa.string(),
-                        from_pandas=True,
-                    )
-                if c in names:
-                    a = batch.column(c)
-                    return a.cast(pa.string()) if pa.types.is_null(a.type) else a
-                return pa.array([""] * n, pa.string())
-
-            return pa.table({c: col(c) for c in _STAGE_COLS})
-
-        return fn
-
-    def stage_one(name, ds):
-        # zstd staging: staged bytes are written once and read once by
-        # the dedup job; on this host's ~100 MB/s disk the snappy files
-        # made that job I/O-bound (flat 8→32 CPUs). zstd ~halves the
-        # bytes for a decode cost that parallelizes.
-        ds.map_batches(tag(name), batch_format="pyarrow").write_parquet(
-            os.path.join(stage_dir, name), compression="zstd"
-        )
-
-    # staging concurrency follows DATA SIZE: at small inputs each job is
-    # sub-second of work behind ~1.5 s of executor startup, so 8 threads
-    # overlap the floors; at large inputs each job saturates the cluster
-    # alone and 8 concurrent streaming executors just divide the CPUs
-    # and multiply scheduler overhead (measured 30.3 s concurrent vs
-    # ~12 s sequential at 22 M statements / 32 CPUs; the opposite holds
-    # at 2.2 M). The annotated gz write overlaps in both regimes, and
-    # the FACTS JOIN overlaps the non-facts staging at wide inputs (the
-    # raw pipelines are independent of the join — the only facts
-    # consumer is its own staging job, which waits for the join).
-    from .sources import store_nbytes
-
-    _store_bytes = store_nbytes(statements_root)
-    # threshold on UNCOMPRESSED data bytes (store_nbytes' metric): the
-    # 22 M-statement store is ~1.2 GB uncompressed, sf0.1's 2.2 M is
-    # ~120 MB — the gate separates the two regimes with margin
-    wide_input = _store_bytes > 512 * 1024 * 1024
-    stage_workers = 1 if wide_input else 8
-    with _cf.ThreadPoolExecutor(max_workers=max(stage_workers, 1) + 2) as pool:
-        # the facts pipeline (broadcast-state + statement join) runs in
-        # a thread; non-facts staging proceeds underneath it
+    # Every dedup leg is a materialized input or a driver table under one
+    # map, so the dedup job's operator count stays small: a single
+    # union-of-9-pipelines DAG is scheduler-bound and anti-scales
+    # (measured 47.6 s vs 28.0 s at 32 CPUs on 2.2 M statements). No
+    # global sort: hash partitioning is deterministic and the sink sorts
+    # within each part file, so reruns are byte-identical.
+    with _cf.ThreadPoolExecutor(max_workers=3) as pool:
         f_facts = pool.submit(build_facts, statements_root, state, dedup=False)
-        # DRIVER-backed outputs (schema/shapes, the class static rows)
-        # are plain Python lists: staging each through a Ray job paid
-        # ~0.5-1.5s of executor startup per output at EVERY CPU count —
-        # pure flat time. They are written as staged parquet directly
-        # on the driver (a few thousand rows each).
-        static_rows = {
-            "schema": _yago_schema_rows(state.schema),
-            "shapes": _yago_shapes_rows(state.schema),
-            "class": _classes_static_rows(state),
-        }
-        # the store-scan outputs (labels, class label/comment,
-        # full-types, sameAs) come from build_scan_outputs; only the
-        # simple types stay a separate tiny job
-        others = {"simple-types": build_simple_types(state)}
+        # on the distributed path the output scan waits on the item join
+        # the facts thread shares
+        f_scan = pool.submit(
+            lambda: build_scan_outputs(statements_root, state).materialize()
+        )
+        static = _static_rows_table(state)
+        simple_types = build_simple_types(state)
+        inst = state.datasets["shape_instances"]
+        facts, annotated = f_facts.result()
+        scan = f_scan.result()
 
-        def stage_static(name, rows):
-            import pyarrow.parquet as _pq
-
-            n = len(rows)
-            tbl = pa.table(
-                {
-                    "file": pa.array([name] * n, pa.string()),
-                    "subject": pa.array([r[0] for r in rows], pa.string()),
-                    "predicate": pa.array([r[1] for r in rows], pa.string()),
-                    "object": pa.array([r[2] for r in rows], pa.string()),
-                    "annotation_predicate": pa.array([""] * n, pa.string()),
-                    "annotation_object": pa.array([""] * n, pa.string()),
-                }
-            )
-            os.makedirs(os.path.join(stage_dir, name), exist_ok=True)
-            _pq.write_table(
-                tbl,
-                os.path.join(stage_dir, name, "part-0.parquet"),
-                compression="zstd",
-            )
-
-        def _tag_scan_cols(batch: pa.Table) -> pa.Table:
-            # rows already carry their output-file tag
-            empty = pa.array([""] * batch.num_rows, pa.string())
-            return (
-                batch.append_column("annotation_predicate", empty)
-                .append_column("annotation_object", empty)
-                .select(_STAGE_COLS)
-            )
-
-        # scan-outputs skip the zstd-parquet round trip (write + re-read
-        # through a ~100 MB/s disk) and union straight into the combined
-        # dedup, like the facts leg. Blocks are bundled to ~32 MB BEFORE
-        # the materialize so the dedup exchange width stays
-        # volume-bounded at any session width (PERF_NOTES #33). The
-        # plan is built here, off the main thread: on the distributed
-        # path it waits on the item join the facts thread shares.
-        def collect_tagged():
-            from .sources import store_num_rows
-
-            ds = build_scan_outputs(statements_root, state)
-            rows = store_num_rows(statements_root)
-            row_bytes = max(1, _store_bytes // max(1, rows))
-            bs = max(8192, (32 << 20) // row_bytes)
-            return ds.map_batches(
-                _tag_scan_cols, batch_format="pyarrow", batch_size=bs
-            ).materialize()
-
-        _mark("raw-plans")
-        for name, rows in static_rows.items():
-            stage_static(name, rows)
-        if stage_workers == 1:
-            # wide regime: the fused scan collect dominates this phase;
-            # the small state-dataset job (simple-types) rides the pool
-            # UNDER it — a few bounded concurrent consumers, not the
-            # 8-way executor thrash the sequential gate was measured
-            # against (30.3 s vs 12 s was EIGHT concurrent staging
-            # executors). Measured at 22 M / 32
-            # CPUs: stage-others 5.4 → ~4.4 s with the join unchanged.
-            small_futs = [
-                pool.submit(stage_one, name, ds)
-                for name, ds in others.items()
-            ]
-            scan_mem = collect_tagged()
-            for f in small_futs:
-                f.result()
-            _mark("stage-others (overlapping facts join)")
-            facts, annotated = f_facts.result()
-            _mark("facts-join")
-        else:
-            # the non-facts outputs don't depend on the join — their
-            # staging jobs run UNDER it
-            futures = [
-                pool.submit(stage_one, name, ds) for name, ds in others.items()
-            ]
-            f_scan = pool.submit(collect_tagged)
-            facts, annotated = f_facts.result()
-            _mark("facts-join (overlapping other staging)")
-            for f in futures:
-                f.result()
-            scan_mem = f_scan.result()
-            _mark("stage-others")
-
-        # facts rows skip the parquet round trip (the join output is
-        # materialized with a bounded block count) and union straight
-        # into the combined dedup exchange. The ANNOTATED pipeline is
-        # different: it contains its own copartition_join exchange +
-        # pq:/pqv: scan — nesting that sub-DAG inside the (already
-        # all-to-all) dedup job serializes two shuffles in one job. It
-        # used to stage through parquet and ride the combined dedup:
-        # ~5.7 s of SERIAL wall at EVERY CPU count (floor-bound, not CPU
-        # bound). It shares nothing with the main dedup beyond the
-        # already-materialized join, so it runs as its own dedup+sink
-        # job in a thread, fully overlapped with the main dedup+write.
+        # the ANNOTATED pipeline holds its own copartition_join exchange
+        # + pq:/pqv: scan; nesting that sub-DAG inside the (already
+        # all-to-all) main dedup serializes two shuffles in one job. It
+        # shares nothing with the main dedup beyond the materialized
+        # join, so it runs as its own dedup+sink job in a thread, fully
+        # overlapped with the main dedup+write.
         ann_name = "annotated-facts"
         facts_bytes = getattr(facts, "join_size_bytes", 0) or 0
 
         def ann_job():
-            ann_in = annotated.map_batches(
-                tag(ann_name), batch_format="pyarrow"
-            )
             ann_out = distinct_rows(
-                ann_in,
-                _STAGE_COLS,
+                _dedup_rows(annotated, ann_name),
+                _OUT_COLS,
                 # annotations are a small fraction of the facts join
                 num_parts=max(8, partitions_for_nbytes(facts_bytes) // 4),
                 keep_part_column=True,
@@ -1322,78 +1178,29 @@ def generate_yago(
 
         combined = None
         if main_names:
-            staged_files = sorted(
-                glob.glob(os.path.join(stage_dir, "*", "*.parquet"))
-            )
-            # dedup partition count sized to the actual data volume (a
-            # fixed count means unbounded per-partition frames as
-            # outputs grow); codec-invariant footer bytes, not disk
-            from .sources import parquet_data_nbytes
-
-            staged_bytes = parquet_data_nbytes(staged_files)
-            # bound the read's block count too: the dedup shuffle's
-            # exchange is (input blocks × output partitions) objects, and
-            # one-block-per-staged-file makes it quadratic in file count
-            # (measured 723×723, 85 s at 8 CPUs vs 25 s bounded —
-            # sources.read_blocks_for_nbytes)
-            from .sources import read_blocks_for_nbytes
-
-            # ALWAYS override: None lets Ray's avail_cpus×2 parallelism
-            # floor split small staged files into ~2×CPU kilobyte blocks
-            # through this very shuffle (PERF_NOTES #29)
-            n_read_blocks = read_blocks_for_nbytes(staged_bytes)
-            staged_read = ray.data.read_parquet(
-                staged_files, override_num_blocks=n_read_blocks
-            )
-            # the in-memory scan-outputs leg: already tagged, already
-            # block-bounded by collect_tagged
-            scan_bytes = scan_mem.size_bytes() or 0
-            staged_read = staged_read.union(scan_mem)
-            # coalesce the facts leg to the same volume-bounded block
-            # count as the staged read: the materialized join arrives as
-            # one block per join/max-count part (128 at 22 M), and the
-            # dedup's sort shuffle sizes BOTH its exchange width and its
-            # output partition count to the input block count — measured
-            # 161 input blocks → a 161×161 exchange and a flat ~10 s
-            # dedup at every CPU count. batch_size bundles adjacent
-            # blocks per map task (no extra exchange).
-            facts_rows = getattr(facts, "join_rows", 0) or 0
-            n_facts_blocks = read_blocks_for_nbytes(facts_bytes)
-            coalesce_bs = (
-                max(8192, -(-facts_rows // n_facts_blocks))
-                if facts_rows
-                else None
-            )
-            combined_in = staged_read.union(
-                facts.map_batches(
-                    tag("facts"),
-                    batch_format="pyarrow",
-                    batch_size=coalesce_bs,
-                )
-            )
+            # (rows, file tag, in-memory bytes, row count); the raw
+            # join's size bounds the max-count-filtered facts
+            legs = [
+                (ray.data.from_arrow(static), None, static.nbytes, static.num_rows),
+                (simple_types, "simple-types", inst.size_bytes() or 0,
+                 inst.count()),
+                (scan, None, scan.size_bytes() or 0, scan.count()),
+                (facts, "facts", facts_bytes, getattr(facts, "join_rows", 0)),
+            ]
+            tagged = [_dedup_rows(*leg) for leg in legs]
             combined = distinct_rows(
-                combined_in,
-                _STAGE_COLS,  # full key incl. annotation columns ("")
+                tagged[0].union(*tagged[1:]),
+                _OUT_COLS,  # full key incl. annotation columns ("")
                 num_parts=max(
-                    32,
-                    partitions_for_nbytes(
-                        staged_bytes + facts_bytes + scan_bytes
-                    ),
+                    32, partitions_for_nbytes(sum(leg[2] for leg in legs))
                 ),
                 keep_part_column=True,  # deterministic part-file naming
             )
             combined.write_datasink(
-                MultiNTriplesGzDatasink(
-                    out_dir, main_names, lineage=lineage,
-                )
+                MultiNTriplesGzDatasink(out_dir, main_names, lineage=lineage)
             )
-            if os.environ.get("YAGO4_RAY_DS_STATS"):
-                print(combined.stats(), flush=True)
-            _mark("main dedup+gz-write")
         if f_ann is not None:
             ann_written = f_ann.result()
             combined = combined if combined is not None else ann_written
-        _mark("annotated-job wait")
-    shutil.rmtree(stage_dir, ignore_errors=True)
     state.stats.write(os.path.join(out_dir, "stats.tsv"))
     return {"combined": combined, "annotated-facts": annotated}

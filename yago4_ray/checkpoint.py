@@ -1,11 +1,13 @@
-"""Per-partition checkpoint manifests: resumable batch output.
+"""Per-output checkpoint manifests: resumable batch output.
 
 What "resumable from checkpoint" means for this engine (north_rule /
 SURVEY §4): every output directory carries a `_MANIFEST.json` recording
 the input *lineage* (a hash of the statement-store layout + the shape
-rule set + engine version), per-partition file rows and the stage's
-throughput. A rerun with the same lineage skips the finished output
-entirely; a lineage mismatch (different input or rules) invalidates it.
+rule set + the output format version), the names of its part files, its
+total row count and the stage's throughput. A rerun with the same
+lineage skips the finished output entirely, provided every listed part
+still exists; a lineage mismatch (different input, rules or output
+format) invalidates it.
 Part files themselves are written atomically (tmp + rename) by the
 N-Triples datasink, so a killed run never leaves a partial part behind —
 at worst a missing manifest, which forces that output (and only it) to

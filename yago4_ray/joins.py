@@ -403,7 +403,7 @@ def distinct_rows(
     to downstream sinks for stable part-file naming.
 
     Arrow end to end: when `columns` covers every payload column (all
-    the hot callers — the staged-output write dedup, facts/annotated
+    the hot callers — the combined output dedup, facts/annotated
     triple dedup), both the combiner and the per-part dedup run
     Arrow's hash group-by and no pandas object frame is ever built;
     otherwise the per-part step falls back to drop_duplicates to keep

@@ -728,19 +728,6 @@ def collect_input_reductions(
             return _unified(_K_MARKER, [])
         return pa.concat_tables(outs)
 
-    import time as _time
-
-    _t0 = _time.perf_counter()
-
-    def _mark(phase: str):
-        nonlocal _t0
-        import os as _os
-
-        if _os.environ.get("YAGO4_RAY_TIMINGS"):
-            now = _time.perf_counter()
-            print(f"[input-reductions] {phase}: {now - _t0:.1f}s", flush=True)
-            _t0 = now
-
     # wide=True: this scan feeds to_arrow_refs + the per-range merge
     # tasks (no sort shuffle), so block count should track the SESSION
     # width, not the shuffle-exchange bound. Materialized first: a lazy
@@ -750,7 +737,6 @@ def collect_input_reductions(
         route, batch_format="pyarrow"
     )
     block_refs = rows.materialize().to_arrow_refs()
-    _mark("scan (to_arrow_refs)")
 
     # URI candidate prep the remote merge can't derive from the blocks
     # (driver-side, tiny)
@@ -802,7 +788,6 @@ def collect_input_reductions(
         ).remote(*block_refs)
 
     tbl = pa.concat_tables(ray.get(block_refs), promote_options="permissive")
-    _mark("collect (ray.get+concat)")
     kind_col = tbl.column("kind")
 
     def part(k: int) -> pa.Table:
@@ -845,13 +830,11 @@ def collect_input_reductions(
     # submitted before the collect); here the driver only fetches the
     # packed map for class machinery
     uri_mapping = ray.get(uri_packed)
-    _mark("uri-merge (remote) wait")
     uri_ds = ray.data.from_arrow_refs([uri_tbl_ref])
     enwiki_mapping, enwiki_ds = f_enwiki.result()
     p279_edges = f_p279.result()
     instance_counts = f_counts.result()
     _side_pool.shutdown(wait=False)
-    _mark("side-reductions")
     stats.set_global("Total URI mapping size", len(uri_mapping))
     return (
         uri_mapping,
@@ -1200,18 +1183,6 @@ def build_shape_instances(
             pdf = pdf[~pdf["instance"].isin(bad)]
         return pdf
 
-    import os as _os
-    import time as _time
-
-    _t0 = _time.perf_counter()
-
-    def _mk(phase: str):
-        nonlocal _t0
-        if _os.environ.get("YAGO4_RAY_TIMINGS"):
-            now = _time.perf_counter()
-            print(f"[shape_instances] {phase}: {now - _t0:.1f}s", flush=True)
-            _t0 = now
-
     from .joins import partitioned_group_apply
 
     resolved = partitioned_group_apply(
@@ -1220,7 +1191,6 @@ def build_shape_instances(
         resolve_part,
         combine=lambda pdf: pdf.drop_duplicates(["shape", "instance"]),
     ).materialize()  # consumed by simple-types + every distributed join
-    _mk("fanout+resolve (materialize)")
 
     # pack the HashedSets in a REMOTE task over the materialized blocks
     # (resolve_part dedups (shape, instance) globally, so per-shape row
@@ -1232,7 +1202,6 @@ def build_shape_instances(
     packs_ref, counts_ref = _pack_shape_instances.remote(
         shape_targets, *resolved.to_arrow_refs()
     )
-    _mk("pack-submit")
     lazy = LazyShapePacks(packs_ref, counts_ref)
     stats.set_lazy(
         "Instances of a shape", lazy.counts
@@ -1258,17 +1227,6 @@ def build_state(
     distributed: bool | None = None,
 ) -> BuildState:
     import concurrent.futures as _cf
-    import os as _os
-    import time as _time
-
-    _t0 = _time.perf_counter()
-
-    def _mark(phase: str):
-        nonlocal _t0
-        if _os.environ.get("YAGO4_RAY_TIMINGS"):
-            now = _time.perf_counter()
-            print(f"[build_state] {phase}: {now - _t0:.1f}s", flush=True)
-            _t0 = now
 
     schema = schema or Schema.open()
     stats = Stats()
@@ -1350,7 +1308,6 @@ def build_state(
         # broadcasts the set ref directly, no driver materialization
         prewarmed["best_rank_ref"] = best_rank_refs
     _pre_pool.shutdown(wait=False)
-    _mark("input-reductions (enwiki+uri+p279+counts)")
     stats.set_global(
         "Wikidata items mapped to English Wikipedia articles", len(enwiki_mapping)
     )
@@ -1360,7 +1317,6 @@ def build_state(
             all_sub_class_of=p279_edges, instance_counts=instance_counts,
         )
     )
-    _mark("class-machinery")
     shape_instances, inst_ds = build_shape_instances(
         statements_root,
         schema,
@@ -1370,7 +1326,6 @@ def build_state(
         yago_classes,
         uri_mapping,
     )
-    _mark("shape-instances")
     state = BuildState(
         schema=schema,
         stats=stats,
