@@ -94,19 +94,24 @@ def test_written_outputs_match_oracle(
         assert got == want, f"{name}: {len(got)} written vs {len(want)} oracle"
 
 
+@pytest.mark.parametrize(
+    "distributed", [False, True], ids=["broadcast", "distributed"]
+)
 def test_annotation_join_path_matches_stitch(
-    build_outputs, statements_root, monkeypatch
+    build_outputs, statements_root, monkeypatch, distributed
 ):
-    """The volume-gated annotation stitch (broadcast path, used by
-    build_outputs under the default cap) and the co-partitioned join
-    path (forced via cap=0) must produce the identical annotated-facts
-    set — the same both-paths identity gate the minhash verify has."""
+    """The volume-gated annotation stitch (used by build_outputs under
+    the default cap) and the co-partitioned join path (forced via
+    cap=0) must produce the identical annotated-facts set on both state
+    paths — the same both-paths identity gate the minhash verify has."""
     from yago4_ray import build
     from yago4_ray.build import generate_yago
 
     monkeypatch.setattr(build, "ANN_BROADCAST_CAP", 0)
 
-    outputs = generate_yago(statements_root, write=False)
+    outputs = generate_yago(
+        statements_root, write=False, distributed=distributed
+    )
     df = outputs["annotated-facts"].to_pandas()
     got = set(
         zip(df["subject"], df["predicate"], df["object"],

@@ -415,7 +415,7 @@ def test_multimodal_real_codecs(ray_session):
 
 
 def test_partitioned_group_apply(ray_session):
-    from yago4_ray.joins import distinct_rows, group_filter_by_count
+    from yago4_ray.joins import distinct_rows, partitioned_group_apply
 
     df = pd.DataFrame(
         {
@@ -426,7 +426,12 @@ def test_partitioned_group_apply(ray_session):
     ds = ray.data.from_pandas(df)
     out = distinct_rows(ds, ["k", "v"]).to_pandas()
     assert len(out) == 4
-    kept = group_filter_by_count(ds, ["k"], 2).to_pandas()
+    # a whole-group drop (sh:maxCount semantics): every part holds
+    # complete groups, so the per-part group size is the group's size
+    kept = partitioned_group_apply(
+        ds, ["k"],
+        lambda pdf: pdf[pdf.groupby("k")["k"].transform("size") <= 2],
+    ).to_pandas()
     # group a has 3 rows > 2 → dropped entirely; b and c kept
     assert set(kept["k"]) == {"b", "c"}
     assert len(kept) == 3

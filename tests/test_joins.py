@@ -154,3 +154,65 @@ def test_hash_keys_rejects_shared_columns_under_optimize():
     assert "raised: hash_keys: columns on both sides: ['k']" in out.stdout, (
         out.stdout + out.stderr
     )
+
+
+def test_broadcast_cache_evicts_least_recently_used(ray_session):
+    """A worker process outlives many builds, so its broadcast cache must
+    stay bounded: past the capacity the least recently used entry goes
+    (its pinned object-store buffers with it), and a cached entry that
+    is read again is kept."""
+    import ray
+
+    from yago4_ray import joins
+
+    joins._BROADCAST_CACHE.clear()
+    cap = joins._BROADCAST_CACHE_SIZE
+    refs = [ray.put(i) for i in range(cap + 8)]
+    try:
+        assert joins.get_broadcast(refs[0]) == 0
+        for i, ref in enumerate(refs[1:], start=1):
+            assert joins.get_broadcast(ref) == i
+            joins.get_broadcast(refs[0])  # keep the first one hot
+        assert len(joins._BROADCAST_CACHE) == cap
+        assert refs[0].hex() in joins._BROADCAST_CACHE
+        assert refs[1].hex() not in joins._BROADCAST_CACHE
+        assert refs[-1].hex() in joins._BROADCAST_CACHE
+        assert joins.get_broadcast(refs[1]) == 1  # evicted: fetched again
+    finally:
+        joins._BROADCAST_CACHE.clear()
+
+
+def test_broadcast_cache_bounded_under_concurrent_readers(
+    ray_session, run_concurrently
+):
+    """Threads reading broadcasts at once (each a hit on a shared ref
+    and a miss on its own) never leave the cache above its capacity
+    and always get each ref's own value."""
+    import itertools
+    import threading
+
+    import ray
+
+    from yago4_ray import joins
+
+    joins._BROADCAST_CACHE.clear()
+    cap = joins._BROADCAST_CACHE_SIZE
+    shared = ray.put("shared")
+    refs = [ray.put(i) for i in range(4 * cap)]
+    counter = itertools.count()
+    lock = threading.Lock()
+
+    def read() -> bool:
+        ok = True
+        for _ in range(cap):
+            with lock:
+                i = next(counter) % len(refs)
+            ok &= joins.get_broadcast(refs[i]) == i
+            ok &= joins.get_broadcast(shared) == "shared"
+        return ok
+
+    try:
+        assert all(run_concurrently(read))
+        assert len(joins._BROADCAST_CACHE) <= cap
+    finally:
+        joins._BROADCAST_CACHE.clear()

@@ -154,27 +154,6 @@ def test_hashedset_matches_python_set(keys, probes):
     assert list(got) == want
 
 
-def test_multimap_from_columns_matches_dict():
-    import pandas as pd
-
-    from yago4_ray.broadcast import HashedMultiMap
-
-    mapping = {f"k{i}": (f"o{i}", f"e{i}" if i % 3 else "") for i in range(500)}
-    a = HashedMultiMap(mapping)
-    keys = pd.Series(list(mapping))
-    b = HashedMultiMap.from_columns(
-        keys,
-        pd.Series([mapping[k][0] for k in keys]),
-        pd.Series([mapping[k][1] for k in keys]),
-    )
-    probes = pd.Series(list(mapping) + ["missing1", "missing2"], dtype=object)
-    ao, ae = a.lookup(probes)
-    bo, be = b.lookup(probes)
-    assert list(ao) == list(bo) and list(ae) == list(be)
-    assert a.get("k7") == b.get("k7") == ("o7", "e7")
-    assert a.get("nope") is None and b.get("nope") is None
-
-
 @settings(max_examples=30)
 @given(
     st.lists(
@@ -227,6 +206,8 @@ def test_multimap_from_arrow_matches_dict():
     ao, ae = a.lookup(probes)
     bo, be = b.lookup(probes)
     assert list(ao) == list(bo) and list(ae) == list(be)
+    assert a.get("k7") == b.get("k7") == ("o7", "e7")
+    assert a.get("nope") is None and b.get("nope") is None
 
 
 def test_hashedmap_from_arrow_duplicate_keys_fall_back():

@@ -14,7 +14,9 @@ runs one exchange per join key, and neither path may grow new ones.
 Every store scan (`sources.scan_predicate`) costs driver planning that
 grows with the files it reads, so neither path may grow new scans
 either. generate_yago writes its outputs from memory: no parquet file is
-staged on the way to the gz sinks."""
+staged on the way to the gz sinks. Each state object has one
+object-store copy: the packed URI map is the merge task's output, never
+put again from the driver."""
 
 import pytest
 
@@ -23,9 +25,11 @@ import pytest
 def build_calls(request, statements_root, tmp_path_factory):
     """Run build_state + generate_yago once, recording the class of every
     `to_arrow_refs` receiver, the number of `si_by_item` builds, of
-    `Dataset.groupby` exchanges, of store-scan plans and of the parquet
-    writes generate_yago makes."""
+    `Dataset.groupby` exchanges, of store-scan plans, of the parquet
+    writes generate_yago makes and the type of every driver `ray.put`
+    argument."""
     import pyarrow.parquet as pq
+    import ray
     from ray.data.dataset import Dataset
 
     from yago4_ray import build, build_dist, sources, state as state_mod
@@ -37,6 +41,8 @@ def build_calls(request, statements_root, tmp_path_factory):
     exchanges = [0]
     scans = [0]
     parquet_writes = [0]
+    put_types: list[type] = []
+    put = ray.put
     scan_predicate = sources.scan_predicate
     to_arrow_refs = Dataset.to_arrow_refs
     groupby = Dataset.groupby
@@ -64,6 +70,10 @@ def build_calls(request, statements_root, tmp_path_factory):
         parquet_writes[0] += 1
         return write_table(*args, **kwargs)
 
+    def recording_put(value, *args, **kwargs):
+        put_types.append(type(value))
+        return put(value, *args, **kwargs)
+
     def counting_si_by_item(state):
         si_calls[0] += 1
         return si_by_item(state)
@@ -75,6 +85,7 @@ def build_calls(request, statements_root, tmp_path_factory):
         mp.setattr(build_dist, "si_by_item", counting_si_by_item)
         mp.setattr(Dataset, "write_parquet", counting_write_parquet)
         mp.setattr(pq, "write_table", counting_write_table)
+        mp.setattr(ray, "put", recording_put)
         # every module that scans imports the function by name
         for module in (sources, build, build_dist, state_mod):
             mp.setattr(module, "scan_predicate", counting_scan_predicate)
@@ -89,6 +100,7 @@ def build_calls(request, statements_root, tmp_path_factory):
         "exchanges": exchanges[0],
         "scans": scans[0],
         "parquet_writes": parquet_writes[0] - writes_before,
+        "put_types": put_types,
         "out_dir": out,
     }
 
@@ -109,10 +121,11 @@ def test_si_by_item_built_once_per_state(build_calls):
 def test_exchange_budget(build_calls):
     """Broadcast: shape instances, clean values, the facts join,
     maxCount and the two output dedups. Distributed: those plus
-    si_by_item, the item and value-node joins and the annotation join —
-    one exchange per join key."""
+    si_by_item and the item and value-node joins — one exchange per
+    join key. The annotations stitch under the volume cap on both
+    paths."""
     if build_calls["distributed"]:
-        assert build_calls["exchanges"] <= 10, build_calls["exchanges"]
+        assert build_calls["exchanges"] <= 9, build_calls["exchanges"]
     else:
         assert build_calls["exchanges"] == 6, build_calls["exchanges"]
 
@@ -121,12 +134,24 @@ def test_store_scan_budget(build_calls):
     """Broadcast: the fused state scan, clean values, the shape
     instances' P31, the output scan, and the facts' subject, object and
     annotation scans. Distributed: the item-keyed families of all of
-    these share one item scan; the value nodes, the best-rank ids, the
-    stateless object rows and the class labels are scanned apart."""
+    these share one item scan; the clean values, the value nodes, the
+    best-rank ids, the stateless object rows and the class labels are
+    scanned apart."""
     if build_calls["distributed"]:
-        assert build_calls["scans"] <= 10, build_calls["scans"]
+        assert build_calls["scans"] <= 8, build_calls["scans"]
     else:
         assert build_calls["scans"] <= 7, build_calls["scans"]
+
+
+def test_state_objects_put_once(build_calls):
+    """The packed URI map reaches the object store once, as the remote
+    merge task's output: no HashedMap is put from the driver (the shape
+    instances' P31 fan-out reads that same ref)."""
+    from yago4_ray.broadcast import HashedMap
+
+    assert build_calls["put_types"], "ray.put was never called"
+    maps = [t for t in build_calls["put_types"] if issubclass(t, HashedMap)]
+    assert not maps, f"{len(maps)} HashedMap put(s) from the driver"
 
 
 def test_write_path_stages_nothing(build_calls):

@@ -13,16 +13,19 @@ are vectorized (`np.searchsorted` over sorted 64-bit key hashes).
 
 Collision safety: keys are hashed to 64 bits; construction verifies
 hash uniqueness and falls back to carrying the key strings for exact
-lookup when a key-vs-key collision exists. PROBE-vs-key collisions are
-covered too: string-built structures keep their keys in hash order
-(Arrow arrays — zero-copy to ship) and verify every hash hit with an
-exact equality compare, so a non-member probe that collides with a
-member hash is never silently accepted. The one exception is
-`HashedSet.from_prehashed`, where the keys deliberately never transit
-the driver — membership there is probabilistic with false-positive
-probability ≈ n/2**64 per probe, and its call sites (best-rank /
-shape-instance membership, where a one-in-10^12 spurious keep is
-benign) accept that documented bound.
+lookup when a key-vs-key collision exists. PROBE-vs-key collisions
+differ by structure:
+- `HashedSet` built from strings keeps its keys in hash order (Arrow
+  arrays — zero-copy to ship) and verifies every hash hit with an exact
+  equality compare, so a non-member probe that collides with a member
+  hash is never silently accepted.
+- `HashedSet.from_prehashed` (the keys deliberately never transit the
+  driver), `HashedMap` and `HashedMultiMap` keep no keys: `contains`,
+  `lookup` and `get` compare hashes only, so a non-member probe whose
+  hash equals a member's is answered as that member, with probability
+  ≈ n/2**64 per probe over n keys. Their call sites (best-rank and
+  shape-instance membership, URI and clean-value lookups, where a
+  one-in-10^12 spurious hit is benign) accept that bound.
 """
 
 from __future__ import annotations
@@ -316,38 +319,6 @@ class HashedMultiMap:
             self.extras = pa.array([], type=pa.large_string())
             self._collision_free = True
         self._fallback = None if self._collision_free else dict(mapping)
-
-    @classmethod
-    def from_columns(
-        cls, keys: pd.Series, objects: pd.Series, extras: pd.Series
-    ):
-        """Build straight from aligned DataFrame columns — no
-        intermediate Python dict of millions of entries (the
-        dict round-trip cost seconds per family at 22 M rows)."""
-        self = cls.__new__(cls)
-        n = len(keys)
-        if n:
-            hashes = _hash_series(keys)
-            order = np.argsort(hashes, kind="stable")
-            self.key_hashes = hashes[order]
-            obj_np = objects.to_numpy(dtype=object)[order]
-            ext_np = extras.to_numpy(dtype=object)[order]
-            self.objects = pa.array(obj_np, type=pa.large_string())
-            self.extras = pa.array(ext_np, type=pa.large_string())
-            self._collision_free = (
-                len(np.unique(self.key_hashes)) == _n_distinct(keys)
-            )
-        else:
-            self.key_hashes = np.empty(0, np.uint64)
-            self.objects = pa.array([], type=pa.large_string())
-            self.extras = pa.array([], type=pa.large_string())
-            self._collision_free = True
-        self._fallback = (
-            None
-            if self._collision_free
-            else dict(zip(keys, zip(objects, extras)))
-        )
-        return self
 
     @classmethod
     def from_arrow(cls, keys, objects, extras, hashes=None):

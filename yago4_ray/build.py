@@ -196,75 +196,53 @@ def _count_families(block) -> dict[str, int]:
     )
 
 
-def clean_values_ds(root: str, uri_ref) -> tuple:
-    """The materialized (family, value_node, object, extras) Dataset
-    (ST4) from ONE scan + ONE partitioned groupby (reference: five
-    point-lookup chains in five threads, plan.rs:908-1032) — the
-    distributed-state form, consumed by build_dist.value_join (the
-    broadcast path packs the same scan remotely, clean_hmm_refs).
-    build_state starts it the moment the URI merge ref exists. The only
-    broadcast is the unit→YAGO mapping restricted to units that
-    actually occur — Wikidata has ~10k units, class-graph scale, never
-    instance scale. Returns (Dataset, per-block family-count refs): one
-    tiny task per materialized block, no exchange."""
-    units = (
-        scan_predicate(root, T.WIKIBASE_QUANTITY_UNIT)
-        .map_batches(
-            lambda b: b[["object"]].drop_duplicates(), batch_format="pandas"
-        )
-        .to_pandas()["object"]
-        .unique()
-    )
-    uri_mapping = ray.get(uri_ref)
-    unit_map = {u: v for u in units if (v := uri_mapping.get(u)) is not None}
-    ds = C.build_value_maps(root, scan_predicate, ray.put(unit_map)).materialize()
-    return ds, [_count_families.remote(b) for b in ds.to_arrow_refs()]
-
-
-@ray.remote(num_returns=2)
-def _pack_clean_hmms(*blocks):
-    """Concat the hashed Arrow clean-value blocks and build the
-    per-family HashedMultiMaps OFF the driver, so the broadcast object
-    goes worker → object store with no driver concat, build, or ray.put
-    serialize (measured 3.7 s of idle-cluster driver wait at 22 M
-    statements). Returns (hmm_dict, counts)."""
+@ray.remote
+def _pack_clean_hmms(*blocks) -> dict:
+    """Concat the Arrow clean-value blocks, hash their value nodes and
+    build the per-family HashedMultiMaps OFF the driver, so the
+    broadcast object goes worker → object store with no driver concat,
+    build, or ray.put serialize (measured 3.7 s of idle-cluster driver
+    wait at 22 M statements)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .broadcast import HashedMultiMap
+    from .broadcast import HashedMultiMap, _hash_series
 
     tbl = pa.concat_tables(
         list(blocks), promote_options="permissive"
     ).combine_chunks()
+    tbl = tbl.append_column(
+        "h", pa.array(_hash_series(tbl["value_node"].to_pandas()), pa.uint64())
+    )
     out: dict[str, "HashedMultiMap"] = {}
-    counts: dict[str, int] = {}
     for name in CLEAN_FAMILY.values():
         fam = tbl.filter(pc.equal(tbl["family"], name))
         out[name] = HashedMultiMap.from_arrow(
             fam["value_node"], fam["object"], fam["extras"], hashes=fam["h"]
         )
-        counts[name] = len(out[name])
-    return out, counts
+    return out
 
 
-def clean_hmm_refs(root: str, uri_ref) -> tuple:
-    """Run the clean-value scan, then hand its Arrow block refs to a
-    remote packing task. Returns (hmm_ref, [counts_ref]) the moment the
-    scan resolves — the pack itself overlaps whatever Dataset job runs
-    next (the facts join), and build_facts can assemble its broadcast
-    refs without waiting for (or ever holding) the multimaps."""
-    from .broadcast import _hash_series
-
-    hashed = C.build_value_maps(root, scan_predicate, uri_ref).map_batches(
-        lambda b: b.assign(h=_hash_series(b["value_node"])),
-        batch_format="pandas",
-    )
-    # materialize first: a lazy Dataset's to_arrow_refs fetches its
+def clean_values(root: str, uri_ref) -> tuple[list, list]:
+    """The clean values (ST4): ONE scan + ONE partitioned groupby into
+    (family, value_node, object, extras) Arrow blocks (reference: five
+    point-lookup chains in five threads, plan.rs:908-1032), units looked
+    up in the URI ref (cleaners.build_value_maps). Returns (block refs,
+    one family-count ref per block); the distributed path joins the
+    blocks (build_dist.value_join)."""
+    # materialized first: a lazy Dataset's to_arrow_refs fetches its
     # schema through limit(1), which re-runs the whole scan (PERF_NOTES #50)
-    hmm_ref, counts_ref = _pack_clean_hmms.remote(
-        *hashed.materialize().to_arrow_refs()
-    )
-    return hmm_ref, [counts_ref]
+    ds = C.build_value_maps(root, scan_predicate, uri_ref).materialize()
+    blocks = ds.to_arrow_refs()
+    return blocks, [_count_families.remote(b) for b in blocks]
+
+
+def clean_maps(root: str, uri_ref) -> tuple:
+    """The broadcast path's clean values: (ref of the per-family maps
+    packed remotely from clean_values' blocks, which are not kept past
+    the pack, family-count refs)."""
+    blocks, counts = clean_values(root, uri_ref)
+    return _pack_clean_hmms.remote(*blocks), counts
 
 
 def best_rank_statements(root: str) -> pd.Series:
@@ -593,9 +571,9 @@ def build_facts(
         # with. Under the cap (uncompressed pq:/pqv: partition footer
         # bytes, an upper bound on the cleaned annotation rows), collect
         # the annotations ONCE, broadcast, and stitch inside a narrow
-        # map over `joined` — zero extra exchanges. Above the cap (or in
-        # distributed mode, where state never transits the driver), the
-        # co-partitioned join stands.
+        # map over `joined` — zero extra exchanges. Above the cap the
+        # co-partitioned join stands. The gate reads volume only, on
+        # both state paths.
         from .broadcast import HashedSet
         from .sources import store_nbytes
 
@@ -605,7 +583,7 @@ def build_facts(
             for pid in cfg.pids:
                 ann_preds.append(T.iri(f"{prefix}{pid}"))
         ann_src_bytes = store_nbytes(root, ann_preds)
-        if not state.distributed and ann_src_bytes <= ANN_BROADCAST_CAP:
+        if ann_src_bytes <= ANN_BROADCAST_CAP:
             ann_df = D.distinct_ranges(  # bounded by the gate
                 pa.Table.from_pandas(annotations.to_pandas(), preserve_index=False),
                 ann_range_ids, "ann_cfg",

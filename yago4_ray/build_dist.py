@@ -71,7 +71,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data import Dataset
+from ray.data import Dataset, from_arrow_refs
 
 from . import cleaners as C
 from . import terms as T
@@ -386,15 +386,15 @@ def _local_rows(root: str, state, families, cfg_ids) -> Dataset | None:
     refs: dict = {}
     admitted = {}
     if families & (ITEM_FAMILIES | {"class"}):
-        refs["uri"] = state.packed_ref("uri_mapping")
+        refs["uri"] = state.uri_ref
     if families & ITEM_FAMILIES:
-        refs["instances"] = state.packed_ref("shape_instances")
+        refs["instances"] = state.shape_instances
         admitted = _admitted(state.schema)
     if "subject" in families:
         refs["best"] = _best_rank_ref(root, state)
     clean_family = {}
     if "value" in families:
-        refs["clean"] = state.prewarmed["clean_maps_ref"].result()[0]
+        refs["clean"], _ = state.prewarmed["clean_maps"].result()
         configs, ann_configs = prop_configs(state.schema)
         clean_family = {
             c.cfg_id: CLEAN_FAMILY[c.mode]
@@ -597,10 +597,10 @@ def value_join(root: str, state) -> Dataset | None:
             }
         )
 
-    clean_ds = state.prewarmed["clean_values"].result()[0]
+    clean_blocks, _ = state.prewarmed["clean_values"].result()
     return copartition_join(
         scanned.map_batches(to_nodes, batch_format="pandas"),
-        clean_ds, ("family", "value_node"),
+        from_arrow_refs(clean_blocks), ("family", "value_node"),
         ["tag", "value"], ["object", "extras"],
         num_parts=exchange_parts(root),
         hash_keys=True,

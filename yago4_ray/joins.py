@@ -3,9 +3,9 @@
 Two regimes, chosen explicitly per call site (SURVEY §2.4, ray_guide):
 
 - **Broadcast**: the small side (URI mapping, instance sets, clean-value
-  maps — reference state ST2-ST5) is `ray.put` once on the driver and
-  resolved at most once per worker *process* via a module-level cache,
-  then used as a vectorized pandas dict/set lookup per batch. No shuffle.
+  maps — reference state ST2-ST5) is one object-store object, resolved
+  once per worker *process* while it stays in a small least-recently-used
+  cache, then used as a vectorized lookup per batch. No shuffle.
   At 100 TB these same call sites switch to the dataset path below
   (`BuildState.distributed`).
 - **Co-partitioned join**: both sides large → `copartition_join`, one
@@ -21,6 +21,8 @@ keys of a decomposable aggregate that a `top_hot_keys` pre-pass finds.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Any, Sequence
 
 import numpy as np
@@ -31,19 +33,27 @@ import ray
 from ray.data import Dataset
 
 # Per-worker-process cache: a broadcast object is deserialized at most
-# once per process regardless of how many tasks/batches touch it.
-_BROADCAST_CACHE: dict[str, Any] = {}
-
-
-def broadcast(obj: Any) -> "ray.ObjectRef":
-    return ray.put(obj)
+# once per process while it is among the _BROADCAST_CACHE_SIZE most
+# recently used. Older entries are evicted: a cached zero-copy value
+# pins its object-store buffers after the driver drops its refs, and a
+# worker outlives many builds. One build reads about a dozen broadcasts.
+_BROADCAST_CACHE_SIZE = 16
+_BROADCAST_CACHE: "OrderedDict[str, Any]" = OrderedDict()
+_BROADCAST_LOCK = threading.Lock()
 
 
 def get_broadcast(ref: "ray.ObjectRef") -> Any:
     key = ref.hex()
-    if key not in _BROADCAST_CACHE:
-        _BROADCAST_CACHE[key] = ray.get(ref)
-    return _BROADCAST_CACHE[key]
+    with _BROADCAST_LOCK:
+        if key in _BROADCAST_CACHE:
+            _BROADCAST_CACHE.move_to_end(key)
+            return _BROADCAST_CACHE[key]
+    value = ray.get(ref)  # unlocked: one fetch must not stall other hits
+    with _BROADCAST_LOCK:
+        _BROADCAST_CACHE[key] = value
+        while len(_BROADCAST_CACHE) > _BROADCAST_CACHE_SIZE:
+            _BROADCAST_CACHE.popitem(last=False)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +61,11 @@ def get_broadcast(ref: "ray.ObjectRef") -> Any:
 # ---------------------------------------------------------------------------
 
 def default_join_partitions(cap: int | None = 8) -> int:
-    """Join partition count sized to the cluster: Ray's hash join spawns
-    one aggregator actor per partition — each reserves a CPU, and each
-    is a fresh actor whose ~1s startup is pure overhead for the join.
-    More partitions than cores stalls a small session; many partitions
-    on small data pays actor startup for nothing (measured: np=16 is
-    1.6× slower than np=4 on a 400k-row join at 32 CPUs). ~1 per 2
-    cores, capped low; callers with genuinely large joins pass an
-    explicit count sized to data volume."""
+    """The CPU floor of `partitions_for_nbytes` and
+    `sources.read_blocks_for_nbytes`: one part per 2 session CPUs (at
+    least 2; 4 CPUs are assumed before `ray.init`), capped at `cap`
+    (None: uncapped). Both callers cap the floor in turn by input
+    volume, so no part falls under their minimum part size."""
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
     n = max(2, cpus // 2)
     return min(n, cap) if cap else n
@@ -451,23 +458,6 @@ def distinct_rows(
     )
 
 
-def group_filter_by_count(
-    ds: Dataset,
-    key_columns: list[str],
-    max_count: int,
-    num_parts: int = 32,
-) -> Dataset:
-    """Drop every row of any group with more than `max_count` rows —
-    sh:maxCount enforcement discards the WHOLE group, it does not
-    truncate (plan.rs:1141-1158)."""
-
-    def keep_small(pdf: pd.DataFrame) -> pd.DataFrame:
-        sizes = pdf.groupby(key_columns)[key_columns[0]].transform("size")
-        return pdf[sizes <= max_count]
-
-    return partitioned_group_apply(ds, key_columns, keep_small, num_parts)
-
-
 def top_hot_keys(
     ds: Dataset, column: str, threshold: int, num_parts: int = 32
 ) -> list[str]:
@@ -543,11 +533,3 @@ def salted_aggregate(
     ).drop_columns(["__salt"])
     return partitioned_group_apply(partials, [key], phase2, num_parts=num_parts)
 
-
-def to_pandas(obj) -> pd.DataFrame:
-    """Small-result materializer accepting Dataset / Table / DataFrame."""
-    if isinstance(obj, Dataset):
-        return obj.to_pandas()
-    if isinstance(obj, pa.Table):
-        return obj.to_pandas()
-    return obj

@@ -16,18 +16,29 @@ Ray-native split of labor:
   collected to the driver and closed with plain Python (SURVEY G1-G4):
   even full Wikidata's class graph is a few M edges.
 
-The resulting state is small relative to the fact volume and is
-broadcast to fact-pipeline workers (`ray.put` once, cached per worker
-process). At 10^12-doc scale the uri_mapping/instance sets outgrow a
-single broadcast object; the same call sites then switch to
-`joins.copartition_join` against the Datasets kept in `self.datasets`
-(build_dist) — both representations are produced here.
+Each state object is built once and BuildState holds one handle to it:
+- ST2, the URI map: packed into a HashedMap by the remote merge task
+  (`_assemble_uri`); that task's ref (`uri_ref`) is the map's one
+  object-store copy, and the driver fetches it once (`uri_mapping`)
+  for class machinery;
+- ST3, the shape instances: per-shape HashedSets packed by a remote task
+  (`shape_instances` is that task's ref), plus the resolved (shape,
+  instance) Dataset;
+- ST4, the clean values: materialized Arrow blocks built by
+  `build.clean_values` while the state builds; the broadcast path packs
+  them into per-family maps and keeps only the pack;
+- ST5, the enwiki links: the sitelinked item column (class machinery
+  reads it at class scale) and an (item, url) Dataset for the sameAs
+  family; no driver-side map.
+
+Fact-pipeline workers read the packed refs (zero-copy, cached per
+worker process). With `distributed=True` the family plan (build_dist)
+joins the Datasets in `BuildState.datasets` instead.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 import types
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -81,10 +92,6 @@ class Stats:
     def set_lazy(self, key: str, fn):
         self._lazy[key] = fn
 
-    def add_local(self, key: str, entry: str, value: int):
-        entry = str(entry)
-        self._data[key][entry] = self._data[key].get(entry, 0) + int(value)
-
     def write(self, path: str):
         for key, fn in list(self._lazy.items()):
             try:
@@ -107,85 +114,41 @@ class Stats:
                     f.write(f"{key}\t{entry}\t{values[entry]}\n")
 
 
-# module-level (not a BuildState field): a Lock can't be pickled, and
-# the contention is a handful of cache fills per build
-_REFS_LOCK = threading.Lock()
-
-
 @dataclass
 class BuildState:
     schema: Schema
     stats: Stats
-    # wd term → enwiki URL: dict or HashedMap (same get/in/len protocol)
-    enwiki_mapping: "dict[str, str] | object"
-    # wd term → yago term: a dict, or a broadcast-ready HashedMap built
-    # straight from the Arrow merge output (same get/in/[]/len protocol)
-    uri_mapping: "dict[str, str] | object"
+    # wd term → yago term: the driver's copy of the HashedMap the remote
+    # URI merge packed (class machinery; its len is a stat)
+    uri_mapping: object
+    # the ref of that same HashedMap (the merge task's output, its one
+    # object-store copy): every worker-side URI lookup reads it
+    uri_ref: "ray.ObjectRef"
     yago_classes: set[str]
     wd_to_yago_class_mapping: dict[str, list[str]]
     yago_super_class_of: dict[str, list[str]]
-    # target class term → packed instance membership (HashedSet —
-    # 64-bit hashes collected from the cluster; instance strings never
-    # transit the driver, see build_shape_instances)
-    shape_instances: dict
+    # ref of the remotely packed {target class → HashedSet} instance
+    # membership (64-bit hashes; instance strings never transit the
+    # driver, see build_shape_instances)
+    shape_instances: "ray.ObjectRef"
     # distributed=True → the family plan's lookups join against
-    # `datasets` (build_dist) instead of the packed broadcasts below;
+    # `datasets` (build_dist) instead of the packed broadcasts above;
     # chosen by build_state from state size or its `distributed=`
     distributed: bool = False
     datasets: dict[str, Dataset] = field(default_factory=dict)
-    # state build_facts needs, started EARLY by build_state. Broadcast
-    # path: "clean_maps_ref" is a Future[(hmm_ref, [counts_ref])]
-    # submitted the moment the URI merge ref exists, "best_rank_ref" is
-    # (HashedSet ref, collision-free flag ref) from the fused scan.
-    # Distributed path: "clean_values" is a Future[(materialized
-    # clean-value Dataset, [per-block counts refs])], submitted at the
-    # same moment, and "item_scan" a Future of build_dist.item_scan's
+    # state build_facts needs, started EARLY by build_state. The clean
+    # values are a Future submitted the moment the URI merge ref exists:
+    # "clean_maps" (broadcast path) of build.clean_maps' (packed-maps
+    # ref, family-count refs), "clean_values" (distributed path) of
+    # build.clean_values' (Arrow block refs, family-count refs);
+    # "best_rank_ref" (broadcast path) is (HashedSet ref,
+    # collision-free flag ref) from the fused scan;
+    # "item_scan" (distributed path) is a Future of build_dist.item_scan's
     # planned store scan
     prewarmed: dict = field(default_factory=dict)
     # the statement store this state was built from (sizes the
     # distributed state-side exchanges)
     statements_root: str = ""
-
-    # broadcast refs, created lazily
-    _refs: dict[str, "ray.ObjectRef"] = field(default_factory=dict)
-
-    def ref(self, name: str) -> "ray.ObjectRef":
-        with _REFS_LOCK:
-            if name not in self._refs:
-                obj = getattr(self, name)
-                self._refs[name] = ray.put(obj)
-            return self._refs[name]
-
-    def packed_ref(self, name: str) -> "ray.ObjectRef":
-        """Zero-copy broadcast forms (yago4_ray.broadcast): numpy/Arrow
-        buffers instead of pickled dicts — workers pay ~nothing to
-        ray.get them, which is what makes wide fan-out scale.
-
-        Cache fills are locked: build.py threads stage pipelines
-        concurrently, and an unguarded double-fill would ray.put a
-        duplicate copy of the largest broadcast object (the URI map)."""
-        key = f"packed:{name}"
-        with _REFS_LOCK:
-            if key not in self._refs:
-                from .broadcast import HashedMap, HashedSet
-
-                if name == "uri_mapping":
-                    obj = (
-                        self.uri_mapping
-                        if isinstance(self.uri_mapping, HashedMap)
-                        else HashedMap(self.uri_mapping)
-                    )
-                elif name == "shape_instances":
-                    if isinstance(self.shape_instances, LazyShapePacks):
-                        # packed remotely: the task's own output ref IS
-                        # the broadcast — no driver fetch or re-put
-                        self._refs[key] = self.shape_instances.packs_ref
-                        return self._refs[key]
-                    obj = self.shape_instances  # already packed HashedSets
-                else:
-                    raise KeyError(name)
-                self._refs[key] = ray.put(obj)
-            return self._refs[key]
 
 
 # ---------------------------------------------------------------------------
@@ -533,18 +496,11 @@ def _assemble_uri(*shard_tbls):
 # ---------------------------------------------------------------------------
 
 def _mapping_subset(mapping, keys) -> dict:
-    """Plain-dict projection of `mapping` over `keys` — ONE vectorized
-    lookup when the mapping is a HashedMap, identity for dicts."""
-    from .broadcast import HashedMap
-
-    if not isinstance(mapping, HashedMap):
-        return {k: mapping[k] for k in keys if k in mapping}
+    """Plain-dict projection of the HashedMap `mapping` over `keys` —
+    ONE vectorized lookup."""
     ks = pd.Series(sorted(keys), dtype=object)
-    vals = mapping.lookup(ks)
-    # pd.notna, not `is not None`: lookup's collision-fallback path maps
-    # through a dict and yields NaN (not None) for misses — admitting
-    # those would carry NaN URIs into classes_to_keep_for_yago
-    return {k: v for k, v in zip(ks, vals) if pd.notna(v)}
+    return {k: v for k, v in zip(ks, mapping.lookup(ks)) if pd.notna(v)}
+
 
 def subclass_of_from_yago_schema(schema: Schema) -> list[tuple[str, str]]:
     """Schema-side subclass edges with the Intangible/StructuredValue
@@ -592,13 +548,14 @@ def collect_input_reductions(
     into per-batch partials summed on the driver (class-graph scale)
     instead of a shuffle.
 
-    Returns (uri_mapping, uri_ds, enwiki_mapping, enwiki_ds, p279_edges,
-    instance_counts, (best_rank_set_ref, collision_free_ref),
-    uri_packed).
+    Returns (uri_mapping, uri_ds, enwiki_items, enwiki_ds, p279_edges,
+    instance_counts, (best_rank_set_ref, collision_free_ref), uri_ref):
+    the driver copy of the packed URI map and the ref it was packed
+    into, the sitelinked items as one Arrow column (class machinery
+    reads it at class scale) and the (item, url) Dataset of the sameAs
+    family.
     """
     import pyarrow.compute as pc
-
-    from .broadcast import HashedMap
 
     p279_pred = f"<{T.WDT}P279>"
     p31_pred = f"<{T.WDT}P31>"
@@ -765,15 +722,15 @@ def collect_input_reductions(
         }
     )
     # the merge + HashedMap pack runs in a TASK over the scan blocks:
-    # uri_packed exists NOW, so the caller can launch the clean-value
+    # uri_ref exists NOW, so the caller can launch the clean-value
     # scan (its tasks get the ref lazily) while the merge still runs
     shard_refs = [
         _merge_uri_shard.remote(schema_tbl, mandatory_tbl, s, *block_refs)
         for s in range(1 << _UM_BITS)
     ]
-    uri_packed, uri_tbl_ref = _assemble_uri.remote(*shard_refs)
+    uri_ref, uri_tbl_ref = _assemble_uri.remote(*shard_refs)
     if on_uri_ref is not None:
-        on_uri_ref(uri_packed)
+        on_uri_ref(uri_ref)
     # best-rank membership packs REMOTELY too (same discipline as the
     # URI merge): ~n/3 statement-id hashes never sort on the driver and
     # the packed set is consumed by build_facts straight from the object
@@ -799,16 +756,6 @@ def collect_input_reductions(
     # candidate prep + priority merge, the serial critical path
     import concurrent.futures as _icf
 
-    def _enwiki():
-        etbl = part(_K_ENWIKI)
-        mapping = HashedMap.from_arrow(
-            etbl["item"], etbl["uri"], hashes=etbl["h"]
-        )
-        ds_ = ray.data.from_arrow(
-            etbl.select(["item", "uri"]).rename_columns(["item", "url"])
-        )
-        return mapping, ds_
-
     def _p279():
         ptbl = part(_K_P279)
         return list(zip(ptbl["item"].to_pylist(), ptbl["uri"].to_pylist()))
@@ -820,8 +767,7 @@ def collect_input_reductions(
         )
         return dict(zip(csum["item"].to_pylist(), csum["n_sum"].to_pylist()))
 
-    _side_pool = _icf.ThreadPoolExecutor(max_workers=4)
-    f_enwiki = _side_pool.submit(_enwiki)
+    _side_pool = _icf.ThreadPoolExecutor(max_workers=2)
     f_p279 = _side_pool.submit(_p279)
     f_counts = _side_pool.submit(_counts)
 
@@ -829,9 +775,12 @@ def collect_input_reductions(
     # runs remotely (hash-range _merge_uri_shard tasks + _assemble_uri,
     # submitted before the collect); here the driver only fetches the
     # packed map for class machinery
-    uri_mapping = ray.get(uri_packed)
+    uri_mapping = ray.get(uri_ref)
     uri_ds = ray.data.from_arrow_refs([uri_tbl_ref])
-    enwiki_mapping, enwiki_ds = f_enwiki.result()
+    enwiki = part(_K_ENWIKI)
+    enwiki_ds = ray.data.from_arrow(
+        enwiki.select(["item", "uri"]).rename_columns(["item", "url"])
+    )
     p279_edges = f_p279.result()
     instance_counts = f_counts.result()
     _side_pool.shutdown(wait=False)
@@ -839,12 +788,12 @@ def collect_input_reductions(
     return (
         uri_mapping,
         uri_ds,
-        enwiki_mapping,
+        enwiki["item"],
         enwiki_ds,
         p279_edges,
         instance_counts,
         (rank_set_ref, rank_ok_ref),
-        uri_packed,
+        uri_ref,
     )
 
 
@@ -852,8 +801,8 @@ def build_class_machinery(
     root: str,
     schema: Schema,
     stats: Stats,
-    uri_mapping: dict[str, str],
-    enwiki_mapping: dict[str, str],
+    uri_mapping,
+    enwiki_items: "pa.ChunkedArray",
     all_sub_class_of: list[tuple[str, str]],
     instance_counts: dict[str, int],
 ) -> tuple[set[str], dict[str, list[str]], dict[str, list[str]]]:
@@ -909,14 +858,19 @@ def build_class_machinery(
         "Wikidata classes used for the instance of extraction", len(classes_to_keep)
     )
 
-    classes_to_keep_for_yago = set(
-        _mapping_subset(enwiki_mapping, classes_to_keep)
-    ) | set(from_classes)
+    # the kept classes with an enwiki sitelink: the instance-scale item
+    # column probes a class-scale value set, exactly (string equality)
+    import pyarrow.compute as pc
+
+    keep_arr = pa.array(sorted(classes_to_keep), pa.string())
+    items = enwiki_items.cast(pa.string())
+    sitelinked = items.filter(pc.is_in(items, value_set=keep_arr))
+    classes_to_keep_for_yago = set(sitelinked.to_pylist()) | set(from_classes)
     stats.set_global(
         "Wikidata classes kept for Yago", len(classes_to_keep_for_yago)
     )
 
-    # project the (possibly HashedMap) URI mapping onto the class keys
+    # project the HashedMap URI mapping onto the class keys
     # once, vectorized — the loops below probe it O(class-graph) times
     # and a per-probe hash would dominate at real-Wikidata class counts
     uri_mapping = _mapping_subset(
@@ -1035,48 +989,6 @@ def _pack_shape_instances(shape_targets, *blocks):
     return packs, {t: len(p) for t, p in packs.items()}
 
 
-class LazyShapePacks:
-    """Driver handle for remotely packed shape instances: `.packs_ref`
-    feeds broadcasts with zero driver fetch; any driver-side dict access
-    materializes once (tests, small flavors)."""
-
-    def __init__(self, packs_ref, counts_ref):
-        self.packs_ref = packs_ref
-        self.counts_ref = counts_ref
-        self._val = None
-
-    def _value(self) -> dict:
-        if self._val is None:
-            self._val = ray.get(self.packs_ref)
-        return self._val
-
-    def counts(self) -> dict:
-        return ray.get(self.counts_ref)
-
-    def get(self, key, default=None):
-        return self._value().get(key, default)
-
-    def __getitem__(self, key):
-        return self._value()[key]
-
-    def __contains__(self, key):
-        return key in self._value()
-
-    def items(self):
-        return self._value().items()
-
-    def keys(self):
-        return self._value().keys()
-
-    def __iter__(self):
-        # without this, `for shape in packs:` would fall back to the
-        # legacy sequence protocol and raise KeyError(0)
-        return iter(self._value())
-
-    def __len__(self):
-        return len(self._value())
-
-
 def build_shape_instances(
     root: str,
     schema: Schema,
@@ -1084,11 +996,14 @@ def build_shape_instances(
     wd_to_yago_class_mapping: dict[str, list[str]],
     yago_super_class_of: dict[str, list[str]],
     yago_classes: set[str],
-    uri_mapping: dict[str, str],
-) -> tuple[dict[str, set[str]], Dataset]:
+    uri_ref: "ray.ObjectRef",
+) -> tuple["ray.ObjectRef", Dataset]:
     """plan.rs:641-731 as: P31 scan → class-map flat join (broadcast the
-    class mapping: class-graph scale) → shape fan-out → ONE
-    groupby(instance) doing dedup + disjoint-instance removal."""
+    class mapping: class-graph scale; the URI map is `uri_ref`, the
+    packed map build_state already holds) → shape fan-out → ONE
+    groupby(instance) doing dedup + disjoint-instance removal. Returns
+    (ref of the packed per-shape HashedSets, the resolved (shape,
+    instance) Dataset)."""
     # yago class → shapes whose closure contains it (driver, tiny)
     shape_targets = [s.target_class for s in schema.node_shapes()]
     class_to_shapes: dict[str, list[str]] = defaultdict(list)
@@ -1112,15 +1027,11 @@ def build_shape_instances(
             disjoint_pairs.add((cls.id, other))
             disjoint_pairs.add((other, cls.id))
 
-    from .broadcast import HashedMap, HashedSet
+    from .broadcast import HashedSet
 
     refs = {
         "wd_class_to_shapes": ray.put(wd_class_to_shapes),  # class-scale
-        "uri_mapping": ray.put(
-            uri_mapping
-            if isinstance(uri_mapping, HashedMap)
-            else HashedMap(uri_mapping)
-        ),  # zero-copy
+        "uri_mapping": uri_ref,
         "yago_classes": ray.put(HashedSet(yago_classes)),
         "disjoint_pairs": ray.put(disjoint_pairs),
     }
@@ -1196,17 +1107,14 @@ def build_shape_instances(
     # (resolve_part dedups (shape, instance) globally, so per-shape row
     # counts are distinct-key counts and from_prehashed's collision
     # check holds). The driver gets back only the refs: downstream
-    # broadcast consumers chain on packs_ref, stats resolve the count
-    # dict lazily (Stats.set_lazy), and the pack overlaps the facts-plan
+    # broadcast consumers read packs_ref, stats resolve the count dict
+    # lazily (Stats.set_lazy), and the pack overlaps the facts-plan
     # construction instead of serializing build_state.
     packs_ref, counts_ref = _pack_shape_instances.remote(
         shape_targets, *resolved.to_arrow_refs()
     )
-    lazy = LazyShapePacks(packs_ref, counts_ref)
-    stats.set_lazy(
-        "Instances of a shape", lazy.counts
-    )
-    return lazy, resolved
+    stats.set_lazy("Instances of a shape", lambda: ray.get(counts_ref))
+    return packs_ref, resolved
 
 
 # ---------------------------------------------------------------------------
@@ -1244,13 +1152,10 @@ def build_state(
             store_num_rows(statements_root, [T.RDF_TYPE])
             >= DISTRIBUTED_STATE_THRESHOLD
         )
-    # ONE fused scan job over the union of the state-input predicate
-    # partitions on BOTH state paths — four concurrent jobs contended
-    # for the same CPUs (see collect_input_reductions; measured 14.8 s
-    # as four scan jobs vs ~4 s fused at 44 M / 32 CPUs). What differs
-    # at scale is the statement-path JOINS (build_dist joins against
-    # the state Datasets instead of broadcasts); the input reductions
-    # themselves are class-graph / hash-range-sharded either way.
+    # ONE fused scan job over the state-input predicates on BOTH state
+    # paths (four concurrent scan jobs measured 14.8 s vs ~4 s fused at
+    # 44 M / 32 CPUs, see collect_input_reductions); the paths differ
+    # in the statement-path joins only (build_dist).
     from . import build as B  # deferred: build imports state
 
     # the clean-value scan needs ONLY the URI broadcast REF, which the
@@ -1258,17 +1163,11 @@ def build_state(
     # submit the scan from the callback so it overlaps the merge
     # itself, class machinery AND shape-instance resolution instead of
     # serializing behind them in build_facts. The broadcast path packs
-    # it into per-family maps; the distributed path joins the
-    # materialized Dataset (and joins the best-rank ids instead of
-    # packing the best-rank set). Either form carries refs of its
-    # per-family row counts, the "Cleaned complex type" stats.
+    # it into per-family maps; the distributed path keeps the blocks to
+    # join (and joins the best-rank ids instead of packing the
+    # best-rank set).
     _pre_pool = _cf.ThreadPoolExecutor(max_workers=2)
     _pre: dict = {}
-    clean_key, clean_fn = (
-        ("clean_values", B.clean_values_ds)
-        if distributed
-        else ("clean_maps_ref", B.clean_hmm_refs)
-    )
     if distributed:
         # the item join's store scan needs only the schema: plan it now,
         # under the state build (see build_dist.item_scan)
@@ -1276,18 +1175,24 @@ def build_state(
 
         _pre["item_scan"] = _pre_pool.submit(item_scan, statements_root, schema)
 
+    clean_key, clean_fn = (
+        ("clean_values", B.clean_values)
+        if distributed
+        else ("clean_maps", B.clean_maps)
+    )
+
     def _launch_clean(uri_ref) -> None:
         _pre[clean_key] = _pre_pool.submit(clean_fn, statements_root, uri_ref)
 
     (
         uri_mapping,
         uri_ds,
-        enwiki_mapping,
+        enwiki_items,
         enwiki_ds,
         p279_edges,
         instance_counts,
         best_rank_refs,
-        uri_packed,
+        uri_ref,
     ) = collect_input_reductions(
         statements_root, schema, stats, size, on_uri_ref=_launch_clean,
         pack_best_rank=not distributed,
@@ -1295,8 +1200,9 @@ def build_state(
     prewarmed = dict(_pre)
 
     def _clean_counts() -> dict[str, int]:
+        _, count_refs = prewarmed[clean_key].result()
         counts = dict.fromkeys(B.CLEAN_FAMILY.values(), 0)
-        for block in ray.get(prewarmed[clean_key].result()[1]):
+        for block in ray.get(count_refs):
             for family, n in block.items():
                 counts[family] += n
         return counts
@@ -1309,11 +1215,11 @@ def build_state(
         prewarmed["best_rank_ref"] = best_rank_refs
     _pre_pool.shutdown(wait=False)
     stats.set_global(
-        "Wikidata items mapped to English Wikipedia articles", len(enwiki_mapping)
+        "Wikidata items mapped to English Wikipedia articles", len(enwiki_items)
     )
     yago_classes, wd_to_yago_class_mapping, yago_super_class_of = (
         build_class_machinery(
-            statements_root, schema, stats, uri_mapping, enwiki_mapping,
+            statements_root, schema, stats, uri_mapping, enwiki_items,
             all_sub_class_of=p279_edges, instance_counts=instance_counts,
         )
     )
@@ -1324,26 +1230,23 @@ def build_state(
         wd_to_yago_class_mapping,
         yago_super_class_of,
         yago_classes,
-        uri_mapping,
+        uri_ref,
     )
-    state = BuildState(
+    return BuildState(
         schema=schema,
         stats=stats,
-        enwiki_mapping=enwiki_mapping,
         uri_mapping=uri_mapping,
+        uri_ref=uri_ref,
         yago_classes=yago_classes,
         wd_to_yago_class_mapping=wd_to_yago_class_mapping,
         yago_super_class_of=yago_super_class_of,
         shape_instances=shape_instances,
         distributed=bool(distributed),
+        datasets={
+            "uri_mapping": uri_ds,
+            "shape_instances": inst_ds,
+            "enwiki": enwiki_ds,
+        },
         prewarmed=prewarmed,
         statements_root=statements_root,
     )
-    # the remote-packed URI map IS the broadcast (class labels on both
-    # paths, the broadcast path's facts and scan outputs): no second
-    # driver-side ray.put of the largest state object
-    state._refs["packed:uri_mapping"] = uri_packed
-    state.datasets["uri_mapping"] = uri_ds
-    state.datasets["shape_instances"] = inst_ds
-    state.datasets["enwiki"] = enwiki_ds
-    return state
