@@ -1,6 +1,11 @@
-"""copartition_join exchange formats: the hash-keyed (128-bit digest)
-form build_dist uses must be row-set-identical to the plain string-keyed
-exchange on every shape that occurs at the call sites (PERF_NOTES #38)."""
+"""The one hash exchange (`joins.exchange`) and the operators on it.
+
+copartition_join's hash-keyed (128-bit digest) form build_dist uses must
+be row-set-identical to the plain string-keyed exchange on every shape
+that occurs at the call sites (PERF_NOTES #38). The block-schema cases
+the exchange normalizes (empty null-typed blocks, large_string columns,
+null-padded pandas payloads) are pinned here, as is the part id the
+output sinks name their files by."""
 
 import numpy as np
 import pandas as pd
@@ -46,6 +51,15 @@ def join_inputs(ray_session):
 
 def _canon(df, cols):
     return set(map(tuple, df[cols].itertuples(index=False)))
+
+
+def _arrow(ds):
+    """One Arrow table of every non-empty output block."""
+    import pyarrow as pa
+    import ray
+
+    blocks = ray.get(ds.materialize().to_arrow_refs())
+    return pa.concat_tables([b for b in blocks if b.num_rows])
 
 
 def test_hash_keyed_join_matches_plain(join_inputs):
@@ -216,3 +230,118 @@ def test_broadcast_cache_bounded_under_concurrent_readers(
         assert len(joins._BROADCAST_CACHE) <= cap
     finally:
         joins._BROADCAST_CACHE.clear()
+
+
+def test_one_exchange_implementation():
+    """`joins.exchange` is the only `groupby("__part")` and the only
+    caller of `_part_ids`: every grouped, joined and deduplicated
+    operator shares its tagging and schema handling."""
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "yago4_ray"
+    groupby = re.compile(r"""groupby\(\s*["']__part["']""")
+    offenders = [
+        str(path.relative_to(pkg))
+        for path in sorted(pkg.rglob("*.py"))
+        if path != pkg / "joins.py"
+        and (groupby.search(path.read_text()) or "_part_ids" in path.read_text())
+    ]
+    assert not offenders, offenders
+    assert len(groupby.findall((pkg / "joins.py").read_text())) == 1
+
+
+def test_empty_null_typed_block_through_one_side_exchanges(ray_session):
+    """An empty upstream block surfaces its columns as null type; it
+    must not break the dedup or the grouped apply beside string blocks."""
+    import pyarrow as pa
+    import ray.data
+
+    from yago4_ray.joins import distinct_rows, partitioned_group_apply
+
+    empty = pa.table({"k": pa.nulls(0), "v": pa.nulls(0)})
+    rows = pa.table({"k": ["a", "a", "b"], "v": ["1", "1", "2"]})
+    ds = ray.data.from_arrow([empty, rows])
+    got = distinct_rows(ds, ["k", "v"], num_parts=4).to_pandas()
+    assert _canon(got, ["k", "v"]) == {("a", "1"), ("b", "2")}
+    assert len(got) == 2
+    sizes = partitioned_group_apply(
+        ds, ["k"], lambda pdf: pdf.groupby("k", as_index=False).size(),
+        num_parts=4,
+    ).to_pandas()
+    assert dict(zip(sizes["k"], sizes["size"])) == {"a": 2, "b": 1}
+
+
+def test_copartition_join_empty_side_and_large_string(ray_session):
+    """A large_string column (a concat artifact) and an all-empty,
+    null-typed side share the exchange with string blocks; the output
+    carries plain strings."""
+    import pyarrow as pa
+    import ray.data
+
+    from yago4_ray.joins import copartition_join
+
+    left = ray.data.from_arrow(pa.table({
+        "k": pa.array(["a", "b", "c"], pa.large_string()),
+        "x": pa.array(["1", "2", "3"], pa.large_string()),
+    }))
+    empty = ray.data.from_arrow(pa.table({"k": pa.nulls(0), "y": pa.nulls(0)}))
+    right = ray.data.from_arrow([
+        pa.table({"k": pa.nulls(0), "y": pa.nulls(0)}),
+        pa.table({"k": ["a", "c", "d"], "y": ["p", "q", "r"]}),
+    ])
+    got = _arrow(copartition_join(
+        left, right, "k", ["k", "x"], ["k", "y"], num_parts=4
+    ))
+    assert got.schema.field("x").type == pa.string()
+    assert _canon(got.to_pandas(), ["k", "x", "y"]) == {
+        ("a", "1", "p"), ("c", "3", "q")
+    }
+    assert copartition_join(
+        left, empty, "k", ["k", "x"], ["k", "y"], num_parts=4
+    ).count() == 0
+
+
+def test_asof_join_int_payload(ray_session):
+    """The left side pads the right payload with pd.NA (a null-typed
+    Arrow column beside the right side's int64): the one-side exchange
+    must ship both as they are."""
+    import ray.data
+
+    from yago4_ray.dataops.temporal import asof_join
+
+    left = ray.data.from_pandas(pd.DataFrame({
+        "k": [1, 1, 2, 3], "t": [10, 25, 5, 7], "payload": ["a", "b", "c", "d"],
+    }))
+    right = ray.data.from_pandas(pd.DataFrame({
+        "k": [1, 1, 2], "t": [8, 20, 9], "qty": [5, 7, 9],
+    }))
+    out = asof_join(
+        left, right, by="k", on="t", left_columns=["payload"],
+        right_columns=["qty"], num_parts=4,
+    ).to_pandas().sort_values(["k", "t"]).reset_index(drop=True)
+    assert list(out["payload"]) == ["a", "b", "c", "d"]
+    assert list(out["qty_right"].fillna(-1).astype(int)) == [5, 7, -1, -1]
+
+
+def test_distinct_rows_part_column_is_the_key_hash(ray_session):
+    """The output sinks name part files by `__part`: it must be the
+    polars key hash of the row's columns, whatever block a row came in."""
+    import pyarrow as pa
+    import ray.data
+
+    from yago4_ray.joins import _part_ids, distinct_rows
+
+    rows = pd.DataFrame({
+        "subject": [f"<s{i % 37}>" for i in range(300)],
+        "predicate": [f"<p{i % 5}>" for i in range(300)],
+        "object": [f"<o{i % 11}>" for i in range(300)],
+    })
+    cols = ["subject", "predicate", "object"]
+    got = _arrow(distinct_rows(
+        ray.data.from_pandas([rows[:150], rows[150:]]), cols, num_parts=8,
+        keep_part_column=True,
+    ))
+    assert got.num_rows == len(rows.drop_duplicates())
+    want = _part_ids(got.select(cols), cols, 8)
+    assert got.column("__part").combine_chunks().equals(want)

@@ -8,26 +8,35 @@ path's item join (with its `si_by_item` pre-join) is one item-keyed
 exchange that every consumer shares, so it must be built once per
 BuildState.
 
-Every build-path exchange is one `Dataset.groupby("__part")` in
-joins.py, and each is a fixed all-to-all latency: the distributed path
-runs one exchange per join key, and neither path may grow new ones.
+Every build-path exchange is one `joins.exchange`, and each is a fixed
+all-to-all latency: the distributed path runs one exchange per join
+key, and neither path may grow new ones.
 Every store scan (`sources.scan_predicate`) costs driver planning that
 grows with the files it reads, so neither path may grow new scans
 either. generate_yago writes its outputs from memory: no parquet file is
 staged on the way to the gz sinks. Each state object has one
 object-store copy: the packed URI map is the merge task's output, never
-put again from the driver."""
+put again from the driver, and the packed class set is put once.
+The driver collects only the fused state scan's rows it reads."""
+
+import sys
 
 import pytest
+
+
+def _caller() -> str:
+    """`module.function` that called the recording wrapper calling this."""
+    frame = sys._getframe(2)
+    return f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}"
 
 
 @pytest.fixture(scope="module", params=[False, True], ids=["broadcast", "distributed"])
 def build_calls(request, statements_root, tmp_path_factory):
     """Run build_state + generate_yago once, recording the class of every
-    `to_arrow_refs` receiver, the number of `si_by_item` builds, of
-    `Dataset.groupby` exchanges, of store-scan plans, of the parquet
-    writes generate_yago makes and the type of every driver `ray.put`
-    argument."""
+    `to_arrow_refs` receiver, the number of `si_by_item` builds, the
+    calling function of every `Dataset.groupby` exchange, the number of
+    store-scan plans and of the parquet writes generate_yago makes, and
+    the type and calling function of every driver `ray.put` argument."""
     import pyarrow.parquet as pq
     import ray
     from ray.data.dataset import Dataset
@@ -38,10 +47,10 @@ def build_calls(request, statements_root, tmp_path_factory):
 
     receivers: list[type] = []
     si_calls = [0]
-    exchanges = [0]
+    exchanges: list[str] = []
     scans = [0]
     parquet_writes = [0]
-    put_types: list[type] = []
+    puts: list[tuple[type, str]] = []
     put = ray.put
     scan_predicate = sources.scan_predicate
     to_arrow_refs = Dataset.to_arrow_refs
@@ -54,8 +63,8 @@ def build_calls(request, statements_root, tmp_path_factory):
         receivers.append(type(self))
         return to_arrow_refs(self)
 
-    def counting_groupby(self, *args, **kwargs):
-        exchanges[0] += 1
+    def recording_groupby(self, *args, **kwargs):
+        exchanges.append(_caller())
         return groupby(self, *args, **kwargs)
 
     def counting_scan_predicate(*args, **kwargs):
@@ -71,7 +80,7 @@ def build_calls(request, statements_root, tmp_path_factory):
         return write_table(*args, **kwargs)
 
     def recording_put(value, *args, **kwargs):
-        put_types.append(type(value))
+        puts.append((type(value), _caller()))
         return put(value, *args, **kwargs)
 
     def counting_si_by_item(state):
@@ -81,7 +90,7 @@ def build_calls(request, statements_root, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("single_execution"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Dataset, "to_arrow_refs", recording_to_arrow_refs)
-        mp.setattr(Dataset, "groupby", counting_groupby)
+        mp.setattr(Dataset, "groupby", recording_groupby)
         mp.setattr(build_dist, "si_by_item", counting_si_by_item)
         mp.setattr(Dataset, "write_parquet", counting_write_parquet)
         mp.setattr(pq, "write_table", counting_write_table)
@@ -97,10 +106,10 @@ def build_calls(request, statements_root, tmp_path_factory):
         "distributed": request.param,
         "receivers": receivers,
         "si_calls": si_calls[0],
-        "exchanges": exchanges[0],
+        "exchanges": exchanges,
         "scans": scans[0],
         "parquet_writes": parquet_writes[0] - writes_before,
-        "put_types": put_types,
+        "puts": puts,
         "out_dir": out,
     }
 
@@ -123,11 +132,13 @@ def test_exchange_budget(build_calls):
     maxCount and the two output dedups. Distributed: those plus
     si_by_item and the item and value-node joins — one exchange per
     join key. The annotations stitch under the volume cap on both
-    paths."""
+    paths. Every one is a `joins.exchange`."""
+    callers = build_calls["exchanges"]
+    assert set(callers) == {"yago4_ray.joins.exchange"}, callers
     if build_calls["distributed"]:
-        assert build_calls["exchanges"] <= 9, build_calls["exchanges"]
+        assert len(callers) <= 9, len(callers)
     else:
-        assert build_calls["exchanges"] == 6, build_calls["exchanges"]
+        assert len(callers) == 6, len(callers)
 
 
 def test_store_scan_budget(build_calls):
@@ -146,12 +157,52 @@ def test_store_scan_budget(build_calls):
 def test_state_objects_put_once(build_calls):
     """The packed URI map reaches the object store once, as the remote
     merge task's output: no HashedMap is put from the driver (the shape
-    instances' P31 fan-out reads that same ref)."""
-    from yago4_ray.broadcast import HashedMap
+    instances' P31 fan-out reads that same ref). The packed
+    `yago_classes` set is put once, by build_shape_instances, and the
+    class-label family reads that ref: build_dist puts no HashedSet
+    (maxCount's per-build offender set is build's)."""
+    from yago4_ray.broadcast import HashedMap, HashedSet
 
-    assert build_calls["put_types"], "ray.put was never called"
-    maps = [t for t in build_calls["put_types"] if issubclass(t, HashedMap)]
-    assert not maps, f"{len(maps)} HashedMap put(s) from the driver"
+    puts = build_calls["puts"]
+    assert puts, "ray.put was never called"
+    maps = [c for t, c in puts if issubclass(t, HashedMap)]
+    assert not maps, f"HashedMap put(s) from the driver: {maps}"
+    sets = [c for t, c in puts if issubclass(t, HashedSet)]
+    assert sets.count("yago4_ray.state.build_shape_instances") == 1, sets
+    assert not [c for c in sets if c.startswith("yago4_ray.build_dist.")], sets
+
+
+def test_driver_collects_only_the_kinds_it_reads(statements_root):
+    """collect_input_reductions reads the enwiki, P279 and count rows of
+    the fused state scan; the item markers, URI candidates and best-rank
+    hashes stay off the driver (no table it `ray.get`s holds one)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
+    from yago4_ray import state as S
+    from yago4_ray.schema import Schema
+
+    got: list[pa.Table] = []
+    get = ray.get
+
+    def recording_get(refs, *args, **kwargs):
+        value = get(refs, *args, **kwargs)
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, pa.Table):
+                got.append(v)
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ray, "get", recording_get)
+        S.collect_input_reductions(statements_root, Schema.open(), S.Stats())
+    tables = [t for t in got if "kind" in t.column_names]
+    assert tables, "the driver no longer collects the routed rows"
+    unread = pa.array(
+        [S._K_MARKER, S._K_WIKI, S._K_LABEL, S._K_BESTRANK], pa.int8()
+    )
+    for t in tables:
+        assert not pc.any(pc.is_in(t["kind"], value_set=unread)).as_py()
 
 
 def test_write_path_stages_nothing(build_calls):

@@ -12,7 +12,7 @@ Ray Data pipelines over the predicate-partitioned statement store:
   above ~50M rdf:type rows — a co-partitioned join against the state
   Datasets), then one set of selections to outputs.
 - The statement-subject × statement-object join is one task-based
-  co-partitioned exchange keyed on statement id (`copartition_join`).
+  hash exchange keyed on statement id (`joins.exchange`).
 - maxCount drops the whole (shape, subject) group — never truncates
   (A2, plan.rs:1141-1158).
 
@@ -40,9 +40,10 @@ from . import build_dist as D
 from . import cleaners as C
 from . import terms as T
 from .joins import (
-    copartition_join,
     distinct_rows,
+    exchange,
     get_broadcast,
+    partitioned_group_apply,
     partitions_for_nbytes,
 )
 from .schema import PropertyShape, Schema
@@ -312,8 +313,6 @@ def _apply_max_count_exchange(
         limit = pdf["cfg"].map(limits)
         return pdf[sizes <= limit]
 
-    from .joins import partitioned_group_apply
-
     without_limit = joined.map_batches(
         lambda b: b[~b["cfg"].isin(limited_cfgs)], batch_format="pandas"
     )
@@ -374,8 +373,6 @@ def _apply_max_count(
         tot = pdf.groupby(["cfg", "subject"], as_index=False)["n"].sum()
         lim = tot["cfg"].map(limits)
         return tot.loc[tot["n"] > lim, ["cfg", "subject"]]
-
-    from .joins import partitioned_group_apply
 
     counts = joined.map_batches(partial_counts, batch_format="pandas")
     offenders = partitioned_group_apply(
@@ -483,16 +480,11 @@ def build_facts(
     # keyed on statement alone: every row of a statement shares a part,
     # so the best-rank semi-join (distributed) and the range-row dedup
     # inside D.facts_part are exact
-    joined = copartition_join(
-        subjects,
-        objects,
-        on="statement",
-        left_cols=D.SUBJ_COLS,
-        right_cols=D.OBJ_COLS,
-        num_parts=num_partitions,
+    joined = exchange(
+        [(subjects, D.SUBJ_COLS), (objects, D.OBJ_COLS),
+         *D.best_rank_sides(root, state)],
+        ["statement"], D.facts_part(range_ids), num_partitions,
         tag_batch_size=tag_bs,
-        extra_sides=D.best_rank_sides(root, state),
-        part_fn=D.facts_part(range_ids),
     )
 
     # materialize once: consumed by the facts file, the annotation join
@@ -612,14 +604,11 @@ def build_facts(
                 lambda b: b[["statement", "cfg", "subject", "object"]],
                 batch_format="pandas",
             )
-            ann_joined = copartition_join(
-                kept,
-                annotations,
-                on="statement",
-                left_cols=["statement", "cfg", "subject", "object"],
-                right_cols=D.ANN_COLS,
-                num_parts=num_partitions,
-                part_fn=D.annotation_part(ann_range_ids),
+            ann_joined = exchange(
+                [(kept, ["statement", "cfg", "subject", "object"]),
+                 (annotations, D.ANN_COLS)],
+                ["statement"], D.annotation_part(ann_range_ids),
+                num_partitions,
             )
 
         def to_annotated(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1126,7 +1115,7 @@ def generate_yago(
         facts, annotated = f_facts.result()
         scan = f_scan.result()
 
-        # the ANNOTATED pipeline holds its own copartition_join exchange
+        # the ANNOTATED pipeline holds its own statement-keyed exchange
         # + pq:/pqv: scan; nesting that sub-DAG inside the (already
         # all-to-all) main dedup serializes two shuffles in one job. It
         # shares nothing with the main dedup beyond the materialized

@@ -44,16 +44,18 @@ best-rank semi-join (distributed), the exact range-row dedup (an sh:or
 range admits an item once per class, and maxCount counts rows) and the
 (cfg, statement) join.
 
-All joins are `joins.copartition_join` — task-based co-partitioned
-merges, NOT Ray's actor-based `Dataset.join` (a DAG this join-dense
-would oversubscribe a session with CPU-reserving aggregator actors; see
-copartition_join's docstring for the measured stall). Every exchange is
-sized to the store's data volume (`partitions_for_nbytes`).
+Every join is one `joins.exchange`: task-based hash exchanges, NOT
+Ray's actor-based `Dataset.join` (a DAG this join-dense would
+oversubscribe a session with CPU-reserving aggregator actors; see
+exchange's docstring for the measured stall). Every exchange is sized
+to the store's data volume (`partitions_for_nbytes`).
 
-Partitioning note (north_rule): every join hash-partitions on the join
-key; statement ids and item IRIs are unique per row, so no hub-key skew
-is possible on these keys (the skew-prone subject-keyed aggregations
-stay in joins.partitioned_group_apply / salted paths).
+Partitioning note (north_rule): every join hash-partitions on its join
+key. A statement key carries a few rows, but the item join's keys are
+skew-prone: it keys the range family by object item (Q5, Q30 are the
+objects of millions of statements) and the subject family by subject,
+so every row of a hub item lands in one part. ROADMAP item 10 salts
+hot keys inside `exchange`.
 
 Mode selection lives in state.build_state(distributed=...); both paths
 produce identical outputs (tests/test_distributed.py gates set equality
@@ -75,7 +77,7 @@ from ray.data import Dataset, from_arrow_refs
 
 from . import cleaners as C
 from . import terms as T
-from .joins import _arrow_distinct, copartition_join, get_broadcast
+from .joins import _arrow_distinct, copartition_join, exchange, get_broadcast
 from .sources import scan_predicate
 
 ROUTED = ["family", "tag", "key", "value"]
@@ -374,7 +376,6 @@ def resolved(root: str, state, families, configs=None) -> Dataset:
 
 def _local_rows(root: str, state, families, cfg_ids) -> Dataset | None:
     """`families` resolved by a per-batch map over packed refs."""
-    from .broadcast import HashedSet
     from .build import CLEAN_FAMILY, prop_configs
 
     scanned = family_scan(root, state.schema, families, cfg_ids)
@@ -401,7 +402,7 @@ def _local_rows(root: str, state, families, cfg_ids) -> Dataset | None:
             for c in configs + ann_configs if c.complex_value
         }
     if "class" in families:
-        refs["classes"] = ray.put(HashedSet(state.yago_classes))
+        refs["classes"] = state.yago_classes_ref
     keyed = ITEM_FAMILIES | {"class"}
 
     def lookup(batch: pd.DataFrame) -> pa.Table:
@@ -547,15 +548,10 @@ def item_join(root: str, state) -> Dataset:
         ).select(RESOLVED)
 
     rows = [state.prewarmed["item_scan"].result(), *_same_as_state_rows(state)]
-    return copartition_join(
-        rows[0].union(*rows[1:]),
-        si_by_item(state),
-        "key",
-        ["family", "tag", "value"],
-        ["shape", "instance"],
-        num_parts=exchange_parts(root),
-        hash_keys=True,
-        part_fn=keep_admitted,
+    return exchange(
+        [(rows[0].union(*rows[1:]), ["family", "tag", "value"]),
+         (si_by_item(state), ["shape", "instance"])],
+        ["key"], keep_admitted, exchange_parts(root), hash_keys=True,
     )
 
 

@@ -9,16 +9,16 @@ end; the driver holds only a round counter and one 16-byte
 
 Algorithm: alternating large-star / small-star rounds (Kiveris,
 Lattanzi, Mirrokni, Rastogi, Vassilvitskii — "Connected Components in
-MapReduce and Beyond", SoCC'14). Each round is ONE hash-partitioned
-exchange (the same task-based groupby machinery as
-joins.partitioned_group_apply) with a vectorized pandas kernel over
-complete node groups; the alternation converges in O(log n) rounds to
-a star forest rooted at each component's MINIMUM node — exactly the
-min-label clusters the DuckDB recursive-CTE oracle computes.
+MapReduce and Beyond", SoCC'14). Each round is ONE `joins.exchange`
+keyed on node `a` (through `partitioned_group_apply`) with a vectorized
+pandas kernel over complete node groups; the alternation converges in
+O(log n) rounds to a star forest rooted at each component's MINIMUM
+node — exactly the min-label clusters the DuckDB recursive-CTE oracle
+computes.
 
-Edges are kept canonically oriented (a > b) between rounds; kernels
-emit Arrow with EXPLICIT types so empty partitions can't degrade the
-shuffle schema (same convention as joins.copartition_join).
+Edges are kept canonically oriented (a > b) between rounds; the
+per-batch prep and the kernels emit Arrow with EXPLICIT id types, so
+empty blocks and partitions can't degrade the shuffle schema.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
-from ..joins import _part_ids
+from ..joins import partitioned_group_apply
 
 
 def _empty(id_type: pa.DataType) -> pa.Table:
@@ -58,18 +58,14 @@ def _star_round(
     on `a`, then a vectorized per-PART kernel over complete groups."""
 
     def prep(t: pa.Table) -> pa.Table:
-        if t.schema.metadata:
-            t = t.replace_schema_metadata(None)
         if t.num_rows == 0:
-            t = _empty(id_type)
-        elif large:
+            return _empty(id_type)
+        if large:
             # symmetrize: every node sees its full neighbourhood
             a = pa.chunked_array([t["a"], t["b"]]).combine_chunks()
             b = pa.chunked_array([t["b"], t["a"]]).combine_chunks()
-            t = pa.table({"a": a, "b": b})
-        else:
-            t = t.select(["a", "b"])
-        return t.append_column("__part", _part_ids(t, ["a"], num_parts))
+            return pa.table({"a": a, "b": b})
+        return t.select(["a", "b"])
 
     def large_kernel(part: pd.DataFrame) -> pa.Table:
         # for each node u (column a): m = min(N(u) ∪ {u});
@@ -101,14 +97,9 @@ def _star_round(
         out = pd.concat([emit1, emit2], ignore_index=True).drop_duplicates()
         return _to_arrow(out, id_type)
 
-    kernel = large_kernel if large else small_kernel
-    return (
-        edges.map_batches(prep, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(
-            lambda p: kernel(p.drop(columns=["__part"])),
-            batch_format="pandas",
-        )
+    return partitioned_group_apply(
+        edges.map_batches(prep, batch_format="pyarrow"), ["a"],
+        large_kernel if large else small_kernel, num_parts=num_parts,
     )
 
 

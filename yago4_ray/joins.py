@@ -8,8 +8,13 @@ Two regimes, chosen explicitly per call site (SURVEY §2.4, ray_guide):
   cache, then used as a vectorized lookup per batch. No shuffle.
   At 100 TB these same call sites switch to the dataset path below
   (`BuildState.distributed`).
-- **Co-partitioned join**: both sides large → `copartition_join`, one
-  task-based hash exchange with an explicit partition count.
+- **Hash exchange**: `exchange` is the engine's one task-based
+  shuffle (the only groupby on `__part`): it tags each side's rows with
+  a part id, normalizes the block schema once and hands a part function
+  one table per side. Joins (`copartition_join` and the build's N-way
+  part functions), grouped applies (`partitioned_group_apply`), exact
+  dedups (`distinct_rows`), connected-component rounds and the
+  statement-store clustering all run on it.
 
 Exact dedup of triples hash-partitions on the *full* (s,p,o) key, so hub
 subjects (Q5-class entities) spread across partitions by construction —
@@ -17,6 +22,8 @@ no salting needed there. Group-bys keyed on subject alone (maxCount)
 shuffle per-batch partial counts, not rows (build._apply_max_count), so
 a hub subject is one row per batch; `salted_aggregate` spreads the hot
 keys of a decomposable aggregate that a `top_hot_keys` pre-pass finds.
+Join keys that range over object items (the build's item join) are
+skew-prone; ROADMAP item 10 salts them inside `exchange`.
 """
 
 from __future__ import annotations
@@ -102,115 +109,106 @@ def partitions_for_nbytes(
     return max(base, min(by_size, cap))
 
 
-def copartition_join(
-    left: Dataset,
-    right: Dataset,
-    on: str | tuple[str, ...],
-    left_cols: list[str],
-    right_cols: list[str],
-    how: str = "inner",
-    num_parts: int = 32,
+def exchange(
+    sides: Sequence[tuple[Dataset, list[str] | None]],
+    keys: list[str],
+    part_fn,
+    num_parts: int,
+    batch_format: str = "pyarrow",
     col_types: dict | None = None,
-    tag_batch_size: int | None = None,
     hash_keys: bool = False,
-    extra_sides: Sequence[tuple[Dataset, list[str]]] = (),
-    part_fn=None,
+    tag_batch_size: int | None = None,
+    part_ids=None,
 ) -> Dataset:
-    """Task-based co-partitioned equi-join: tag each side, hash-partition
-    the UNION on the join key, merge per part with vectorized pandas.
+    """The engine's one hash exchange: tag every row of every side with
+    its part id, ship the union through one groupby on `__part`, and
+    call `part_fn(tables, keys)` once per PART with one table per side.
+    Every row of a key lands in one part, so per-key work inside
+    `part_fn` (joins, semi-joins, exact dedups, group-wise filters) is
+    exact, at `num_parts` calls rather than one Python call per group
+    as `map_groups` would pay.
 
-    N-way form: `extra_sides` adds further (Dataset, cols) sides to the
-    SAME exchange, and `part_fn(tables, keys)` replaces the default
-    per-part 2-way acero join — it gets one Arrow table per side (left,
-    right, then `extra_sides` in order, each holding that side's
-    declared columns, plus the `__k1`/`__k2` digests under hash_keys)
-    and the column names to join on, and returns the part's output
-    table. Every row of a key lands in one part, so per-key work inside
-    `part_fn` (semi-joins, exact dedups) is exact.
+    Part ids are polars `hash_rows(seed=42)` of the `keys` columns mod
+    `num_parts` (deterministic across processes: part-file naming
+    rests on it); `part_ids(batch)` replaces them (the statement
+    store's predicate-crc-plus-subject-salt).
 
-    Why not `Dataset.join`: Ray's native hash join spawns one
-    CPU-reserving AGGREGATOR ACTOR per partition per call (~1 s startup
-    each). A DAG with a dozen semi-joins — exactly what the distributed
-    state path is — oversubscribes a session's CPUs with idle actors and
-    stalls (measured: 28 aggregators deadlocked a 4-CPU session). This
-    join is pure tasks on the same groupby shuffle machinery as
-    partitioned_group_apply: one exchange, no actors, composes freely.
-
-    `left_cols`/`right_cols` are each side's full column lists (schemas
-    are known statically at every call site; asking the Dataset would
-    trigger execution). Under the default join, non-key columns must be
-    disjoint across the two sides.
-
-    The exchange ships ARROW blocks (same treatment as
-    partitioned_group_apply): the key hash is computed on the key
-    columns only, pandas schema metadata is stripped so Ray's shuffle
-    schema-dedup hashing works (the pandas object-frame version both
-    pickled every string and leaked one schema dict per block — the
-    `unhashable type: 'dict'` misses in BENCH_r02's tail), and missing
-    columns are padded with nulls TYPED via `col_types` (default
-    string) so every block of the union carries the IDENTICAL schema —
-    per-side schema variants defeat the shuffle's schema dedup and
-    trip Ray's union mismatch warning. Callers only need `col_types`
-    entries for non-string columns (e.g. int64 money, binary shingle
-    payloads).
-
-    `tag_batch_size` bundles adjacent upstream blocks per tag task
-    (PERF_NOTES #33 generalized): the sort shuffle behind the groupby
-    sizes BOTH its exchange width and its reduce count to the INPUT
-    block count, and the upstream read floor scales with session CPUs
-    — so without bundling, a 32-CPU session pays a 64×64 exchange
-    where an 8-CPU one pays 16×16 on the SAME data (measured on the
-    facts join: the whole phase is latency-bound, ~27 s of CPU inside
-    a 7–15 s wall). Callers that know their side volume should pass
-    rows-per-~32MB so exchange width tracks data volume, not session
-    width.
+    A side is `(Dataset, cols)`. A DECLARED side (`cols` a list) ships
+    only those columns: null or large_string columns are cast to their
+    `col_types` entry (default string), and on a multi-side union the
+    columns other sides declare travel as typed nulls, so every block
+    carries one schema (per-side variants defeat the shuffle's schema
+    dedup and trip Ray's union warning). Its part table is Arrow and
+    holds `cols`. An UNDECLARED side (`cols` None, one-side exchanges
+    only) ships its batches as they are, and its part table
+    (`batch_format`, Arrow or pandas) keeps `__part`. Pandas
+    schema metadata (a dict) is stripped everywhere: it defeats the
+    shuffle's schema-dedup hashing, which then keeps one schema copy
+    per block. The exchange itself always ships Arrow: a sort shuffle
+    over pandas object frames pickles every string (measured 2× ingest
+    time at 22 M rows).
 
     `hash_keys=True` ships a 128-bit key digest (two independently
-    seeded polars `hash_rows` uint64 columns) through the exchange
-    INSTEAD of the key strings, and joins on the digest: a side whose
-    payload doesn't need the key columns downstream stops shipping
-    them at all (e.g. the facts join's object side stops carrying the
-    ~65-byte cfg+statement strings per row; the volume-bound exchange
-    is the measured scaling limiter — PERF_NOTES #38). The key columns
-    appear in the output only if a side lists them in its `*_cols`.
-    Collision bound: a wrong match needs two DIFFERENT keys with equal
-    128-bit digests; at n distinct keys the expected count is
-    n²/2^129 ≈ 3·10⁻¹⁵ even at n = 10¹² — the same content-address
-    discipline as git. Both digests were verified decorrelated on the
-    statement-id shape (2 M keys → 2 M distinct pairs, zero h1==h2)."""
-    keys = [on] if isinstance(on, str) else list(on)
-    sides = [(left, left_cols), (right, right_cols), *extra_sides]
-    if hash_keys and part_fn is None:
-        # under hash_keys the former key columns are plain payload; a
-        # column on BOTH sides would collide in the per-part acero join
-        shared = set(left_cols) & set(right_cols)
-        if shared:
-            raise ValueError(f"hash_keys: columns on both sides: {sorted(shared)}")
-    all_cols = list(dict.fromkeys(c for _, cols in sides for c in cols))
-    types = col_types or {}
+    seeded polars `hash_rows` uint64 columns, `__k1`/`__k2`) instead
+    of the key strings, and `part_fn` gets the digests as its keys: a
+    side whose payload doesn't need the key columns stops shipping them
+    (the volume-bound exchange is the measured scaling limiter —
+    PERF_NOTES #38). Keys must then be non-null (equal digests would
+    join null keys). Collision bound: at n distinct keys the expected
+    count of equal digest pairs is n²/2^129 ≈ 3·10⁻¹⁵ even at n = 10¹²;
+    both digests were verified decorrelated on the statement-id shape
+    (2 M keys → 2 M distinct pairs, zero h1==h2).
 
-    def tag(side: int, cols: list[str]):
-        # ship ONLY this side's declared columns: anything else in
-        # all_cols is null-filled even when the batch happens to carry
-        # it — under hash_keys a semi-join side whose key column is in
-        # the OTHER side's cols must not re-ship the key strings it
-        # claims to have dropped (the digest replaces them); join_part
-        # selects per-side columns anyway, so real values there would be
-        # pure exchange bytes
-        ship = set(cols)
+    `tag_batch_size` bundles adjacent upstream blocks per tag task
+    (PERF_NOTES #33): the sort shuffle behind the groupby sizes both
+    its exchange width and its reduce count to the INPUT block count,
+    and the read floor scales with session CPUs, so without bundling a
+    32-CPU session pays a 64×64 exchange where an 8-CPU one pays 16×16
+    on the same data. Callers that know their side volume pass
+    rows-per-~32MB.
+
+    Why not `Dataset.join`: Ray's native hash join spawns one
+    CPU-reserving aggregator actor per partition per call (~1 s startup
+    each); a DAG with a dozen joins oversubscribes a session with idle
+    actors and stalls (measured: 28 aggregators deadlocked a 4-CPU
+    session). This exchange is pure tasks and composes freely."""
+    # the per-part closures see column lists only, never the Datasets
+    side_cols = [cols for _, cols in sides]
+    multi = len(side_cols) > 1
+    declared = list(dict.fromkeys(c for cols in side_cols for c in cols or ()))
+    types = col_types or {}
+    join_keys = ["__k1", "__k2"] if hash_keys else keys
+
+    def tag(side: int, cols: list[str] | None):
+        # a declared side ships ONLY its own columns: under hash_keys a
+        # side whose key column another side declares must not re-ship
+        # the key strings the digest replaces
+        ship = set(cols or ())
+
+        def column(batch: pa.Table, c: str):
+            want = types.get(c, pa.string())
+            if c not in ship or c not in batch.column_names:
+                return pa.nulls(batch.num_rows, want)
+            col = batch.column(c)
+            # empty upstream blocks surface object columns as null type;
+            # concat artifacts (the remote URI merge) as large_string
+            if col.type != want and (
+                c in types or pa.types.is_null(col.type)
+                or pa.types.is_large_string(col.type)
+            ):
+                col = col.cast(want)
+            return col
 
         def fn(batch: pa.Table) -> pa.Table:
             if batch.schema.metadata:
                 batch = batch.replace_schema_metadata(None)
             n = batch.num_rows
+            digests = {}
             if hash_keys:
                 import polars as pl
 
-                # NOTE null keys: the plain path's acero join never
-                # matches nulls (SQL semantics, documented in join_part);
-                # hash_rows would give all-null rows EQUAL digests on
-                # both sides and silently join them — enforce the
-                # invariant instead of changing semantics by mode
+                # the plain acero join never matches null keys (SQL
+                # semantics); hash_rows would give them equal digests
                 for kc in keys:
                     if batch.column(kc).null_count:
                         raise ValueError(
@@ -219,44 +217,48 @@ def copartition_join(
                         )
                 kt = pl.from_arrow(batch.select(keys))
                 h1 = kt.hash_rows(seed=42).to_numpy()
-                h2 = kt.hash_rows(seed=0x517CC1B7).to_numpy()
-                part = pa.array(
-                    (h1 % np.uint64(num_parts)).astype("int64"), pa.int64()
+                digests["__k1"] = pa.array(h1, pa.uint64())
+                digests["__k2"] = pa.array(
+                    kt.hash_rows(seed=0x517CC1B7).to_numpy(), pa.uint64()
                 )
+                part = pa.array((h1 % np.uint64(num_parts)).astype("int64"))
+            elif part_ids is not None:
+                part = part_ids(batch)
             else:
                 part = _part_ids(batch, keys, num_parts)
-            arrays: list[pa.ChunkedArray | pa.Array] = []
-            for c in all_cols:
-                if c in ship and c in batch.column_names:
-                    col = batch.column(c)
-                    # empty upstream blocks surface object columns as
-                    # null type — cast to the declared type so empty
-                    # and non-empty blocks share one schema; large_string
-                    # (concat artifacts, e.g. the remote URI merge) is
-                    # normalized to string for the same reason (a
-                    # per-side schema variant defeats the shuffle's
-                    # schema dedup and trips Ray's union warning)
-                    want = types.get(c)
-                    if want is None and (
-                        pa.types.is_null(col.type)
-                        or pa.types.is_large_string(col.type)
-                    ):
-                        want = pa.string()
-                    if want is not None and col.type != want:
-                        col = col.cast(want)
-                    arrays.append(col)
-                else:
-                    arrays.append(pa.nulls(n, types.get(c, pa.string())))
-            names = list(all_cols)
-            if hash_keys:
-                arrays.append(pa.array(h1, pa.uint64()))
-                arrays.append(pa.array(h2, pa.uint64()))
-                names += ["__k1", "__k2"]
-            arrays.append(part)
-            arrays.append(pa.array(np.full(n, side, dtype="int8")))
-            return pa.table(dict(zip(names + ["__part", "__side"], arrays)))
+            if cols is not None:
+                batch = pa.table({c: column(batch, c) for c in declared})
+            for name, arr in digests.items():
+                batch = batch.append_column(name, arr)
+            batch = batch.append_column("__part", part)
+            if multi:
+                batch = batch.append_column(
+                    "__side", pa.array(np.full(n, side, dtype="int8"))
+                )
+            return batch
 
         return fn
+
+    def side_table(t, i: int, cols: list[str] | None):
+        if cols is None:
+            return t
+        if multi:
+            t = t.filter(pc.equal(t.column("__side"), i))
+        return t.select(cols + join_keys if hash_keys else cols)
+
+    def reduce(t):
+        out = part_fn(
+            [side_table(t, i, cols) for i, cols in enumerate(side_cols)],
+            join_keys,
+        )
+        if isinstance(out, pa.Table):
+            if hash_keys:
+                out = out.drop_columns(
+                    [c for c in join_keys if c in out.column_names]
+                )
+            if out.schema.metadata:
+                out = out.replace_schema_metadata(None)
+        return out
 
     tagged = [
         ds.map_batches(
@@ -264,63 +266,50 @@ def copartition_join(
         )
         for i, (ds, cols) in enumerate(sides)
     ]
+    # Ray's planner rejects a union() with nothing to union
+    union = tagged[0].union(*tagged[1:]) if multi else tagged[0]
+    return union.groupby("__part").map_groups(reduce, batch_format=batch_format)
 
-    # acero join_type names for the pandas-style `how` values
-    _ACERO_HOW = {
-        "inner": "inner",
-        "left": "left outer",
-        "right": "right outer",
-        "outer": "full outer",
-    }
+
+def copartition_join(
+    left: Dataset,
+    right: Dataset,
+    on: str | tuple[str, ...],
+    left_cols: list[str],
+    right_cols: list[str],
+    num_parts: int = 32,
+    col_types: dict | None = None,
+    hash_keys: bool = False,
+) -> Dataset:
+    """Inner equi-join of two Datasets over one `exchange`, joined per
+    part by acero's C++ hash join. `left_cols`/`right_cols` are each
+    side's full column lists (known statically at every call site;
+    asking the Dataset would trigger execution); non-key columns must
+    be disjoint across the two sides. Under `hash_keys` the key columns
+    reach the output only if a side lists them.
+
+    acero, like SQL, never matches null join keys; no call site produces
+    them. Row order within a part is not guaranteed; every consumer is
+    set-semantic (dedup exchanges, sinks that sort within part,
+    aggregations). `use_threads=False`: each part runs in a 1-CPU Ray
+    task, and acero's process-wide pool would oversubscribe the node."""
+    keys = [on] if isinstance(on, str) else list(on)
+    if hash_keys:
+        # the former key columns are plain payload; a column on BOTH
+        # sides would collide in the per-part join
+        shared = set(left_cols) & set(right_cols)
+        if shared:
+            raise ValueError(f"hash_keys: columns on both sides: {sorted(shared)}")
 
     def join2(tables: list[pa.Table], join_keys: list[str]) -> pa.Table:
-        # acero's C++ hash join: the previous pandas merge materialized
-        # every string of both sides as PyObjects per part — the single
-        # hottest CPU cost of the facts join at narrow sessions. Row
-        # order within a part is not guaranteed by acero; every
-        # consumer is set-semantic (dedup shuffles, sinks that sort
-        # within part, aggregations).
-        # NOTE on null keys: acero (like SQL) never matches null join
-        # keys; the pandas merge this replaced matched NaN==NaN. No call
-        # site produces null keys (statement ids / custkeys / pair ids),
-        # and null-key equality was never intended semantics.
-        # use_threads=False: each part runs in a 1-CPU Ray task —
-        # acero's default process-wide pool would oversubscribe the node
-        # under ~32 concurrent parts (same convention as the dedup
-        # group_by kernel below).
         lhs, rhs = tables
-        return lhs.join(
-            rhs, keys=join_keys, join_type=_ACERO_HOW[how], use_threads=False
-        )
+        return lhs.join(rhs, keys=join_keys, join_type="inner", use_threads=False)
 
-    merge = part_fn or join2
-    join_keys = ["__k1", "__k2"] if hash_keys else keys
-
-    def join_part(t: pa.Table) -> pa.Table:
-        side = t.column("__side")
-        tables = [
-            t.filter(pc.equal(side, i)).select(
-                cols + join_keys if hash_keys else cols
-            )
-            for i, (_, cols) in enumerate(sides)
-        ]
-        out = merge(tables, join_keys)
-        if hash_keys:
-            out = out.drop_columns(
-                [c for c in ("__k1", "__k2") if c in out.column_names]
-            )
-        return (
-            out.replace_schema_metadata(None) if out.schema.metadata else out
-        )
-
-    return tagged[0].union(*tagged[1:]).groupby("__part").map_groups(
-        join_part, batch_format="pyarrow"
+    return exchange(
+        [(left, left_cols), (right, right_cols)], keys, join2, num_parts,
+        col_types=col_types, hash_keys=hash_keys,
     )
 
-
-# ---------------------------------------------------------------------------
-# Dedup / grouped filters
-# ---------------------------------------------------------------------------
 
 def _part_ids(batch: pa.Table, key_columns: list[str], num_parts: int) -> pa.Array:
     """Deterministic row→partition ids from the key columns.
@@ -351,49 +340,23 @@ def partitioned_group_apply(
     key_columns: list[str],
     fn,
     num_parts: int = 32,
-    combine=None,
     keep_part_column: bool = False,
 ) -> Dataset:
-    """Grouped computation WITHOUT per-group Python overhead:
-    hash-partition rows into `num_parts` coarse parts (every row of a
-    key lands in one part), then call `fn` once per PART with a pandas
-    DataFrame containing complete groups — `fn` does its own vectorized
-    `pdf.groupby(...)`. Ray's `map_groups` calls the UDF once per group,
-    which collapses at high key cardinality (~ms of overhead × millions
-    of groups); this keeps it to `num_parts` calls.
+    """Grouped computation WITHOUT per-group Python overhead: one
+    `exchange` on `key_columns`, then `fn` once per PART with a pandas
+    DataFrame of complete groups — `fn` does its own vectorized
+    `pdf.groupby(...)`. The part key hashes ALL key columns, so a
+    skewed single column only skews if one exact key dominates — for
+    that case raise num_parts or pre-salt (`salted_aggregate`). A
+    combiner (per-batch pre-reduction) is a `map_batches` on `ds`,
+    which Ray fuses into the tag task."""
 
-    The part key hashes ALL key columns, so a skewed single column only
-    skews if one exact key dominates — for that case raise num_parts or
-    pre-salt (SURVEY §4 skew notes). `combine`, if given, runs per batch
-    before the shuffle (combiner-style pre-reduction).
+    def apply_part(tables: list[pd.DataFrame], _keys) -> pd.DataFrame:
+        (part,) = tables
+        return fn(part if keep_part_column else part.drop(columns=["__part"]))
 
-    The exchange itself ships ARROW blocks: `add_part` emits pyarrow
-    (pandas `fn`/`combine` run per batch / per part only), because
-    Ray's sort shuffle over pandas object frames pickles every Python
-    string — measured 2× ingest time at 22M rows."""
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        if combine is not None:
-            batch = pa.Table.from_pandas(
-                combine(batch.to_pandas()), preserve_index=False
-            )
-        # drop pandas schema metadata (a dict): it defeats Ray's shuffle
-        # schema-dedup hashing, which then keeps one schema copy per block
-        if batch.schema.metadata:
-            batch = batch.replace_schema_metadata(None)
-        return batch.append_column(
-            "__part", _part_ids(batch, key_columns, num_parts)
-        )
-
-    def apply_part(part: pd.DataFrame) -> pd.DataFrame:
-        if keep_part_column:
-            return fn(part)
-        return fn(part.drop(columns=["__part"]))
-
-    return (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(apply_part, batch_format="pandas")
+    return exchange(
+        [(ds, None)], key_columns, apply_part, num_parts, batch_format="pandas"
     )
 
 
@@ -404,17 +367,15 @@ def distinct_rows(
     keep_part_column: bool = False,
 ) -> Dataset:
     """Exact distinct on `columns` (G6; SURVEY §2.7): per-batch
-    combiner pre-dedup, then one partitioned dedup. Keyed on ALL
-    columns, so hub values in one column can't skew partitions.
-    `keep_part_column` exposes the deterministic partition id (`__part`)
-    to downstream sinks for stable part-file naming.
+    combiner pre-dedup, then one `exchange` keyed on ALL columns, so
+    hub values in one column can't skew partitions. `keep_part_column`
+    exposes the deterministic partition id (`__part`) to downstream
+    sinks for stable part-file naming.
 
-    Arrow end to end: when `columns` covers every payload column (all
-    the hot callers — the combined output dedup, facts/annotated
-    triple dedup), both the combiner and the per-part dedup run
-    Arrow's hash group-by and no pandas object frame is ever built;
-    otherwise the per-part step falls back to drop_duplicates to keep
-    the non-key columns."""
+    Arrow end to end when `columns` covers every payload column (all
+    the hot callers — the output dedups): both the combiner and the
+    per-part dedup run Arrow's hash group-by. Otherwise both fall back
+    to drop_duplicates to keep the non-key columns."""
 
     def pre(batch: pa.Table) -> pa.Table:
         if batch.schema.metadata:
@@ -427,17 +388,13 @@ def distinct_rows(
                     i, c, batch.column(i).cast(pa.string())
                 )
         if all(c in columns for c in batch.column_names):
-            batch = _arrow_distinct(batch, columns)
-        else:
-            batch = pa.Table.from_pandas(
-                batch.to_pandas().drop_duplicates(columns),
-                preserve_index=False,
-            ).replace_schema_metadata(None)
-        return batch.append_column(
-            "__part", _part_ids(batch, columns, num_parts)
-        )
+            return _arrow_distinct(batch, columns)
+        return pa.Table.from_pandas(
+            batch.to_pandas().drop_duplicates(columns), preserve_index=False
+        ).replace_schema_metadata(None)
 
-    def per_part(t: pa.Table) -> pa.Table:
+    def per_part(tables: list[pa.Table], _keys) -> pa.Table:
+        (t,) = tables
         if all(c in columns or c == "__part" for c in t.column_names):
             # __part is a pure function of the key columns, so keying
             # on it too changes nothing and keeps it in the output
@@ -446,15 +403,14 @@ def distinct_rows(
             out = pa.Table.from_pandas(
                 t.to_pandas().drop_duplicates(columns),
                 preserve_index=False,
-            ).replace_schema_metadata(None)
+            )
         if not keep_part_column:
             out = out.drop_columns(["__part"])
         return out
 
-    return (
-        ds.map_batches(pre, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pyarrow")
+    return exchange(
+        [(ds.map_batches(pre, batch_format="pyarrow"), None)],
+        columns, per_part, num_parts,
     )
 
 

@@ -275,12 +275,14 @@ def q4_top_parts_by_quantity(sf_dir: str):
     # high-cardinality key → partitioned pandas agg (native .aggregate()
     # pays per-group Python overhead), with a per-batch combiner
     agg = partitioned_group_apply(
-        ds.map_batches(prep, batch_format="pyarrow"),
+        ds.map_batches(prep, batch_format="pyarrow").map_batches(
+            lambda pdf: pdf.groupby("l_partkey", as_index=False).agg(
+                qty=("qty", "sum")
+            ),
+            batch_format="pandas",
+        ),
         ["l_partkey"],
         agg_part,
-        combine=lambda pdf: pdf.groupby("l_partkey", as_index=False).agg(
-            qty=("qty", "sum")
-        ),
     )
     top = agg.sort(["sum_qty", "l_partkey"], descending=[True, False]).limit(10)
     return top
@@ -372,10 +374,11 @@ def q7_hourly_user_activity(sf_dir: str):
         )
 
     return partitioned_group_apply(
-        ds.map_batches(prep, batch_format="pandas"),
+        ds.map_batches(prep, batch_format="pandas").map_batches(
+            partial, batch_format="pandas"
+        ),
         ["user_id", "epoch_hour"],
         reduce_part,
-        combine=partial,
     )
 
 

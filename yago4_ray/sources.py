@@ -96,22 +96,18 @@ def write_statement_store(
 
     import pandas as pd
 
-    def add_key(batch: pa.Table) -> pa.Table:
-        # per-DISTINCT-predicate key/part computation via dictionary
-        # encoding (a batch holds FEW distinct predicates; the previous
-        # to_pylist form materialized one PyObject per ROW — 44 M
-        # conversions per ingest) + per-row subject-hash salt; blocks
-        # stay Arrow so the part shuffle ships zero-copy buffers, not
-        # pickled pandas frames
+    from .joins import exchange
+
+    def part_ids(batch: pa.Table) -> pa.Array:
+        # per-DISTINCT-predicate crc via ONE dictionary encoding (a
+        # batch holds FEW distinct predicates) + per-row subject-hash salt
         enc = pc.dictionary_encode(batch["predicate"].combine_chunks())
-        uniq = enc.dictionary.to_pylist()
-        key_by_code = [predicate_key(p) for p in uniq]
         crc_by_code = np.array(
-            [zlib.crc32(k.encode()) for k in key_by_code], dtype=np.uint64
+            [zlib.crc32(predicate_key(p).encode())
+             for p in enc.dictionary.to_pylist()],
+            dtype=np.uint64,
         )
-        codes = enc.indices.to_numpy().astype(np.int64, copy=False)
-        keys = pc.take(pa.array(key_by_code, pa.string()), enc.indices)
-        base = crc_by_code[codes]
+        base = crc_by_code[enc.indices.to_numpy().astype(np.int64, copy=False)]
         if subject_salt > 1:
             # deterministic siphash (fixed pandas key) — stable across runs
             salt = (
@@ -121,36 +117,34 @@ def write_statement_store(
                 % subject_salt
             )
             base = base * np.uint64(subject_salt) + salt
-        parts = pa.array((base % num_parts).astype(np.int64), pa.int64())
-        return batch.append_column("pred_key", keys).append_column(
-            "__part", parts
-        )
+        return pa.array((base % num_parts).astype(np.int64), pa.int64())
 
-    def sort_part(t: pa.Table) -> pa.Table:
+    def sort_part(tables: list[pa.Table], _keys) -> pa.Table:
+        (t,) = tables
         t = t.sort_by(
             [("predicate", "ascending"), ("subject", "ascending"),
              ("object", "ascending")]
         ).drop_columns(["__part"])
         n = t.num_rows
-        if not dedup or n <= 1:
-            return t
-        # consecutive-duplicate mask over the sorted full key
-        keep = None
-        for col in ("predicate", "subject", "object"):
-            a = t[col].combine_chunks()
-            neq = pc.not_equal(a.slice(1), a.slice(0, n - 1))
-            keep = neq if keep is None else pc.or_(keep, neq)
-        mask = pa.concat_arrays(
-            [pa.array([True]), keep.combine_chunks()
-             if isinstance(keep, pa.ChunkedArray) else keep]
+        if dedup and n > 1:
+            # consecutive-duplicate mask over the sorted full key
+            keep = None
+            for col in ("predicate", "subject", "object"):
+                a = t[col].combine_chunks()
+                neq = pc.not_equal(a.slice(1), a.slice(0, n - 1))
+                keep = neq if keep is None else pc.or_(keep, neq)
+            t = t.filter(pa.concat_arrays([pa.array([True]), keep]))
+        # the hive key per predicate RUN of the sorted part: no second
+        # encoding, and the key strings never ride the exchange
+        runs = pc.run_end_encode(t["predicate"].combine_chunks())
+        keys = pa.array(
+            [predicate_key(p) for p in runs.values.to_pylist()], pa.string()
         )
-        return t.filter(mask)
+        return t.append_column("pred_key", pc.run_end_decode(
+            pa.RunEndEncodedArray.from_arrays(runs.run_ends.to_numpy(), keys)
+        ))
 
-    clustered = (
-        ds.map_batches(add_key, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(sort_part, batch_format="pyarrow")
-    )
+    clustered = exchange([(ds, None)], [], sort_part, num_parts, part_ids=part_ids)
     # zstd: the store is written once and scanned by every downstream
     # stage; ~half the on-disk bytes vs snappy for a decode cost that
     # parallelizes across scan tasks (this host's disk is ~100 MB/s,
@@ -227,7 +221,7 @@ def read_blocks_for_nbytes(
     nbytes: int, target_mb: int = 64, cap: int = 2048, min_mb: int = 4
 ) -> int:
     """Read block count for a many-small-file parquet read that FEEDS A
-    SHUFFLE. Ray's sort shuffle (behind every groupby here) creates one
+    SHUFFLE. Ray's sort shuffle (behind `joins.exchange`) creates one
     map-output object per (input block × output partition); a read that
     keeps one block per file over hundreds of staged files makes that
     exchange quadratic in file count (measured: the 44 M-row combined

@@ -66,7 +66,7 @@ except ImportError:
 from . import graph as G
 from . import terms as T
 from .broadcast import _hash_series
-from .joins import get_broadcast
+from .joins import _arrow_distinct, get_broadcast, partitioned_group_apply
 from .schema import Schema
 from .sources import scan_predicate
 
@@ -131,6 +131,9 @@ class BuildState:
     # membership (64-bit hashes; instance strings never transit the
     # driver, see build_shape_instances)
     shape_instances: "ray.ObjectRef"
+    # ref of the one packed HashedSet of `yago_classes` (the P31
+    # fan-out's and the class-label family's lookups)
+    yago_classes_ref: "ray.ObjectRef"
     # distributed=True → the family plan's lookups join against
     # `datasets` (build_dist) instead of the packed broadcasts above;
     # chosen by build_state from state size or its `distributed=`
@@ -471,6 +474,19 @@ def _pack_best_rank(*blocks):
         return None, False
 
 
+@ray.remote(num_cpus=1)
+def _driver_rows(*blocks):
+    """The fused-scan rows the driver reads (enwiki pairs, P279 edges,
+    P31 count partials), filtered OFF the driver: the item markers, URI
+    candidates and best-rank hashes — most of the scan's bytes — stay
+    with the remote merge and pack."""
+    import pyarrow.compute as pc
+
+    tbl = pa.concat_tables(blocks, promote_options="permissive")
+    kinds = pa.array([_K_ENWIKI, _K_P279, _K_COUNT], pa.int8())
+    return tbl.filter(pc.is_in(tbl.column("kind"), value_set=kinds))
+
+
 @ray.remote(num_returns=2)
 def _assemble_uri(*shard_tbls):
     """Concat the hash-range merge shards (globally h-sorted by
@@ -538,7 +554,8 @@ def collect_input_reductions(
     """Every driver-scale input reduction in ONE store scan: URI-mapping
     candidates (markers + wiki + label), enwiki sitelink pairs, P279
     edges and per-class P31 instance counts, routed by predicate inside
-    one map_batches and split by a `kind` column on the driver.
+    one map_batches and split by a `kind` column (the driver gets only
+    the enwiki, P279 and count kinds, see `_driver_rows`).
 
     Replaces four CONCURRENT Ray jobs (enwiki map, URI mapping, P279
     edges, instance counts) that contended for the same CPUs — the URI
@@ -694,6 +711,8 @@ def collect_input_reductions(
         route, batch_format="pyarrow"
     )
     block_refs = rows.materialize().to_arrow_refs()
+    # submitted first: the driver's reductions wait on it, not the merge
+    driver_rows_ref = _driver_rows.remote(*block_refs)
 
     # URI candidate prep the remote merge can't derive from the blocks
     # (driver-side, tiny)
@@ -744,7 +763,7 @@ def collect_input_reductions(
             num_returns=2
         ).remote(*block_refs)
 
-    tbl = pa.concat_tables(ray.get(block_refs), promote_options="permissive")
+    tbl = ray.get(driver_rows_ref)
     kind_col = tbl.column("kind")
 
     def part(k: int) -> pa.Table:
@@ -997,13 +1016,13 @@ def build_shape_instances(
     yago_super_class_of: dict[str, list[str]],
     yago_classes: set[str],
     uri_ref: "ray.ObjectRef",
-) -> tuple["ray.ObjectRef", Dataset]:
+) -> tuple["ray.ObjectRef", Dataset, "ray.ObjectRef"]:
     """plan.rs:641-731 as: P31 scan → class-map flat join (broadcast the
     class mapping: class-graph scale; the URI map is `uri_ref`, the
     packed map build_state already holds) → shape fan-out → ONE
-    groupby(instance) doing dedup + disjoint-instance removal. Returns
-    (ref of the packed per-shape HashedSets, the resolved (shape,
-    instance) Dataset)."""
+    exchange on instance doing dedup + disjoint-instance removal.
+    Returns (ref of the packed per-shape HashedSets, the resolved
+    (shape, instance) Dataset, ref of the packed `yago_classes`)."""
     # yago class → shapes whose closure contains it (driver, tiny)
     shape_targets = [s.target_class for s in schema.node_shapes()]
     class_to_shapes: dict[str, list[str]] = defaultdict(list)
@@ -1064,7 +1083,9 @@ def build_shape_instances(
                     "instance": pa.array([], pa.string()),
                 }
             )
-        return pa.table(
+        # combiner: a batch's repeated (shape, instance) pairs never
+        # reach the exchange
+        return _arrow_distinct(pa.table(
             {
                 "shape": pa.array(
                     np.concatenate(shs), pa.string(), from_pandas=True
@@ -1073,7 +1094,7 @@ def build_shape_instances(
                     np.concatenate(insts), pa.string(), from_pandas=True
                 ),
             }
-        )
+        ), ["shape", "instance"])
 
     fanned = p31.map_batches(fan_out, batch_format="pandas")
 
@@ -1094,13 +1115,8 @@ def build_shape_instances(
             pdf = pdf[~pdf["instance"].isin(bad)]
         return pdf
 
-    from .joins import partitioned_group_apply
-
     resolved = partitioned_group_apply(
-        fanned,
-        ["instance"],
-        resolve_part,
-        combine=lambda pdf: pdf.drop_duplicates(["shape", "instance"]),
+        fanned, ["instance"], resolve_part
     ).materialize()  # consumed by simple-types + every distributed join
 
     # pack the HashedSets in a REMOTE task over the materialized blocks
@@ -1114,7 +1130,7 @@ def build_shape_instances(
         shape_targets, *resolved.to_arrow_refs()
     )
     stats.set_lazy("Instances of a shape", lambda: ray.get(counts_ref))
-    return packs_ref, resolved
+    return packs_ref, resolved, refs["yago_classes"]
 
 
 # ---------------------------------------------------------------------------
@@ -1223,7 +1239,7 @@ def build_state(
             all_sub_class_of=p279_edges, instance_counts=instance_counts,
         )
     )
-    shape_instances, inst_ds = build_shape_instances(
+    shape_instances, inst_ds, yago_classes_ref = build_shape_instances(
         statements_root,
         schema,
         stats,
@@ -1241,6 +1257,7 @@ def build_state(
         wd_to_yago_class_mapping=wd_to_yago_class_mapping,
         yago_super_class_of=yago_super_class_of,
         shape_instances=shape_instances,
+        yago_classes_ref=yago_classes_ref,
         distributed=bool(distributed),
         datasets={
             "uri_mapping": uri_ds,
