@@ -113,7 +113,7 @@ def test_raw_dictionary_duplicate_surface_first_wins():
     got = ex._link(pa.array(["london", "paris", "absent"])).to_pylist()
     assert got == ["Q84", "Q90", None]
     # the hash path (not the dict fallback) must serve the lookup
-    assert ex._map._fallback is None
+    assert ex._index._exact is None
 
 
 def test_vectorized_kernel_parity(corpus_dir):

@@ -2,6 +2,7 @@
 
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -99,23 +100,135 @@ def test_shingles_stable(text):
     assert s1 == s2 and len(s1) > 0
 
 
-@settings(max_examples=30)
-@given(
-    st.lists(
-        st.text(min_size=1, max_size=40), min_size=1, max_size=200, unique=True
-    )
+# every HashIndex construction: keys kept or not, hashes given or
+# computed, presorted or not
+_CONSTRUCTIONS = [
+    dict(keep_keys=keep, prehashed=pre, presorted=srt)
+    for keep in (True, False)
+    for pre in (True, False)
+    for srt in (True, False)
+]
+_index_keys = st.lists(
+    st.one_of(st.text(max_size=12), st.sampled_from(["", "\x00", "a", "a\x00"])),
+    max_size=40,
 )
-def test_prehashed_set_matches_string_set(keys):
-    """HashedSet.from_prehashed (hashes computed task-side) must answer
-    membership identically to the string-built HashedSet."""
+
+
+def _build_index(keys, cols, keep_keys, prehashed, presorted, container):
+    """(HashIndex, the keys and value columns in the order it got them)."""
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+
+    from yago4_ray.broadcast import HashIndex, _hash_series
+
+    h = _hash_series(keys)
+    if presorted:
+        order = np.argsort(h, kind="stable")
+        keys = [keys[i] for i in order]
+        cols = [[col[i] for i in order] for col in cols]
+        h = h[order]
+    arg = {
+        "list": keys,
+        "series": pd.Series(keys, index=np.arange(len(keys)) + 3, dtype=object),
+        "arrow": pa.array(keys, pa.string()),
+    }[container]
+    index = HashIndex(
+        arg,
+        *[pa.array(col, pa.large_string()) for col in cols],
+        hashes=pa.array(h, pa.uint64()) if prehashed else None,
+        presorted=presorted,
+        keep_keys=keep_keys,
+    )
+    return index, keys, cols
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    keys=_index_keys,
+    probes=st.lists(st.text(max_size=12), max_size=10),
+    container=st.sampled_from(["list", "series", "arrow"]),
+)
+# '' and '\x00' collapse under pandas' categorizing hash; '' is also a
+# duplicate key. 'a' holds the largest stored hash and '\x00\x00' and
+# 'k' hash above every key (the searchsorted clamp); 'd' falls between.
+@example(keys=["", "\x00", "", "a"], probes=["\x00\x00", "k", "d"],
+         container="list")
+# 'k' holds the largest stored hash: its probe hits the last row
+@example(keys=["k", "a", "k"], probes=["\x00\x00", "z"], container="arrow")
+@pytest.mark.parametrize("n_values", [0, 1, 2])
+@pytest.mark.parametrize(
+    "construction", _CONSTRUCTIONS,
+    ids=lambda c: "-".join(
+        ["keys" if c["keep_keys"] else "hash_only"]
+        + [k for k in ("prehashed", "presorted") if c[k]]
+    ),
+)
+def test_hash_index_matches_dict(construction, n_values, keys, probes, container):
+    """contains / lookup / get / len agree with a plain dict built
+    first-wins over the input order, on every construction and for
+    Series and Arrow probes."""
+    import pandas as pd
+    import pyarrow as pa
+
+    cols = [
+        [f"{j}:{i}" if (i + j) % 3 else "" for i in range(len(keys))]
+        for j in range(n_values)
+    ]
+    index, keys, cols = _build_index(keys, cols, container=container,
+                                     **construction)
+    want: dict = {}
+    for i, k in enumerate(keys):
+        want.setdefault(k, tuple(col[i] for col in cols))
+    every = keys + probes
+    series = pd.Series(every, index=range(7, 7 + len(every)), dtype=object)
+    assert len(index) == len(want)
+    assert list(index.contains(series)) == [p in want for p in every]
+    assert list(index.contains(pa.array(every, pa.string()))) == [
+        p in want for p in every
+    ]
+    for p in every:
+        got = index.get(p)
+        assert got == (None if p not in want else
+                       want[p][0] if n_values == 1 else want[p])
+    if n_values:
+        by_series = index.lookup(series)
+        by_arrow = index.lookup(pa.array(every, pa.string()))
+        if n_values == 1:
+            by_series, by_arrow = (by_series,), (by_arrow,)
+        for j in range(n_values):
+            expect = [want[p][j] if p in want else None for p in every]
+            assert list(by_series[j].index) == list(series.index)
+            assert list(by_series[j]) == expect
+            assert by_arrow[j].to_pylist() == expect
+
+
+def test_duplicate_keys_first_wins_on_every_construction():
+    """A duplicate key answers its first value on every construction
+    (the linker's table-order tie-break); a map once answered the last
+    one when built from given hashes."""
+    for construction in _CONSTRUCTIONS:
+        index, _, _ = _build_index(
+            ["a", "b", "a"], [["1", "2", "3"]], container="arrow",
+            **construction,
+        )
+        assert index.get("a") == "1" and index.get("b") == "2", construction
+        assert index.get("c") is None and len(index) == 2, construction
+
+
+def test_hashes_only_index_raises_on_equal_hashes():
+    """The hashes-only form has no keys to tell a duplicate from a
+    collision, so equal hashes raise (best-rank's caller then rebuilds
+    from the statement strings)."""
+    import numpy as np
     import pandas as pd
 
-    from yago4_ray.broadcast import HashedSet, _hash_series
+    from yago4_ray.broadcast import HashIndex, _hash_series
 
-    a = HashedSet(keys)
-    b = HashedSet.from_prehashed(_hash_series(keys), len(keys))
-    probes = pd.Series(keys + ["@@absent@@", "", "x" * 50], dtype=object)
-    assert (a.contains(probes) == b.contains(probes)).all()
+    index = HashIndex.from_hashes(_hash_series(["b", "a"]))
+    assert list(index.contains(pd.Series(["a", "c", "b"]))) == [True, False, True]
+    with pytest.raises(ValueError):
+        HashIndex.from_hashes(np.array([7, 3, 7], np.uint64))
 
 
 def test_hashedset_probe_collision_rejected():
@@ -127,152 +240,58 @@ def test_hashedset_probe_collision_rejected():
     import numpy as np
     import pandas as pd
 
-    from yago4_ray.broadcast import HashedSet, _hash_series
+    from yago4_ray.broadcast import HashIndex, _hash_series
 
-    hs = HashedSet(["a"])
+    hs = HashIndex(["a"])
     hs.hashes = np.sort(_hash_series(["z"]))  # simulated collision
     got = hs.contains(pd.Series(["z", "a"], dtype=object))
     assert not got[0]  # hash matches, key differs → rejected
     assert not got[1]  # 'a' hash no longer present
 
 
-@settings(max_examples=50)
-@given(
-    st.lists(st.text(min_size=0, max_size=40), min_size=1, max_size=100),
-    st.lists(st.text(min_size=0, max_size=40), min_size=0, max_size=50),
-)
-def test_hashedset_matches_python_set(keys, probes):
-    """contains == plain Python-set membership, including duplicate
-    keys in the input and probes overlapping/missing."""
-    import pandas as pd
-
-    from yago4_ray.broadcast import HashedSet
-
-    hs = HashedSet(keys)
-    got = hs.contains(pd.Series(keys + probes, dtype=object))
-    want = [v in set(keys) for v in keys + probes]
-    assert list(got) == want
-
-
-@settings(max_examples=30)
-@given(
-    st.lists(
-        st.text(min_size=1, max_size=40), min_size=1, max_size=200, unique=True
-    )
-)
-def test_hashedmap_from_arrow_matches_dict(keys):
-    """HashedMap.from_arrow (Arrow columns + worker-prehashed hashes)
-    must answer get/in/[]/lookup identically to the dict-built map."""
-    import pandas as pd
-    import pyarrow as pa
-
-    from yago4_ray.broadcast import HashedMap, _hash_series
-
-    values = [k[::-1] + "!" for k in keys]
-    a = HashedMap(dict(zip(keys, values)))
-    b = HashedMap.from_arrow(
-        pa.array(keys, pa.large_string()),
-        pa.array(values, pa.large_string()),
-        hashes=pa.array(_hash_series(keys), pa.uint64()),
-    )
-    c = HashedMap.from_arrow(  # no-hash path (driver hashing fallback)
-        pa.array(keys, pa.large_string()), pa.array(values, pa.large_string())
-    )
-    probes = pd.Series(keys + ["@@absent@@", ""], dtype=object)
-    for m in (b, c):
-        assert len(m) == len(a)
-        assert list(a.lookup(probes)) == list(m.lookup(probes))
-        assert m.get(keys[0]) == values[0] and m.get("@@absent@@") is None
-        assert keys[0] in m and "@@absent@@" not in m
-        assert m[keys[0]] == values[0]
-
-
-def test_multimap_from_arrow_matches_dict():
-    import pandas as pd
-    import pyarrow as pa
-
-    from yago4_ray.broadcast import HashedMultiMap, _hash_series
-
-    mapping = {f"k{i}": (f"o{i}", f"e{i}" if i % 3 else "") for i in range(500)}
-    keys = list(mapping)
-    a = HashedMultiMap(mapping)
-    b = HashedMultiMap.from_arrow(
-        pa.array(keys, pa.large_string()),
-        pa.array([mapping[k][0] for k in keys], pa.large_string()),
-        pa.array([mapping[k][1] for k in keys], pa.large_string()),
-        hashes=pa.array(_hash_series(keys), pa.uint64()),
-    )
-    probes = pd.Series(keys + ["missing1", "missing2"], dtype=object)
-    ao, ae = a.lookup(probes)
-    bo, be = b.lookup(probes)
-    assert list(ao) == list(bo) and list(ae) == list(be)
-    assert a.get("k7") == b.get("k7") == ("o7", "e7")
-    assert a.get("nope") is None and b.get("nope") is None
-
-
-def test_hashedmap_from_arrow_duplicate_keys_fall_back():
-    """Duplicate keys make the prehashed-distinctness check fail; the
-    constructor must fall back to exact dict semantics (keep-last),
-    never silently mis-answer."""
-    import pyarrow as pa
-
-    from yago4_ray.broadcast import HashedMap, _hash_series
-
-    keys = ["a", "b", "a"]
-    values = ["1", "2", "3"]
-    m = HashedMap.from_arrow(
-        pa.array(keys, pa.large_string()),
-        pa.array(values, pa.large_string()),
-        hashes=pa.array(_hash_series(keys), pa.uint64()),
-    )
-    assert m.get("a") == "3" and m.get("b") == "2" and m.get("c") is None
-
-
-def test_hashedmap_presorted_matches_unsorted():
-    """from_arrow(presorted=True) over range-ordered shards must agree
-    with the argsort path bit-for-bit (the remote URI merge concatenates
-    hash-sorted shards and skips the sort)."""
-    import numpy as np
-    import pyarrow as pa
-
-    from yago4_ray.broadcast import HashedMap, _hash_series
-
-    keys = [f"<k{i}>" for i in range(257)]
-    vals = [f"<v{i}>" for i in range(257)]
-    h = _hash_series(keys)
-    order = np.argsort(h, kind="stable")
-    k_arr = pa.array([keys[i] for i in order], pa.large_string())
-    v_arr = pa.array([vals[i] for i in order], pa.large_string())
-    h_arr = pa.array(h[order], pa.uint64())
-    fast = HashedMap.from_arrow(k_arr, v_arr, hashes=h_arr, presorted=True)
-    slow = HashedMap.from_arrow(
-        pa.array(keys, pa.large_string()),
-        pa.array(vals, pa.large_string()),
-        hashes=pa.array(h, pa.uint64()),
-    )
-    assert fast._collision_free and slow._collision_free
-    assert np.array_equal(fast.key_hashes, slow.key_hashes)
-    assert fast.values == slow.values
-    for k, v in zip(keys, vals):
-        assert fast.get(k) == v
-    assert fast.get("<missing>") is None
-
-
 def test_hashedmap_presorted_collision_falls_back_exact():
-    """A 64-bit collision in the presorted path must flip to the exact
-    dict fallback — never silently wrong."""
+    """Distinct keys forced onto one 64-bit hash answer exactly from
+    the dict, duplicates still first-wins, keys kept or not, presorted
+    or not — never silently wrong."""
     import numpy as np
+    import pandas as pd
     import pyarrow as pa
 
-    from yago4_ray.broadcast import HashedMap
+    from yago4_ray.broadcast import HashIndex
 
-    keys = pa.array(["<a>", "<b>"], pa.large_string())
-    vals = pa.array(["<1>", "<2>"], pa.large_string())
-    fake = pa.array(np.array([7, 7], np.uint64))  # forced collision
-    m = HashedMap.from_arrow(keys, vals, hashes=fake, presorted=True)
-    assert not m._collision_free
-    assert m.get("<a>") == "<1>" and m.get("<b>") == "<2>"
-    assert m.get("<c>") is None
+    keys = pa.array(["<a>", "<b>", "<a>"], pa.large_string())
+    vals = pa.array(["<1>", "<2>", "<3>"], pa.large_string())
+    fake = pa.array(np.array([7, 7, 7], np.uint64))  # forced collision
+    for presorted in (True, False):
+        for keep_keys in (True, False):
+            m = HashIndex(keys, vals, hashes=fake, presorted=presorted,
+                          keep_keys=keep_keys)
+            assert m._exact is not None and len(m) == 2
+            assert m.get("<a>") == "<1>" and m.get("<b>") == "<2>"
+            assert m.get("<c>") is None
+            probe = pd.Series(["<b>", "<c>", "<a>"])
+            assert list(m.lookup(probe)) == ["<2>", None, "<1>"]
+            assert list(m.contains(pa.array(["<c>", "<a>"]))) == [False, True]
+
+
+def test_one_index_implementation():
+    """`broadcast.HashIndex` is the only hashed lookup: no other module
+    searches index hashes or reads the index's private attributes."""
+    import pathlib
+
+    from yago4_ray.broadcast import HashIndex
+
+    private = [a for a in vars(HashIndex(["a"])) if a.startswith("_")]
+    probe = re.compile(
+        r"searchsorted\([^)]*hashes|\.key_hashes\b|\.(%s)\b" % "|".join(private)
+    )
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "yago4_ray"
+    offenders = [
+        str(path.relative_to(pkg))
+        for path in sorted(pkg.rglob("*.py"))
+        if path != pkg / "broadcast.py" and probe.search(path.read_text())
+    ]
+    assert not offenders, offenders
 
 
 def test_prepare_linker_hash_sorted_and_first_wins():

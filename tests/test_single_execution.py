@@ -36,12 +36,14 @@ def build_calls(request, statements_root, tmp_path_factory):
     `to_arrow_refs` receiver, the number of `si_by_item` builds, the
     calling function of every `Dataset.groupby` exchange, the number of
     store-scan plans and of the parquet writes generate_yago makes, and
-    the type and calling function of every driver `ray.put` argument."""
+    the value-column count (for a HashIndex) and calling function of
+    every driver `ray.put` argument."""
     import pyarrow.parquet as pq
     import ray
     from ray.data.dataset import Dataset
 
     from yago4_ray import build, build_dist, sources, state as state_mod
+    from yago4_ray.broadcast import HashIndex
     from yago4_ray.build import generate_yago
     from yago4_ray.state import build_state
 
@@ -50,7 +52,7 @@ def build_calls(request, statements_root, tmp_path_factory):
     exchanges: list[str] = []
     scans = [0]
     parquet_writes = [0]
-    puts: list[tuple[type, str]] = []
+    puts: list[tuple[int | None, str]] = []
     put = ray.put
     scan_predicate = sources.scan_predicate
     to_arrow_refs = Dataset.to_arrow_refs
@@ -80,7 +82,9 @@ def build_calls(request, statements_root, tmp_path_factory):
         return write_table(*args, **kwargs)
 
     def recording_put(value, *args, **kwargs):
-        puts.append((type(value), _caller()))
+        # value columns of a put HashIndex (0: a set); None: not an index
+        n_values = len(value.values) if isinstance(value, HashIndex) else None
+        puts.append((n_values, _caller()))
         return put(value, *args, **kwargs)
 
     def counting_si_by_item(state):
@@ -156,18 +160,17 @@ def test_store_scan_budget(build_calls):
 
 def test_state_objects_put_once(build_calls):
     """The packed URI map reaches the object store once, as the remote
-    merge task's output: no HashedMap is put from the driver (the shape
-    instances' P31 fan-out reads that same ref). The packed
-    `yago_classes` set is put once, by build_shape_instances, and the
-    class-label family reads that ref: build_dist puts no HashedSet
-    (maxCount's per-build offender set is build's)."""
-    from yago4_ray.broadcast import HashedMap, HashedSet
-
+    merge task's output: no map (a HashIndex with value columns) is put
+    from the driver (the shape instances' P31 fan-out reads that same
+    ref). The packed `yago_classes` set (no value column) is put once,
+    by build_shape_instances, and the class-label family reads that
+    ref: build_dist puts no set (maxCount's per-build offender set is
+    build's)."""
     puts = build_calls["puts"]
     assert puts, "ray.put was never called"
-    maps = [c for t, c in puts if issubclass(t, HashedMap)]
-    assert not maps, f"HashedMap put(s) from the driver: {maps}"
-    sets = [c for t, c in puts if issubclass(t, HashedSet)]
+    maps = [c for n, c in puts if n]
+    assert not maps, f"HashIndex map put(s) from the driver: {maps}"
+    sets = [c for n, c in puts if n == 0]
     assert sets.count("yago4_ray.state.build_shape_instances") == 1, sets
     assert not [c for c in sets if c.startswith("yago4_ray.build_dist.")], sets
 

@@ -1,4 +1,4 @@
-"""Zero-copy broadcast lookup structures.
+"""Zero-copy broadcast lookup index.
 
 A plain `ray.put(dict)` broadcast must be *unpickled by every worker
 process* — at 32 workers × a ~15 MB URI map + ~50 MB of instance sets
@@ -6,26 +6,29 @@ that deserialization storm dominates small-task pipelines and gets
 WORSE with more CPUs (measured: the combined build write went 34 s @ 8
 CPUs → 89 s @ 32 CPUs on 2.2 M statements).
 
-These structures serialize as numpy arrays + Arrow string arrays,
-which Ray ships through the object store with zero-copy buffers:
-`ray.get` in a worker costs ~nothing regardless of size, and lookups
-are vectorized (`np.searchsorted` over sorted 64-bit key hashes).
+`HashIndex` serializes as numpy arrays + Arrow arrays, which Ray ships
+through the object store with zero-copy buffers: `ray.get` in a worker
+costs ~nothing regardless of size, and lookups are vectorized
+(`np.searchsorted` over ascending 64-bit key hashes). One class serves
+every broadcast state question: no value column is a set, one is a
+str → str map, two are a str → (str, str) map.
 
-Collision safety: keys are hashed to 64 bits; construction verifies
-hash uniqueness and falls back to carrying the key strings for exact
-lookup when a key-vs-key collision exists. PROBE-vs-key collisions
-differ by structure:
-- `HashedSet` built from strings keeps its keys in hash order (Arrow
-  arrays — zero-copy to ship) and verifies every hash hit with an exact
-  equality compare, so a non-member probe that collides with a member
-  hash is never silently accepted.
-- `HashedSet.from_prehashed` (the keys deliberately never transit the
-  driver), `HashedMap` and `HashedMultiMap` keep no keys: `contains`,
-  `lookup` and `get` compare hashes only, so a non-member probe whose
-  hash equals a member's is answered as that member, with probability
-  ≈ n/2**64 per probe over n keys. Their call sites (best-rank and
-  shape-instance membership, URI and clean-value lookups, where a
-  one-in-10^12 spurious hit is benign) accept that bound.
+Duplicate keys: the first occurrence in input order wins, on every
+construction. Duplicates are told apart from distinct keys sharing a
+hash by comparing keys only inside runs of equal hashes; such a
+key-vs-key collision (never observed) makes the index answer from an
+exact dict instead. A probe-vs-key collision — a probe that is not a
+key but whose hash equals a key's — is exact only when keys are kept:
+
+| construction | key-vs-key collision | probe-vs-key collision | call sites |
+|---|---|---|---|
+| `HashIndex(keys, *values)` | exact dict | rejected: every hash hit is verified by string equality | `yago_classes`, maxCount offenders, the annotation stitch, minhash endpoints, the linker |
+| `HashIndex(keys, *values, keep_keys=False)` | exact dict | answered as that key, probability ≈ n/2**64 per probe over n keys | the URI map, clean-value maps, shape instances |
+| `HashIndex.from_hashes(hashes)` | raises `ValueError` | answered as that key, as above | the best-rank set (its caller rebuilds from the statement strings) |
+
+The hash-only forms keep no keys because those never reach the packing
+task, or would double an instance-scale object; a one-in-10^12
+spurious hit is benign at their call sites.
 """
 
 from __future__ import annotations
@@ -44,358 +47,141 @@ def _hash_series(values) -> np.ndarray:
     categorize=False is load-bearing: the default factorize path runs
     object strings through a C-string hash table where an embedded NUL
     terminates the key, so '\\x00' and '' COLLAPSE — a probe could hash
-    differently alone vs inside a batch (hypothesis found it:
-    test_prehashed_set_matches_string_set). The non-categorized kernel
-    hashes the full byte payload, produces the IDENTICAL hash values
-    for NUL-free strings, and is ~6× faster on mostly-distinct key
-    arrays (2.05 → 0.33 s / 2 M unique IRIs) — factorize only pays off
-    on heavy repeats, which key/probe arrays are not."""
-    if not isinstance(values, pd.Series):
+    differently alone vs inside a batch (hypothesis found it; pinned in
+    test_hash_index_matches_dict). The non-categorized kernel hashes the
+    full byte payload, produces the IDENTICAL hash values for NUL-free
+    strings, and is ~6× faster on mostly-distinct key arrays
+    (2.05 → 0.33 s / 2 M unique IRIs) — factorize only pays off on heavy
+    repeats, which key/probe arrays are not."""
+    if isinstance(values, (pa.Array, pa.ChunkedArray)):
+        values = values.to_pandas()
+    if not isinstance(values, pd.Series) or values.dtype != object:
         values = pd.Series(values, dtype=object)
     return pd.util.hash_pandas_object(
         values, index=False, categorize=False
     ).to_numpy()
 
 
-def _hash64(value: str) -> int:
-    return int(_hash_series([value])[0])
+def _column(values) -> pa.Array:
+    if isinstance(values, pa.ChunkedArray):
+        return values.combine_chunks()
+    if isinstance(values, pa.Array):
+        return values
+    if isinstance(values, pd.Series):
+        values = values.to_numpy()
+    return pa.array(values, from_pandas=True)
 
 
-def _n_distinct(values) -> int:
-    """Distinct-key count with exact BYTE semantics (Arrow
-    count_distinct). pandas nunique hashes object strings as
-    C strings, so keys differing only by an embedded NUL collapse
-    (pd.Series(['', '\\x00']).nunique() == 1) — exactly the class
-    `_hash_series` also collides on, which made such collisions
-    undetectable and the hash index silently wrong for NUL-bearing
-    keys. Counting distinct in Arrow restores detection, flipping
-    construction to the exact fallback."""
-    arr = (
-        values
-        if isinstance(values, (pa.Array, pa.ChunkedArray))
-        else pa.array(
-            values.to_numpy() if isinstance(values, pd.Series) else values,
-            from_pandas=True,
-        )
-    )
-    return pc.count_distinct(arr).as_py()
+def _uint64(hashes) -> np.ndarray:
+    if isinstance(hashes, (pa.Array, pa.ChunkedArray)):
+        hashes = hashes.to_numpy()
+    return np.asarray(hashes, dtype=np.uint64)
 
 
-class HashedSet:
-    """Broadcastable membership set over canonical term strings.
+class HashIndex:
+    """Broadcastable lookup over string keys: `hashes` ascending, the
+    `values` columns (and `keys`, when kept) in the same order."""
 
-    Keys are kept (hash-ordered, Arrow) so `contains` verifies every
-    hash hit with an exact equality compare — a probe NOT in the set
-    whose 64-bit hash collides with a member is rejected, not silently
-    kept (the probe-vs-key gap a bare hash index has; `from_prehashed`
-    is the documented probabilistic exception)."""
+    def __init__(
+        self, keys, *values, hashes=None, presorted=False, keep_keys=True
+    ):
+        """`hashes` are `_hash_series(keys)` computed where the keys were
+        read; `presorted` promises them ascending (checked, and sorted
+        when the promise does not hold)."""
+        if not isinstance(keys, (pa.Array, pa.ChunkedArray, pd.Series)):
+            keys = list(keys)
+        h = _hash_series(keys) if hashes is None else _uint64(hashes)
+        keys = _column(keys)
+        values = [_column(v) for v in values]
+        rows = None  # input row of each stored row; None: the same row
+        if not (presorted and (h[1:] >= h[:-1]).all()):
+            rows = np.argsort(h, kind="stable")
+            h = h[rows]
 
-    def __init__(self, values):
-        series = (
-            values
-            if isinstance(values, pd.Series)
-            else pd.Series(list(values), dtype=object)
-        )
-        if len(series):
-            h = _hash_series(series)
-            order = np.argsort(h, kind="stable")
-            hs = h[order]
-            # uniqueness of hashes over distinct keys (_n_distinct is
-            # Arrow's C count — no Python set materialization, and
-            # exact byte semantics where pandas nunique is not)
-            self._collision_free = len(np.unique(hs)) == _n_distinct(series)
-            if self._collision_free:
-                keep = np.ones(len(hs), dtype=bool)
-                keep[1:] = hs[1:] != hs[:-1]
-                self.hashes = hs[keep]
-                self._keys = pa.array(
-                    series.to_numpy()[order][keep], from_pandas=True
-                )
-            else:  # distinct keys share a hash: exact frozenset path
-                self.hashes = np.unique(hs)
-                self._keys = None
-        else:
-            self.hashes = np.empty(0, np.uint64)
-            self._collision_free = True
-            self._keys = None
-        self._fallback = None if self._collision_free else frozenset(series)
+        def at(i):
+            return pa.array(i if rows is None else rows[i])
+
+        self._exact = None
+        run = np.flatnonzero(h[1:] == h[:-1]) + 1  # rows repeating a hash
+        if len(run):
+            same = pc.equal(keys.take(at(run)), keys.take(at(run - 1)))
+            if pc.fill_null(same, False).to_numpy(zero_copy_only=False).all():
+                keep = np.ones(len(h), dtype=bool)  # duplicates: first wins
+                keep[run] = False
+                h = h[keep]
+                rows = np.flatnonzero(keep) if rows is None else rows[keep]
+            else:  # distinct keys share a hash: exact dict, first wins
+                ordered = keys if rows is None else keys.take(pa.array(rows))
+                self._exact = {}
+                for row, key in enumerate(ordered.to_pylist()):
+                    self._exact.setdefault(key, row)
+        if rows is not None:
+            take = pa.array(rows)
+            values = [v.take(take) for v in values]
+            keys = keys.take(take) if keep_keys else keys
+        self.hashes = h
+        self.keys = keys if keep_keys else None
+        self.values = values
 
     @classmethod
-    def from_prehashed(cls, hashes: np.ndarray, n_distinct_keys: int):
-        """Build from `_hash_series` values computed IN the scan tasks
-        (the 100 TB form: the driver collects 8-byte hashes, never the
-        key strings). Caller supplies the distinct-key count for the
-        key-vs-key collision check and falls back to the string
-        constructor on the (never-observed) collision. Because the key
-        strings never exist on the driver there is nothing to verify
-        probe hits against: membership from this form is PROBABILISTIC
-        — false-positive probability ≈ n/2**64 per probe — and its call
-        sites (best-rank / shape-instance membership) accept that a
-        one-in-10^12 spurious keep is benign."""
+    def from_hashes(cls, hashes) -> "HashIndex":
+        """Membership over hashes computed where the keys live (the keys
+        never reach this process). Without keys a duplicate cannot be
+        told from a collision, so two equal hashes raise ValueError."""
         self = cls.__new__(cls)
-        uniq = np.unique(np.asarray(hashes, dtype=np.uint64))
-        if len(uniq) != n_distinct_keys:
-            raise ValueError("64-bit hash collision in prehashed set")
-        self.hashes = uniq
-        self._collision_free = True
-        self._keys = None
-        self._fallback = None
+        self.hashes = np.sort(_uint64(hashes))
+        if (self.hashes[1:] == self.hashes[:-1]).any():
+            raise ValueError("64-bit hash collision in a hash-only index")
+        self.keys, self.values, self._exact = None, [], None
         return self
 
     def __len__(self):
-        return len(self.hashes)
+        return len(self.hashes if self._exact is None else self._exact)
 
-    def contains(self, series: pd.Series) -> np.ndarray:
-        if self._fallback is not None:
-            return series.isin(self._fallback).to_numpy()
-        if len(self.hashes) == 0 or len(series) == 0:
-            return np.zeros(len(series), dtype=bool)
-        probe = np.asarray(
-            series.to_numpy() if isinstance(series, pd.Series) else series
-        )
+    def _probe(self, probe) -> tuple[np.ndarray, np.ndarray]:
+        """(stored row, hit) per probe key; the row is 0 on a miss."""
+        if self._exact is not None:
+            ks = probe.to_pylist() if isinstance(probe, pa.Array) else probe
+            rows = np.fromiter(
+                (self._exact.get(k, -1) for k in ks), np.int64, len(probe)
+            )
+            return np.maximum(rows, 0), rows >= 0
+        if len(self.hashes) == 0:
+            return np.zeros(len(probe), np.int64), np.zeros(len(probe), bool)
         h = _hash_series(probe)
-        idx = np.searchsorted(self.hashes, h)
-        idx = np.minimum(idx, len(self.hashes) - 1)
-        hit = self.hashes[idx] == h
-        if self._keys is not None and hit.any():
-            # exact verify of hash hits against the stored key (keys are
-            # in the SAME hash order as self.hashes, so a direct take
-            # fetches each probe's matched key) — closes the
-            # probe-vs-key collision gap
-            matched = self._keys.take(pa.array(idx, type=pa.int64()))
-            eq = pc.equal(matched, pa.array(probe, from_pandas=True))
+        rows = np.minimum(np.searchsorted(self.hashes, h), len(self.hashes) - 1)
+        hit = self.hashes[rows] == h
+        if self.keys is not None and hit.any():
+            eq = pc.equal(self.keys.take(pa.array(rows)), _column(probe))
             hit &= pc.fill_null(eq, False).to_numpy(zero_copy_only=False)
-        return hit
+        return rows, hit
 
+    def contains(self, probe) -> np.ndarray:
+        return self._probe(probe)[1]
 
-class HashedMap:
-    """Broadcastable str→str mapping (URI maps, clean-value maps)."""
-
-    def __init__(self, mapping: dict[str, str]):
-        keys = list(mapping.keys())
-        values = [mapping[k] for k in keys]
-        if keys:
-            hashes = _hash_series(keys)
-            order = np.argsort(hashes, kind="stable")
-            self.key_hashes = hashes[order]
-            self.values = pa.array(
-                [values[i] for i in order], type=pa.large_string()
+    def lookup(self, probe):
+        """Value columns aligned to `probe` (a Series or an Arrow array),
+        missing keys None: index-aligned Series for a Series, Arrow
+        arrays for an Arrow array; one column bare, two as a tuple."""
+        rows, hit = self._probe(probe)
+        rows, mask = pa.array(rows), pa.array(hit)
+        cols = []
+        for v in self.values:
+            col = (
+                pc.if_else(mask, v.take(rows), pa.scalar(None, v.type))
+                if hit.any()  # an empty index has no row to take
+                else pa.nulls(len(probe), v.type)
             )
-            self._collision_free = len(np.unique(self.key_hashes)) == len(keys)
-        else:
-            self.key_hashes = np.empty(0, np.uint64)
-            self.values = pa.array([], type=pa.large_string())
-            self._collision_free = True
-        self._fallback = None if self._collision_free else dict(mapping)
-
-    @classmethod
-    def from_arrow(cls, keys, values, hashes=None, presorted=False):
-        """Build directly from Arrow string arrays (the driver URI-merge
-        output): values never transit Python objects — they are taken
-        into hash order in C++. With `hashes` (the _hash_series values
-        computed IN the candidate-scan tasks and carried through the
-        merge; requires distinct keys, which the merge guarantees), the
-        keys never transit Python either and construction is pure
-        numpy/Arrow (~0.7 s at 2.4 M pairs vs ~7 s for the
-        to_pylist → dict → rehash round trip). On the (never-observed)
-        64-bit collision the key strings are pulled once for the exact
-        dict fallback — never silently wrong."""
-        if isinstance(keys, pa.ChunkedArray):
-            keys = keys.combine_chunks()
-        if isinstance(values, pa.ChunkedArray):
-            values = values.combine_chunks()
-        self = cls.__new__(cls)
-        if len(keys) == 0:
-            self.key_hashes = np.empty(0, np.uint64)
-            self.values = pa.array([], type=pa.large_string())
-            self._collision_free = True
-            self._fallback = None
-            return self
-        if hashes is not None:
-            if isinstance(hashes, pa.ChunkedArray):
-                hashes = hashes.combine_chunks()
-            h = hashes.to_numpy().astype(np.uint64, copy=False)
-            n_distinct = len(keys)
-            if presorted:
-                # caller promises `hashes` ascending (e.g. hash-range
-                # shards concatenated in range order): skip the argsort
-                # + string gather. The check is STRICTLY ascending —
-                # one linear compare verifies sortedness AND
-                # collision-freeness; an unsorted or colliding array
-                # flips to the exact dict fallback (correct either way,
-                # never silently wrong)
-                self.key_hashes = h
-                self.values = values.cast(pa.large_string())
-                self._collision_free = bool(
-                    len(h) < 2 or (h[1:] > h[:-1]).all()
-                )
-                self._fallback = (
-                    None
-                    if self._collision_free
-                    else dict(zip(keys.to_pylist(), values.to_pylist()))
-                )
-                return self
-        else:
-            key_s = keys.to_pandas()
-            h = _hash_series(key_s)
-            n_distinct = _n_distinct(keys)
-        order = np.argsort(h, kind="stable")
-        self.key_hashes = h[order]
-        self.values = values.cast(pa.large_string()).take(
-            pa.array(order, type=pa.int64())
-        )
-        self._collision_free = (
-            len(np.unique(self.key_hashes)) == n_distinct
-        )
-        self._fallback = (
-            None
-            if self._collision_free
-            else dict(zip(keys.to_pylist(), values.to_pylist()))
-        )
-        return self
-
-    def __len__(self):
-        return len(self.key_hashes)
-
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
-    def __getitem__(self, key: str) -> str:
-        value = self.get(key)
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def lookup(self, series: pd.Series) -> pd.Series:
-        """Mapped values aligned to `series`; None where missing."""
-        if self._fallback is not None:
-            out = series.map(self._fallback)
-            # Series.map yields NaN (not None) for misses; normalize so
-            # the collision-fallback path keeps the same `is not None`
-            # contract as the hash path (values are strings, never NaN)
-            return out.where(out.notna(), None)
-        n = len(series)
-        if n == 0 or len(self.key_hashes) == 0:
-            return pd.Series([None] * n, index=series.index, dtype=object)
-        h = _hash_series(series.to_numpy())
-        idx = np.searchsorted(self.key_hashes, h)
-        idx_c = np.minimum(idx, len(self.key_hashes) - 1)
-        hit = self.key_hashes[idx_c] == h
-        taken = self.values.take(pa.array(idx_c, type=pa.int64())).to_pandas()
-        out = taken.where(pd.Series(hit, index=taken.index), None)
-        out.index = series.index
-        return out
+            if isinstance(probe, pd.Series):
+                col = col.to_pandas()
+                col.index = probe.index
+            cols.append(col)
+        return cols[0] if len(cols) == 1 else tuple(cols)
 
     def get(self, key: str):
-        if self._fallback is not None:
-            return self._fallback.get(key)
-        h = np.uint64(_hash64(key))
-        idx = int(np.searchsorted(self.key_hashes, h))
-        if idx < len(self.key_hashes) and self.key_hashes[idx] == h:
-            return self.values[idx].as_py()
-        return None
-
-
-class HashedMultiMap:
-    """Broadcastable str→tuple[str, str] map (clean maps carry
-    (object, extras_json)); stored as two aligned Arrow arrays."""
-
-    def __init__(self, mapping: dict[str, tuple[str, str]]):
-        keys = list(mapping.keys())
-        if keys:
-            hashes = _hash_series(keys)
-            order = np.argsort(hashes, kind="stable")
-            self.key_hashes = hashes[order]
-            self.objects = pa.array(
-                [mapping[keys[i]][0] for i in order], type=pa.large_string()
-            )
-            self.extras = pa.array(
-                [mapping[keys[i]][1] for i in order], type=pa.large_string()
-            )
-            self._collision_free = len(np.unique(self.key_hashes)) == len(keys)
-        else:
-            self.key_hashes = np.empty(0, np.uint64)
-            self.objects = pa.array([], type=pa.large_string())
-            self.extras = pa.array([], type=pa.large_string())
-            self._collision_free = True
-        self._fallback = None if self._collision_free else dict(mapping)
-
-    @classmethod
-    def from_arrow(cls, keys, objects, extras, hashes=None):
-        """Build from Arrow string arrays; with `hashes` (worker-computed
-        _hash_series values; keys must be distinct, which the one-row-
-        per-(family, value_node) groupby guarantees) no key/value string
-        ever materializes as a Python object on the happy path."""
-        arrs = []
-        for a in (keys, objects, extras, hashes):
-            if isinstance(a, pa.ChunkedArray):
-                a = a.combine_chunks()
-            arrs.append(a)
-        keys, objects, extras, hashes = arrs
-        self = cls.__new__(cls)
-        if len(keys) == 0:
-            self.key_hashes = np.empty(0, np.uint64)
-            self.objects = pa.array([], type=pa.large_string())
-            self.extras = pa.array([], type=pa.large_string())
-            self._collision_free = True
-            self._fallback = None
-            return self
-        if hashes is not None:
-            h = hashes.to_numpy().astype(np.uint64, copy=False)
-            n_distinct = len(keys)
-        else:
-            key_s = keys.to_pandas()
-            h = _hash_series(key_s)
-            n_distinct = _n_distinct(keys)
-        order = pa.array(np.argsort(h, kind="stable"), type=pa.int64())
-        self.key_hashes = np.sort(h, kind="stable")
-        self.objects = objects.cast(pa.large_string()).take(order)
-        self.extras = extras.cast(pa.large_string()).take(order)
-        self._collision_free = (
-            len(np.unique(self.key_hashes)) == n_distinct
-        )
-        self._fallback = (
-            None
-            if self._collision_free
-            else dict(
-                zip(
-                    keys.to_pylist(),
-                    zip(objects.to_pylist(), extras.to_pylist()),
-                )
-            )
-        )
-        return self
-
-    def __len__(self):
-        return len(self.key_hashes)
-
-    def get(self, key: str):
-        if self._fallback is not None:
-            return self._fallback.get(key)
-        h = np.uint64(_hash64(key))
-        idx = int(np.searchsorted(self.key_hashes, h))
-        if idx < len(self.key_hashes) and self.key_hashes[idx] == h:
-            return (self.objects[idx].as_py(), self.extras[idx].as_py())
-        return None
-
-    def lookup(self, series: pd.Series) -> tuple[pd.Series, pd.Series]:
-        """(objects, extras) aligned to `series`; None where missing."""
-        n = len(series)
-        if self._fallback is not None:
-            hits = series.map(self._fallback)
-            objs = hits.map(lambda v: v[0] if isinstance(v, tuple) else None)
-            extras = hits.map(lambda v: v[1] if isinstance(v, tuple) else None)
-            return objs, extras
-        if n == 0 or len(self.key_hashes) == 0:
-            empty = pd.Series([None] * n, index=series.index, dtype=object)
-            return empty, empty.copy()
-        h = _hash_series(series.to_numpy())
-        idx = np.searchsorted(self.key_hashes, h)
-        idx_c = np.minimum(idx, len(self.key_hashes) - 1)
-        hit = pd.Series(self.key_hashes[idx_c] == h)
-        take = pa.array(idx_c, type=pa.int64())
-        objs = self.objects.take(take).to_pandas().where(hit, None)
-        extras = self.extras.take(take).to_pandas().where(hit, None)
-        objs.index = series.index
-        extras.index = series.index
-        return objs, extras
+        """The key's value (a tuple of two), None when absent."""
+        rows, hit = self._probe(pd.Series([key], dtype=object))
+        if not hit[0]:
+            return None
+        row = tuple(v[int(rows[0])].as_py() for v in self.values)
+        return row[0] if len(row) == 1 else row

@@ -198,28 +198,29 @@ def _count_families(block) -> dict[str, int]:
 
 
 @ray.remote
-def _pack_clean_hmms(*blocks) -> dict:
+def _pack_clean_maps(*blocks) -> dict:
     """Concat the Arrow clean-value blocks, hash their value nodes and
-    build the per-family HashedMultiMaps OFF the driver, so the
-    broadcast object goes worker → object store with no driver concat,
-    build, or ray.put serialize (measured 3.7 s of idle-cluster driver
+    build the per-family value node → (object, extras) HashIndex OFF the
+    driver, so the broadcast object goes worker → object store with no
+    driver concat, build, or ray.put serialize (measured 3.7 s of idle-cluster driver
     wait at 22 M statements)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .broadcast import HashedMultiMap, _hash_series
+    from .broadcast import HashIndex, _hash_series
 
     tbl = pa.concat_tables(
         list(blocks), promote_options="permissive"
     ).combine_chunks()
     tbl = tbl.append_column(
-        "h", pa.array(_hash_series(tbl["value_node"].to_pandas()), pa.uint64())
+        "h", pa.array(_hash_series(tbl["value_node"]), pa.uint64())
     )
-    out: dict[str, "HashedMultiMap"] = {}
+    out: dict[str, HashIndex] = {}
     for name in CLEAN_FAMILY.values():
         fam = tbl.filter(pc.equal(tbl["family"], name))
-        out[name] = HashedMultiMap.from_arrow(
-            fam["value_node"], fam["object"], fam["extras"], hashes=fam["h"]
+        out[name] = HashIndex(
+            fam["value_node"], fam["object"], fam["extras"], hashes=fam["h"],
+            keep_keys=False,
         )
     return out
 
@@ -243,12 +244,12 @@ def clean_maps(root: str, uri_ref) -> tuple:
     packed remotely from clean_values' blocks, which are not kept past
     the pack, family-count refs)."""
     blocks, counts = clean_values(root, uri_ref)
-    return _pack_clean_hmms.remote(*blocks), counts
+    return _pack_clean_maps.remote(*blocks), counts
 
 
 def best_rank_statements(root: str) -> pd.Series:
     """Statement ids typed wikibase:BestRank (M16/J6) as a Series
-    (HashedSet consumes it without a Python set pass; statement ids are
+    (HashIndex consumes it without a Python set pass; statement ids are
     store-unique) — build_facts' exact fallback when the fused scan's
     64-bit BestRank hashes collide. The distributed path joins against
     the best-rank ids instead (build_dist.best_rank_sides)."""
@@ -339,7 +340,7 @@ def _apply_max_count(
     one SMALL partitioned sum (count rows, not payload rows) → the rare
     offending groups come back to the driver and are dropped by a
     broadcast anti-filter map over the materialized blocks. The
-    HashedSet probe verifies hits exactly, so a hash collision cannot
+    HashIndex probe verifies hits exactly, so a hash collision cannot
     silently drop a valid group. Above
     MAXCOUNT_BROADCAST_CAP offender bytes the full-exchange
     path stands (both paths pytest-gated identical).
@@ -389,11 +390,11 @@ def _apply_max_count(
     off = offenders.to_pandas()
     if len(off) == 0:
         return joined
-    from .broadcast import HashedSet
+    from .broadcast import HashIndex
 
     # "\x00" cannot occur in a cfg id (c{i}_{name}), so the joined key
     # is injective
-    off_ref = ray.put(HashedSet(off["cfg"] + "\x00" + off["subject"]))
+    off_ref = ray.put(HashIndex(off["cfg"] + "\x00" + off["subject"]))
 
     def drop_offenders(b: pd.DataFrame) -> pd.DataFrame:
         m = b["cfg"].isin(limited_cfgs)
@@ -566,7 +567,7 @@ def build_facts(
         # map over `joined` — zero extra exchanges. Above the cap the
         # co-partitioned join stands. The gate reads volume only, on
         # both state paths.
-        from .broadcast import HashedSet
+        from .broadcast import HashIndex
         from .sources import store_nbytes
 
         ann_preds = []
@@ -580,7 +581,7 @@ def build_facts(
                 pa.Table.from_pandas(annotations.to_pandas(), preserve_index=False),
                 ann_range_ids, "ann_cfg",
             ).to_pandas()
-            ann_ref = ray.put((HashedSet(ann_df["statement"]), ann_df))
+            ann_ref = ray.put((HashIndex(ann_df["statement"]), ann_df))
 
             def stitch(batch: pd.DataFrame) -> pd.DataFrame:
                 stmt_set, ann_local = get_broadcast(ann_ref)

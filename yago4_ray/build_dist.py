@@ -463,9 +463,9 @@ def _best_rank_ref(root: str, state) -> "ray.ObjectRef":
     set_ref, ok_ref = state.prewarmed["best_rank_ref"]
     if ray.get(ok_ref):  # tiny bool; the pack resolved long ago
         return set_ref
-    from .broadcast import HashedSet
+    from .broadcast import HashIndex
 
-    return ray.put(HashedSet(B.best_rank_statements(root)))
+    return ray.put(HashIndex(B.best_rank_statements(root)))
 
 
 def best_rank_sides(root: str, state) -> list[tuple[Dataset, list[str]]]:

@@ -327,7 +327,7 @@ import ray as _ray
 
 @_ray.remote(num_cpus=1)
 def _collect_endpoints(*blocks):
-    """Fold materialized pair blocks into (HashedSet of endpoint ids,
+    """Fold materialized pair blocks into (HashIndex of endpoint ids,
     star-edge count) in ONE task off the driver — the driver holds only
     the returned ObjectRefs. Only dispatched under the broadcast-cap
     volume gate, so the set is bounded by construction. Blocks arrive
@@ -342,9 +342,9 @@ def _collect_endpoints(*blocks):
         ids.update(b["a"])
         ids.update(b["b"])
         n_star += int((b["oversized"] > 0).sum())
-    from ..broadcast import HashedSet
+    from ..broadcast import HashIndex
 
-    return HashedSet(sorted(ids)), n_star
+    return HashIndex(sorted(ids)), n_star
 
 
 def minhash_dedup(
@@ -385,7 +385,7 @@ def minhash_dedup(
     # and VOLUME-GATED end to end — nothing is unconditionally pulled to
     # the driver:
     # (1) candidate-ID narrowing: below the cap, ONE remote task folds
-    #     the materialized pair blocks into a HashedSet of endpoint ids
+    #     the materialized pair blocks into a HashIndex of endpoint ids
     #     (the driver holds only the ObjectRef; workers hold a set
     #     bounded by the cap) and the corpus pass broadcast-filters on
     #     it; ABOVE the cap the ids stay distributed and the corpus is
@@ -412,7 +412,7 @@ def minhash_dedup(
     ids_ref = None
     star_ref = None
     if pairs_nbytes <= broadcast_cap:
-        # HashedSet, not a raw set: pandas .isin rebuilds a hash table
+        # HashIndex, not a raw set: pandas .isin rebuilds a hash table
         # over the whole candidate set on EVERY batch (PERF_NOTES #36) —
         # at the 32 MB cap that's ~1M ids re-hashed per corpus block.
         # Do NOT block on the fold here: the shingle scan's tasks

@@ -75,7 +75,7 @@ def prepare_linker(dictionary: pa.Table) -> pa.Table:
     The hash sort matters at scale: `pc.index_in` rebuilds a hash table
     over the ENTIRE value_set on every call, so per-batch linking cost
     grew with dictionary size (51 k → 33.5 k docs/s going from 2.4 M to
-    4.8 M entities). The presorted hashes back a HashedMap whose lookup
+    4.8 M entities). The presorted hashes back a HashIndex whose lookup
     is O(batch · log dict) per batch, independent of dictionary size."""
     import numpy as np
 
@@ -133,95 +133,43 @@ class MentionExtractor:
         if "priority" in dictionary.column_names:
             dictionary = prepare_linker(dictionary)
         self.value_kinds = value_kinds
-        # surface → qid lookups go through a HashedMap over the
-        # PREPARED table's presorted 64-bit hashes: per-batch cost is
+        # surface → qid lookups go through a HashIndex over the PREPARED
+        # table's presorted 64-bit hashes: per-batch cost is
         # O(batch · log dict) — `pc.index_in` instead re-hashed the
         # whole dictionary per call, so linking slowed down as the
         # dictionary grew (the 100 TB anti-pattern). Arrays arrive
-        # zero-copy from the object store; collision-checked at build
-        # (exact dict fallback, never silently wrong).
-        from .broadcast import HashedMap
+        # zero-copy from the object store; the index keeps the surfaces
+        # to verify every hit, and a raw table's duplicate surfaces
+        # resolve first-wins (the reference's table-order tie-break)
+        from .broadcast import HashIndex
 
-        self._surface_arr = dictionary["surface_form"].combine_chunks()
-        self._qid_arr = dictionary["qid"].combine_chunks()
-        if "h" in dictionary.column_names:
-            h_arr = dictionary["h"]
-        else:  # raw (surface, qid) table: hash + reorder once, here
-            import numpy as np
-
-            from .broadcast import _hash_series
-
-            s = self._surface_arr.to_pandas()
-            # duplicate surface forms resolve FIRST-wins (the reference's
-            # table-order tie-break, and what pc.index_in returned):
-            # without this dedup, duplicate hashes fail the strict
-            # presorted check below and flip to the dict fallback, whose
-            # dict(zip(...)) keeps the LAST registration
-            dup = s.duplicated(keep="first").to_numpy()
-            if dup.any():
-                sel = pa.array(np.flatnonzero(~dup), pa.int64())
-                self._surface_arr = pc.take(self._surface_arr, sel)
-                self._qid_arr = pc.take(self._qid_arr, sel)
-                s = s[~dup]
-            h = _hash_series(s)
-            order = pa.array(np.argsort(h, kind="stable"), pa.int64())
-            self._surface_arr = pc.take(self._surface_arr, order)
-            self._qid_arr = pc.take(self._qid_arr, order)
-            h_arr = pa.array(np.sort(h), pa.uint64())
-        # invariant _link relies on: _surface_arr/_qid_arr are in the
-        # SAME ascending-hash order as the map's key_hashes (duplicate
-        # surfaces fail the strict presorted check and flip the map to
-        # its exact dict fallback, which _link routes to)
-        self._map = HashedMap.from_arrow(
-            self._surface_arr, self._qid_arr, hashes=h_arr, presorted=True
+        prepared = "h" in dictionary.column_names
+        self._index = HashIndex(
+            dictionary["surface_form"],
+            dictionary["qid"],
+            hashes=dictionary["h"] if prepared else None,
+            presorted=prepared,
         )
         self._kind_pids = pa.array(list(value_kinds), pa.string())
         self._kind_vals = pa.array(list(value_kinds.values()), pa.string())
         self._linker: dict[str, str] | None = None
 
     def _link(self, surface: pa.Array) -> pa.Array:
-        """Vectorized surface → qid (null on miss): hash-search against
-        the per-actor sorted index, then a string-equality check of the
-        matched dictionary surface against the query. The verify step
-        closes the one gap a hash probe has over exact matching: a
-        surface NOT in the dictionary whose 64-bit hash collides with a
-        dictionary key would otherwise silently link to an unrelated
-        qid (the build-time collision check only covers key-vs-key)."""
-        import numpy as np
-
-        from .broadcast import _hash_series
-
-        if len(surface) == 0:
-            return pa.array([], pa.string())
-        m = self._map
-        if m._fallback is not None:  # exact dict (collision build)
-            return pa.array(
-                m.lookup(surface.to_pandas()), pa.string(), from_pandas=True
-            )
-        if len(m.key_hashes) == 0:
-            return pa.nulls(len(surface), pa.string())
-        h = _hash_series(surface.to_pandas())
-        idx = np.searchsorted(m.key_hashes, h)
-        idx_c = np.minimum(idx, max(len(m.key_hashes) - 1, 0))
-        take_idx = pa.array(idx_c, type=pa.int64())
-        hit = m.key_hashes[idx_c] == h
-        # _surface_arr is stored in the SAME hash order as key_hashes
-        # (prepare_linker sorts the whole table by h), so the matched
-        # key string is a direct take — equality verifies the link
-        hit &= pc.equal(
-            pc.take(self._surface_arr, take_idx), surface
-        ).to_numpy(zero_copy_only=False)
-        qid = pc.take(self._qid_arr, take_idx)
-        return pc.if_else(pa.array(hit), qid, pa.scalar(None, pa.string()))
+        """Vectorized surface → qid (null on miss); the index verifies
+        every hash hit against the dictionary surface, so a surface
+        whose 64-bit hash collides with a key never links to its qid."""
+        return self._index.lookup(surface)
 
     @property
     def linker(self) -> dict[str, str]:
         """surface → qid dict, built lazily (only the row-wise reference
         kernel and unit tests touch it; the Arrow kernel never does)."""
         if self._linker is None:
-            self._linker = dict(
-                zip(self._surface_arr.to_pylist(), self._qid_arr.to_pylist())
-            )
+            index = self._index
+            self._linker = {}
+            # first wins: a collision build keeps duplicate surfaces
+            for k, v in zip(index.keys.to_pylist(), index.values[0].to_pylist()):
+                self._linker.setdefault(k, v)
         return self._linker
 
     # fast-path datetime shapes: naive / Z / +00:00 — everything the

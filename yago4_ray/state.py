@@ -17,13 +17,13 @@ Ray-native split of labor:
   even full Wikidata's class graph is a few M edges.
 
 Each state object is built once and BuildState holds one handle to it:
-- ST2, the URI map: packed into a HashedMap by the remote merge task
-  (`_assemble_uri`); that task's ref (`uri_ref`) is the map's one
-  object-store copy, and the driver fetches it once (`uri_mapping`)
-  for class machinery;
-- ST3, the shape instances: per-shape HashedSets packed by a remote task
-  (`shape_instances` is that task's ref), plus the resolved (shape,
-  instance) Dataset;
+- ST2, the URI map: packed into a `broadcast.HashIndex` by the remote
+  merge task (`_assemble_uri`); that task's ref (`uri_ref`) is the
+  map's one object-store copy, and the driver fetches it once
+  (`uri_mapping`) for class machinery;
+- ST3, the shape instances: per-shape HashIndex sets packed by a remote
+  task (`shape_instances` is that task's ref), plus the resolved
+  (shape, instance) Dataset;
 - ST4, the clean values: materialized Arrow blocks built by
   `build.clean_values` while the state builds; the broadcast path packs
   them into per-family maps and keeps only the pack;
@@ -118,20 +118,20 @@ class Stats:
 class BuildState:
     schema: Schema
     stats: Stats
-    # wd term → yago term: the driver's copy of the HashedMap the remote
+    # wd term → yago term: the driver's copy of the HashIndex the remote
     # URI merge packed (class machinery; its len is a stat)
     uri_mapping: object
-    # the ref of that same HashedMap (the merge task's output, its one
+    # the ref of that same HashIndex (the merge task's output, its one
     # object-store copy): every worker-side URI lookup reads it
     uri_ref: "ray.ObjectRef"
     yago_classes: set[str]
     wd_to_yago_class_mapping: dict[str, list[str]]
     yago_super_class_of: dict[str, list[str]]
-    # ref of the remotely packed {target class → HashedSet} instance
+    # ref of the remotely packed {target class → HashIndex} instance
     # membership (64-bit hashes; instance strings never transit the
     # driver, see build_shape_instances)
     shape_instances: "ray.ObjectRef"
-    # ref of the one packed HashedSet of `yago_classes` (the P31
+    # ref of the one packed HashIndex of `yago_classes` (the P31
     # fan-out's and the class-label family's lookups)
     yago_classes_ref: "ray.ObjectRef"
     # distributed=True → the family plan's lookups join against
@@ -144,7 +144,7 @@ class BuildState:
     # "clean_maps" (broadcast path) of build.clean_maps' (packed-maps
     # ref, family-count refs), "clean_values" (distributed path) of
     # build.clean_values' (Arrow block refs, family-count refs);
-    # "best_rank_ref" (broadcast path) is (HashedSet ref,
+    # "best_rank_ref" (broadcast path) is (HashIndex ref,
     # collision-free flag ref) from the fused scan;
     # "item_scan" (distributed path) is a Future of build_dist.item_scan's
     # planned store scan
@@ -287,7 +287,7 @@ def merge_uri_candidates_arrow(tbl: "pa.Table") -> "pa.Table":
     import pyarrow.compute as pc
 
     # candidate rows carry "h" = _hash_series(item) computed in the scan
-    # tasks; it rides through the merge so the HashedMap broadcast needs
+    # tasks; it rides through the merge so the HashIndex broadcast needs
     # no driver-side rehash of 2.4 M key strings
     has_h = "h" in tbl.schema.names
     fields = [
@@ -381,8 +381,8 @@ def merge_uri_candidates_arrow(tbl: "pa.Table") -> "pa.Table":
 # each owning h >> (64 - _UM_BITS) == shard — complete item groups stay
 # together (every candidate row of an item carries the same h), and the
 # shards' hash-SORTED outputs concatenate in shard order into one
-# globally sorted array, so the final HashedMap pack is a zero-sort
-# concat (HashedMap.from_arrow presorted=True)
+# globally sorted array, so the final HashIndex pack is a zero-sort
+# concat (presorted=True)
 _UM_BITS = 3
 
 
@@ -449,17 +449,17 @@ def _merge_uri_shard(schema_tbl, mandatory_tbl, shard: int, *blocks):
 @ray.remote(num_cpus=1)
 def _pack_best_rank(*blocks):
     """Pack the BestRank statement-id hashes into a broadcastable
-    HashedSet OFF the driver (same discipline as `_assemble_uri`): the
+    hash-only HashIndex OFF the driver (same discipline as `_assemble_uri`): the
     unified-scan blocks carry the 8-byte hashes (kind=_K_BESTRANK), so
     the ~n/3-row sort + dedup runs in one task and build_facts consumes
     the ObjectRef straight from the object store. Returns
-    (HashedSet | None, collision_free) — callers ray.get only the tiny
+    (HashIndex | None, collision_free) — callers ray.get only the tiny
     flag; on the (never-observed) 64-bit collision they rebuild from
     the statement strings (build.best_rank_statements)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .broadcast import HashedSet
+    from .broadcast import HashIndex
 
     hs = []
     for b in blocks:
@@ -469,7 +469,7 @@ def _pack_best_rank(*blocks):
         hs.append(sel.column("h").to_numpy(zero_copy_only=False))
     h = np.concatenate(hs) if hs else np.empty(0, np.uint64)
     try:
-        return HashedSet.from_prehashed(h, len(h)), True
+        return HashIndex.from_hashes(h), True
     except ValueError:  # distinct statement ids sharing a 64-bit hash
         return None, False
 
@@ -490,19 +490,20 @@ def _driver_rows(*blocks):
 @ray.remote(num_returns=2)
 def _assemble_uri(*shard_tbls):
     """Concat the hash-range merge shards (globally h-sorted by
-    construction) and pack the HashedMap broadcast without re-sorting.
-    Returning (HashedMap, (item, uri) table) straight from a task means
+    construction) and pack the HashIndex broadcast without re-sorting.
+    Returning (HashIndex, (item, uri) table) straight from a task means
     the broadcast ObjectRef EXISTS the moment the shard tasks are
     submitted — the clean-value scan (whose tasks only ray.get the ref
     lazily) is planned and launched while the merge still runs, and the
     packed map goes worker → object store with no driver serialize."""
     import pyarrow as pa
 
-    from .broadcast import HashedMap
+    from .broadcast import HashIndex
 
     tbl = pa.concat_tables(list(shard_tbls)).combine_chunks()
-    mapping = HashedMap.from_arrow(
-        tbl["item"], tbl["uri"], hashes=tbl["h"], presorted=True
+    mapping = HashIndex(
+        tbl["item"], tbl["uri"], hashes=tbl["h"], presorted=True,
+        keep_keys=False,
     )
     return mapping, tbl.select(["item", "uri"])
 
@@ -512,7 +513,7 @@ def _assemble_uri(*shard_tbls):
 # ---------------------------------------------------------------------------
 
 def _mapping_subset(mapping, keys) -> dict:
-    """Plain-dict projection of the HashedMap `mapping` over `keys` —
+    """Plain-dict projection of the HashIndex `mapping` over `keys` —
     ONE vectorized lookup."""
     ks = pd.Series(sorted(keys), dtype=object)
     return {k: v for k, v in zip(ks, mapping.lookup(ks)) if pd.notna(v)}
@@ -687,7 +688,7 @@ def collect_input_reductions(
             # distinct, so batch-level distinct-count partials sum
             # exactly. Arrow count_distinct is exact-byte (strictly
             # better than pandas nunique's C-string NUL collapse — see
-            # broadcast._n_distinct)
+            # broadcast._hash_series)
             agg = pa.TableGroupBy(
                 p31.select(["object", "subject"]), "object", use_threads=False
             ).aggregate([("subject", "count_distinct")])
@@ -740,7 +741,7 @@ def collect_input_reductions(
             "h": pa.array(_hash_series(mandatory), pa.uint64()),
         }
     )
-    # the merge + HashedMap pack runs in a TASK over the scan blocks:
+    # the merge + HashIndex pack runs in a TASK over the scan blocks:
     # uri_ref exists NOW, so the caller can launch the clean-value
     # scan (its tasks get the ref lazily) while the merge still runs
     shard_refs = [
@@ -889,7 +890,7 @@ def build_class_machinery(
         "Wikidata classes kept for Yago", len(classes_to_keep_for_yago)
     )
 
-    # project the HashedMap URI mapping onto the class keys
+    # project the HashIndex URI mapping onto the class keys
     # once, vectorized — the loops below probe it O(class-graph) times
     # and a per-probe hash would dominate at real-Wikidata class counts
     uri_mapping = _mapping_subset(
@@ -953,16 +954,16 @@ def build_class_machinery(
 
 @ray.remote(num_returns=2)
 def _pack_shape_instances(shape_targets, *blocks):
-    """Worker-side HashedSet pack of the resolved (shape, instance)
-    table: the driver receives only (packs ref, tiny per-shape count
-    dict) — instance strings and their hashes never transit the driver,
-    and the pack overlaps the facts-plan construction that previously
-    waited on the driver-side groupby. The 64-bit-collision fallback
-    rebuilds exact string sets IN the task (it already holds the
-    strings)."""
+    """Worker-side pack of the resolved (shape, instance) table into
+    one hash-only HashIndex per shape: the driver receives only (packs
+    ref, tiny per-shape count dict) — instance strings and their hashes
+    never transit the driver, and the pack overlaps the facts-plan
+    construction that previously waited on the driver-side groupby. The
+    task holds the instance strings, so the index tells a (never
+    observed) 64-bit collision from a duplicate and answers it exactly."""
     import pyarrow as pa
 
-    from .broadcast import HashedSet, _hash_series
+    from .broadcast import HashIndex, _hash_series
 
     def as_arrow(b):
         return (
@@ -979,32 +980,18 @@ def _pack_shape_instances(shape_targets, *blocks):
         for t in map(as_arrow, blocks)
         if t.num_rows and "shape" in t.column_names
     ]
-    tbl = (
-        pa.concat_tables(parts, promote_options="permissive")
-        if parts
-        else pa.table(
-            {
-                "shape": pa.array([], pa.string()),
-                "instance": pa.array([], pa.string()),
-            }
-        )
-    )
-    packs = {
-        t: HashedSet.from_prehashed(np.empty(0, np.uint64), 0)
-        for t in shape_targets
-    }
-    if tbl.num_rows:
-        df = tbl.to_pandas()
-        df["h"] = _hash_series(df["instance"])
-        try:
-            for shape, grp in df.groupby("shape")["h"]:
-                packs[shape] = HashedSet.from_prehashed(
-                    grp.to_numpy(), len(grp)
-                )
-        except ValueError:  # 64-bit collision: exact rebuild from strings
-            packs = {t: HashedSet([]) for t in shape_targets}
-            for shape, grp in df.groupby("shape")["instance"]:
-                packs[shape] = HashedSet(grp)
+    empty = HashIndex([], keep_keys=False)
+    packs = {t: empty for t in shape_targets}
+    if parts:
+        tbl = pa.concat_tables(parts, promote_options="permissive")
+        instances = tbl["instance"].combine_chunks()
+        h = _hash_series(instances)
+        shapes = tbl["shape"].to_pandas()
+        for shape, rows in shapes.groupby(shapes).indices.items():
+            packs[shape] = HashIndex(
+                instances.take(pa.array(rows)), hashes=h[rows],
+                keep_keys=False,
+            )
     return packs, {t: len(p) for t, p in packs.items()}
 
 
@@ -1021,7 +1008,7 @@ def build_shape_instances(
     class mapping: class-graph scale; the URI map is `uri_ref`, the
     packed map build_state already holds) → shape fan-out → ONE
     exchange on instance doing dedup + disjoint-instance removal.
-    Returns (ref of the packed per-shape HashedSets, the resolved
+    Returns (ref of the packed per-shape HashIndex sets, the resolved
     (shape, instance) Dataset, ref of the packed `yago_classes`)."""
     # yago class → shapes whose closure contains it (driver, tiny)
     shape_targets = [s.target_class for s in schema.node_shapes()]
@@ -1046,12 +1033,12 @@ def build_shape_instances(
             disjoint_pairs.add((cls.id, other))
             disjoint_pairs.add((other, cls.id))
 
-    from .broadcast import HashedSet
+    from .broadcast import HashIndex
 
     refs = {
         "wd_class_to_shapes": ray.put(wd_class_to_shapes),  # class-scale
         "uri_mapping": uri_ref,
-        "yago_classes": ray.put(HashedSet(yago_classes)),
+        "yago_classes": ray.put(HashIndex(yago_classes)),
         "disjoint_pairs": ray.put(disjoint_pairs),
     }
 
@@ -1119,10 +1106,8 @@ def build_shape_instances(
         fanned, ["instance"], resolve_part
     ).materialize()  # consumed by simple-types + every distributed join
 
-    # pack the HashedSets in a REMOTE task over the materialized blocks
-    # (resolve_part dedups (shape, instance) globally, so per-shape row
-    # counts are distinct-key counts and from_prehashed's collision
-    # check holds). The driver gets back only the refs: downstream
+    # pack the per-shape sets in a REMOTE task over the materialized
+    # blocks. The driver gets back only the refs: downstream
     # broadcast consumers read packs_ref, stats resolve the count dict
     # lazily (Stats.set_lazy), and the pack overlaps the facts-plan
     # construction instead of serializing build_state.
@@ -1226,7 +1211,7 @@ def build_state(
     stats.set_lazy("Cleaned complex type", _clean_counts)
     if not distributed:
         # BestRank packed REMOTELY out of the same fused scan:
-        # (HashedSet ref, collision-free-flag ref) — build_facts
+        # (HashIndex ref, collision-free-flag ref) — build_facts
         # broadcasts the set ref directly, no driver materialization
         prewarmed["best_rank_ref"] = best_rank_refs
     _pre_pool.shutdown(wait=False)
