@@ -154,7 +154,7 @@ def run_bench() -> dict:
 
         state = build_state(store)
         out_dir = store + "_out"
-        generate_yago(store, state=state, out_dir=out_dir, write=True)
+        generate_yago(store, state=state, out_dir=out_dir)
         # end-to-end: sorted, deduped, gzipped partitions on disk
         return sum(
             (read_manifest(os.path.join(out_dir, name)) or {}).get("num_rows", 0)

@@ -99,24 +99,86 @@ def statements_root(corpus_dir, tmp_path_factory):
     return root
 
 
+def write_triples(ds, out_dir: str, lineage: str | None = None):
+    """Write a (subject, predicate, object) Dataset as the part files of
+    one output directory `out_dir`, the way generate_yago writes: a
+    `file` tag, the full-key dedup's hash part (`__part`, 2 parts), then
+    MultiNTriplesGzDatasink."""
+    import pyarrow as pa
+
+    from yago4_ray.joins import distinct_rows
+    from yago4_ray.sources import MultiNTriplesGzDatasink
+
+    base, name = os.path.split(out_dir)
+    tagged = ds.map_batches(
+        lambda b: b.append_column("file", pa.array(["out"] * b.num_rows, pa.string())),
+        batch_format="pyarrow",
+    )
+    distinct_rows(
+        tagged, ["file", "subject", "predicate", "object"],
+        num_parts=2, keep_part_column=True,
+    ).write_datasink(MultiNTriplesGzDatasink(base, {"out": name}, lineage=lineage))
+
+
+def read_written_outputs(out_dir: str) -> dict[str, set]:
+    """The rows of every output generate_yago wrote under `out_dir`,
+    read back from its .nt.gz/.ntx.gz parts: output name → set of
+    (subject, predicate, object) tuples; annotated-facts rows are
+    5-tuples, with "" annotation columns on plain triples. Every output
+    is deduplicated, so a line written twice fails here."""
+    import glob
+    import gzip
+
+    from yago4_ray.build import OUTPUT_FILE_NAMES
+
+    result = {}
+    for name, dirname in OUTPUT_FILE_NAMES.items():
+        rows = set()
+        lines = 0
+        for part in sorted(glob.glob(os.path.join(out_dir, dirname, "part-*"))):
+            with gzip.open(part, "rt", encoding="utf-8") as f:
+                for line in f:
+                    lines += 1
+                    tok = line.rstrip("\n").split("\t")
+                    if tok[0] == "<<":  # <<\ts\tp\to\t>>\tap\tao\t.
+                        rows.add((tok[1], tok[2], tok[3], tok[5], tok[6]))
+                    elif name == "annotated-facts":
+                        rows.add((*tok[:3], "", ""))
+                    else:
+                        rows.add(tuple(tok[:3]))
+        assert lines == len(rows), f"{name}: {lines - len(rows)} duplicate lines"
+        result[name] = rows
+    return result
+
+
+def part_digests(out_dir: str, pattern: str = "*/*.nt*.gz") -> dict[str, str]:
+    """sha256 of every written part under `out_dir` matching `pattern`,
+    by path relative to `out_dir` (the gz sink writes mtime=0 headers,
+    so equal content means equal bytes)."""
+    import hashlib
+    import pathlib
+
+    root = pathlib.Path(out_dir)
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.glob(pattern))
+    }
+
+
 @pytest.fixture(scope="session")
-def build_outputs(statements_root):
+def build_out_dir(statements_root, tmp_path_factory):
+    """The output directory of one generate_yago run (broadcast state)
+    over the session store."""
     from yago4_ray.build import generate_yago
 
-    outputs = generate_yago(statements_root, write=False)
-    result = {}
-    for name, ds in outputs.items():
-        df = ds.to_pandas()
-        if "annotation_predicate" in df.columns:
-            result[name] = set(
-                zip(df["subject"], df["predicate"], df["object"],
-                    df["annotation_predicate"], df["annotation_object"])
-            )
-        else:
-            result[name] = set(
-                zip(df["subject"], df["predicate"], df["object"])
-            )
-    return result
+    out_dir = str(tmp_path_factory.mktemp("build_out"))
+    generate_yago(statements_root, out_dir=out_dir)
+    return out_dir
+
+
+@pytest.fixture(scope="session")
+def build_outputs(build_out_dir):
+    return read_written_outputs(build_out_dir)
 
 
 @pytest.fixture(scope="session")

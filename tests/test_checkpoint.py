@@ -5,8 +5,8 @@ import os
 
 import ray.data
 
+from conftest import write_triples
 from yago4_ray import checkpoint as cp
-from yago4_ray.sources import write_ntriples
 
 
 def _triples_ds():
@@ -25,7 +25,7 @@ def _triples_ds():
 
 def test_manifest_roundtrip(ray_session, tmp_path):
     out = str(tmp_path / "out")
-    write_ntriples(_triples_ds(), out, lineage="abc123")
+    write_triples(_triples_ds(), out, lineage="abc123")
     manifest = cp.read_manifest(out)
     assert manifest is not None
     assert manifest["lineage"] == "abc123"
@@ -54,23 +54,28 @@ def test_lineage_sensitivity(tmp_path):
 
 
 def test_sorted_deterministic_output(ray_session, tmp_path):
+    """Two writes of the same rows give the same part files, each
+    sorted within itself (the sink sorts per hash part, no global
+    sort)."""
     import glob
     import gzip
 
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-    write_ntriples(_triples_ds(), out1)
-    write_ntriples(_triples_ds(), out2)
+    write_triples(_triples_ds(), out1)
+    write_triples(_triples_ds(), out2)
 
-    def lines(d):
-        return [
-            line
-            for f in sorted(glob.glob(d + "/*.nt.gz"))
-            for line in gzip.open(f, "rt")
-        ]
+    def parts(d):
+        out = {}
+        for f in sorted(glob.glob(d + "/*.nt.gz")):
+            with gzip.open(f, "rt") as lines:
+                out[os.path.basename(f)] = lines.readlines()
+        return out
 
-    a, b = lines(out1), lines(out2)
+    a, b = parts(out1), parts(out2)
     assert a == b
-    assert a == sorted(a)  # subject-sorted
+    assert sum(len(lines) for lines in a.values()) == 2
+    for lines in a.values():
+        assert lines == sorted(lines)  # subject-sorted within the part
 
 
 def test_rewrite_clears_stale_parts(ray_session, tmp_path):
@@ -79,14 +84,14 @@ def test_rewrite_clears_stale_parts(ray_session, tmp_path):
     import glob
 
     out = str(tmp_path / "stale")
-    write_ntriples(_triples_ds(), out, lineage="L1")
+    write_triples(_triples_ds(), out, lineage="L1")
     # plant a fake stale part from an imaginary earlier, wider run
     stale = os.path.join(out, "part-99999.nt.gz")
     import gzip
 
     with gzip.open(stale, "wt") as f:
         f.write("<http://stale> <http://stale> <http://stale> .\n")
-    write_ntriples(_triples_ds(), out, lineage="L2")
+    write_triples(_triples_ds(), out, lineage="L2")
     parts = sorted(os.path.basename(p) for p in glob.glob(out + "/*.nt.gz"))
     assert "part-99999.nt.gz" not in parts
     manifest = cp.read_manifest(out)
@@ -94,7 +99,7 @@ def test_rewrite_clears_stale_parts(ray_session, tmp_path):
     assert set(manifest["parts"]) == set(parts)
 
 
-# one digest per output directory of generate_yago(write=True) on the
+# one digest per output directory of generate_yago on the
 # session corpus (600 entities, seed 42): sha256 over the sorted
 # "<part name>\t<part sha256>\n" lines. A change to output bytes must
 # add a new OUTPUT_FORMAT_VERSION with its digests here, so that resume
@@ -138,5 +143,5 @@ def test_output_format_golden(statements_root, tmp_path):
         f"no pinned digests for {OUTPUT_FORMAT_VERSION}"
     )
     out = str(tmp_path / "out")
-    generate_yago(statements_root, out_dir=out, write=True)
+    generate_yago(statements_root, out_dir=out)
     assert _output_digests(out) == GOLDEN_OUTPUT_DIGESTS[OUTPUT_FORMAT_VERSION]

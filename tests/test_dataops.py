@@ -178,6 +178,32 @@ def test_embedding_dedup(ray_session):
     assert {(0, 20), (1, 21), (2, 22)} <= pairs
 
 
+def test_embedding_dedup_plans_without_executing(ray_session, monkeypatch):
+    """Building the pairs Dataset starts no Ray Data execution: the
+    hyperplanes come from the seed inside the bucket map, not from a
+    take(1) probe of the (lazy) input."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from yago4_ray.dataops.dedup import embedding_dedup_pairs
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    vecs = np.random.default_rng(7).standard_normal((8, 4))
+    ds = ray.data.from_pandas(
+        pd.DataFrame({"vec_id": list(range(8)), "embedding": [v.tolist() for v in vecs]})
+    ).map_batches(lambda b: b, batch_format="pandas")
+    pairs = embedding_dedup_pairs(ds, "embedding", "vec_id")
+    assert calls == []
+    pairs.materialize()
+    assert calls  # the counter sees executions
+
+
 def test_minhash_oversized_bucket_star_link(ray_session):
     """Buckets above bucket_cap are star-linked through their min doc,
     not dropped: a 4-identical-doc bucket with cap 2 must still produce

@@ -1,41 +1,10 @@
 """Distributed-state path: forcing hash-join state consumption must
-produce the identical triple sets as the broadcast path / oracle
-(VERDICT r1 item 2: the 10^12-doc scale path, verified bit-identical)."""
+write byte-identical parts to the broadcast path's (VERDICT r1 item 2:
+the 10^12-doc scale path, verified bit-identical)."""
 
 import pytest
 
-
-@pytest.fixture(scope="module")
-def distributed_outputs(statements_root):
-    from yago4_ray.build import generate_yago
-
-    outputs = generate_yago(statements_root, write=False, distributed=True)
-    result = {}
-    for name, ds in outputs.items():
-        df = ds.to_pandas()
-        if "annotation_predicate" in df.columns:
-            result[name] = set(
-                zip(df["subject"], df["predicate"], df["object"],
-                    df["annotation_predicate"], df["annotation_object"])
-            )
-        else:
-            result[name] = set(zip(df["subject"], df["predicate"], df["object"]))
-    return result
-
-
-@pytest.mark.parametrize(
-    "name",
-    ["class", "simple-types", "full-types", "labels", "facts",
-     "annotated-facts", "sameAs"],
-)
-def test_distributed_matches_broadcast(distributed_outputs, build_outputs, name):
-    got = distributed_outputs[name]
-    want = build_outputs[name]
-    assert got == want, (
-        f"{name}: distributed != broadcast "
-        f"(got {len(got)}, want {len(want)}) "
-        f"missing={list(want - got)[:3]} extra={list(got - want)[:3]}"
-    )
+from conftest import part_digests, read_written_outputs
 
 
 def test_distributed_flag_set(statements_root):
@@ -50,33 +19,47 @@ def test_distributed_flag_set(statements_root):
     assert not state2.distributed  # tiny corpus → broadcast auto-choice
 
 
-def _part_hashes(out_dir) -> dict:
-    import hashlib
-    import pathlib
-
-    root = pathlib.Path(out_dir)
-    parts = [*root.glob("*/*.nt.gz"), *root.glob("*/*.ntx.gz")]
-    return {
-        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in parts
-    }
-
-
-def test_written_parts_identical_across_state_paths(statements_root, tmp_path_factory):
-    """The write=True path byte for byte: every .nt.gz/.ntx.gz part the
-    distributed build writes equals the broadcast build's (the gz sinks
-    write mtime=0 headers, so equal content means equal bytes), and so
-    does stats.tsv."""
-    import pathlib
-
+@pytest.fixture(scope="module")
+def distributed_out_dir(statements_root, tmp_path_factory):
+    """The output directory of one generate_yago run with distributed
+    state over the session store."""
     from yago4_ray.build import generate_yago
 
-    hashes, stats = {}, {}
-    for distributed in (False, True):
-        out = str(tmp_path_factory.mktemp(f"written_dist{int(distributed)}"))
-        generate_yago(statements_root, out_dir=out, write=True, distributed=distributed)
-        hashes[distributed] = _part_hashes(out)
-        stats[distributed] = (pathlib.Path(out) / "stats.tsv").read_bytes()
-    assert hashes[False], "the broadcast build wrote no parts"
-    assert hashes[True] == hashes[False]
-    assert stats[True] == stats[False]
+    out = str(tmp_path_factory.mktemp("distributed_out"))
+    generate_yago(statements_root, out_dir=out, distributed=True)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["class", "simple-types", "full-types", "labels", "facts",
+     "annotated-facts", "sameAs"],
+)
+def test_distributed_matches_broadcast(distributed_out_dir, build_outputs, name):
+    """Per output, the rows the distributed build wrote equal the
+    broadcast session build's: names the output and the rows when the
+    part sha256s below differ."""
+    got = read_written_outputs(distributed_out_dir)[name]
+    want = build_outputs[name]
+    assert got == want, (
+        f"{name}: distributed != broadcast "
+        f"(got {len(got)}, want {len(want)}) "
+        f"missing={list(want - got)[:3]} extra={list(got - want)[:3]}"
+    )
+
+
+def test_written_parts_identical_across_state_paths(build_out_dir, distributed_out_dir):
+    """The two state paths byte for byte: every .nt.gz/.ntx.gz part the
+    distributed build writes equals the broadcast session build's (the
+    gz sink writes mtime=0 headers, so equal content means equal
+    bytes), and so does stats.tsv."""
+    import pathlib
+
+    want = part_digests(build_out_dir)
+    assert want, "the broadcast build wrote no parts"
+    assert part_digests(distributed_out_dir) == want
+    stats = [
+        (pathlib.Path(d) / "stats.tsv").read_bytes()
+        for d in (distributed_out_dir, build_out_dir)
+    ]
+    assert stats[0] == stats[1]

@@ -104,7 +104,7 @@ def build_calls(request, statements_root, tmp_path_factory):
             mp.setattr(module, "scan_predicate", counting_scan_predicate)
         state = build_state(statements_root, distributed=request.param)
         writes_before = parquet_writes[0]
-        generate_yago(statements_root, state=state, out_dir=out, write=True)
+        generate_yago(statements_root, state=state, out_dir=out)
     assert state.distributed == request.param
     return {
         "distributed": request.param,

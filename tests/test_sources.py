@@ -13,7 +13,8 @@ def test_ntriples_roundtrip(ray_session, tmp_path):
     (reference roundtrip test, partitioned_statements.rs:305-327)."""
     import ray.data
 
-    from yago4_ray.sources import read_ntriples, write_ntriples
+    from conftest import write_triples
+    from yago4_ray.sources import read_ntriples
 
     nt = tmp_path / "in.nt"
     nt.write_text(
@@ -28,7 +29,7 @@ def test_ntriples_roundtrip(ray_session, tmp_path):
     assert '"astérisque"@ast' in set(rows["object"])
 
     out = str(tmp_path / "out")
-    write_ntriples(ds, out)
+    write_triples(ds, out)
     files = [f for f in os.listdir(out) if f.endswith(".nt.gz")]
     lines = [
         line for f in sorted(files) for line in gzip.open(os.path.join(out, f), "rt")
@@ -175,7 +176,7 @@ def test_lance_documents_roundtrip(ray_session, corpus_dir, tmp_path):
 
 
 def test_gz_sinks_write_identical_bytes(ray_session, tmp_path):
-    """Both N-Triples sinks write gzip headers without a timestamp, so
+    """The N-Triples sink writes gzip headers without a timestamp, so
     two writes of the same rows give the same .gz bytes (sha256 of
     every output file is a usable identity check)."""
     import hashlib
@@ -184,22 +185,22 @@ def test_gz_sinks_write_identical_bytes(ray_session, tmp_path):
     import pandas as pd
     import ray.data
 
-    from yago4_ray.sources import MultiNTriplesGzDatasink, write_ntriples
+    from yago4_ray.sources import MultiNTriplesGzDatasink
 
-    rows = pd.DataFrame(
+    tagged = pd.DataFrame(
         {
             "subject": [f"<http://e/s{i}>" for i in range(50)],
             "predicate": "<http://e/p>",
             "object": [f'"v{i}"' for i in range(50)],
+            "file": ["a", "b"] * 25,
+            "__part": [i % 3 for i in range(50)],
         }
     )
-    tagged = rows.assign(file=["a", "b"] * 25, __part=[i % 3 for i in range(50)])
 
     def write(run: str) -> dict[str, str]:
         base = tmp_path / run
-        write_ntriples(ray.data.from_pandas(rows), str(base / "single"))
         ray.data.from_pandas(tagged).write_datasink(
-            MultiNTriplesGzDatasink(str(base / "multi"), {"a": "out-a", "b": "out-b"})
+            MultiNTriplesGzDatasink(str(base), {"a": "out-a", "b": "out-b"})
         )
         return {
             str(p.relative_to(base)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -209,5 +210,57 @@ def test_gz_sinks_write_identical_bytes(ray_session, tmp_path):
     first = write("first")
     time.sleep(1.1)  # a header timestamp would now differ
     second = write("second")
-    assert len(first) >= 4
+    assert len(first) == 6  # 2 files × 3 parts
     assert first == second
+
+
+def test_gz_sink_requires_part_column(tmp_path):
+    """Part files are named by the rows' `__part`, never by task order:
+    a non-empty block without it is refused, an empty schema-less
+    shuffle block is skipped."""
+    import pyarrow as pa
+    import pytest
+
+    from yago4_ray.sources import MultiNTriplesGzDatasink
+
+    sink = MultiNTriplesGzDatasink(str(tmp_path), {"a": "out-a"})
+    sink.on_write_start()
+    rows = pa.table(
+        {"file": ["a"], "subject": ["<http://e/s>"], "predicate": ["<http://e/p>"],
+         "object": ['"v"']}
+    )
+    with pytest.raises(ValueError, match="__part"):
+        sink.write([rows], ctx=None)
+    assert sink.write([pa.table({})], ctx=None) == {}
+    assert not list((tmp_path / "out-a").iterdir())
+
+
+def test_one_output_writer(tmp_path):
+    """The build has one output path: `yago4_ray/` defines exactly one
+    Datasink (the gz sink every output goes through), generate_yago
+    refuses write=False before it builds anything, and the
+    single-output builders carry no dedup switch."""
+    import ast
+    import inspect
+    import pathlib
+
+    import pytest
+
+    from yago4_ray import build, sources
+
+    pkg = pathlib.Path(sources.__file__).parent
+    sinks = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) == "Datasink"
+                for base in node.bases
+            ):
+                sinks.append(f"{path.relative_to(pkg)}:{node.name}")
+    assert sinks == ["sources.py:MultiNTriplesGzDatasink"]
+
+    with pytest.raises(ValueError, match="write"):
+        build.generate_yago(str(tmp_path / "no-store"), out_dir=str(tmp_path), write=False)
+    assert not list(tmp_path.iterdir())
+    for fn in (build.build_labels, build.build_full_types, build.build_same_as):
+        assert "dedup" not in inspect.signature(fn).parameters, fn.__name__

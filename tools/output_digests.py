@@ -1,5 +1,5 @@
 """Output digests on both state paths: build a seeded corpus's statement
-store, run `generate_yago(write=True)` once with broadcast state and
+store, run `generate_yago` once with broadcast state and
 once with distributed state, print the sha256 of every written part
 (`.nt.gz`/`.ntx.gz`) and of `stats.tsv`, and compare the two paths.
 
@@ -75,7 +75,7 @@ def main() -> int:
         by_path = {}
         for name, distributed in PATHS.items():
             out = os.path.join(scratch, name)
-            generate_yago(store, out_dir=out, write=True, distributed=distributed)
+            generate_yago(store, out_dir=out, distributed=distributed)
             by_path[name] = digests(out)
             for file, sha in sorted(by_path[name].items()):
                 print(f"{name} {file} {sha}")

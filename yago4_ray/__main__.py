@@ -67,7 +67,7 @@ def cmd_build(args):
         size = "all-wikipedias"
     elif args.en_wiki:
         size = "en-wikipedia"
-    generate_yago(args.input, out_dir=args.output, size=size, write=True)
+    generate_yago(args.input, out_dir=args.output, size=size)
     print(f"built into {args.output}")
     if owned:
         ray.shutdown()

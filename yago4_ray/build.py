@@ -16,10 +16,14 @@ Ray Data pipelines over the predicate-partitioned statement store:
 - maxCount drops the whole (shape, subject) group — never truncates
   (A2, plan.rs:1141-1158).
 
-Outputs (same logical tables as plan.rs:105-196):
+Outputs (same logical files as plan.rs:105-196):
   class, simple-types, full-types, labels, facts, annotated-facts,
-  sameAs, schema, shapes — each a Dataset of
-  (subject, predicate, object[, annotation_predicate, annotation_object]).
+  sameAs, schema, shapes. generate_yago writes every one of them through
+  one gz sink (sources.MultiNTriplesGzDatasink) as rows of
+  (subject, predicate, object[, annotation_predicate, annotation_object]);
+  there is no in-memory output path. build_labels/build_full_types/
+  build_same_as serve single-output queries (queries.kg_*), each
+  deduplicated.
 """
 
 from __future__ import annotations
@@ -685,27 +689,23 @@ def label_shapes(schema: Schema) -> tuple[tuple[str, frozenset, str, tuple[str, 
     return tuple(shapes)
 
 
-def _dedup(ds: Dataset, dedup: bool) -> Dataset:
-    return distinct_rows(ds, ["subject", "predicate", "object"]) if dedup else ds
-
-
-def _store_output(root: str, state: BuildState, family: str, dedup: bool) -> Dataset:
-    """(subject, predicate, object) of one output family of the family
-    plan (build_dist.output_rows)."""
+def _store_output(root: str, state: BuildState, family: str) -> Dataset:
+    """Distinct (subject, predicate, object) rows of one output family
+    of the family plan (build_dist.output_rows)."""
     rows = D.output_rows(D.resolved(root, state, {family}), state)
-    return _dedup(
+    return distinct_rows(
         rows.map_batches(
             lambda b: b.drop_columns(["file"]), batch_format="pyarrow"
         ),
-        dedup,
+        ["subject", "predicate", "object"],
     )
 
 
-def build_labels(root: str, state: BuildState, dedup: bool = True) -> Dataset:
+def build_labels(root: str, state: BuildState) -> Dataset:
     """Label/comment/alternateName triples
     (build_simple_properties_from_schema, plan.rs:818-892) in ONE fused
     scan over every label predicate; the reference scans per shape."""
-    return _store_output(root, state, "label", dedup)
+    return _store_output(root, state, "label")
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +729,8 @@ def build_simple_types(state: BuildState) -> Dataset:
     )
 
 
-def build_full_types(root: str, state: BuildState, dedup: bool = True) -> Dataset:
-    return _store_output(root, state, "types", dedup)
+def build_full_types(root: str, state: BuildState) -> Dataset:
+    return _store_output(root, state, "types")
 
 
 def _classes_static_rows(state: BuildState) -> list:
@@ -746,19 +746,12 @@ def _classes_static_rows(state: BuildState) -> list:
     return rows
 
 
-def build_classes_description(root: str, state: BuildState, dedup: bool = True) -> Dataset:
-    static = _triples_ds(_classes_static_rows(state))
-    return _dedup(
-        static.union(_store_output(root, state, "class", dedup=False)), dedup
-    )
-
-
 # ---------------------------------------------------------------------------
 # sameAs (plan.rs:1690-1780)
 # ---------------------------------------------------------------------------
 
-def build_same_as(root: str, state: BuildState, dedup: bool = True) -> Dataset:
-    return _store_output(root, state, "sameAs", dedup)
+def build_same_as(root: str, state: BuildState) -> Dataset:
+    return _store_output(root, state, "sameAs")
 
 
 # ---------------------------------------------------------------------------
@@ -1040,45 +1033,31 @@ OUTPUT_FILE_NAMES = {
 
 def generate_yago(
     statements_root: str,
-    out_dir: str | None = None,
+    out_dir: str,
     size: str = "full",
     schema: Schema | None = None,
     state: BuildState | None = None,
     write: bool = True,
     distributed: bool | None = None,
-) -> dict[str, Dataset]:
-    """Run the full build (plan.rs:64-203).
-
-    write=False → returns the 9 output Datasets (each independently
-    deduplicated) for inspection / per-output consumption.
-    write=True  → one in-memory plan at every input size: the facts
-    join (build_facts) runs in one thread while the fused output scan
-    (build_scan_outputs) materializes in another. The driver-built
-    rows (schema, shapes, class), the simple types, the output scan and
-    the facts then union into ONE full-key dedup shuffle feeding one
+) -> None:
+    """Run the full build (plan.rs:64-203) and write every output under
+    `out_dir`: one in-memory plan at every input size. The facts join
+    (build_facts) runs in one thread while the fused output scan
+    (build_scan_outputs) materializes in another. The driver-built rows
+    (schema, shapes, class), the simple types, the output scan and the
+    facts then union into ONE full-key dedup shuffle feeding one
     partitioned gz write; the annotated facts dedup and write as their
     own job alongside. Every output dir holds hash-partitioned .nt.gz
     parts, each sorted within itself, plus a checkpoint manifest;
     completed outputs (same lineage) are skipped on rerun.
-    """
+
+    `write` has one legal value, True: the build always writes."""
+    if not write:
+        raise ValueError("generate_yago always writes: write must be True")
     if state is None:
         state = build_state(
             statements_root, schema=schema, size=size, distributed=distributed
         )
-
-    if not (write and out_dir is not None):
-        facts, annotated = build_facts(statements_root, state)
-        return {
-            "class": build_classes_description(statements_root, state),
-            "simple-types": build_simple_types(state),
-            "full-types": build_full_types(statements_root, state),
-            "labels": build_labels(statements_root, state),
-            "facts": facts,
-            "annotated-facts": annotated,
-            "sameAs": build_same_as(statements_root, state),
-            "schema": build_yago_schema(state.schema),
-            "shapes": build_yago_shapes(state.schema),
-        }
 
     import concurrent.futures as _cf
 
@@ -1095,7 +1074,7 @@ def generate_yago(
         if not is_complete(os.path.join(out_dir, v), lineage)
     }
     if not triple_names:
-        return {}  # resume: everything already written from this input
+        return  # resume: everything already written from this input
 
     # Every dedup leg is a materialized input or a driver table under one
     # map, so the dedup job's operator count stays small: a single
@@ -1126,25 +1105,22 @@ def generate_yago(
         facts_bytes = getattr(facts, "join_size_bytes", 0) or 0
 
         def ann_job():
-            ann_out = distinct_rows(
+            distinct_rows(
                 _dedup_rows(annotated, ann_name),
                 _OUT_COLS,
                 # annotations are a small fraction of the facts join
                 num_parts=max(8, partitions_for_nbytes(facts_bytes) // 4),
                 keep_part_column=True,
-            )
-            ann_out.write_datasink(
+            ).write_datasink(
                 MultiNTriplesGzDatasink(
                     out_dir, {ann_name: triple_names[ann_name]},
                     lineage=lineage, extensions={ann_name: ".ntx.gz"},
                 )
             )
-            return ann_out
 
         f_ann = pool.submit(ann_job) if ann_name in triple_names else None
         main_names = {k: v for k, v in triple_names.items() if k != ann_name}
 
-        combined = None
         if main_names:
             # (rows, file tag, in-memory bytes, row count); the raw
             # join's size bounds the max-count-filtered facts
@@ -1156,19 +1132,16 @@ def generate_yago(
                 (facts, "facts", facts_bytes, getattr(facts, "join_rows", 0)),
             ]
             tagged = [_dedup_rows(*leg) for leg in legs]
-            combined = distinct_rows(
+            distinct_rows(
                 tagged[0].union(*tagged[1:]),
                 _OUT_COLS,  # full key incl. annotation columns ("")
                 num_parts=max(
                     32, partitions_for_nbytes(sum(leg[2] for leg in legs))
                 ),
-                keep_part_column=True,  # deterministic part-file naming
-            )
-            combined.write_datasink(
+                keep_part_column=True,  # the sink names parts by __part
+            ).write_datasink(
                 MultiNTriplesGzDatasink(out_dir, main_names, lineage=lineage)
             )
         if f_ann is not None:
-            ann_written = f_ann.result()
-            combined = combined if combined is not None else ann_written
+            f_ann.result()
     state.stats.write(os.path.join(out_dir, "stats.tsv"))
-    return {"combined": combined, "annotated-facts": annotated}

@@ -15,6 +15,7 @@ All hashes are process-independent (crc32/blake2, never Python hash()).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 import zlib
@@ -770,6 +771,16 @@ def simhash_dedup_pairs(
 # Embedding cosine near-dup
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _lsh_planes(seed: int, dim: int, num_planes: int) -> np.ndarray:
+    """The (dim, num_planes) seeded hyperplanes of embedding_dedup_pairs,
+    drawn once per worker process and vector width."""
+    planes = np.random.default_rng(seed).standard_normal((dim, num_planes))
+    planes = planes.astype(np.float32)
+    planes.setflags(write=False)  # one cached array serves every batch
+    return planes
+
+
 def embedding_dedup_pairs(
     ds: Dataset,
     vec_col: str,
@@ -786,23 +797,16 @@ def embedding_dedup_pairs(
     seeded hyperplanes (depth-derived) until they fit, instead of being
     silently dropped — each split plane loses a ≥threshold pair with
     probability ≈ arccos(threshold)/π (~10% at 0.95), vs 100% for a
-    drop. Split events are printed as a counter."""
-    import ray
+    drop. Split events are printed as a counter.
 
-    # probe dim from one row
-    first = ds.take(1)[0][vec_col]
-    dim = len(first)
-    rng = np.random.default_rng(seed)
-    planes = rng.standard_normal((dim, num_planes)).astype(np.float32)
-    planes_ref = ray.put(planes)
-    from ..joins import get_broadcast
+    Building the Dataset runs nothing: each batch draws the seeded
+    hyperplanes for its own vector width (_lsh_planes)."""
 
     def bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        pl = get_broadcast(planes_ref)
         mat = np.stack(batch[vec_col].to_numpy()).astype(np.float32)
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
         mat = mat / np.maximum(norms, 1e-12)
-        bits = (mat @ pl) > 0
+        bits = (mat @ _lsh_planes(seed, mat.shape[1], num_planes)) > 0
         # pack the sign bits into one int64 key (no per-row Python join;
         # num_planes <= 62 by construction)
         keys = bits.astype(np.int64) @ (

@@ -6,9 +6,11 @@
   partition-pruned `read_parquet` of that predicate's directory — no KV
   store, no index build; the write is a one-shot partitioned
   `write_parquet`.
-- N-Triples (.nt / .nt.gz) reader and writer (reference:
-  partitioned_statements.rs:82-128 and plan.rs:2314-2358), expressed as
-  `read_text` + vectorized parse and a custom gz Datasink.
+- N-Triples (.nt / .nt.gz) reader (reference:
+  partitioned_statements.rs:82-128), expressed as `read_text` +
+  vectorized parse, and the one output writer,
+  `MultiNTriplesGzDatasink` (plan.rs:2314-2358): hash-partitioned,
+  within-part sorted `.nt.gz`/`.ntx.gz` parts.
 - Interleaved-documents reader: Lance when the `lance` package is
   available, Parquet otherwise (same Arrow schema either way).
 """
@@ -434,101 +436,6 @@ def _span_bounds(*key_arrays: np.ndarray) -> list[int]:
     return [0, *(np.flatnonzero(change) + 1).tolist(), n]
 
 
-class NTriplesGzDatasink(Datasink):
-    """Writes one part-NNNNN.nt.gz per task: rows must have columns
-    (subject, predicate, object) and optionally (annotation_predicate,
-    annotation_object) for RDF* lines (plan.rs:2314-2358, model.rs:51-63).
-    With `lineage` set, a checkpoint manifest is committed on completion
-    (yago4_ray.checkpoint)."""
-
-    def __init__(self, path: str, lineage: str | None = None,
-                 extension: str = ".nt.gz"):
-        self.path = path
-        self.lineage = lineage
-        # RDF* (annotated) outputs use ".ntx.gz" like the reference's
-        # yago-wd-annotated-facts.ntx.gz (plan.rs:170)
-        self.extension = extension
-        self._start = None
-
-    def on_write_start(self):
-        import time
-
-        self._start = time.perf_counter()
-        os.makedirs(self.path, exist_ok=True)
-        _clear_stale_parts(self.path)
-
-    def on_write_complete(self, write_result):
-        if self.lineage is None:
-            return
-        import time
-
-        from .checkpoint import write_manifest
-
-        wall = time.perf_counter() - (self._start or time.perf_counter())
-        write_manifest(self.path, self.lineage, write_result.num_rows, wall)
-
-    def write(self, blocks, ctx):
-        writers: dict[int, object] = {}
-        tmp_paths: dict[int, tuple[str, str]] = {}
-
-        def _writer(part_id: int):
-            if part_id not in writers:
-                out = os.path.join(
-                    self.path, f"part-{part_id:05d}{self.extension}"
-                )
-                tmp = out + ".tmp"
-                tmp_paths[part_id] = (tmp, out)
-                # mtime=0: no write time in the gzip header, so a rerun
-                # writes byte-identical files
-                writers[part_id] = gzip.GzipFile(
-                    tmp, "wb", compresslevel=1, mtime=0
-                )
-            return writers[part_id]
-
-        try:
-            for block in blocks:
-                table = BlockAccessor.for_block(block).to_arrow()
-                names = table.column_names
-                if table.num_rows == 0 or "subject" not in names:
-                    continue  # empty shuffle partitions carry no schema
-                if "__part" in names:
-                    # rows carry a deterministic hash-partition id: sort
-                    # WITHIN each part and name its file by the id —
-                    # byte-identical reruns without a global range sort
-                    # (the same scheme as MultiNTriplesGzDatasink)
-                    keys = [
-                        c
-                        for c in ("subject", "predicate", "object",
-                                  "annotation_predicate", "annotation_object")
-                        if c in names
-                    ]
-                    st = table.take(
-                        pc.sort_indices(
-                            table,
-                            sort_keys=[("__part", "ascending")]
-                            + [(c, "ascending") for c in keys],
-                        )
-                    ).combine_chunks()
-                    lines = _line_array(st)
-                    parts = st.column("__part").to_numpy()
-                    bounds = _span_bounds(parts)
-                    for a, b in zip(bounds, bounds[1:]):
-                        _writer(int(parts[a])).write(
-                            _utf8_payload(lines, a, b)
-                        )
-                else:
-                    st = table.combine_chunks()
-                    _writer(ctx.task_idx).write(
-                        _utf8_payload(_line_array(st), 0, st.num_rows)
-                    )
-        finally:
-            for f in writers.values():
-                f.close()
-        for tmp, out in tmp_paths.values():
-            os.replace(tmp, out)  # atomic per-partition write → resumable
-        return "ok"
-
-
 def _clear_stale_parts(path: str) -> None:
     """Remove leftover part files before a rewrite: a rerun with
     different inputs may produce FEWER parts than a previous run left
@@ -540,10 +447,13 @@ def _clear_stale_parts(path: str) -> None:
 
 
 class MultiNTriplesGzDatasink(Datasink):
-    """Partitioned N-Triples writer: rows carry a `file` column naming
-    their logical output; each write task appends its rows, grouped by
-    file, to `<base>/<dirname>/part-<task>.nt.gz` (atomic tmp+rename).
-    One Ray write job materializes every output table at once; per-file
+    """The N-Triples writer (plan.rs:2314-2358, model.rs:51-63): rows
+    carry a `file` column naming their logical output and a `__part`
+    hash-partition id (distinct_rows(keep_part_column=True)); the rows
+    of each (file, part) go, sorted, to
+    `<base>/<dirname>/part-<__part>.nt.gz` (atomic tmp+rename). Rows
+    with (annotation_predicate, annotation_object) set become RDF*
+    lines. One Ray write job writes every output table at once; per-file
     checkpoint manifests are committed on completion."""
 
     def __init__(self, base_dir: str, file_names: dict[str, str],
@@ -573,49 +483,46 @@ class MultiNTriplesGzDatasink(Datasink):
         try:
             for block in blocks:
                 table = BlockAccessor.for_block(block).to_arrow()
-                if table.num_rows == 0 or "file" not in table.column_names:
-                    continue
+                if table.num_rows == 0:
+                    continue  # empty shuffle partitions carry no schema
                 names_ = table.column_names
-                sort_cols = [
+                missing = [c for c in ("file", "__part") if c not in names_]
+                if missing:
+                    # part files are named by __part, a function of the
+                    # row alone: reruns write byte-identical files
+                    # whatever the task scheduling
+                    raise ValueError(
+                        f"MultiNTriplesGzDatasink rows need {missing} "
+                        "(distinct_rows(keep_part_column=True) adds __part)"
+                    )
+                keys = ["file", "__part"] + [
                     c
-                    for c in ("file", "subject", "predicate", "object",
+                    for c in ("subject", "predicate", "object",
                               "annotation_predicate", "annotation_object")
                     if c in names_
                 ]
-                # deterministic part naming: rows carry the dedup
-                # shuffle's partition id (__part); a part value lives in
-                # exactly one group, so files named by it are stable
-                # across reruns regardless of task scheduling
-                has_part = "__part" in names_
-                cols = sort_cols + (["__part"] if has_part else [])
-                group_cols = ["file"] + (["__part"] if has_part else [])
                 # ONE Arrow sort keyed (file, __part, s, p, o, …) makes
                 # every (file, part) group a contiguous span; lines are
                 # assembled once for the whole block and each span's
                 # UTF-8 payload is sliced zero-copy from the Arrow
                 # buffer — no pandas frame, no Python strings (measured
                 # ~4× over the sort_values + Series-concat + join path)
-                st = table.select(cols).take(
+                st = table.select(keys).take(
                     pc.sort_indices(
-                        table.select(cols),
-                        sort_keys=[(c, "ascending") for c in group_cols]
-                        + [(c, "ascending") for c in sort_cols
-                           if c != "file"],
+                        table.select(keys),
+                        sort_keys=[(c, "ascending") for c in keys],
                     )
                 ).combine_chunks()
                 lines = _line_array(st)
                 file_np = pc.dictionary_encode(
                     st.column("file").chunk(0)
                 ).indices.to_numpy()
-                span_keys = [file_np]
-                if has_part:
-                    parts_np = st.column("__part").to_numpy()
-                    span_keys.append(parts_np)
-                bounds = _span_bounds(*span_keys)
+                parts_np = st.column("__part").to_numpy()
+                bounds = _span_bounds(file_np, parts_np)
                 files = st.column("file")
                 for a, b in zip(bounds, bounds[1:]):
                     tag = files[a].as_py()
-                    part_id = int(parts_np[a]) if has_part else ctx.task_idx
+                    part_id = int(parts_np[a])
                     name = self.file_names.get(tag)
                     if name is None:
                         continue
@@ -627,6 +534,8 @@ class MultiNTriplesGzDatasink(Datasink):
                         )
                         tmp = out + ".tmp"
                         tmp_paths[wkey] = (tmp, out)
+                        # mtime=0: no write time in the gzip header, so
+                        # a rerun writes byte-identical files
                         writers[wkey] = gzip.GzipFile(
                             tmp, "wb", compresslevel=1, mtime=0
                         )
@@ -658,30 +567,6 @@ class MultiNTriplesGzDatasink(Datasink):
                 totals.get(tag, 0),
                 wall,
             )
-
-
-def write_ntriples(
-    ds: Dataset, path: str, sort: bool = True, lineage: str | None = None,
-    extension: str = ".nt.gz",
-) -> None:
-    """Deterministic N-Triples output: subject-sorted partitions (our
-    addition over the reference's unordered HashMap output — SURVEY
-    §2.6), atomic part files, optional checkpoint manifest."""
-    if sort:
-        cols = ds.schema().names
-        if "__part" not in cols:
-            # no deterministic partition id → global range sort; with
-            # one (distinct_rows(keep_part_column=True)), the sink sorts
-            # within each part instead — same determinism, one less
-            # all-to-all exchange
-            keys = [
-                c
-                for c in ("subject", "predicate", "object",
-                          "annotation_predicate", "annotation_object")
-                if c in cols
-            ]
-            ds = ds.sort(keys)
-    ds.write_datasink(NTriplesGzDatasink(path, lineage=lineage, extension=extension))
 
 
 # ---------------------------------------------------------------------------
