@@ -4,8 +4,6 @@ F4)."""
 
 import pytest
 
-from conftest import part_digests
-
 
 @pytest.mark.parametrize(
     "name",
@@ -46,26 +44,3 @@ def test_outputs_nonempty(build_outputs, oracle_outputs):
     assert any(
         p == "<http://schema.org/elevation>" for _, p, _ in oracle_outputs["facts"]
     )
-
-
-@pytest.mark.parametrize(
-    "distributed", [False, True], ids=["broadcast", "distributed"]
-)
-def test_annotation_join_path_matches_stitch(
-    build_out_dir, statements_root, tmp_path, monkeypatch, distributed
-):
-    """The volume-gated annotation stitch (taken by the session build
-    under the default cap) and the co-partitioned join path (forced via
-    cap=0) write byte-identical annotated-facts parts on both state
-    paths — the same both-paths identity gate the minhash verify has."""
-    from yago4_ray import build
-    from yago4_ray.build import generate_yago
-
-    monkeypatch.setattr(build, "ANN_BROADCAST_CAP", 0)
-
-    out = str(tmp_path / "out")
-    generate_yago(statements_root, out_dir=out, distributed=distributed)
-    pattern = "yago-wd-annotated-facts/*.ntx.gz"
-    want = part_digests(build_out_dir, pattern)
-    assert want, "the session build wrote no annotated-facts parts"
-    assert part_digests(out, pattern) == want

@@ -72,8 +72,8 @@ def test_cc_random_graphs(ray_session):
         ]
         if not edges:
             continue
-        assert _run(edges, num_parts=4, small_cap=0) == _reference(edges)
-        assert _run(edges, num_parts=4) == _reference(edges)
+        assert _run(edges, small_cap=0) == _reference(edges)
+        assert _run(edges) == _reference(edges)
 
 
 def test_cc_empty(ray_session):

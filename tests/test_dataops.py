@@ -291,6 +291,31 @@ def test_brute_force_pairs_guard(ray_session):
     assert len(out) == 12 * 11 // 2  # all pairs pass at threshold < -1
 
 
+def test_brute_force_pairs_runs_input_once(ray_session, monkeypatch):
+    """brute_force_pairs executes its (lazy) input pipeline once per
+    call: the row-count guard and the broadcast side both read one
+    materialization, not a count() pass and then a second collect."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from yago4_ray.dataops.similarity import brute_force_pairs
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    vecs = np.random.default_rng(11).standard_normal((10, 4))
+    ds = ray.data.from_pandas(
+        pd.DataFrame({"vec_id": list(range(10)), "embedding": [v.tolist() for v in vecs]})
+    ).map_batches(lambda b: b, batch_format="pandas")
+    pairs = brute_force_pairs(ds, threshold=-1.1, max_rows=10)
+    assert len(calls) == 1, len(calls)
+    assert len(pairs.to_pandas()) == 10 * 9 // 2
+
+
 def test_fit_centroids_row_cap(ray_session):
     """The centroid sample is capped by ROW COUNT: with a cap smaller
     than the corpus the driver never sees more than max_sample_rows

@@ -135,25 +135,56 @@ def test_maxcount_broadcast_and_exchange_paths_identical(
 ):
     """The maxCount anti-filter is volume-gated (broadcast offenders
     under the cap, full (cfg, subject) exchange above it) — both paths
-    must produce the same facts. The small-store fixture DOES contain
-    offending groups (test_maxcount_group_dropped), so this is not a
-    vacuous gate."""
+    must produce the same facts and annotated facts: annotated rows pass
+    through both filters, counted out of a group's size and dropped with
+    an offending group. The fixture's own maxCount shapes carry no
+    qualifiers, so two user shapes read the qualified P26 statements:
+    schema:knows with maxCount 1 (no person has two spouses: its
+    annotated rows stay) and schema:colleague with maxCount 0 (every
+    group offends: its facts and annotated rows go). The fixture's
+    offending url groups (test_maxcount_group_dropped) keep the facts
+    half from being vacuous."""
     from yago4_ray import build
     from yago4_ray.build import build_facts
     from yago4_ray.state import build_state
 
-    state = build_state(statements_root)
+    extra = """
+    @prefix sh: <http://www.w3.org/ns/shacl#> .
+    @prefix schema: <http://schema.org/> .
+    @prefix wdt: <http://www.wikidata.org/prop/direct/> .
+    @prefix ys: <http://yago-knowledge.org/schema#> .
+    schema:Person sh:property [
+        sh:path schema:knows ;
+        sh:node schema:Person ;
+        sh:maxCount 1 ;
+        ys:fromProperty wdt:P26 ;
+    ] , [
+        sh:path schema:colleague ;
+        sh:node schema:Person ;
+        sh:maxCount 0 ;
+        ys:fromProperty wdt:P26 ;
+    ] .
+    """
+    state = build_state(statements_root, schema=Schema.open(extra_turtle_docs=[extra]))
 
     def run():
-        facts, _ = build_facts(statements_root, state)
-        df = facts.to_pandas()
-        return set(zip(df["subject"], df["predicate"], df["object"]))
+        return tuple(
+            set(map(tuple, ds.to_pandas().itertuples(index=False)))
+            for ds in build_facts(statements_root, state)
+        )
 
     broadcast = run()
     monkeypatch.setattr(build, "MAXCOUNT_BROADCAST_CAP", 0)
     exchange = run()
     assert broadcast == exchange
-    assert len(broadcast) > 0
+    facts, annotated = broadcast
+    annotated_paths = {p for _, p, _, ap, _ in annotated if ap}
+    assert "<http://schema.org/knows>" in annotated_paths
+    assert "<http://schema.org/spouse>" in annotated_paths
+    colleague = "<http://schema.org/colleague>"
+    assert colleague not in annotated_paths
+    assert not [p for _, p, _ in facts if p == colleague]
+    assert len(facts) > 0
 
 
 def test_best_rank_collision_rebuilds_from_strings(

@@ -35,11 +35,12 @@ def build_calls(request, statements_root, tmp_path_factory):
     """Run build_state + generate_yago once, recording the class of every
     `to_arrow_refs` receiver, the number of `si_by_item` builds, the
     calling function of every `Dataset.groupby` exchange, the number of
-    store-scan plans and of the parquet writes generate_yago makes, and
-    the value-column count (for a HashIndex) and calling function of
-    every driver `ray.put` argument."""
+    Ray Data executions, of store-scan plans and of the parquet writes
+    generate_yago makes, and the value-column count (for a HashIndex)
+    and calling function of every driver `ray.put` argument."""
     import pyarrow.parquet as pq
     import ray
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
     from ray.data.dataset import Dataset
 
     from yago4_ray import build, build_dist, sources, state as state_mod
@@ -51,11 +52,13 @@ def build_calls(request, statements_root, tmp_path_factory):
     si_calls = [0]
     exchanges: list[str] = []
     scans = [0]
+    executions = [0]
     parquet_writes = [0]
     puts: list[tuple[int | None, str]] = []
     put = ray.put
     scan_predicate = sources.scan_predicate
     to_arrow_refs = Dataset.to_arrow_refs
+    execute = StreamingExecutor.execute
     groupby = Dataset.groupby
     si_by_item = build_dist.si_by_item
     write_parquet = Dataset.write_parquet
@@ -72,6 +75,10 @@ def build_calls(request, statements_root, tmp_path_factory):
     def counting_scan_predicate(*args, **kwargs):
         scans[0] += 1
         return scan_predicate(*args, **kwargs)
+
+    def counting_execute(self, *args, **kwargs):
+        executions[0] += 1
+        return execute(self, *args, **kwargs)
 
     def counting_write_parquet(self, *args, **kwargs):
         parquet_writes[0] += 1
@@ -95,6 +102,7 @@ def build_calls(request, statements_root, tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Dataset, "to_arrow_refs", recording_to_arrow_refs)
         mp.setattr(Dataset, "groupby", recording_groupby)
+        mp.setattr(StreamingExecutor, "execute", counting_execute)
         mp.setattr(build_dist, "si_by_item", counting_si_by_item)
         mp.setattr(Dataset, "write_parquet", counting_write_parquet)
         mp.setattr(pq, "write_table", counting_write_table)
@@ -112,6 +120,7 @@ def build_calls(request, statements_root, tmp_path_factory):
         "si_calls": si_calls[0],
         "exchanges": exchanges,
         "scans": scans[0],
+        "executions": executions[0],
         "parquet_writes": parquet_writes[0] - writes_before,
         "puts": puts,
         "out_dir": out,
@@ -132,11 +141,11 @@ def test_si_by_item_built_once_per_state(build_calls):
 
 
 def test_exchange_budget(build_calls):
-    """Broadcast: shape instances, clean values, the facts join,
-    maxCount and the two output dedups. Distributed: those plus
-    si_by_item and the item and value-node joins — one exchange per
-    join key. The annotations stitch under the volume cap on both
-    paths. Every one is a `joins.exchange`."""
+    """Broadcast: shape instances, clean values, the facts join (its
+    annotated rows included), maxCount and the two output dedups.
+    Distributed: those plus si_by_item and the item and value-node
+    joins — one exchange per join key. Every one is a
+    `joins.exchange`."""
     callers = build_calls["exchanges"]
     assert set(callers) == {"yago4_ray.joins.exchange"}, callers
     if build_calls["distributed"]:
@@ -147,15 +156,26 @@ def test_exchange_budget(build_calls):
 
 def test_store_scan_budget(build_calls):
     """Broadcast: the fused state scan, clean values, the shape
-    instances' P31, the output scan, and the facts' subject, object and
-    annotation scans. Distributed: the item-keyed families of all of
-    these share one item scan; the clean values, the value nodes, the
-    best-rank ids, the stateless object rows and the class labels are
-    scanned apart."""
+    instances' P31, the output scan, and the facts' subject scan and
+    object scan (the annotation objects ride the latter). Distributed:
+    the item-keyed families of all of these share one item scan; the
+    clean values, the value nodes, the best-rank ids, the stateless
+    object rows and the class labels are scanned apart."""
     if build_calls["distributed"]:
         assert build_calls["scans"] <= 8, build_calls["scans"]
     else:
-        assert build_calls["scans"] <= 7, build_calls["scans"]
+        assert build_calls["scans"] <= 6, build_calls["scans"]
+
+
+def test_execution_budget(build_calls):
+    """Each Ray Data execution costs a fixed start before it touches a
+    row. Facts and annotated facts are the two row kinds of one
+    materialized statement exchange: no annotation collect or second
+    annotation join runs on either path."""
+    if build_calls["distributed"]:
+        assert build_calls["executions"] <= 10, build_calls["executions"]
+    else:
+        assert build_calls["executions"] == 8, build_calls["executions"]
 
 
 def test_state_objects_put_once(build_calls):

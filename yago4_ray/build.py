@@ -3,18 +3,22 @@
 Re-expresses the reference's 8-thread build plan (plan.rs:103-202) as
 Ray Data pipelines over the predicate-partitioned statement store:
 
-- ONE combined pass over the p:/ps:/psv: statement families covers every
-  property shape at once (the reference loops shapes and rescans,
-  plan.rs:1069-1199); per-shape dispatch is vectorized inside batches.
+- ONE combined pass over the p:/ps:/psv: statement families and the
+  pq:/pqv: qualifiers covers every property and annotation shape at
+  once (the reference loops shapes and rescans, plan.rs:1069-1199);
+  per-shape dispatch is vectorized inside batches.
 - Every store-reading output runs the family plan of build_dist: store
   rows routed into families, each key met with its state (a per-batch
   map over packed broadcasts, or with `state.distributed=True` — auto
   above ~50M rdf:type rows — a co-partitioned join against the state
   Datasets), then one set of selections to outputs.
 - The statement-subject × statement-object join is one task-based
-  hash exchange keyed on statement id (`joins.exchange`).
-- maxCount drops the whole (shape, subject) group — never truncates
-  (A2, plan.rs:1141-1158).
+  hash exchange keyed on statement id (`joins.exchange`). The
+  qualifier objects ride its object side and meet their facts in the
+  same part, so facts and annotated facts are the two row kinds of one
+  materialized join (build_dist.facts_part).
+- maxCount drops the whole (shape, subject) group, its annotated rows
+  with it — never truncates (A2, plan.rs:1141-1158).
 
 Outputs (same logical files as plan.rs:105-196):
   class, simple-types, full-types, labels, facts, annotated-facts,
@@ -56,11 +60,10 @@ from .state import BuildState, build_state
 
 LABEL_PATHS = [T.RDFS_LABEL, T.RDFS_COMMENT, T.SCHEMA_ALTERNATE_NAME]
 
-# volume gates, in bytes: at or under the cap the small side is collected
-# and broadcast, above it the full exchange runs (both sides of each gate
-# are pytest-gated identical)
-MAXCOUNT_BROADCAST_CAP = 64 << 20  # maxCount offender (cfg, subject) rows
-ANN_BROADCAST_CAP = 64 << 20  # pq:/pqv: partition bytes (annotation stitch)
+# the volume gate, in bytes, of the maxCount offender (cfg, subject) rows:
+# at or under the cap they are collected and broadcast, above it the full
+# (cfg, subject) exchange runs (both sides are pytest-gated identical)
+MAXCOUNT_BROADCAST_CAP = 64 << 20
 
 _TIME_DTS = frozenset(
     {T.XSD_DATE, T.XSD_DATE_TIME, T.XSD_G_YEAR, T.XSD_G_YEAR_MONTH}
@@ -306,15 +309,17 @@ def _apply_max_count_exchange(
     joined: Dataset, max_counts: dict[str, int]
 ) -> Dataset:
     """Full-exchange maxCount path: hash-partition the limited rows by
-    (cfg, subject) and drop oversize groups per part. Correct at any
-    offender volume — the fallback when the offender set is too big to
-    broadcast (pytest-gated identical to the broadcast path)."""
+    (cfg, subject) and drop the groups with too many fact rows per part,
+    annotated rows included. Correct at any offender volume — the
+    fallback when the offender set is too big to broadcast (pytest-gated
+    identical to the broadcast path)."""
     limits_ref = ray.put(max_counts)
     limited_cfgs = set(max_counts)
 
     def keep_small(pdf: pd.DataFrame) -> pd.DataFrame:
         limits = get_broadcast(limits_ref)
-        sizes = pdf.groupby(["cfg", "subject"])["statement"].transform("size")
+        facts = pdf["ann_cfg"].isna()
+        sizes = facts.groupby([pdf["cfg"], pdf["subject"]]).transform("sum")
         limit = pdf["cfg"].map(limits)
         return pdf[sizes <= limit]
 
@@ -335,6 +340,10 @@ def _apply_max_count(
     joined: Dataset, configs: list[PropConfig], num_partitions: int = 32
 ) -> Dataset:
     """Whole-group drop for shapes with sh:maxCount (plan.rs:1141-1158).
+
+    A (cfg, subject) group's size counts its fact rows; an offending
+    group loses its annotated rows too, as annotations attach to the
+    facts that pass maxCount.
 
     `joined` must be MATERIALIZED. The previous implementation
     re-exchanged the entire limited payload right after the join
@@ -364,7 +373,7 @@ def _apply_max_count(
     }
 
     def partial_counts(b: pd.DataFrame) -> pd.DataFrame:
-        sub = b[b["cfg"].isin(limited_cfgs)]
+        sub = b[b["cfg"].isin(limited_cfgs) & b["ann_cfg"].isna()]
         if sub.empty:
             return pd.DataFrame(_EMPTY_COUNTS)
         return (
@@ -443,27 +452,67 @@ def prop_configs(schema: Schema) -> tuple[tuple[PropConfig, ...], tuple[PropConf
     return tuple(configs), tuple(ann_configs)
 
 
+def _expander(path_ref, annotated: bool):
+    """The output rows of one row kind of the materialized statement
+    join (`build_dist.facts_part`): per fact row (ann_cfg null) the
+    triple (subject, cfg path, object); per annotated row that triple
+    plus (annotation path, annotation object). Each row's JSON `extras`
+    (its complex value's node triples, plan.rs:1209-1399) follow as
+    triples, their annotation columns empty. The base rows are a column
+    projection; only rows with extras take the Python loop."""
+    cols = ["subject", "predicate", "object"]
+    if annotated:
+        cols += ["annotation_predicate", "annotation_object"]
+
+    def expand(batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        kind = pc.is_valid(batch["ann_cfg"])
+        rows = batch.filter(kind if annotated else pc.invert(kind)).to_pandas()
+        paths = get_broadcast(path_ref)
+        base = [rows["subject"], rows["cfg"].map(paths), rows["object"]]
+        if annotated:
+            base += [rows["ann_cfg"].map(paths), rows["ann_obj"]]
+        extras = rows["extras"].fillna("").to_numpy()
+        triples = [t for e in extras[extras != ""] for t in json.loads(e)]
+        added = [*zip(*triples)] or [(), (), ()]
+        added += [[""] * len(triples)] * (len(cols) - 3)
+        return pa.table(
+            {
+                c: pa.concat_arrays(
+                    [pa.array(b.to_numpy(), pa.string(), from_pandas=True),
+                     pa.array(a, pa.string())]
+                )
+                for c, b, a in zip(cols, base, added)
+            }
+        )
+
+    return expand
+
+
 def build_facts(
     root: str,
     state: BuildState,
     dedup: bool = True,
 ) -> tuple[Dataset, Dataset]:
-    """The core: (facts, annotated-facts) Datasets
-    (plan.rs:896-1202). See module docstring for the dataflow."""
-    # size the statement⨝statement exchanges by DATA volume, not CPU
-    # count: a fixed count means per-partition size grows without bound
-    # as the store grows (the 100-TB killer)
+    """The core: (facts, annotated-facts) Datasets (plan.rs:896-1202),
+    the two row kinds of ONE statement exchange. See module docstring
+    for the dataflow."""
+    # size the statement exchange by DATA volume, not CPU count: a
+    # fixed count means per-partition size grows without bound as the
+    # store grows (the 100-TB killer)
     num_partitions = D.exchange_parts(root)
     configs, ann_configs = prop_configs(state.schema)
+    all_configs = configs + ann_configs
 
     # objects first: on the distributed path it starts the item and
     # value-node exchanges together; the subject rows then select from
-    # the materialized item join
+    # the materialized item join. The annotation cfgs' objects (ids a…,
+    # disjoint from the facts' c…) ride the same side.
     objects = D.object_rows(
-        D.resolved(root, state, D.OBJECT_FAMILIES, configs), configs
+        D.resolved(root, state, D.OBJECT_FAMILIES, all_configs), all_configs
     )
     subjects = D.subject_rows(D.resolved(root, state, {"subject"}, configs), configs)
-    range_ids = {c.cfg_id for c in configs if c.mode == "range"}
 
     # task-based co-partitioned join: ONE Arrow exchange fed directly by
     # the (lazy) subject/object scan stages — the native Dataset.join
@@ -483,55 +532,43 @@ def build_facts(
     # string exchange measured ~1 s FASTER per join than 128-bit digest
     # keys, and dictionary-encoded cfg saved nothing (PERF_NOTES #38)
     # keyed on statement alone: every row of a statement shares a part,
-    # so the best-rank semi-join (distributed) and the range-row dedup
-    # inside D.facts_part are exact
+    # so the best-rank semi-join (distributed), the range-row dedup and
+    # the annotation join inside D.facts_part are exact
     joined = exchange(
         [(subjects, D.SUBJ_COLS), (objects, D.OBJ_COLS),
          *D.best_rank_sides(root, state)],
-        ["statement"], D.facts_part(range_ids), num_partitions,
+        ["statement"],
+        D.facts_part(
+            {c.cfg_id for c in all_configs if c.mode == "range"},
+            {c.cfg_id for c in ann_configs},
+        ),
+        num_partitions,
         tag_batch_size=tag_bs,
     )
 
-    # materialize once: consumed by the facts file, the annotation join
-    # and the stats — avoids recomputing the whole pipeline 3×.
+    # materialize once: consumed by the facts file, the annotated facts
+    # file and the stats — avoids recomputing the whole pipeline 3×.
     # maxCount runs AFTER the materialize as a counts pass + broadcast
     # anti-filter (a lazy cheap map over the materialized blocks), not
-    # as a second full exchange before it.
+    # as a second full exchange before it; it drops an offending
+    # group's annotated rows with its fact rows.
     joined_raw = joined.materialize()
     joined = _apply_max_count(joined_raw, configs, num_partitions)
 
-    cfg_path = {c.cfg_id: c.path for c in configs}
-    path_ref = ray.put(cfg_path)
-
-    def to_triples(batch: pd.DataFrame) -> pd.DataFrame:
-        # vectorized: the base triple is a column projection; only the
-        # (rare) complex-value rows with JSON extras take the Python loop
-        paths = get_broadcast(path_ref)
-        base = pd.DataFrame(
-            {
-                "subject": batch["subject"].to_numpy(),
-                "predicate": batch["cfg"].map(paths).to_numpy(),
-                "object": batch["object"].to_numpy(),
-            }
-        )
-        extras_col = batch["extras"].fillna("").to_numpy()
-        ex_mask = extras_col != ""
-        if not ex_mask.any():
-            return base
-        subjects_out, predicates_out, objects_out = [], [], []
-        for extras in extras_col[ex_mask]:
-            for s, p, o in json.loads(extras):
-                subjects_out.append(s)
-                predicates_out.append(p)
-                objects_out.append(o)
-        extra = pd.DataFrame(
-            {"subject": subjects_out, "predicate": predicates_out, "object": objects_out}
-        )
-        return pd.concat([base, extra], ignore_index=True)
-
-    facts = joined.map_batches(to_triples, batch_format="pandas")
+    path_ref = ray.put({c.cfg_id: c.path for c in all_configs})
+    facts = joined.map_batches(
+        _expander(path_ref, annotated=False), batch_format="pyarrow"
+    )
+    annotated = joined.map_batches(
+        _expander(path_ref, annotated=True), batch_format="pyarrow"
+    )
     if dedup:
         facts = distinct_rows(facts, ["subject", "predicate", "object"])
+        annotated = distinct_rows(
+            annotated,
+            ["subject", "predicate", "object",
+             "annotation_predicate", "annotation_object"],
+        )
     # advisory size/rows for downstream shuffle sizing (generate_yago
     # sizes the combined dedup's partition count and re-bounds the
     # facts leg's block count from them: the materialized join carries
@@ -539,130 +576,11 @@ def build_facts(
     # is (input blocks × output partitions) objects sized to the input
     # block count, so an unbounded union leg makes the dedup quadratic
     # in part count again — PERF_NOTES #20/#23)
-    # advisory sizes come from the RAW materialized join (free) — an
-    # upper bound on the max-count-filtered rows, which is all shuffle
-    # sizing needs
+    # advisory sizes come from the RAW materialized join (free), both
+    # row kinds — an upper bound on the max-count-filtered fact rows,
+    # which is all shuffle sizing needs
     facts.join_size_bytes = joined_raw.size_bytes()
     facts.join_rows = joined_raw.count()
-
-    # ---- annotations (plan.rs:1034-1064, 1165-1192) ----
-    if ann_configs:
-        ann_objects = D.object_rows(
-            D.resolved(root, state, D.OBJECT_FAMILIES, ann_configs), ann_configs
-        )
-        annotations = ann_objects.map_batches(
-            lambda b: pa.table(
-                {"statement": b["statement"], "ann_cfg": b["cfg"],
-                 "ann_obj": b["object"], "ann_extras": b["extras"]}
-            ),
-            batch_format="pyarrow",
-        )
-        ann_range_ids = {c.cfg_id for c in ann_configs if c.mode == "range"}
-        ann_paths = ray.put({c.cfg_id: c.path for c in ann_configs})
-
-        # Volume-gated stitch (same discipline as the minhash verify):
-        # annotations are a small fraction of the statements (qualifier
-        # predicates), yet the join path must shuffle the ENTIRE
-        # materialized facts join to meet them — measured as a second
-        # wide job running as long as the combined dedup it competes
-        # with. Under the cap (uncompressed pq:/pqv: partition footer
-        # bytes, an upper bound on the cleaned annotation rows), collect
-        # the annotations ONCE, broadcast, and stitch inside a narrow
-        # map over `joined` — zero extra exchanges. Above the cap the
-        # co-partitioned join stands. The gate reads volume only, on
-        # both state paths.
-        from .broadcast import HashIndex
-        from .sources import store_nbytes
-
-        ann_preds = []
-        for cfg in ann_configs:
-            prefix = T.PQV_PREFIX if cfg.complex_value else T.PQ_PREFIX
-            for pid in cfg.pids:
-                ann_preds.append(T.iri(f"{prefix}{pid}"))
-        ann_src_bytes = store_nbytes(root, ann_preds)
-        if ann_src_bytes <= ANN_BROADCAST_CAP:
-            ann_df = D.distinct_ranges(  # bounded by the gate
-                pa.Table.from_pandas(annotations.to_pandas(), preserve_index=False),
-                ann_range_ids, "ann_cfg",
-            ).to_pandas()
-            ann_ref = ray.put((HashIndex(ann_df["statement"]), ann_df))
-
-            def stitch(batch: pd.DataFrame) -> pd.DataFrame:
-                stmt_set, ann_local = get_broadcast(ann_ref)
-                # hashed membership pre-filter (false positives are
-                # resolved by the exact merge below)
-                keep = stmt_set.contains(batch["statement"])
-                cols = ["statement", "cfg", "subject", "object"]
-                if not keep.any():
-                    empty = {
-                        c: pd.Series([], dtype=object)
-                        for c in cols + D.ANN_COLS[1:]
-                    }
-                    return pd.DataFrame(empty)
-                return batch.loc[keep, cols].merge(
-                    ann_local, on="statement", how="inner"
-                )
-
-            ann_joined = joined.map_batches(stitch, batch_format="pandas")
-        else:
-            kept = joined.map_batches(
-                lambda b: b[["statement", "cfg", "subject", "object"]],
-                batch_format="pandas",
-            )
-            ann_joined = exchange(
-                [(kept, ["statement", "cfg", "subject", "object"]),
-                 (annotations, D.ANN_COLS)],
-                ["statement"], D.annotation_part(ann_range_ids),
-                num_partitions,
-            )
-
-        def to_annotated(batch: pd.DataFrame) -> pd.DataFrame:
-            # vectorized like to_triples: base rows project straight from
-            # columns; only rows with JSON ann_extras loop
-            paths = get_broadcast(path_ref)
-            base = pd.DataFrame(
-                {
-                    "subject": batch["subject"].to_numpy(),
-                    "predicate": batch["cfg"].map(paths).to_numpy(),
-                    "object": batch["object"].to_numpy(),
-                    "annotation_predicate": batch["ann_cfg"].map(
-                        get_broadcast(ann_paths)
-                    ).to_numpy(),
-                    "annotation_object": batch["ann_obj"].to_numpy(),
-                }
-            )
-            extras_col = batch["ann_extras"].fillna("").to_numpy()
-            ex_mask = extras_col != ""
-            if not ex_mask.any():
-                return base
-            out = {
-                "subject": [], "predicate": [], "object": [],
-                "annotation_predicate": [], "annotation_object": [],
-            }
-            for ann_extras in extras_col[ex_mask]:
-                for s, p, o in json.loads(ann_extras):
-                    out["subject"].append(s)
-                    out["predicate"].append(p)
-                    out["object"].append(o)
-                    out["annotation_predicate"].append("")
-                    out["annotation_object"].append("")
-            return pd.concat([base, pd.DataFrame(out)], ignore_index=True)
-
-        annotated = ann_joined.map_batches(to_annotated, batch_format="pandas")
-        if dedup:
-            annotated = distinct_rows(
-                annotated,
-                ["subject", "predicate", "object",
-                 "annotation_predicate", "annotation_object"],
-            )
-    else:
-        annotated = ray.data.from_pandas(
-            pd.DataFrame(
-                {c: []
-                 for c in ("subject", "predicate", "object",
-                           "annotation_predicate", "annotation_object")}
-            ).astype(str)
-        )
     return facts, annotated
 
 
@@ -1095,12 +1013,10 @@ def generate_yago(
         facts, annotated = f_facts.result()
         scan = f_scan.result()
 
-        # the ANNOTATED pipeline holds its own statement-keyed exchange
-        # + pq:/pqv: scan; nesting that sub-DAG inside the (already
-        # all-to-all) main dedup serializes two shuffles in one job. It
-        # shares nothing with the main dedup beyond the materialized
-        # join, so it runs as its own dedup+sink job in a thread, fully
-        # overlapped with the main dedup+write.
+        # the annotated facts are the materialized join's second row
+        # kind; they share nothing else with the main dedup, so they run
+        # as their own (small) dedup+sink job in a thread, overlapped
+        # with the main dedup+write.
         ann_name = "annotated-facts"
         facts_bytes = getattr(facts, "join_size_bytes", 0) or 0
 

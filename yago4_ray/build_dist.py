@@ -39,10 +39,12 @@ only the middle one depends on the state regime:
 - Selections (`subject_rows`, `object_rows`, `output_rows`): resolved
   rows to the statement exchange's sides and to output triples.
 
-build.build_facts runs the statement exchange with `facts_part`: the
-best-rank semi-join (distributed), the exact range-row dedup (an sh:or
-range admits an item once per class, and maxCount counts rows) and the
-(cfg, statement) join.
+build.build_facts runs the one statement exchange with `facts_part`:
+the best-rank semi-join (distributed), the exact range-row dedup (an
+sh:or range admits an item once per class, and maxCount counts rows),
+the (cfg, statement) join giving the fact rows and the statement join
+of those with the annotation cfgs' object rows giving the annotated
+rows; the annotation objects ride the objects side.
 
 Every join is one `joins.exchange`: task-based hash exchanges, NOT
 Ray's actor-based `Dataset.join` (a DAG this join-dense would
@@ -84,7 +86,6 @@ ROUTED = ["family", "tag", "key", "value"]
 RESOLVED = ["family", "tag", "value", "shape", "instance", "extras"]
 SUBJ_COLS = ["cfg", "statement", "subject"]
 OBJ_COLS = ["cfg", "statement", "object", "extras"]
-ANN_COLS = ["statement", "ann_cfg", "ann_obj", "ann_extras"]
 OUT_COLS = ["file", "subject", "predicate", "object"]
 
 ITEM_FAMILIES = frozenset({"subject", "range", "label", "types", "sameAs"})
@@ -630,8 +631,8 @@ def subject_rows(rows: Dataset, configs: list) -> Dataset:
 def object_rows(rows: Dataset, configs: list) -> Dataset:
     """(cfg, statement, object, extras) of the range, stateless and
     complex-value rows of `configs`, sh:pattern-filtered
-    (plan.rs:1388-1397). Range rows are NOT yet distinct — see
-    `distinct_ranges`."""
+    (plan.rs:1388-1397). Range rows are NOT yet distinct — `facts_part`
+    makes them so."""
     from .build import matches_pattern
 
     ids = pa.array(sorted(c.cfg_id for c in configs), pa.string())
@@ -690,26 +691,27 @@ def output_rows(rows: Dataset, state) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# The statement-keyed part functions
+# The statement-keyed part function
 # ---------------------------------------------------------------------------
 
-def distinct_ranges(t: pa.Table, range_ids, cfg_col: str) -> pa.Table:
-    """`t` with its range-cfg rows (`cfg_col` in `range_ids`) made
-    distinct: an sh:or range admits an item through each of its
-    classes, and maxCount counts rows."""
-    is_range = pc.is_in(t[cfg_col], value_set=pa.array(sorted(range_ids), pa.string()))
-    return pa.concat_tables(
-        [t.filter(pc.invert(is_range)),
-         _arrow_distinct(t.filter(is_range), t.column_names)]
-    )
+def facts_part(range_ids, ann_ids):
+    """One part of the statement-keyed exchange, sides (subjects,
+    objects[, best-rank ids]), giving both row kinds of the facts in one
+    table (plan.rs:1034-1064, 1165-1192):
 
+    - subjects ⋉ best-rank ids;
+    - the object rows' range rows made distinct (an sh:or range admits
+      an item through each of its classes, and maxCount counts rows);
+    - fact rows: subjects ⨝ the fact cfgs' objects on (cfg, statement);
+    - annotated rows: fact rows ⨝ the annotation cfgs' objects
+      (`ann_ids`) on statement, as (ann_cfg, ann_obj).
 
-def facts_part(range_ids):
-    """One part of the statement-keyed facts exchange, sides (subjects,
-    objects[, best-rank ids]): subjects ⋉ best-rank, then ⨝ objects
-    (range rows made distinct) on (cfg, statement). Every row of a
-    statement shares the part, so the semi-join and the dedup are
+    A fact row has null ann_cfg/ann_obj; every row's `extras` are its
+    own (a fact's value node, an annotation's). Every row of a statement
+    shares the part, so the semi-join, the dedup and both joins are
     exact."""
+    range_ids = pa.array(sorted(range_ids), pa.string())
+    ann_ids = pa.array(sorted(ann_ids), pa.string())
 
     def part(tables: list[pa.Table], keys: list[str]) -> pa.Table:
         subjects, objects, *best = tables
@@ -717,23 +719,23 @@ def facts_part(range_ids):
             subjects = subjects.join(
                 ids, keys=keys, join_type="left semi", use_threads=False
             )
-        objects = distinct_ranges(objects, range_ids, "cfg")
-        return subjects.join(
-            objects, keys=["cfg", "statement"], join_type="inner",
+        is_range = pc.is_in(objects["cfg"], value_set=range_ids)
+        objects = pa.concat_tables(
+            [objects.filter(pc.invert(is_range)),
+             _arrow_distinct(objects.filter(is_range), OBJ_COLS)]
+        )
+        is_ann = pc.is_in(objects["cfg"], value_set=ann_ids)
+        facts = subjects.join(
+            objects.filter(pc.invert(is_ann)), keys=["cfg", "statement"],
+            join_type="inner", use_threads=False,
+        )
+        annotations = objects.filter(is_ann).rename_columns(
+            ["ann_cfg", "statement", "ann_obj", "extras"]
+        )
+        annotated = facts.drop_columns(["extras"]).join(
+            annotations, keys="statement", join_type="inner",
             use_threads=False,
         )
-
-    return part
-
-
-def annotation_part(range_ids):
-    """One part of the statement-keyed annotation join, sides (facts,
-    annotations): the range rows are made distinct as in `facts_part`
-    before the join."""
-
-    def part(tables: list[pa.Table], keys: list[str]) -> pa.Table:
-        facts, anns = tables
-        anns = distinct_ranges(anns, range_ids, "ann_cfg")
-        return facts.join(anns, keys=keys, join_type="inner", use_threads=False)
+        return pa.concat_tables([facts, annotated], promote_options="default")
 
     return part

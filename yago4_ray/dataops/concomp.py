@@ -29,7 +29,7 @@ import pyarrow as pa
 
 from ray.data import Dataset
 
-from ..joins import partitioned_group_apply
+from ..joins import partitioned_group_apply, partitions_for_nbytes
 
 
 def _empty(id_type: pa.DataType) -> pa.Table:
@@ -218,7 +218,6 @@ def id_type_of(schema, column: str = "a") -> pa.DataType:
 
 def connected_components_min_label(
     pairs: Dataset,
-    num_parts: int = 8,
     max_rounds: int = 64,
     id_type: pa.DataType | None = None,
     small_cap: int = 8 << 20,
@@ -227,7 +226,8 @@ def connected_components_min_label(
     component — for every node appearing in `pairs` (columns a, b),
     including the component roots themselves. Output columns: a = node,
     b = label. Everything stays distributed; per-round cost is one
-    hash exchange over the (shrinking) edge set.
+    hash exchange over the (shrinking) edge set, sized by the oriented
+    edges' volume (`partitions_for_nbytes`).
 
     `id_type` pins the Arrow id type so all-empty blocks can't degrade
     the shuffle schema; when omitted it is read from the input schema
@@ -268,6 +268,7 @@ def connected_components_min_label(
         task = ray.remote(num_cpus=1)(_cc_single_task_impl)
         out_ref = task.remote(str(id_type), *edges.to_arrow_refs())
         return ray.data.from_arrow_refs([out_ref])
+    num_parts = partitions_for_nbytes(edges.size_bytes() or 0)
     streak = 0
     rounds = 0
     while streak < 2:
@@ -294,6 +295,6 @@ def connected_components_min_label(
             batch_format="pyarrow",
         ),
         ["a", "b"],
-        num_parts=max(2, num_parts // 2),
+        num_parts=num_parts,
     )
     return edges.union(roots)

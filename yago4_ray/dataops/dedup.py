@@ -331,15 +331,13 @@ def _collect_endpoints(*blocks):
     """Fold materialized pair blocks into (HashIndex of endpoint ids,
     star-edge count) in ONE task off the driver — the driver holds only
     the returned ObjectRefs. Only dispatched under the broadcast-cap
-    volume gate, so the set is bounded by construction. Blocks arrive
-    AS STORED (pandas frames from map_groups), coerce defensively."""
+    volume gate, so the set is bounded by construction."""
     ids: set = set()
     n_star = 0
     for b in blocks:
-        if isinstance(b, pa.Table):
-            b = b.to_pandas()
-        if len(b) == 0 or "a" not in b.columns:
-            continue  # empty partitions can surface as column-less frames
+        if b.num_rows == 0 or "a" not in b.column_names:
+            continue  # empty exchange parts surface as column-less blocks
+        b = b.to_pandas()
         ids.update(b["a"])
         ids.update(b["b"])
         n_star += int((b["oversized"] > 0).sum())
@@ -400,11 +398,10 @@ def minhash_dedup(
     pairs_nbytes, pairs_nblocks = pairs.size_bytes(), pairs.num_blocks()
     pairs_schema = pairs.schema()  # free: pairs is materialized
     pair_refs = pairs.to_arrow_refs()
-    # pairs arrive as PANDAS blocks (partitioned_group_apply's map_groups);
-    # entering the repartition/join exchanges that way re-attaches pandas
-    # schema metadata at Ray's block conversion, whose dict makes the
-    # schema unhashable and defeats the shuffle's schema dedup — convert
-    # to Arrow and strip here, once, while the pair set is tiny
+    # pairs' Arrow blocks are partitioned_group_apply's pandas output
+    # converted, so they carry pandas schema metadata, whose dict makes
+    # the schema unhashable and defeats the shuffle's schema dedup —
+    # strip it here, once, while the pair set is tiny
     pairs_with_over = pairs
     pairs = pairs.drop_columns(["oversized"]).map_batches(
         lambda t: t.replace_schema_metadata(None) if t.schema.metadata else t,

@@ -153,7 +153,10 @@ def brute_force_pairs(
     Guarded: the broadcast side is the WHOLE corpus, so this is a
     small-input verification tool by construction. Above `max_rows`
     (raise it explicitly if you mean it) the call refuses with a
-    pointer to `embedding_dedup_pairs`, the scale path."""
+    pointer to `embedding_dedup_pairs`, the scale path. The input runs
+    once: its row count and the broadcast side both come from one
+    materialization."""
+    ds = ds.materialize()
     n_rows = ds.count()
     if n_rows > max_rows:
         raise ValueError(

@@ -167,6 +167,11 @@ def exchange(
     on the same data. Callers that know their side volume pass
     rows-per-~32MB.
 
+    A part that receives no row comes out as a 0-row, 0-column block.
+    No `map_batches` UDF downstream sees it; block-level readers (the
+    tasks fed by `to_arrow_refs`) must skip it. A task-level exchange
+    (ROADMAP item 7) would not produce it.
+
     Why not `Dataset.join`: Ray's native hash join spawns one
     CPU-reserving aggregator actor per partition per call (~1 s startup
     each); a DAG with a dozen joins oversubscribes a session with idle

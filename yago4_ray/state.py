@@ -456,15 +456,12 @@ def _pack_best_rank(*blocks):
     (HashIndex | None, collision_free) — callers ray.get only the tiny
     flag; on the (never-observed) 64-bit collision they rebuild from
     the statement strings (build.best_rank_statements)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     from .broadcast import HashIndex
 
     hs = []
     for b in blocks:
-        if not isinstance(b, pa.Table):  # defensive: blocks ride AS STORED
-            b = pa.Table.from_pandas(b, preserve_index=False)
         sel = b.filter(pc.equal(b.column("kind"), _K_BESTRANK))
         hs.append(sel.column("h").to_numpy(zero_copy_only=False))
     h = np.concatenate(hs) if hs else np.empty(0, np.uint64)
@@ -965,19 +962,11 @@ def _pack_shape_instances(shape_targets, *blocks):
 
     from .broadcast import HashIndex, _hash_series
 
-    def as_arrow(b):
-        return (
-            b
-            if isinstance(b, pa.Table)
-            else pa.Table.from_pandas(b, preserve_index=False)
-        )
-
-    # empty shuffle partitions surface as zero-column blocks (an empty
-    # pandas frame converts to a schema-less table) — first seen at
-    # 44 M / 32 CPUs where the part count outruns the group count
+    # empty shuffle partitions surface as zero-column blocks — first
+    # seen at 44 M / 32 CPUs where the part count outruns the group count
     parts = [
         t.select(["shape", "instance"])
-        for t in map(as_arrow, blocks)
+        for t in blocks
         if t.num_rows and "shape" in t.column_names
     ]
     empty = HashIndex([], keep_keys=False)
