@@ -178,30 +178,29 @@ def test_embedding_dedup(ray_session):
     assert {(0, 20), (1, 21), (2, 22)} <= pairs
 
 
-def test_embedding_dedup_plans_without_executing(ray_session, monkeypatch):
-    """Building the pairs Dataset starts no Ray Data execution: the
-    hyperplanes come from the seed inside the bucket map, not from a
-    take(1) probe of the (lazy) input."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
+def test_embedding_dedup_runs_its_input_once(ray_session, tmp_path):
+    """Building the pairs runs the (lazy) input once: the hyperplanes
+    come from the seed inside the bucket map, not from a take(1) probe
+    of the input, which would run its first block a second time. Each
+    run of an input block leaves one file in `tmp_path`."""
     from yago4_ray.dataops.dedup import embedding_dedup_pairs
 
-    calls = []
-    execute = StreamingExecutor.execute
+    marks = str(tmp_path)
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return execute(self, *args, **kwargs)
+    def mark(b):
+        import os
+        import uuid
 
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+        open(os.path.join(marks, uuid.uuid4().hex), "w").close()
+        return b
+
     vecs = np.random.default_rng(7).standard_normal((8, 4))
-    ds = ray.data.from_pandas(
-        pd.DataFrame({"vec_id": list(range(8)), "embedding": [v.tolist() for v in vecs]})
-    ).map_batches(lambda b: b, batch_format="pandas")
-    pairs = embedding_dedup_pairs(ds, "embedding", "vec_id")
-    assert calls == []
-    pairs.materialize()
-    assert calls  # the counter sees executions
+    df = pd.DataFrame({"vec_id": list(range(8)), "embedding": [v.tolist() for v in vecs]})
+    ds = ray.data.from_pandas([df[:4], df[4:]]).map_batches(
+        mark, batch_format="pandas", batch_size=None
+    )
+    embedding_dedup_pairs(ds, "embedding", "vec_id").materialize()
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_minhash_oversized_bucket_star_link(ray_session):

@@ -10,6 +10,8 @@ output sinks name their files by."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 
 def _ray_ds(df):
@@ -233,22 +235,35 @@ def test_broadcast_cache_bounded_under_concurrent_readers(
 
 
 def test_one_exchange_implementation():
-    """`joins.exchange` is the only `groupby("__part")` and the only
-    caller of `_part_ids`: every grouped, joined and deduplicated
-    operator shares its tagging and schema handling."""
+    """`joins.exchange` is the engine's one shuffle: no module groups on
+    `__part` (a Ray Data sort shuffle), no module but joins.py calls
+    `_part_ids`, and the exchange's map and reduce remote functions are
+    defined once, in joins.py: every grouped, joined and deduplicated
+    operator shares its tagging, schema handling and task plan."""
     import pathlib
     import re
 
+    from ray.remote_function import RemoteFunction
+
+    from yago4_ray import joins
+
     pkg = pathlib.Path(__file__).resolve().parent.parent / "yago4_ray"
-    groupby = re.compile(r"""groupby\(\s*["']__part["']""")
-    offenders = [
-        str(path.relative_to(pkg))
+    texts = {
+        str(path.relative_to(pkg)): path.read_text()
         for path in sorted(pkg.rglob("*.py"))
-        if path != pkg / "joins.py"
-        and (groupby.search(path.read_text()) or "_part_ids" in path.read_text())
+    }
+    groupby = re.compile(r"""groupby\(\s*["']__part["']""")
+    assert not [p for p, text in texts.items() if groupby.search(text)]
+    assert not [
+        p for p, text in texts.items() if p != "joins.py" and "_part_ids" in text
     ]
-    assert not offenders, offenders
-    assert len(groupby.findall((pkg / "joins.py").read_text())) == 1
+    for fn in ("_exchange_map", "_exchange_reduce"):
+        defined = [
+            p for p, text in texts.items()
+            for _ in re.finditer(rf"^def {fn}\(", text, re.M)
+        ]
+        assert defined == ["joins.py"], (fn, defined)
+        assert isinstance(getattr(joins, fn), RemoteFunction), fn
 
 
 def test_empty_null_typed_block_through_one_side_exchanges(ray_session):
@@ -345,3 +360,112 @@ def test_distinct_rows_part_column_is_the_key_hash(ray_session):
     assert got.num_rows == len(rows.drop_duplicates())
     want = _part_ids(got.select(cols), cols, 8)
     assert got.column("__part").combine_chunks().equals(want)
+
+
+_KEYS = [f"<http://ex.org/k{i}>" for i in range(12)]
+
+
+@settings(
+    max_examples=15, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(_KEYS), st.integers(0, 5)), max_size=60
+    ),
+    blocks=st.sampled_from([1, 3, 17]),
+    num_parts=st.sampled_from([1, 4, 32]),
+    tag_batch_size=st.sampled_from([None, 2]),
+    pandas_fn=st.booleans(),
+    empty_block=st.booleans(),
+)
+@example(rows=[], blocks=1, num_parts=1, tag_batch_size=None,
+         pandas_fn=False, empty_block=True)
+@example(rows=[(_KEYS[0], 0)], blocks=17, num_parts=32, tag_batch_size=2,
+         pandas_fn=True, empty_block=True)
+@example(rows=[(k, i % 3) for i, k in enumerate(_KEYS * 4)], blocks=3,
+         num_parts=4, tag_batch_size=None, pandas_fn=False, empty_block=False)
+@example(rows=[(k, 1) for k in _KEYS] * 2, blocks=17, num_parts=32,
+         tag_batch_size=None, pandas_fn=True, empty_block=False)
+def test_exchange_rows_per_part_independent_of_blocking(
+    ray_session, rows, blocks, num_parts, tag_batch_size, pandas_fn,
+    empty_block,
+):
+    """However its input is blocked and bundled, the exchange calls the
+    part function once per part with exactly that part's rows (one side,
+    Arrow or pandas), joins two hash-keyed sides per part as pandas
+    merges them, and returns no block without the part function's
+    columns, also past a null-typed empty block."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from yago4_ray.joins import _part_ids, exchange
+
+    df = pd.DataFrame(rows, columns=["k", "v"]).astype({"k": object, "v": str})
+    tables = [
+        pa.Table.from_pandas(df.iloc[idx], preserve_index=False).cast(
+            pa.schema([("k", pa.string()), ("v", pa.string())])
+        )
+        for idx in np.array_split(np.arange(len(df)), blocks)
+    ]
+    if empty_block:
+        tables.insert(0, pa.table({"k": pa.nulls(0), "v": pa.nulls(0)}))
+    left = ray.data.from_arrow(tables)
+
+    def summary(k, v, part):
+        out = pd.DataFrame({"k": k, "v": v, "part": part})
+        return out.groupby("k", as_index=False).agg(
+            n=("v", "size"), vs=("v", lambda s: ",".join(sorted(s))),
+            part=("part", "first"), parts=("part", "nunique"),
+        )
+
+    def per_part(tables, _keys):
+        (t,) = tables
+        if pandas_fn:
+            return summary(t["k"], t["v"], t["__part"])
+        got = summary(
+            t["k"].to_pylist(), t["v"].to_pylist(), t["__part"].to_pylist()
+        )
+        return pa.Table.from_pandas(got, preserve_index=False)
+
+    cols = ["k", "n", "vs", "part", "parts"]
+    one_side = exchange(
+        [(left, None)], ["k"], per_part, num_parts,
+        batch_format="pandas" if pandas_fn else "pyarrow",
+        tag_batch_size=tag_batch_size,
+    )
+    blocks_out = ray.get(one_side.to_arrow_refs())
+    assert all(b.num_rows and b.column_names == cols for b in blocks_out)
+    got = sorted(
+        tuple(r) for b in blocks_out for r in b.to_pandas()[cols].itertuples(index=False)
+    )
+    want = summary(df["k"], df["v"], 0).drop(columns=["part"])
+    want["part"] = (
+        _part_ids(pa.table({"k": want["k"].astype(str)}), ["k"], num_parts)
+        .to_numpy() if len(want) else []
+    )
+    want["parts"] = 1
+    assert got == sorted(tuple(r) for r in want[cols].itertuples(index=False))
+
+    right_df = pd.DataFrame({"k": _KEYS[::2], "y": [f"y{i}" for i in range(6)]})
+    right = ray.data.from_arrow(pa.Table.from_pandas(right_df, preserve_index=False))
+
+    def join(tables, keys):
+        lhs, rhs = tables
+        return lhs.join(rhs, keys=keys, join_type="inner", use_threads=False)
+
+    joined = exchange(
+        [(left, ["k", "v"]), (right, ["y"])], ["k"], join, num_parts,
+        hash_keys=True, tag_batch_size=tag_batch_size,
+    )
+    blocks_out = ray.get(joined.to_arrow_refs())
+    assert all(
+        b.num_rows and sorted(b.column_names) == ["k", "v", "y"] for b in blocks_out
+    )
+    got = sorted(
+        tuple(r) for b in blocks_out
+        for r in b.to_pandas()[["k", "v", "y"]].itertuples(index=False)
+    )
+    want = df.merge(right_df, on="k")[["k", "v", "y"]]
+    assert got == sorted(tuple(r) for r in want.itertuples(index=False))

@@ -10,7 +10,10 @@ BuildState.
 
 Every build-path exchange is one `joins.exchange`, and each is a fixed
 all-to-all latency: the distributed path runs one exchange per join
-key, and neither path may grow new ones.
+key, and neither path may grow new ones. The exchange is plain Ray
+tasks: no build execution holds a Ray Data all-to-all operator, and no
+Ray Data shuffle (groupby, sort, repartition, random_shuffle, join)
+is called during a build.
 Every store scan (`sources.scan_predicate`) costs driver planning that
 grows with the files it reads, so neither path may grow new scans
 either. generate_yago writes its outputs from memory: no parquet file is
@@ -34,8 +37,9 @@ def _caller() -> str:
 def build_calls(request, statements_root, tmp_path_factory):
     """Run build_state + generate_yago once, recording the class of every
     `to_arrow_refs` receiver, the number of `si_by_item` builds, the
-    calling function of every `Dataset.groupby` exchange, the number of
-    Ray Data executions, of store-scan plans and of the parquet writes
+    calling function of every `joins.exchange` call and of every Ray
+    Data shuffle method call, the operator classes of every Ray Data
+    execution, the number of store-scan plans and of the parquet writes
     generate_yago makes, and the value-column count (for a HashIndex)
     and calling function of every driver `ray.put` argument."""
     import pyarrow.parquet as pq
@@ -43,7 +47,7 @@ def build_calls(request, statements_root, tmp_path_factory):
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
     from ray.data.dataset import Dataset
 
-    from yago4_ray import build, build_dist, sources, state as state_mod
+    from yago4_ray import build, build_dist, joins, sources, state as state_mod
     from yago4_ray.broadcast import HashIndex
     from yago4_ray.build import generate_yago
     from yago4_ray.state import build_state
@@ -51,15 +55,16 @@ def build_calls(request, statements_root, tmp_path_factory):
     receivers: list[type] = []
     si_calls = [0]
     exchanges: list[str] = []
+    shuffles: list[str] = []
     scans = [0]
-    executions = [0]
+    executions: list[list[type]] = []
     parquet_writes = [0]
     puts: list[tuple[int | None, str]] = []
     put = ray.put
     scan_predicate = sources.scan_predicate
     to_arrow_refs = Dataset.to_arrow_refs
     execute = StreamingExecutor.execute
-    groupby = Dataset.groupby
+    exchange = joins.exchange
     si_by_item = build_dist.si_by_item
     write_parquet = Dataset.write_parquet
     write_table = pq.write_table
@@ -68,17 +73,31 @@ def build_calls(request, statements_root, tmp_path_factory):
         receivers.append(type(self))
         return to_arrow_refs(self)
 
-    def recording_groupby(self, *args, **kwargs):
+    def recording_exchange(*args, **kwargs):
         exchanges.append(_caller())
-        return groupby(self, *args, **kwargs)
+        return exchange(*args, **kwargs)
+
+    def recording_shuffle(name):
+        method = getattr(Dataset, name)
+
+        def recording(self, *args, **kwargs):
+            shuffles.append(f"{name} from {_caller()}")
+            return method(self, *args, **kwargs)
+
+        return recording
 
     def counting_scan_predicate(*args, **kwargs):
         scans[0] += 1
         return scan_predicate(*args, **kwargs)
 
-    def counting_execute(self, *args, **kwargs):
-        executions[0] += 1
-        return execute(self, *args, **kwargs)
+    def recording_execute(self, dag, *args, **kwargs):
+        ops, todo = [], [dag]
+        while todo:
+            op = todo.pop()
+            ops.append(type(op))
+            todo.extend(op.input_dependencies)
+        executions.append(ops)
+        return execute(self, dag, *args, **kwargs)
 
     def counting_write_parquet(self, *args, **kwargs):
         parquet_writes[0] += 1
@@ -101,8 +120,14 @@ def build_calls(request, statements_root, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("single_execution"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Dataset, "to_arrow_refs", recording_to_arrow_refs)
-        mp.setattr(Dataset, "groupby", recording_groupby)
-        mp.setattr(StreamingExecutor, "execute", counting_execute)
+        for name in ("groupby", "sort", "repartition", "random_shuffle", "join"):
+            mp.setattr(Dataset, name, recording_shuffle(name))
+        # every module that exchanges imports the function by name
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("yago4_ray")
+                    and getattr(module, "exchange", None) is exchange):
+                mp.setattr(module, "exchange", recording_exchange)
+        mp.setattr(StreamingExecutor, "execute", recording_execute)
         mp.setattr(build_dist, "si_by_item", counting_si_by_item)
         mp.setattr(Dataset, "write_parquet", counting_write_parquet)
         mp.setattr(pq, "write_table", counting_write_table)
@@ -119,8 +144,9 @@ def build_calls(request, statements_root, tmp_path_factory):
         "receivers": receivers,
         "si_calls": si_calls[0],
         "exchanges": exchanges,
+        "shuffles": shuffles,
         "scans": scans[0],
-        "executions": executions[0],
+        "executions": executions,
         "parquet_writes": parquet_writes[0] - writes_before,
         "puts": puts,
         "out_dir": out,
@@ -144,14 +170,14 @@ def test_exchange_budget(build_calls):
     """Broadcast: shape instances, clean values, the facts join (its
     annotated rows included), maxCount and the two output dedups.
     Distributed: those plus si_by_item and the item and value-node
-    joins — one exchange per join key. Every one is a
-    `joins.exchange`."""
+    joins — one exchange per join key. Every one is a `joins.exchange`
+    call, and no Ray Data shuffle runs beside them."""
     callers = build_calls["exchanges"]
-    assert set(callers) == {"yago4_ray.joins.exchange"}, callers
+    assert not build_calls["shuffles"], build_calls["shuffles"]
     if build_calls["distributed"]:
-        assert len(callers) <= 9, len(callers)
+        assert len(callers) <= 9, callers
     else:
-        assert len(callers) == 6, len(callers)
+        assert len(callers) == 6, callers
 
 
 def test_store_scan_budget(build_calls):
@@ -169,13 +195,37 @@ def test_store_scan_budget(build_calls):
 
 def test_execution_budget(build_calls):
     """Each Ray Data execution costs a fixed start before it touches a
-    row. Facts and annotated facts are the two row kinds of one
-    materialized statement exchange: no annotation collect or second
-    annotation join runs on either path."""
+    row. An exchange streams each side once (one execution per lazy
+    side) and returns materialized blocks, so the build's executions
+    are its exchange inputs, the fused state scan, the output scan and
+    the two sink writes. Facts and annotated facts are the two row kinds
+    of one materialized statement exchange: no annotation collect or
+    second annotation join runs on either path."""
+    n = len(build_calls["executions"])
     if build_calls["distributed"]:
-        assert build_calls["executions"] <= 10, build_calls["executions"]
+        assert n <= 15, n
     else:
-        assert build_calls["executions"] == 8, build_calls["executions"]
+        assert n == 11, n
+
+
+def test_no_all_to_all_execution(build_calls):
+    """The exchange is plain Ray tasks: no build execution holds a Ray
+    Data all-to-all operator (a sort shuffle, or a hash shuffle behind a
+    native join or aggregate)."""
+    from ray.data._internal.execution.operators.base_physical_operator import (
+        AllToAllOperator,
+    )
+    from ray.data._internal.execution.operators.hash_shuffle import (
+        HashShufflingOperatorBase,
+    )
+
+    all_to_all = (AllToAllOperator, HashShufflingOperatorBase)
+    held = [
+        [op.__name__ for op in ops if issubclass(op, all_to_all)]
+        for ops in build_calls["executions"]
+    ]
+    assert build_calls["executions"], "no execution recorded"
+    assert not [h for h in held if h], held
 
 
 def test_state_objects_put_once(build_calls):

@@ -196,8 +196,6 @@ def _count_families(block) -> dict[str, int]:
     """Rows per clean-value family of one block."""
     import pyarrow.compute as pc
 
-    if "family" not in block.column_names:  # an empty shuffle part
-        return {}
     counts = pc.value_counts(block["family"])
     return dict(
         zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist())
@@ -239,10 +237,9 @@ def clean_values(root: str, uri_ref) -> tuple[list, list]:
     up in the URI ref (cleaners.build_value_maps). Returns (block refs,
     one family-count ref per block); the distributed path joins the
     blocks (build_dist.value_join)."""
-    # materialized first: a lazy Dataset's to_arrow_refs fetches its
-    # schema through limit(1), which re-runs the whole scan (PERF_NOTES #50)
-    ds = C.build_value_maps(root, scan_predicate, uri_ref).materialize()
-    blocks = ds.to_arrow_refs()
+    # an exchange result, so materialized: to_arrow_refs runs nothing
+    # (on a lazy Dataset it re-runs the scan for its schema, PERF_NOTES #50)
+    blocks = C.build_value_maps(root, scan_predicate, uri_ref).to_arrow_refs()
     return blocks, [_count_families.remote(b) for b in blocks]
 
 
@@ -338,31 +335,30 @@ def _apply_max_count_exchange(
 
 def _apply_max_count(
     joined: Dataset, configs: list[PropConfig], num_partitions: int = 32
-) -> Dataset:
+) -> tuple[Dataset, tuple | None]:
     """Whole-group drop for shapes with sh:maxCount (plan.rs:1141-1158).
 
     A (cfg, subject) group's size counts its fact rows; an offending
     group loses its annotated rows too, as annotations attach to the
     facts that pass maxCount.
 
-    `joined` must be MATERIALIZED. The previous implementation
-    re-exchanged the entire limited payload right after the join
-    exchange (a second full sort barrier at every session width —
-    measured 143 MB / 0.5 M rows at 22 M statements). Group sizes are
-    decomposable, so instead: per-batch (cfg, subject) count partials →
-    one SMALL partitioned sum (count rows, not payload rows) → the rare
-    offending groups come back to the driver and are dropped by a
-    broadcast anti-filter map over the materialized blocks. The
-    HashIndex probe verifies hits exactly, so a hash collision cannot
-    silently drop a valid group. Above
-    MAXCOUNT_BROADCAST_CAP offender bytes the full-exchange
-    path stands (both paths pytest-gated identical).
+    `joined` must be MATERIALIZED. Re-exchanging the entire limited
+    payload right after the join exchange measured 143 MB / 0.5 M rows
+    at 22 M statements. Group sizes are decomposable, so instead:
+    per-batch (cfg, subject) count partials → one SMALL partitioned sum
+    (count rows, not payload rows) → the rare offending groups come
+    back to the driver as a broadcast HashIndex, which each row kind's
+    `_expander` probes with its own rows only. The probe verifies hits
+    exactly, so a hash collision cannot silently drop a valid group.
+    Above MAXCOUNT_BROADCAST_CAP offender bytes the full-exchange path
+    stands (both paths pytest-gated identical).
 
-    Returns a LAZY map over `joined`'s blocks (or `joined` unchanged
-    when nothing violates); callers must not re-materialize it."""
+    Returns (rows, offenders): `offenders` is None (nothing to drop from
+    `rows`) or (the limited cfg ids, the ref of the HashIndex of the
+    offending groups' `_group_keys`) for `_expander`."""
     max_counts = {c.cfg_id: c.max_count for c in configs if c.max_count is not None}
     if not max_counts:
-        return joined
+        return joined, None
     limited_cfgs = set(max_counts)
     limits_ref = ray.put(max_counts)
 
@@ -394,32 +390,38 @@ def _apply_max_count(
         ["cfg", "subject"],
         sum_offenders,
         num_parts=max(4, num_partitions // 4),
-    ).materialize()
+    )
     if (offenders.size_bytes() or 0) > MAXCOUNT_BROADCAST_CAP:
-        # materialized: the exchange output feeds 3+ consumers and must
-        # not re-shuffle per consumption (the broadcast path below stays
-        # lazy because its filter is a cheap hash-probe map)
-        return _apply_max_count_exchange(joined, max_counts).materialize()
-    off = offenders.to_pandas()
-    if len(off) == 0:
-        return joined
+        # materialized: the filtered rows feed both row kinds and must
+        # not re-shuffle per consumption
+        return _apply_max_count_exchange(joined, max_counts).materialize(), None
+    blocks = ray.get(offenders.to_arrow_refs())
+    if not blocks:  # the exchange returns no empty block
+        return joined, None
     from .broadcast import HashIndex
 
-    # "\x00" cannot occur in a cfg id (c{i}_{name}), so the joined key
-    # is injective
-    off_ref = ray.put(HashIndex(off["cfg"] + "\x00" + off["subject"]))
+    off = pa.concat_tables(blocks)
+    off_ref = ray.put(HashIndex(_group_keys(off)))
+    return joined, (pa.array(sorted(limited_cfgs), pa.string()), off_ref)
 
-    def drop_offenders(b: pd.DataFrame) -> pd.DataFrame:
-        m = b["cfg"].isin(limited_cfgs)
-        if not m.any():
-            return b
-        offenders_set = get_broadcast(off_ref)
-        keys = b.loc[m, "cfg"] + "\x00" + b.loc[m, "subject"]
-        bad = pd.Series(False, index=b.index)
-        bad.loc[m] = offenders_set.contains(keys)
-        return b[~bad]
 
-    return joined.map_batches(drop_offenders, batch_format="pandas")
+def _group_keys(rows: pa.Table):
+    """maxCount's (cfg, subject) group keys: a NUL occurs in no cfg id
+    (c{i}_{name}), so the joined key is injective."""
+    import pyarrow.compute as pc
+
+    return pc.binary_join_element_wise(rows["cfg"], rows["subject"], "\x00")
+
+
+def _drop_offenders(rows: pa.Table, limited: pa.Array, off_ref) -> pa.Table:
+    """`rows` minus those of an offending (cfg, subject) group."""
+    import pyarrow.compute as pc
+
+    m = pc.is_in(rows["cfg"], value_set=limited).to_numpy(zero_copy_only=False)
+    if not m.any():
+        return rows
+    m[m] = get_broadcast(off_ref).contains(_group_keys(rows.filter(pa.array(m))))
+    return rows.filter(pa.array(~m))
 
 
 @functools.lru_cache(maxsize=8)
@@ -452,14 +454,16 @@ def prop_configs(schema: Schema) -> tuple[tuple[PropConfig, ...], tuple[PropConf
     return tuple(configs), tuple(ann_configs)
 
 
-def _expander(path_ref, annotated: bool):
+def _expander(path_ref, annotated: bool, offenders: tuple | None = None):
     """The output rows of one row kind of the materialized statement
     join (`build_dist.facts_part`): per fact row (ann_cfg null) the
     triple (subject, cfg path, object); per annotated row that triple
     plus (annotation path, annotation object). Each row's JSON `extras`
     (its complex value's node triples, plan.rs:1209-1399) follow as
     triples, their annotation columns empty. The base rows are a column
-    projection; only rows with extras take the Python loop."""
+    projection; only rows with extras take the Python loop. maxCount's
+    `offenders` (`_apply_max_count`) are dropped from this kind's rows
+    only, so each row is probed once across the two kinds."""
     cols = ["subject", "predicate", "object"]
     if annotated:
         cols += ["annotation_predicate", "annotation_object"]
@@ -468,7 +472,10 @@ def _expander(path_ref, annotated: bool):
         import pyarrow.compute as pc
 
         kind = pc.is_valid(batch["ann_cfg"])
-        rows = batch.filter(kind if annotated else pc.invert(kind)).to_pandas()
+        rows = batch.filter(kind if annotated else pc.invert(kind))
+        if offenders is not None:
+            rows = _drop_offenders(rows, *offenders)
+        rows = rows.to_pandas()
         paths = get_broadcast(path_ref)
         base = [rows["subject"], rows["cfg"].map(paths), rows["object"]]
         if annotated:
@@ -546,21 +553,21 @@ def build_facts(
         tag_batch_size=tag_bs,
     )
 
-    # materialize once: consumed by the facts file, the annotated facts
-    # file and the stats — avoids recomputing the whole pipeline 3×.
-    # maxCount runs AFTER the materialize as a counts pass + broadcast
-    # anti-filter (a lazy cheap map over the materialized blocks), not
-    # as a second full exchange before it; it drops an offending
-    # group's annotated rows with its fact rows.
-    joined_raw = joined.materialize()
-    joined = _apply_max_count(joined_raw, configs, num_partitions)
-
+    # the exchange result is materialized: the facts file, the annotated
+    # facts file and the stats read its blocks without recomputing the
+    # pipeline. maxCount runs after it as a counts pass + broadcast
+    # anti-filter inside each row kind's map, not as a second full
+    # exchange before it; it drops an offending group's annotated rows
+    # with its fact rows.
+    kept, offenders = _apply_max_count(joined, configs, num_partitions)
     path_ref = ray.put({c.cfg_id: c.path for c in all_configs})
-    facts = joined.map_batches(
-        _expander(path_ref, annotated=False), batch_format="pyarrow"
+    facts = kept.map_batches(
+        _expander(path_ref, annotated=False, offenders=offenders),
+        batch_format="pyarrow",
     )
-    annotated = joined.map_batches(
-        _expander(path_ref, annotated=True), batch_format="pyarrow"
+    annotated = kept.map_batches(
+        _expander(path_ref, annotated=True, offenders=offenders),
+        batch_format="pyarrow",
     )
     if dedup:
         facts = distinct_rows(facts, ["subject", "predicate", "object"])
@@ -571,16 +578,14 @@ def build_facts(
         )
     # advisory size/rows for downstream shuffle sizing (generate_yago
     # sizes the combined dedup's partition count and re-bounds the
-    # facts leg's block count from them: the materialized join carries
-    # one block per join/max-count part, and a sort shuffle's exchange
-    # is (input blocks × output partitions) objects sized to the input
-    # block count, so an unbounded union leg makes the dedup quadratic
-    # in part count again — PERF_NOTES #20/#23)
+    # facts leg's block count from them: an exchange's object count is
+    # its map tasks × reducers, so an unbounded union leg makes the
+    # dedup quadratic in block count — PERF_NOTES #20/#23)
     # advisory sizes come from the RAW materialized join (free), both
     # row kinds — an upper bound on the max-count-filtered fact rows,
     # which is all shuffle sizing needs
-    facts.join_size_bytes = joined_raw.size_bytes()
-    facts.join_rows = joined_raw.count()
+    facts.join_size_bytes = joined.size_bytes()
+    facts.join_rows = joined.count()
     return facts, annotated
 
 
@@ -910,11 +915,11 @@ def _dedup_rows(
     """`ds` as output-dedup rows (_OUT_COLS, Arrow): the `file` column
     the rows carry, else `file`; absent annotation columns empty. With
     `rows`, map tasks bundle the input to the volume-sized block count
-    of `read_blocks_for_nbytes(nbytes)`: the dedup's sort shuffle sizes
-    its exchange to the input block count, so a leg must not pass an
-    upstream's part count through (measured 161 input blocks → a
-    161×161 exchange and a flat ~10 s dedup at every CPU count,
-    PERF_NOTES #20/#23/#33)."""
+    of `read_blocks_for_nbytes(nbytes)`: the dedup exchange runs one
+    map task per input block and up to that many reducers, so a leg
+    must not pass an upstream's part count through (measured under
+    Ray's sort shuffle: 161 input blocks → a 161×161 exchange and a
+    flat ~10 s dedup at every CPU count, PERF_NOTES #20/#23/#33)."""
     from .sources import read_blocks_for_nbytes
 
     def fn(batch: pa.Table) -> pa.Table:

@@ -492,12 +492,12 @@ _LOCKS = {"item_join": threading.Lock(), "value_join": threading.Lock()}
 
 
 def _cached(state, name: str, build) -> Dataset | None:
-    """`build()` materialized once per BuildState under its own lock
-    (the facts thread and the scan-output thread reach it at once)."""
+    """`build()` (an exchange result, so materialized) once per
+    BuildState under its own lock (the facts thread and the scan-output
+    thread reach it at once)."""
     with _LOCKS[name]:
         if name not in state.datasets:
-            ds = build()
-            state.datasets[name] = None if ds is None else ds.materialize()
+            state.datasets[name] = build()
         return state.datasets[name]
 
 
@@ -581,7 +581,9 @@ def value_join(root: str, state) -> Dataset | None:
              "family": b["tag"].map(clean_family), "value_node": b["key"]}
         )
 
-    def to_resolved(b: pa.Table) -> pa.Table:
+    def to_resolved(tables: list[pa.Table], keys: list[str]) -> pa.Table:
+        nodes, clean = tables
+        b = nodes.join(clean, keys=keys, join_type="inner", use_threads=False)
         n = b.num_rows
         return pa.table(
             {
@@ -595,13 +597,12 @@ def value_join(root: str, state) -> Dataset | None:
         )
 
     clean_blocks, _ = state.prewarmed["clean_values"].result()
-    return copartition_join(
-        scanned.map_batches(to_nodes, batch_format="pandas"),
-        from_arrow_refs(clean_blocks), ("family", "value_node"),
-        ["tag", "value"], ["object", "extras"],
-        num_parts=exchange_parts(root),
+    return exchange(
+        [(scanned.map_batches(to_nodes, batch_format="pandas"), ["tag", "value"]),
+         (from_arrow_refs(clean_blocks), ["object", "extras"])],
+        ["family", "value_node"], to_resolved, exchange_parts(root),
         hash_keys=True,
-    ).map_batches(to_resolved, batch_format="pyarrow")
+    )
 
 
 # ---------------------------------------------------------------------------

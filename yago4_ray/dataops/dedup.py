@@ -335,8 +335,6 @@ def _collect_endpoints(*blocks):
     ids: set = set()
     n_star = 0
     for b in blocks:
-        if b.num_rows == 0 or "a" not in b.column_names:
-            continue  # empty exchange parts surface as column-less blocks
         b = b.to_pandas()
         ids.update(b["a"])
         ids.update(b["b"])
@@ -398,15 +396,8 @@ def minhash_dedup(
     pairs_nbytes, pairs_nblocks = pairs.size_bytes(), pairs.num_blocks()
     pairs_schema = pairs.schema()  # free: pairs is materialized
     pair_refs = pairs.to_arrow_refs()
-    # pairs' Arrow blocks are partitioned_group_apply's pandas output
-    # converted, so they carry pandas schema metadata, whose dict makes
-    # the schema unhashable and defeats the shuffle's schema dedup —
-    # strip it here, once, while the pair set is tiny
     pairs_with_over = pairs
-    pairs = pairs.drop_columns(["oversized"]).map_batches(
-        lambda t: t.replace_schema_metadata(None) if t.schema.metadata else t,
-        batch_format="pyarrow",
-    )
+    pairs = pairs.drop_columns(["oversized"])
     ids_ref = None
     star_ref = None
     if pairs_nbytes <= broadcast_cap:
@@ -796,8 +787,9 @@ def embedding_dedup_pairs(
     probability ≈ arccos(threshold)/π (~10% at 0.95), vs 100% for a
     drop. Split events are printed as a counter.
 
-    Building the Dataset runs nothing: each batch draws the seeded
-    hyperplanes for its own vector width (_lsh_planes)."""
+    The input runs once, inside the exchange: each batch draws the
+    seeded hyperplanes for its own vector width (_lsh_planes), with no
+    probe of the input for its width."""
 
     def bucket(batch: pd.DataFrame) -> pd.DataFrame:
         mat = np.stack(batch[vec_col].to_numpy()).astype(np.float32)

@@ -8,13 +8,15 @@ Two regimes, chosen explicitly per call site (SURVEY §2.4, ray_guide):
   cache, then used as a vectorized lookup per batch. No shuffle.
   At 100 TB these same call sites switch to the dataset path below
   (`BuildState.distributed`).
-- **Hash exchange**: `exchange` is the engine's one task-based
-  shuffle (the only groupby on `__part`): it tags each side's rows with
-  a part id, normalizes the block schema once and hands a part function
-  one table per side. Joins (`copartition_join` and the build's N-way
-  part functions), grouped applies (`partitioned_group_apply`), exact
-  dedups (`distinct_rows`), connected-component rounds and the
-  statement-store clustering all run on it.
+- **Hash exchange**: `exchange` is the engine's one shuffle, plain Ray
+  tasks with no Ray Data all-to-all operator: map tasks tag each
+  side's rows with a part id, normalize the block schema and split the
+  rows by reducer (`num_returns`); each reduce task hands a part
+  function one table per side, once per part. Joins
+  (`copartition_join` and the build's N-way part functions), grouped
+  applies (`partitioned_group_apply`), exact dedups (`distinct_rows`),
+  connected-component rounds and the statement-store clustering all
+  run on it.
 
 Exact dedup of triples hash-partitions on the *full* (s,p,o) key, so hub
 subjects (Q5-class entities) spread across partitions by construction —
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 import numpy as np
@@ -37,7 +40,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+import ray.data
 from ray.data import Dataset
+from ray.data.dataset import MaterializedDataset
+from ray.data.block import BlockAccessor
 
 # Per-worker-process cache: a broadcast object is deserialized at most
 # once per process while it is among the _BROADCAST_CACHE_SIZE most
@@ -109,6 +115,84 @@ def partitions_for_nbytes(
     return max(base, min(by_size, cap))
 
 
+def _block_groups(ds: Dataset, rows_per_group: int | None) -> list[list]:
+    """`ds`'s block refs in order, adjacent blocks grouped up to
+    `rows_per_group` rows (None: one block per group). A materialized
+    Dataset yields its refs; a lazy one runs once."""
+    if isinstance(ds, MaterializedDataset):
+        # a from_arrow_refs/from_pandas plan is not marked executed, so
+        # iterating it starts a bare Input execution; materialize()
+        # marks it without running anything
+        ds = ds.materialize()
+    groups: list[list] = []
+    rows = 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if not groups or rows_per_group is None or rows >= rows_per_group:
+                groups.append([])
+                rows = 0
+            groups[-1].append(ref)
+            rows += meta.num_rows or 0
+    return groups
+
+
+def _concat(tables: list[pa.Table]) -> pa.Table:
+    """One table of the rows of `tables`. Empty tables, whose columns an
+    upstream may have left null-typed, join only when all are empty."""
+    full = [t for t in tables if t.num_rows] or tables[:1]
+    if len(full) == 1:
+        return full[0]
+    return pa.concat_tables(full, promote_options="permissive")
+
+
+_NO_ROWS = pa.table({"__part": pa.array([], pa.int64())})
+
+
+@ray.remote
+def _exchange_map(fns, side: int, num_reducers: int, num_parts: int, *blocks):
+    """One map task of `exchange`: tag the rows of adjacent `blocks` of
+    one side, sort them by `__part` and return one slice per reducer.
+    Reducer r owns the parts p with p * num_reducers // num_parts == r."""
+    tag, _ = fns
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    # an empty upstream block may hold no column at all
+    t = _concat([tag(side, b) for b in tables if b.num_rows] or [_NO_ROWS])
+    if num_reducers == 1:
+        return t
+    parts = t["__part"].to_numpy()
+    order = np.argsort(parts, kind="stable")
+    t = t.take(order)
+    lows = [-(-r * num_parts // num_reducers) for r in range(num_reducers + 1)]
+    bounds = np.searchsorted(parts[order], lows)
+    return tuple(t.slice(a, b - a) for a, b in zip(bounds, bounds[1:]))
+
+
+@ray.remote(num_returns=2)
+def _exchange_reduce(fns, *slices):
+    """One reduce task of `exchange`: concatenate the slices of its part
+    range and run the part function once per part present. Returns
+    (block, its row count)."""
+    _, reduce = fns
+    t = _concat(list(slices))
+    if not t.num_rows:
+        return pa.table({}), 0
+    parts = t["__part"].to_numpy()
+    order = np.argsort(parts, kind="stable")
+    t = t.take(order)
+    bounds = [0, *(np.flatnonzero(np.diff(parts[order])) + 1), t.num_rows]
+    outs = [reduce(t.slice(a, b - a)) for a, b in zip(bounds, bounds[1:])]
+    # an empty part output (an empty pandas column is object-typed)
+    # must not decide the block's column types
+    outs = [o for o in outs if len(o)] or outs[:1]
+    if isinstance(outs[0], pd.DataFrame):
+        out = BlockAccessor.for_block(pd.concat(outs, ignore_index=True)).to_arrow()
+    else:
+        out = _concat(outs)
+    if out.schema.metadata:
+        out = out.replace_schema_metadata(None)
+    return out, out.num_rows
+
+
 def exchange(
     sides: Sequence[tuple[Dataset, list[str] | None]],
     keys: list[str],
@@ -121,12 +205,11 @@ def exchange(
     part_ids=None,
 ) -> Dataset:
     """The engine's one hash exchange: tag every row of every side with
-    its part id, ship the union through one groupby on `__part`, and
-    call `part_fn(tables, keys)` once per PART with one table per side.
+    its part id, move each part's rows to one reduce task, and call
+    `part_fn(tables, keys)` once per PART with one table per side.
     Every row of a key lands in one part, so per-key work inside
     `part_fn` (joins, semi-joins, exact dedups, group-wise filters) is
-    exact, at `num_parts` calls rather than one Python call per group
-    as `map_groups` would pay.
+    exact, at one Python call per part rather than per group.
 
     Part ids are polars `hash_rows(seed=42)` of the `keys` columns mod
     `num_parts` (deterministic across processes: part-file naming
@@ -135,18 +218,15 @@ def exchange(
 
     A side is `(Dataset, cols)`. A DECLARED side (`cols` a list) ships
     only those columns: null or large_string columns are cast to their
-    `col_types` entry (default string), and on a multi-side union the
-    columns other sides declare travel as typed nulls, so every block
-    carries one schema (per-side variants defeat the shuffle's schema
-    dedup and trip Ray's union warning). Its part table is Arrow and
-    holds `cols`. An UNDECLARED side (`cols` None, one-side exchanges
-    only) ships its batches as they are, and its part table
-    (`batch_format`, Arrow or pandas) keeps `__part`. Pandas
-    schema metadata (a dict) is stripped everywhere: it defeats the
-    shuffle's schema-dedup hashing, which then keeps one schema copy
-    per block. The exchange itself always ships Arrow: a sort shuffle
-    over pandas object frames pickles every string (measured 2× ingest
-    time at 22 M rows).
+    `col_types` entry (default string), and on a multi-side exchange
+    the columns other sides declare travel as typed nulls, so every
+    slice of a part concatenates under one schema. Its part table is
+    Arrow and holds `cols`. An UNDECLARED side (`cols` None, one-side
+    exchanges only) ships its blocks as they are, and its part table
+    (`batch_format`, Arrow or pandas) keeps `__part`. Schema metadata
+    (pandas' dict) is stripped from every shipped and returned block.
+    The exchange itself always ships Arrow: pandas object frames would
+    pickle every string.
 
     `hash_keys=True` ships a 128-bit key digest (two independently
     seeded polars `hash_rows` uint64 columns, `__k1`/`__k2`) instead
@@ -159,18 +239,23 @@ def exchange(
     both digests were verified decorrelated on the statement-id shape
     (2 M keys → 2 M distinct pairs, zero h1==h2).
 
-    `tag_batch_size` bundles adjacent upstream blocks per tag task
-    (PERF_NOTES #33): the sort shuffle behind the groupby sizes both
-    its exchange width and its reduce count to the INPUT block count,
-    and the read floor scales with session CPUs, so without bundling a
-    32-CPU session pays a 64×64 exchange where an 8-CPU one pays 16×16
-    on the same data. Callers that know their side volume pass
-    rows-per-~32MB.
-
-    A part that receives no row comes out as a 0-row, 0-column block.
-    No `map_batches` UDF downstream sees it; block-level readers (the
-    tasks fed by `to_arrow_refs`) must skip it. A task-level exchange
-    (ROADMAP item 7) would not produce it.
+    The shuffle is plain Ray tasks, no Ray Data all-to-all operator
+    (a sort shuffle samples range boundaries and re-sorts to find the
+    part ids the tag step already computed). The driver streams each
+    side's block refs (`iter_internal_ref_bundles`: a materialized side
+    yields its refs, a lazy one runs once; the sides stream
+    concurrently) and groups adjacent blocks up to `tag_batch_size`
+    rows (None: one block per group). One `_exchange_map` task per
+    group tags its rows, sorts them by `__part` and returns one slice
+    per reducer (`num_returns`). There are `min(num_parts, map tasks)`
+    reducers, each owning a contiguous range of parts, so the object
+    count is map tasks × reducers and a reducer's block holds many
+    small parts rather than one block per part (at benchmark size the
+    statement store writes one file per predicate directory). Each
+    `_exchange_reduce` task concatenates its slices and runs `part_fn`
+    once per part present. The result is MATERIALIZED (`from_arrow_refs` of the reducers that
+    returned rows): the call returns once every part is done, and a
+    part without rows yields no block.
 
     Why not `Dataset.join`: Ray's native hash join spawns one
     CPU-reserving aggregator actor per partition per call (~1 s startup
@@ -184,96 +269,103 @@ def exchange(
     types = col_types or {}
     join_keys = ["__k1", "__k2"] if hash_keys else keys
 
-    def tag(side: int, cols: list[str] | None):
-        # a declared side ships ONLY its own columns: under hash_keys a
-        # side whose key column another side declares must not re-ship
-        # the key strings the digest replaces
-        ship = set(cols or ())
+    def column(batch: pa.Table, c: str, ship: list[str]):
+        want = types.get(c, pa.string())
+        if c not in ship or c not in batch.column_names:
+            return pa.nulls(batch.num_rows, want)
+        col = batch.column(c)
+        # empty upstream blocks surface object columns as null type;
+        # concat artifacts (the remote URI merge) as large_string
+        if col.type != want and (
+            c in types or pa.types.is_null(col.type)
+            or pa.types.is_large_string(col.type)
+        ):
+            col = col.cast(want)
+        return col
 
-        def column(batch: pa.Table, c: str):
-            want = types.get(c, pa.string())
-            if c not in ship or c not in batch.column_names:
-                return pa.nulls(batch.num_rows, want)
-            col = batch.column(c)
-            # empty upstream blocks surface object columns as null type;
-            # concat artifacts (the remote URI merge) as large_string
-            if col.type != want and (
-                c in types or pa.types.is_null(col.type)
-                or pa.types.is_large_string(col.type)
-            ):
-                col = col.cast(want)
-            return col
+    def tag(side: int, batch: pa.Table) -> pa.Table:
+        if batch.schema.metadata:
+            batch = batch.replace_schema_metadata(None)
+        n = batch.num_rows
+        digests = {}
+        if hash_keys:
+            import polars as pl
 
-        def fn(batch: pa.Table) -> pa.Table:
-            if batch.schema.metadata:
-                batch = batch.replace_schema_metadata(None)
-            n = batch.num_rows
-            digests = {}
-            if hash_keys:
-                import polars as pl
+            # the plain acero join never matches null keys (SQL
+            # semantics); hash_rows would give them equal digests
+            for kc in keys:
+                if batch.column(kc).null_count:
+                    raise ValueError(
+                        f"hash_keys join requires non-null keys; "
+                        f"column {kc!r} has nulls"
+                    )
+            kt = pl.from_arrow(batch.select(keys))
+            h1 = kt.hash_rows(seed=42).to_numpy()
+            digests["__k1"] = pa.array(h1, pa.uint64())
+            digests["__k2"] = pa.array(
+                kt.hash_rows(seed=0x517CC1B7).to_numpy(), pa.uint64()
+            )
+            part = pa.array((h1 % np.uint64(num_parts)).astype("int64"))
+        elif part_ids is not None:
+            part = part_ids(batch)
+        else:
+            part = _part_ids(batch, keys, num_parts)
+        cols = side_cols[side]
+        if cols is not None:
+            # a declared side ships ONLY its own columns: under
+            # hash_keys a side whose key column another side declares
+            # must not re-ship the key strings the digest replaces
+            batch = pa.table({c: column(batch, c, cols) for c in declared})
+        for name, arr in digests.items():
+            batch = batch.append_column(name, arr)
+        batch = batch.append_column("__part", part)
+        if multi:
+            batch = batch.append_column(
+                "__side", pa.array(np.full(n, side, dtype="int8"))
+            )
+        return batch
 
-                # the plain acero join never matches null keys (SQL
-                # semantics); hash_rows would give them equal digests
-                for kc in keys:
-                    if batch.column(kc).null_count:
-                        raise ValueError(
-                            f"hash_keys join requires non-null keys; "
-                            f"column {kc!r} has nulls"
-                        )
-                kt = pl.from_arrow(batch.select(keys))
-                h1 = kt.hash_rows(seed=42).to_numpy()
-                digests["__k1"] = pa.array(h1, pa.uint64())
-                digests["__k2"] = pa.array(
-                    kt.hash_rows(seed=0x517CC1B7).to_numpy(), pa.uint64()
-                )
-                part = pa.array((h1 % np.uint64(num_parts)).astype("int64"))
-            elif part_ids is not None:
-                part = part_ids(batch)
-            else:
-                part = _part_ids(batch, keys, num_parts)
-            if cols is not None:
-                batch = pa.table({c: column(batch, c) for c in declared})
-            for name, arr in digests.items():
-                batch = batch.append_column(name, arr)
-            batch = batch.append_column("__part", part)
-            if multi:
-                batch = batch.append_column(
-                    "__side", pa.array(np.full(n, side, dtype="int8"))
-                )
-            return batch
-
-        return fn
-
-    def side_table(t, i: int, cols: list[str] | None):
+    def side_table(t: pa.Table, i: int, cols: list[str] | None):
         if cols is None:
             return t
         if multi:
             t = t.filter(pc.equal(t.column("__side"), i))
         return t.select(cols + join_keys if hash_keys else cols)
 
-    def reduce(t):
-        out = part_fn(
-            [side_table(t, i, cols) for i, cols in enumerate(side_cols)],
-            join_keys,
-        )
-        if isinstance(out, pa.Table):
-            if hash_keys:
-                out = out.drop_columns(
-                    [c for c in join_keys if c in out.column_names]
-                )
-            if out.schema.metadata:
-                out = out.replace_schema_metadata(None)
+    def reduce(t: pa.Table):
+        tables = [side_table(t, i, cols) for i, cols in enumerate(side_cols)]
+        if batch_format == "pandas":
+            tables = [BlockAccessor.for_block(s).to_pandas() for s in tables]
+        out = part_fn(tables, join_keys)
+        if hash_keys and isinstance(out, pa.Table):
+            out = out.drop_columns([c for c in join_keys if c in out.column_names])
         return out
 
-    tagged = [
-        ds.map_batches(
-            tag(i, cols), batch_format="pyarrow", batch_size=tag_batch_size
+    fns = ray.put((tag, reduce))
+    with ThreadPoolExecutor(max_workers=len(sides)) as pool:
+        per_side = list(pool.map(
+            lambda ds: _block_groups(ds, tag_batch_size), [ds for ds, _ in sides]
+        ))
+    groups = [(i, refs) for i, side in enumerate(per_side) for refs in side]
+    num_reducers = min(num_parts, len(groups))
+    splits = [
+        _exchange_map.options(num_returns=num_reducers).remote(
+            fns, side, num_reducers, num_parts, *refs
         )
-        for i, (ds, cols) in enumerate(sides)
+        for side, refs in groups
     ]
-    # Ray's planner rejects a union() with nothing to union
-    union = tagged[0].union(*tagged[1:]) if multi else tagged[0]
-    return union.groupby("__part").map_groups(reduce, batch_format=batch_format)
+    if num_reducers == 1:
+        splits = [[s] for s in splits]
+    outs = [
+        _exchange_reduce.remote(fns, *[s[r] for s in splits])
+        for r in range(num_reducers)
+    ]
+    rows = ray.get([n for _, n in outs])
+    # from_arrow_refs does not mark its plan executed: materialize() does
+    # (no execution), so no consumer's to_arrow_refs starts one
+    return ray.data.from_arrow_refs(
+        [block for (block, _), n in zip(outs, rows) if n]
+    ).materialize()
 
 
 def copartition_join(
@@ -353,8 +445,8 @@ def partitioned_group_apply(
     `pdf.groupby(...)`. The part key hashes ALL key columns, so a
     skewed single column only skews if one exact key dominates — for
     that case raise num_parts or pre-salt (`salted_aggregate`). A
-    combiner (per-batch pre-reduction) is a `map_batches` on `ds`,
-    which Ray fuses into the tag task."""
+    combiner (per-batch pre-reduction) is a `map_batches` on `ds`: it
+    runs in `ds`'s own execution, which the exchange streams once."""
 
     def apply_part(tables: list[pd.DataFrame], _keys) -> pd.DataFrame:
         (part,) = tables

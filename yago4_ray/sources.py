@@ -223,10 +223,11 @@ def read_blocks_for_nbytes(
     nbytes: int, target_mb: int = 64, cap: int = 2048, min_mb: int = 4
 ) -> int:
     """Read block count for a many-small-file parquet read that FEEDS A
-    SHUFFLE. Ray's sort shuffle (behind `joins.exchange`) creates one
-    map-output object per (input block × output partition); a read that
-    keeps one block per file over hundreds of staged files makes that
-    exchange quadratic in file count (measured: the 44 M-row combined
+    SHUFFLE. `joins.exchange` creates one map-output object per (map
+    task × reducer), with one map task per input block unless the
+    caller bundles them; a read that keeps one block per file over
+    hundreds of staged files makes that exchange quadratic in file
+    count (measured under Ray's sort shuffle: the 44 M-row combined
     dedup ran 723×723 ≈ 523k objects, 85 s at 8 CPUs; bounded to 16–128
     blocks the same dedup is 25 s). Sizing: ~`target_mb` UNCOMPRESSED
     parquet data bytes per block (`parquet_data_nbytes` metric), with a
@@ -276,8 +277,8 @@ def scan_predicate(
                  "object": pa.array([], pa.string())}
             )
         )
-    # bound block count: these scans feed groupby/join shuffles whose
-    # exchange width follows input block count (see read_blocks_for_nbytes).
+    # bound block count: these scans feed exchanges whose width
+    # follows input block count (see read_blocks_for_nbytes).
     # ALWAYS override: None lets Ray's own avail_cpus×2 parallelism floor
     # split small files into ~2×CPU kilobyte blocks (PERF_NOTES #29);
     # with the volume-capped count, few-files reads split to a
@@ -285,7 +286,7 @@ def scan_predicate(
     nbytes = parquet_data_nbytes(paths)
     nblocks = read_blocks_for_nbytes(nbytes)
     if wide:
-        # consumer is a map/materialize, NOT a sort shuffle: the
+        # consumer is a map/materialize, NOT an exchange: the
         # shuffle-width bound above caps parallelism below the session
         # width (measured: the build_state input-reduction scan was
         # 16-block-bound at 32 CPUs — 4.1 s vs 6.7 s at 8, eff 0.41).
@@ -484,7 +485,7 @@ class MultiNTriplesGzDatasink(Datasink):
             for block in blocks:
                 table = BlockAccessor.for_block(block).to_arrow()
                 if table.num_rows == 0:
-                    continue  # empty shuffle partitions carry no schema
+                    continue  # an empty block may carry no schema
                 names_ = table.column_names
                 missing = [c for c in ("file", "__part") if c not in names_]
                 if missing:

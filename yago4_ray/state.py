@@ -701,7 +701,7 @@ def collect_input_reductions(
         return pa.concat_tables(outs)
 
     # wide=True: this scan feeds to_arrow_refs + the per-range merge
-    # tasks (no sort shuffle), so block count should track the SESSION
+    # tasks (no exchange), so block count should track the SESSION
     # width, not the shuffle-exchange bound. Materialized first: a lazy
     # Dataset's to_arrow_refs fetches its schema through limit(1), which
     # re-runs the scan (PERF_NOTES #50)
@@ -962,13 +962,7 @@ def _pack_shape_instances(shape_targets, *blocks):
 
     from .broadcast import HashIndex, _hash_series
 
-    # empty shuffle partitions surface as zero-column blocks — first
-    # seen at 44 M / 32 CPUs where the part count outruns the group count
-    parts = [
-        t.select(["shape", "instance"])
-        for t in blocks
-        if t.num_rows and "shape" in t.column_names
-    ]
+    parts = [t.select(["shape", "instance"]) for t in blocks]
     empty = HashIndex([], keep_keys=False)
     packs = {t: empty for t in shape_targets}
     if parts:
@@ -1091,9 +1085,9 @@ def build_shape_instances(
             pdf = pdf[~pdf["instance"].isin(bad)]
         return pdf
 
-    resolved = partitioned_group_apply(
-        fanned, ["instance"], resolve_part
-    ).materialize()  # consumed by simple-types + every distributed join
+    # materialized (an exchange result): consumed by simple-types and
+    # every distributed join
+    resolved = partitioned_group_apply(fanned, ["instance"], resolve_part)
 
     # pack the per-shape sets in a REMOTE task over the materialized
     # blocks. The driver gets back only the refs: downstream
