@@ -44,6 +44,26 @@ def test_minhash_dedup(ray_session):
     assert 3 not in clusters and 6 not in clusters
 
 
+def test_minhash_dedup_without_duplicates(ray_session):
+    """A corpus without a candidate pair yields no cluster: the pair
+    exchange returns no row, and its result still carries a schema."""
+    from yago4_ray.dataops.dedup import minhash_dedup
+
+    docs = pd.DataFrame({
+        "doc_id": [1, 2, 3, 4],
+        "text": [
+            "the quick brown fox jumps over the lazy dog",
+            "lorem ipsum dolor sit amet consectetur adipiscing",
+            "completely different words appear in this one",
+            "yet another unrelated sentence about graphs",
+        ],
+    })
+    out = minhash_dedup(
+        ray.data.from_pandas(docs), "text", "doc_id", threshold=0.8
+    ).to_pandas()
+    assert len(out) == 0
+
+
 def test_simhash_pairs(ray_session):
     from yago4_ray.dataops.dedup import simhash64, simhash_dedup_pairs
 

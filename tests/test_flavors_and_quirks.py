@@ -187,6 +187,36 @@ def test_maxcount_broadcast_and_exchange_paths_identical(
     assert len(facts) > 0
 
 
+def test_maxcount_without_offenders_drops_nothing(ray_session):
+    """A maxCount shape that no group exceeds leaves the rows alone: the
+    offender sum yields no row (its exchange result is then one 0-row
+    block with the part function's columns) and no offender index is
+    built; one over-limit group gives one."""
+    import pandas as pd
+    import ray.data
+
+    from yago4_ray.build import PropConfig, _apply_max_count
+
+    cfg = PropConfig(
+        cfg_id="c0_knows", path="<http://schema.org/knows>",
+        parent_class=None, pids=("P26",), mode="range",
+        datatypes=frozenset(), range_classes=(), pattern=None, max_count=2,
+    )
+    rows = pd.DataFrame({
+        "cfg": ["c0_knows"] * 3,
+        "subject": ["<a>", "<a>", "<b>"],
+        "ann_cfg": [None, None, None],
+    })
+    joined = ray.data.from_pandas(rows).materialize()
+    out, offenders = _apply_max_count(joined, [cfg], num_partitions=8)
+    assert offenders is None and out is joined
+    over = pd.concat([rows, rows.iloc[:1]], ignore_index=True)
+    _, offenders = _apply_max_count(
+        ray.data.from_pandas(over).materialize(), [cfg], num_partitions=8
+    )
+    assert offenders is not None
+
+
 def test_best_rank_collision_rebuilds_from_strings(
     statements_root, monkeypatch
 ):

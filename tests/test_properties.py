@@ -272,6 +272,8 @@ def test_hashedmap_presorted_collision_falls_back_exact():
             probe = pd.Series(["<b>", "<c>", "<a>"])
             assert list(m.lookup(probe)) == ["<2>", None, "<1>"]
             assert list(m.contains(pa.array(["<c>", "<a>"]))) == [False, True]
+            chunked = pa.chunked_array([["<c>"], ["<a>", "<b>"]])
+            assert list(m.contains(chunked)) == [False, True, True]
 
 
 def test_one_index_implementation():

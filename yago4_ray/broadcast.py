@@ -141,7 +141,8 @@ class HashIndex:
     def _probe(self, probe) -> tuple[np.ndarray, np.ndarray]:
         """(stored row, hit) per probe key; the row is 0 on a miss."""
         if self._exact is not None:
-            ks = probe.to_pylist() if isinstance(probe, pa.Array) else probe
+            arrow = isinstance(probe, (pa.Array, pa.ChunkedArray))
+            ks = probe.to_pylist() if arrow else probe
             rows = np.fromiter(
                 (self._exact.get(k, -1) for k in ks), np.int64, len(probe)
             )

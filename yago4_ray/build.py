@@ -396,7 +396,7 @@ def _apply_max_count(
         # not re-shuffle per consumption
         return _apply_max_count_exchange(joined, max_counts).materialize(), None
     blocks = ray.get(offenders.to_arrow_refs())
-    if not blocks:  # the exchange returns no empty block
+    if not any(b.num_rows for b in blocks):  # no offending group
         return joined, None
     from .broadcast import HashIndex
 

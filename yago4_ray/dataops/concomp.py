@@ -204,7 +204,10 @@ def _cc_single_task_impl(id_type_str: str, *blocks):
 
 def id_type_of(schema, column: str = "a") -> pa.DataType:
     """Arrow id type from a Ray Dataset schema (Arrow or pandas-block),
-    defaulting to string for object/unknown dtypes."""
+    defaulting to string for object/unknown dtypes and for no schema
+    (an empty Dataset)."""
+    if schema is None:
+        return pa.string()
     base = getattr(schema, "base_schema", schema)
     if hasattr(base, "field"):  # pyarrow schema
         t = base.field(column).type

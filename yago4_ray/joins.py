@@ -171,11 +171,12 @@ def _exchange_map(fns, side: int, num_reducers: int, num_parts: int, *blocks):
 def _exchange_reduce(fns, *slices):
     """One reduce task of `exchange`: concatenate the slices of its part
     range and run the part function once per part present. Returns
-    (block, its row count)."""
+    (block, its row count), the count None when no part was present
+    (the block then has no column)."""
     _, reduce = fns
     t = _concat(list(slices))
     if not t.num_rows:
-        return pa.table({}), 0
+        return pa.table({}), None
     parts = t["__part"].to_numpy()
     order = np.argsort(parts, kind="stable")
     t = t.take(order)
@@ -244,18 +245,23 @@ def exchange(
     part ids the tag step already computed). The driver streams each
     side's block refs (`iter_internal_ref_bundles`: a materialized side
     yields its refs, a lazy one runs once; the sides stream
-    concurrently) and groups adjacent blocks up to `tag_batch_size`
-    rows (None: one block per group). One `_exchange_map` task per
-    group tags its rows, sorts them by `__part` and returns one slice
-    per reducer (`num_returns`). There are `min(num_parts, map tasks)`
-    reducers, each owning a contiguous range of parts, so the object
-    count is map tasks × reducers and a reducer's block holds many
-    small parts rather than one block per part (at benchmark size the
-    statement store writes one file per predicate directory). Each
+    concurrently, which measured faster than one after the other) and
+    groups adjacent blocks up to `tag_batch_size` rows (None: one block
+    per group). One `_exchange_map` task per group tags its rows, sorts
+    them by `__part` and returns one slice per reducer (`num_returns`).
+    There are `min(num_parts, map tasks)` reducers, each owning a
+    contiguous range of parts, so the object count is map tasks ×
+    reducers and a reducer's block holds many small parts rather than
+    one block per part (at benchmark size the statement store writes
+    one file per predicate directory). Map tasks start once every side
+    has streamed (the reducer count depends on the map count). Each
     `_exchange_reduce` task concatenates its slices and runs `part_fn`
-    once per part present. The result is MATERIALIZED (`from_arrow_refs` of the reducers that
-    returned rows): the call returns once every part is done, and a
-    part without rows yields no block.
+    once per part present. The result is MATERIALIZED (`from_arrow_refs`
+    of the reducers that returned rows): the call returns once every
+    part is done, and a part without rows yields no block. When no part
+    yields rows, one 0-row block carries the part function's columns;
+    an exchange with no input row at all returns an empty Dataset
+    without a schema.
 
     Why not `Dataset.join`: Ray's native hash join spawns one
     CPU-reserving aggregator actor per partition per call (~1 s startup
@@ -347,6 +353,7 @@ def exchange(
             lambda ds: _block_groups(ds, tag_batch_size), [ds for ds, _ in sides]
         ))
     groups = [(i, refs) for i, side in enumerate(per_side) for refs in side]
+    del per_side
     num_reducers = min(num_parts, len(groups))
     splits = [
         _exchange_map.options(num_returns=num_reducers).remote(
@@ -354,18 +361,25 @@ def exchange(
         )
         for side, refs in groups
     ]
+    # the driver keeps no ref it handed to a task: a lazy side's blocks
+    # are freed when their map task ends, a reducer's slices when it ends
+    del groups
     if num_reducers == 1:
         splits = [[s] for s in splits]
     outs = [
         _exchange_reduce.remote(fns, *[s[r] for s in splits])
         for r in range(num_reducers)
     ]
+    del splits
     rows = ray.get([n for _, n in outs])
+    blocks = [block for (block, _), n in zip(outs, rows) if n]
+    if not blocks:
+        # no part yielded rows: one 0-row block keeps the part
+        # function's columns, so the result's schema stays known
+        blocks = [block for (block, _), n in zip(outs, rows) if n == 0][:1]
     # from_arrow_refs does not mark its plan executed: materialize() does
     # (no execution), so no consumer's to_arrow_refs starts one
-    return ray.data.from_arrow_refs(
-        [block for (block, _), n in zip(outs, rows) if n]
-    ).materialize()
+    return ray.data.from_arrow_refs(blocks).materialize()
 
 
 def copartition_join(
