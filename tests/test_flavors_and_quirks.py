@@ -130,21 +130,16 @@ def test_user_shape_extension(statements_root):
     )
 
 
-def test_maxcount_broadcast_and_exchange_paths_identical(
-    statements_root, monkeypatch
-):
-    """The maxCount anti-filter is volume-gated (broadcast offenders
-    under the cap, full (cfg, subject) exchange above it) — both paths
-    must produce the same facts and annotated facts: annotated rows pass
-    through both filters, counted out of a group's size and dropped with
-    an offending group. The fixture's own maxCount shapes carry no
-    qualifiers, so two user shapes read the qualified P26 statements:
-    schema:knows with maxCount 1 (no person has two spouses: its
-    annotated rows stay) and schema:colleague with maxCount 0 (every
-    group offends: its facts and annotated rows go). The fixture's
-    offending url groups (test_maxcount_group_dropped) keep the facts
-    half from being vacuous."""
-    from yago4_ray import build
+def test_maxcount_user_shapes_keep_and_drop_annotated_rows(statements_root):
+    """Annotated rows pass through maxCount with their group: counted
+    out of a group's size, dropped with an offending group. The
+    fixture's own maxCount shapes carry no qualifiers, so two user
+    shapes read the qualified P26 statements: schema:knows with
+    maxCount 1 (no person has two spouses: its annotated rows stay) and
+    schema:colleague with maxCount 0 (every group offends: its facts
+    and annotated rows go). The fixture's offending url groups
+    (test_maxcount_group_dropped) keep the facts half from being
+    vacuous."""
     from yago4_ray.build import build_facts
     from yago4_ray.state import build_state
 
@@ -166,18 +161,10 @@ def test_maxcount_broadcast_and_exchange_paths_identical(
     ] .
     """
     state = build_state(statements_root, schema=Schema.open(extra_turtle_docs=[extra]))
-
-    def run():
-        return tuple(
-            set(map(tuple, ds.to_pandas().itertuples(index=False)))
-            for ds in build_facts(statements_root, state)
-        )
-
-    broadcast = run()
-    monkeypatch.setattr(build, "MAXCOUNT_BROADCAST_CAP", 0)
-    exchange = run()
-    assert broadcast == exchange
-    facts, annotated = broadcast
+    facts, annotated = (
+        set(map(tuple, ds.to_pandas().itertuples(index=False)))
+        for ds in build_facts(statements_root, state)
+    )
     annotated_paths = {p for _, p, _, ap, _ in annotated if ap}
     assert "<http://schema.org/knows>" in annotated_paths
     assert "<http://schema.org/spouse>" in annotated_paths
@@ -188,33 +175,96 @@ def test_maxcount_broadcast_and_exchange_paths_identical(
 
 
 def test_maxcount_without_offenders_drops_nothing(ray_session):
-    """A maxCount shape that no group exceeds leaves the rows alone: the
-    offender sum yields no row (its exchange result is then one 0-row
-    block with the part function's columns) and no offender index is
-    built; one over-limit group gives one."""
+    """With no limited cfg the join comes back as it is. With a limit no
+    group exceeds, the rows come back as a set. With one over-limit
+    group, exactly that group's rows go, its annotated row included;
+    the same subject's rows of an unlimited cfg stay."""
     import pandas as pd
     import ray.data
 
     from yago4_ray.build import PropConfig, _apply_max_count
 
-    cfg = PropConfig(
-        cfg_id="c0_knows", path="<http://schema.org/knows>",
-        parent_class=None, pids=("P26",), mode="range",
-        datatypes=frozenset(), range_classes=(), pattern=None, max_count=2,
-    )
+    def cfg(cfg_id, max_count):
+        return PropConfig(
+            cfg_id=cfg_id, path=f"<http://schema.org/{cfg_id}>",
+            parent_class=None, pids=("P26",), mode="range",
+            datatypes=frozenset(), range_classes=(), pattern=None,
+            max_count=max_count,
+        )
+
     rows = pd.DataFrame({
-        "cfg": ["c0_knows"] * 3,
-        "subject": ["<a>", "<a>", "<b>"],
-        "ann_cfg": [None, None, None],
+        "cfg": ["knows", "knows", "knows", "knows", "spouse"],
+        "statement": ["s1", "s2", "s3", "s1", "s4"],
+        "subject": ["<a>", "<a>", "<b>", "<a>", "<a>"],
+        "ann_cfg": [None, None, None, "a0_start", None],
+        "ann_obj": [None, None, None, '"2001"', None],
     })
+
+    def as_set(ds):
+        df = ds.to_pandas()[list(rows.columns)]
+        return set(map(tuple, df.astype(object).where(df.notna(), None).values))
+
     joined = ray.data.from_pandas(rows).materialize()
-    out, offenders = _apply_max_count(joined, [cfg], num_partitions=8)
-    assert offenders is None and out is joined
-    over = pd.concat([rows, rows.iloc[:1]], ignore_index=True)
-    _, offenders = _apply_max_count(
-        ray.data.from_pandas(over).materialize(), [cfg], num_partitions=8
+    assert _apply_max_count(joined, [cfg("spouse", None)], num_partitions=8) is joined
+    configs = [cfg("knows", 2), cfg("spouse", None)]
+    assert as_set(_apply_max_count(joined, configs, num_partitions=8)) == as_set(joined)
+    over = pd.concat(
+        [rows, pd.DataFrame({"cfg": ["knows"], "statement": ["s5"],
+                             "subject": ["<a>"]})],
+        ignore_index=True,
     )
-    assert offenders is not None
+    got = as_set(_apply_max_count(
+        ray.data.from_pandas(over).materialize(), configs, num_partitions=8
+    ))
+    dropped = over[(over["cfg"] == "knows") & (over["subject"] == "<a>")]
+    assert len(dropped) == 4
+    assert got == as_set(ray.data.from_pandas(over.drop(dropped.index)))
+
+
+def test_maxcount_group_spans_items(
+    statements_root, build_outputs, oracle_outputs, monkeypatch
+):
+    """maxCount groups fact rows by the MAPPED YAGO subject
+    (plan.rs:1141-1158): two Wikidata items mapped to one YAGO URI, each
+    with one fact of a maxCount-1 shape, form one group of two rows, and
+    the whole group is dropped, as the oracle drops it. Counted per
+    item, neither would offend."""
+    from yago4_ray import build
+    from yago4_ray.state import build_state
+
+    seen = []
+    apply_max_count = build._apply_max_count
+
+    def recording(joined, configs, *args, **kwargs):
+        kept = apply_max_count(joined, configs, *args, **kwargs)
+        seen.append((joined.to_pandas(), kept.to_pandas()))
+        return kept
+
+    monkeypatch.setattr(build, "_apply_max_count", recording)
+    build.build_facts(statements_root, build_state(statements_root))
+    (rows, kept), = seen
+
+    configs, _ = build.prop_configs(Schema.open())
+    paths = {c.cfg_id: c.path for c in configs}
+    limit_one = {c.cfg_id for c in configs if c.max_count == 1}
+    facts = rows[rows["ann_cfg"].isna() & rows["cfg"].isin(limit_one)]
+    facts = facts.assign(
+        item=facts["statement"].str.extract(r"/statement/(Q\d+)-", expand=False)
+    )
+    assert facts["item"].notna().all()
+    per_item = facts.groupby(["cfg", "subject", "item"]).size()
+    groups = per_item.groupby(level=["cfg", "subject"]).agg(["size", "max"])
+    spanning = groups[(groups["size"] >= 2) & (groups["max"] == 1)].index
+    assert len(spanning), "the fixture holds no multi-item maxCount-1 group"
+
+    assert not set(spanning) & set(zip(kept["cfg"], kept["subject"]))
+    # (subject, path) pairs another cfg of the same path keeps can't
+    # show the drop in the written facts
+    kept_paths = set(zip(kept["subject"], kept["cfg"].map(paths)))
+    checked = [(s, paths[c]) for c, s in spanning if (s, paths[c]) not in kept_paths]
+    assert checked
+    for out in (build_outputs["facts"], oracle_outputs["facts"]):
+        assert not {(s, p) for s, p, _ in out} & set(checked)
 
 
 def test_best_rank_collision_rebuilds_from_strings(

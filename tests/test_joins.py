@@ -266,6 +266,23 @@ def test_one_exchange_implementation():
         assert isinstance(getattr(joins, fn), RemoteFunction), fn
 
 
+def test_one_maxcount_implementation():
+    """maxCount is one subject-keyed exchange (`build._apply_max_count`):
+    no volume cap chooses a second path, and no offender set is
+    collected, keyed or probed anywhere in the package."""
+    import pathlib
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "yago4_ray"
+    gone = ("MAXCOUNT_BROADCAST_CAP", "_apply_max_count_exchange",
+            "_drop_offenders", "_group_keys")
+    found = [
+        (str(path.relative_to(pkg)), name)
+        for path in sorted(pkg.rglob("*.py"))
+        for name in gone if name in path.read_text()
+    ]
+    assert not found, found
+
+
 def test_empty_null_typed_block_through_one_side_exchanges(ray_session):
     """An empty upstream block surfaces its columns as null type; it
     must not break the dedup or the grouped apply beside string blocks."""

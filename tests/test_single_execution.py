@@ -168,7 +168,8 @@ def test_si_by_item_built_once_per_state(build_calls):
 
 def test_exchange_budget(build_calls):
     """Broadcast: shape instances, clean values, the facts join (its
-    annotated rows included), maxCount and the two output dedups.
+    annotated rows included), maxCount (the join's rows keyed on the
+    mapped subject) and the two output dedups.
     Distributed: those plus si_by_item and the item and value-node
     joins — one exchange per join key. Every one is a `joins.exchange`
     call, and no Ray Data shuffle runs beside them."""
@@ -200,12 +201,14 @@ def test_execution_budget(build_calls):
     are its exchange inputs, the fused state scan, the output scan and
     the two sink writes. Facts and annotated facts are the two row kinds
     of one materialized statement exchange: no annotation collect or
-    second annotation join runs on either path."""
+    second annotation join runs on either path. maxCount exchanges the
+    blocks of that materialized join as they are: no counts pass runs
+    over them."""
     n = len(build_calls["executions"])
     if build_calls["distributed"]:
-        assert n <= 15, n
+        assert n <= 14, n
     else:
-        assert n == 11, n
+        assert n == 10, n
 
 
 def test_no_all_to_all_execution(build_calls):
@@ -232,17 +235,15 @@ def test_state_objects_put_once(build_calls):
     """The packed URI map reaches the object store once, as the remote
     merge task's output: no map (a HashIndex with value columns) is put
     from the driver (the shape instances' P31 fan-out reads that same
-    ref). The packed `yago_classes` set (no value column) is put once,
-    by build_shape_instances, and the class-label family reads that
-    ref: build_dist puts no set (maxCount's per-build offender set is
-    build's)."""
+    ref). The packed `yago_classes` set (no value column) is the only
+    set the driver puts, once, by build_shape_instances, and the
+    class-label family reads that ref."""
     puts = build_calls["puts"]
     assert puts, "ray.put was never called"
     maps = [c for n, c in puts if n]
     assert not maps, f"HashIndex map put(s) from the driver: {maps}"
     sets = [c for n, c in puts if n == 0]
-    assert sets.count("yago4_ray.state.build_shape_instances") == 1, sets
-    assert not [c for c in sets if c.startswith("yago4_ray.build_dist.")], sets
+    assert sets == ["yago4_ray.state.build_shape_instances"], sets
 
 
 def test_driver_collects_only_the_kinds_it_reads(statements_root):

@@ -22,7 +22,7 @@ key but whose hash equals a key's — is exact only when keys are kept:
 
 | construction | key-vs-key collision | probe-vs-key collision | call sites |
 |---|---|---|---|
-| `HashIndex(keys, *values)` | exact dict | rejected: every hash hit is verified by string equality | `yago_classes`, maxCount offenders, minhash endpoints, the linker |
+| `HashIndex(keys, *values)` | exact dict | rejected: every hash hit is verified by string equality | `yago_classes`, minhash endpoints, the linker |
 | `HashIndex(keys, *values, keep_keys=False)` | exact dict | answered as that key, probability ≈ n/2**64 per probe over n keys | the URI map, clean-value maps, shape instances |
 | `HashIndex.from_hashes(hashes)` | raises `ValueError` | answered as that key, as above | the best-rank set (its caller rebuilds from the statement strings) |
 

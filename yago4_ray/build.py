@@ -18,7 +18,9 @@ Ray Data pipelines over the predicate-partitioned statement store:
   same part, so facts and annotated facts are the two row kinds of one
   materialized join (build_dist.facts_part).
 - maxCount drops the whole (shape, subject) group, its annotated rows
-  with it — never truncates (A2, plan.rs:1141-1158).
+  with it — never truncates (A2, plan.rs:1141-1158): one exchange of
+  the join's rows keyed on the mapped YAGO subject, counted and
+  anti-joined in Arrow per part.
 
 Outputs (same logical files as plan.rs:105-196):
   class, simple-types, full-types, labels, facts, annotated-facts,
@@ -51,7 +53,6 @@ from .joins import (
     distinct_rows,
     exchange,
     get_broadcast,
-    partitioned_group_apply,
     partitions_for_nbytes,
 )
 from .schema import PropertyShape, Schema
@@ -59,11 +60,6 @@ from .sources import scan_predicate
 from .state import BuildState, build_state
 
 LABEL_PATHS = [T.RDFS_LABEL, T.RDFS_COMMENT, T.SCHEMA_ALTERNATE_NAME]
-
-# the volume gate, in bytes, of the maxCount offender (cfg, subject) rows:
-# at or under the cap they are collected and broadcast, above it the full
-# (cfg, subject) exchange runs (both sides are pytest-gated identical)
-MAXCOUNT_BROADCAST_CAP = 64 << 20
 
 _TIME_DTS = frozenset(
     {T.XSD_DATE, T.XSD_DATE_TIME, T.XSD_G_YEAR, T.XSD_G_YEAR_MONTH}
@@ -302,126 +298,48 @@ def matches_pattern(obj: pd.Series, pattern: str) -> pd.Series:
     return (datatype_series(obj) == T.XSD_STRING) & lit.notna() & has_pat
 
 
-def _apply_max_count_exchange(
-    joined: Dataset, max_counts: dict[str, int]
-) -> Dataset:
-    """Full-exchange maxCount path: hash-partition the limited rows by
-    (cfg, subject) and drop the groups with too many fact rows per part,
-    annotated rows included. Correct at any offender volume — the
-    fallback when the offender set is too big to broadcast (pytest-gated
-    identical to the broadcast path)."""
-    limits_ref = ray.put(max_counts)
-    limited_cfgs = set(max_counts)
-
-    def keep_small(pdf: pd.DataFrame) -> pd.DataFrame:
-        limits = get_broadcast(limits_ref)
-        facts = pdf["ann_cfg"].isna()
-        sizes = facts.groupby([pdf["cfg"], pdf["subject"]]).transform("sum")
-        limit = pdf["cfg"].map(limits)
-        return pdf[sizes <= limit]
-
-    without_limit = joined.map_batches(
-        lambda b: b[~b["cfg"].isin(limited_cfgs)], batch_format="pandas"
-    )
-    filtered = partitioned_group_apply(
-        joined.map_batches(
-            lambda b: b[b["cfg"].isin(limited_cfgs)], batch_format="pandas"
-        ),
-        ["cfg", "subject"],
-        keep_small,
-    )
-    return without_limit.union(filtered)
-
-
 def _apply_max_count(
     joined: Dataset, configs: list[PropConfig], num_partitions: int = 32
-) -> tuple[Dataset, tuple | None]:
-    """Whole-group drop for shapes with sh:maxCount (plan.rs:1141-1158).
+) -> Dataset:
+    """Whole-group drop for shapes with sh:maxCount (plan.rs:1141-1158):
+    `joined`, the materialized statement join, minus every (cfg,
+    subject) group with more fact rows than its cfg's limit, the
+    group's annotated rows with it (annotations attach to the facts
+    that pass maxCount). `joined` unchanged when no cfg has a limit.
 
-    A (cfg, subject) group's size counts its fact rows; an offending
-    group loses its annotated rows too, as annotations attach to the
-    facts that pass maxCount.
+    One exchange keyed on the mapped YAGO subject: a group's rows come
+    from every Wikidata item mapped to that subject, so no part of the
+    statement-keyed join holds a whole group. Per part, Arrow counts the
+    fact rows per (cfg, subject), meets the counts with the (cfg,
+    limit) table and drops the offending groups with one anti-join;
+    every other row passes through."""
+    limited = [c for c in configs if c.max_count is not None]
+    if not limited:
+        return joined
+    limits = pa.table({
+        "cfg": pa.array([c.cfg_id for c in limited], pa.string()),
+        "limit": pa.array([c.max_count for c in limited], pa.int64()),
+    })
 
-    `joined` must be MATERIALIZED. Re-exchanging the entire limited
-    payload right after the join exchange measured 143 MB / 0.5 M rows
-    at 22 M statements. Group sizes are decomposable, so instead:
-    per-batch (cfg, subject) count partials → one SMALL partitioned sum
-    (count rows, not payload rows) → the rare offending groups come
-    back to the driver as a broadcast HashIndex, which each row kind's
-    `_expander` probes with its own rows only. The probe verifies hits
-    exactly, so a hash collision cannot silently drop a valid group.
-    Above MAXCOUNT_BROADCAST_CAP offender bytes the full-exchange path
-    stands (both paths pytest-gated identical).
+    def drop_offending(tables: list[pa.Table], _keys) -> pa.Table:
+        import pyarrow.compute as pc
 
-    Returns (rows, offenders): `offenders` is None (nothing to drop from
-    `rows`) or (the limited cfg ids, the ref of the HashIndex of the
-    offending groups' `_group_keys`) for `_expander`."""
-    max_counts = {c.cfg_id: c.max_count for c in configs if c.max_count is not None}
-    if not max_counts:
-        return joined, None
-    limited_cfgs = set(max_counts)
-    limits_ref = ray.put(max_counts)
-
-    _EMPTY_COUNTS = {
-        "cfg": pd.Series([], dtype=object),
-        "subject": pd.Series([], dtype=object),
-        "n": pd.Series([], dtype="int64"),
-    }
-
-    def partial_counts(b: pd.DataFrame) -> pd.DataFrame:
-        sub = b[b["cfg"].isin(limited_cfgs) & b["ann_cfg"].isna()]
-        if sub.empty:
-            return pd.DataFrame(_EMPTY_COUNTS)
-        return (
-            sub.groupby(["cfg", "subject"], as_index=False)
-            .size()
-            .rename(columns={"size": "n"})
+        rows = tables[0].drop_columns(["__part"])
+        counts = (
+            rows.filter(pc.is_null(rows["ann_cfg"]))
+            .group_by(["cfg", "subject"], use_threads=False)
+            .aggregate([([], "count_all")])
+            .join(limits, keys="cfg", join_type="inner", use_threads=False)
+        )
+        over = counts.filter(pc.greater(counts["count_all"], counts["limit"]))
+        if not over.num_rows:
+            return rows
+        return rows.join(
+            over.select(["cfg", "subject"]), keys=["cfg", "subject"],
+            join_type="left anti", use_threads=False,
         )
 
-    def sum_offenders(pdf: pd.DataFrame) -> pd.DataFrame:
-        limits = get_broadcast(limits_ref)
-        tot = pdf.groupby(["cfg", "subject"], as_index=False)["n"].sum()
-        lim = tot["cfg"].map(limits)
-        return tot.loc[tot["n"] > lim, ["cfg", "subject"]]
-
-    counts = joined.map_batches(partial_counts, batch_format="pandas")
-    offenders = partitioned_group_apply(
-        counts,
-        ["cfg", "subject"],
-        sum_offenders,
-        num_parts=max(4, num_partitions // 4),
-    )
-    if (offenders.size_bytes() or 0) > MAXCOUNT_BROADCAST_CAP:
-        # materialized: the filtered rows feed both row kinds and must
-        # not re-shuffle per consumption
-        return _apply_max_count_exchange(joined, max_counts).materialize(), None
-    blocks = ray.get(offenders.to_arrow_refs())
-    if not any(b.num_rows for b in blocks):  # no offending group
-        return joined, None
-    from .broadcast import HashIndex
-
-    off = pa.concat_tables(blocks)
-    off_ref = ray.put(HashIndex(_group_keys(off)))
-    return joined, (pa.array(sorted(limited_cfgs), pa.string()), off_ref)
-
-
-def _group_keys(rows: pa.Table):
-    """maxCount's (cfg, subject) group keys: a NUL occurs in no cfg id
-    (c{i}_{name}), so the joined key is injective."""
-    import pyarrow.compute as pc
-
-    return pc.binary_join_element_wise(rows["cfg"], rows["subject"], "\x00")
-
-
-def _drop_offenders(rows: pa.Table, limited: pa.Array, off_ref) -> pa.Table:
-    """`rows` minus those of an offending (cfg, subject) group."""
-    import pyarrow.compute as pc
-
-    m = pc.is_in(rows["cfg"], value_set=limited).to_numpy(zero_copy_only=False)
-    if not m.any():
-        return rows
-    m[m] = get_broadcast(off_ref).contains(_group_keys(rows.filter(pa.array(m))))
-    return rows.filter(pa.array(~m))
+    return exchange([(joined, None)], ["subject"], drop_offending, num_partitions)
 
 
 @functools.lru_cache(maxsize=8)
@@ -454,16 +372,14 @@ def prop_configs(schema: Schema) -> tuple[tuple[PropConfig, ...], tuple[PropConf
     return tuple(configs), tuple(ann_configs)
 
 
-def _expander(path_ref, annotated: bool, offenders: tuple | None = None):
+def _expander(path_ref, annotated: bool):
     """The output rows of one row kind of the materialized statement
     join (`build_dist.facts_part`): per fact row (ann_cfg null) the
     triple (subject, cfg path, object); per annotated row that triple
     plus (annotation path, annotation object). Each row's JSON `extras`
     (its complex value's node triples, plan.rs:1209-1399) follow as
     triples, their annotation columns empty. The base rows are a column
-    projection; only rows with extras take the Python loop. maxCount's
-    `offenders` (`_apply_max_count`) are dropped from this kind's rows
-    only, so each row is probed once across the two kinds."""
+    projection; only rows with extras take the Python loop."""
     cols = ["subject", "predicate", "object"]
     if annotated:
         cols += ["annotation_predicate", "annotation_object"]
@@ -472,10 +388,7 @@ def _expander(path_ref, annotated: bool, offenders: tuple | None = None):
         import pyarrow.compute as pc
 
         kind = pc.is_valid(batch["ann_cfg"])
-        rows = batch.filter(kind if annotated else pc.invert(kind))
-        if offenders is not None:
-            rows = _drop_offenders(rows, *offenders)
-        rows = rows.to_pandas()
+        rows = batch.filter(kind if annotated else pc.invert(kind)).to_pandas()
         paths = get_broadcast(path_ref)
         base = [rows["subject"], rows["cfg"].map(paths), rows["object"]]
         if annotated:
@@ -553,21 +466,18 @@ def build_facts(
         tag_batch_size=tag_bs,
     )
 
-    # the exchange result is materialized: the facts file, the annotated
-    # facts file and the stats read its blocks without recomputing the
-    # pipeline. maxCount runs after it as a counts pass + broadcast
-    # anti-filter inside each row kind's map, not as a second full
-    # exchange before it; it drops an offending group's annotated rows
-    # with its fact rows.
-    kept, offenders = _apply_max_count(joined, configs, num_partitions)
+    # the exchange results are materialized: the facts file, the
+    # annotated facts file and the stats read their blocks without
+    # recomputing the pipeline. maxCount re-keys the join's rows on the
+    # mapped subject in one more exchange and drops an offending
+    # group's annotated rows with its fact rows.
+    kept = _apply_max_count(joined, configs, num_partitions)
     path_ref = ray.put({c.cfg_id: c.path for c in all_configs})
     facts = kept.map_batches(
-        _expander(path_ref, annotated=False, offenders=offenders),
-        batch_format="pyarrow",
+        _expander(path_ref, annotated=False), batch_format="pyarrow"
     )
     annotated = kept.map_batches(
-        _expander(path_ref, annotated=True, offenders=offenders),
-        batch_format="pyarrow",
+        _expander(path_ref, annotated=True), batch_format="pyarrow"
     )
     if dedup:
         facts = distinct_rows(facts, ["subject", "predicate", "object"])

@@ -20,10 +20,11 @@ Two regimes, chosen explicitly per call site (SURVEY §2.4, ray_guide):
 
 Exact dedup of triples hash-partitions on the *full* (s,p,o) key, so hub
 subjects (Q5-class entities) spread across partitions by construction —
-no salting needed there. Group-bys keyed on subject alone (maxCount)
-shuffle per-batch partial counts, not rows (build._apply_max_count), so
-a hub subject is one row per batch; `salted_aggregate` spreads the hot
-keys of a decomposable aggregate that a `top_hot_keys` pre-pass finds.
+no salting needed there. maxCount ships the statement join's rows
+keyed on the mapped subject alone (build._apply_max_count): a subject's
+fact count is bounded, so a hub object cannot skew it;
+`salted_aggregate` spreads the hot keys of a decomposable aggregate
+that a `top_hot_keys` pre-pass finds.
 Join keys that range over object items (the build's item join) are
 skew-prone; ROADMAP item 10 salts them inside `exchange`.
 """
