@@ -101,23 +101,19 @@ def statements_root(corpus_dir, tmp_path_factory):
 
 def write_triples(ds, out_dir: str, lineage: str | None = None):
     """Write a (subject, predicate, object) Dataset as the part files of
-    one output directory `out_dir`, the way generate_yago writes: a
-    `file` tag, the full-key dedup's hash part (`__part`, 2 parts), then
-    MultiNTriplesGzDatasink."""
-    import pyarrow as pa
-
-    from yago4_ray.joins import distinct_rows
-    from yago4_ray.sources import MultiNTriplesGzDatasink
+    one output directory `out_dir`, the way generate_yago writes: one
+    input under the output row map (a `file` tag, empty annotation
+    columns), the full-key dedup exchange (2 parts) whose reduce tasks
+    write the parts with NTriplesGzWriter."""
+    from yago4_ray.build import _output_rows, write_outputs
+    from yago4_ray.sources import NTriplesGzWriter
 
     base, name = os.path.split(out_dir)
-    tagged = ds.map_batches(
-        lambda b: b.append_column("file", pa.array(["out"] * b.num_rows, pa.string())),
-        batch_format="pyarrow",
+    write_outputs(
+        [(ds, _output_rows("out"))],
+        NTriplesGzWriter(base, {"out": name}, lineage=lineage),
+        num_parts=2,
     )
-    distinct_rows(
-        tagged, ["file", "subject", "predicate", "object"],
-        num_parts=2, keep_part_column=True,
-    ).write_datasink(MultiNTriplesGzDatasink(base, {"out": name}, lineage=lineage))
 
 
 def read_written_outputs(out_dir: str) -> dict[str, set]:

@@ -145,3 +145,75 @@ def test_output_format_golden(statements_root, tmp_path):
     out = str(tmp_path / "out")
     generate_yago(statements_root, out_dir=out)
     assert _output_digests(out) == GOLDEN_OUTPUT_DIGESTS[OUTPUT_FORMAT_VERSION]
+
+
+def test_manifest_part_rows_match_lines(build_out_dir):
+    """Each output's manifest records the rows the writer returned for
+    each part file: the lines of that part, decompressed. `num_rows`
+    is their sum."""
+    import gzip
+
+    from yago4_ray.build import OUTPUT_FILE_NAMES
+
+    for dirname in OUTPUT_FILE_NAMES.values():
+        out = os.path.join(build_out_dir, dirname)
+        manifest = cp.read_manifest(out)
+        part_rows = manifest["part_rows"]
+        assert sorted(part_rows) == manifest["parts"], dirname
+        for part, rows in part_rows.items():
+            with gzip.open(os.path.join(out, part), "rt") as f:
+                assert sum(1 for _ in f) == rows, (dirname, part)
+        assert manifest["num_rows"] == sum(part_rows.values()), dirname
+
+
+def test_resume_rewrites_only_incomplete_outputs(
+    statements_root, build_out_dir, tmp_path, monkeypatch
+):
+    """A rerun into a complete output directory starts no exchange and
+    changes no file. With one output's manifest deleted, the rerun
+    rewrites exactly that output, with the same bytes, and leaves every
+    other output's files as they were."""
+    import pathlib
+    import shutil
+
+    from conftest import part_digests
+    from yago4_ray import joins
+    from yago4_ray.build import generate_yago
+    from yago4_ray.state import build_state
+
+    out = tmp_path / "out"
+    shutil.copytree(build_out_dir, out)  # keeps the files' mtimes
+    state = build_state(statements_root)
+    map_tasks = []
+    exchange_map = joins._exchange_map
+
+    class CountingMap:
+        def options(self, **kwargs):
+            map_tasks.append(kwargs)
+            return exchange_map.options(**kwargs)
+
+    monkeypatch.setattr(joins, "_exchange_map", CountingMap())
+
+    def mtimes() -> dict:
+        return {
+            str(p.relative_to(out)): p.stat().st_mtime_ns
+            for p in out.rglob("*") if p.is_file()
+        }
+
+    before = mtimes()
+    generate_yago(statements_root, out_dir=str(out), state=state)
+    assert not map_tasks
+    assert mtimes() == before
+
+    labels = out / "yago-wd-labels"
+    (labels / cp.MANIFEST_NAME).unlink()
+    digests = part_digests(str(out))
+    generate_yago(statements_root, out_dir=str(out), state=state)
+    assert map_tasks
+    assert part_digests(str(out)) == digests
+    after = mtimes()
+    changed = {p for p in after if after[p] != before.get(p)}
+    # every labels file, its new manifest with them
+    assert changed - {"stats.tsv"} == {
+        str(p.relative_to(out)) for p in labels.iterdir()
+    }

@@ -356,27 +356,41 @@ def test_asof_join_int_payload(ray_session):
     assert list(out["qty_right"].fillna(-1).astype(int)) == [5, 7, -1, -1]
 
 
-def test_distinct_rows_part_column_is_the_key_hash(ray_session):
-    """The output sinks name part files by `__part`: it must be the
-    polars key hash of the row's columns, whatever block a row came in."""
+def test_written_part_is_the_key_hash(ray_session, tmp_path):
+    """The output writer names part files by `__part`: it must be the
+    polars hash of the row's output-dedup columns, whatever input and
+    block a row came in, and the parts hold each row once."""
+    import gzip
+
     import pyarrow as pa
     import ray.data
 
-    from yago4_ray.joins import _part_ids, distinct_rows
+    from yago4_ray.build import _OUT_COLS, _output_rows, write_outputs
+    from yago4_ray.joins import _part_ids
+    from yago4_ray.sources import NTriplesGzWriter
 
     rows = pd.DataFrame({
         "subject": [f"<s{i % 37}>" for i in range(300)],
         "predicate": [f"<p{i % 5}>" for i in range(300)],
         "object": [f"<o{i % 11}>" for i in range(300)],
     })
-    cols = ["subject", "predicate", "object"]
-    got = _arrow(distinct_rows(
-        ray.data.from_pandas([rows[:150], rows[150:]]), cols, num_parts=8,
-        keep_part_column=True,
-    ))
-    assert got.num_rows == len(rows.drop_duplicates())
-    want = _part_ids(got.select(cols), cols, 8)
-    assert got.column("__part").combine_chunks().equals(want)
+    write_outputs(
+        [(ray.data.from_pandas([rows[:150], rows[150:]]), _output_rows("out")),
+         (ray.data.from_pandas(rows[100:200]), _output_rows("out"))],
+        NTriplesGzWriter(str(tmp_path), {"out": "out"}), num_parts=8,
+    )
+    got = []
+    for part in sorted((tmp_path / "out").iterdir()):
+        lines = gzip.open(part, "rt").read().splitlines()
+        t = pa.table({
+            c: pa.array(v, pa.string()) for c, v in zip(
+                _OUT_COLS, zip(*[("out", *ln.split("\t")[:3], "", "") for ln in lines])
+            )
+        })
+        part_id = int(part.name.split("-")[1].split(".")[0])
+        assert set(_part_ids(t, _OUT_COLS, 8).to_pylist()) == {part_id}
+        got += lines
+    assert len(got) == len(set(got)) == len(rows.drop_duplicates())
 
 
 _KEYS = [f"<http://ex.org/k{i}>" for i in range(12)]
@@ -493,3 +507,46 @@ def test_exchange_rows_per_part_independent_of_blocking(
     )
     want = df.merge(right_df, on="k")[["k", "v", "y"]]
     assert got == sorted(tuple(r) for r in want.itertuples(index=False))
+
+
+@pytest.mark.parametrize("tag_batch_size", [None, 2])
+def test_exchange_inputs_map_like_a_mapped_union(ray_session, tag_batch_size):
+    """A side of two inputs, each under its own function (one
+    materialized, one lazy), gives every part the rows that mapping
+    each Dataset first and exchanging their union gives it."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+
+    from yago4_ray.joins import exchange
+
+    df = pd.DataFrame({"k": _KEYS * 3, "v": [str(i) for i in range(36)]})
+    first = ray.data.from_pandas([df[:10], df[10:20], df[20:]])
+    second = ray.data.from_pandas(df[::2]).map_batches(
+        lambda b: b, batch_format="pyarrow"
+    )
+
+    def upper(t: pa.Table) -> pa.Table:
+        return pa.table({"k": t["k"], "v": pc.utf8_upper(t["k"])})
+
+    def suffixed(t: pa.Table) -> pa.Table:
+        return t.set_column(1, "v", pc.binary_join_element_wise(
+            t["v"], "x", ""))
+
+    def per_part(tables, _keys):
+        (t,) = tables
+        parts = t["__part"].to_pylist()
+        rows = sorted(zip(t["k"].to_pylist(), t["v"].to_pylist()))
+        return pa.table({"part": [parts[0]], "rows": [repr(rows)]})
+
+    def run(sides):
+        out = exchange(sides, ["k"], per_part, 8, tag_batch_size=tag_batch_size)
+        got = pd.concat(b.to_pandas() for b in ray.get(out.to_arrow_refs()))
+        return sorted(map(tuple, got.itertuples(index=False)))
+
+    mapped = first.map_batches(upper, batch_format="pyarrow").union(
+        second.map_batches(suffixed, batch_format="pyarrow")
+    )
+    assert run([([(first, upper), (second, suffixed)], None)]) == run(
+        [(mapped, None)]
+    )

@@ -17,9 +17,10 @@ is called during a build.
 Every store scan (`sources.scan_predicate`) costs driver planning that
 grows with the files it reads, so neither path may grow new scans
 either. generate_yago writes its outputs from memory: no parquet file is
-staged on the way to the gz sinks. Each state object has one
-object-store copy: the packed URI map is the merge task's output, never
-put again from the driver, and the packed class set is put once.
+staged on the way to the output exchanges, whose reduce tasks write the
+parts. Each state object has one object-store copy: the packed URI map
+is the merge task's output, never put again from the driver, and the
+packed class set is put once.
 The driver collects only the fused state scan's rows it reads."""
 
 import sys
@@ -38,10 +39,11 @@ def build_calls(request, statements_root, tmp_path_factory):
     """Run build_state + generate_yago once, recording the class of every
     `to_arrow_refs` receiver, the number of `si_by_item` builds, the
     calling function of every `joins.exchange` call and of every Ray
-    Data shuffle method call, the operator classes of every Ray Data
-    execution, the number of store-scan plans and of the parquet writes
-    generate_yago makes, and the value-column count (for a HashIndex)
-    and calling function of every driver `ray.put` argument."""
+    Data shuffle method call, the operator classes and names of every
+    Ray Data execution, the number of store-scan plans and of the
+    parquet writes generate_yago makes, and the value-column count (for
+    a HashIndex) and calling function of every driver `ray.put`
+    argument."""
     import pyarrow.parquet as pq
     import ray
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -57,7 +59,7 @@ def build_calls(request, statements_root, tmp_path_factory):
     exchanges: list[str] = []
     shuffles: list[str] = []
     scans = [0]
-    executions: list[list[type]] = []
+    executions: list[list[tuple[type, str]]] = []
     parquet_writes = [0]
     puts: list[tuple[int | None, str]] = []
     put = ray.put
@@ -94,7 +96,7 @@ def build_calls(request, statements_root, tmp_path_factory):
         ops, todo = [], [dag]
         while todo:
             op = todo.pop()
-            ops.append(type(op))
+            ops.append((type(op), op.name))
             todo.extend(op.input_dependencies)
         executions.append(ops)
         return execute(self, dag, *args, **kwargs)
@@ -196,19 +198,36 @@ def test_store_scan_budget(build_calls):
 
 def test_execution_budget(build_calls):
     """Each Ray Data execution costs a fixed start before it touches a
-    row. An exchange streams each side once (one execution per lazy
-    side) and returns materialized blocks, so the build's executions
-    are its exchange inputs, the fused state scan, the output scan and
-    the two sink writes. Facts and annotated facts are the two row kinds
-    of one materialized statement exchange: no annotation collect or
-    second annotation join runs on either path. maxCount exchanges the
-    blocks of that materialized join as they are: no counts pass runs
-    over them."""
+    row. An exchange streams each lazy input once (one execution each)
+    and maps a materialized input's blocks in its own map tasks, so the
+    build's executions are its store scans: the fused state scan, the
+    output scan and the exchanges' lazy inputs. Facts and annotated
+    facts are the two row kinds of one materialized statement exchange:
+    no annotation collect or second annotation join runs on either
+    path. maxCount exchanges the blocks of that materialized join as
+    they are, and the output exchanges' reduce tasks write the parts:
+    no Ray Data job maps the join's rows or writes them."""
     n = len(build_calls["executions"])
     if build_calls["distributed"]:
-        assert n <= 14, n
+        assert n <= 8, n
     else:
-        assert n == 10, n
+        assert n == 6, n
+
+
+def test_no_write_or_union_execution(build_calls):
+    """The legs of an exchange side are inputs of one exchange, not a
+    Ray Data union, and the parts are written by the output exchange's
+    reduce tasks, not a Ray Data write job."""
+    from ray.data._internal.execution.operators.union_operator import (
+        UnionOperator,
+    )
+
+    held = [
+        [name for op, name in ops if issubclass(op, UnionOperator) or name == "Write"]
+        for ops in build_calls["executions"]
+    ]
+    assert build_calls["executions"], "no execution recorded"
+    assert not [h for h in held if h], held
 
 
 def test_no_all_to_all_execution(build_calls):
@@ -224,7 +243,7 @@ def test_no_all_to_all_execution(build_calls):
 
     all_to_all = (AllToAllOperator, HashShufflingOperatorBase)
     held = [
-        [op.__name__ for op in ops if issubclass(op, all_to_all)]
+        [op.__name__ for op, _ in ops if issubclass(op, all_to_all)]
         for ops in build_calls["executions"]
     ]
     assert build_calls["executions"], "no execution recorded"

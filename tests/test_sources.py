@@ -175,22 +175,22 @@ def test_lance_documents_roundtrip(ray_session, corpus_dir, tmp_path):
     assert a == b
 
 
-def test_gz_sinks_write_identical_bytes(ray_session, tmp_path):
-    """The N-Triples sink writes gzip headers without a timestamp, so
-    two writes of the same rows give the same .gz bytes (sha256 of
-    every output file is a usable identity check)."""
+def test_gz_sinks_write_identical_bytes(tmp_path):
+    """The N-Triples part writer writes gzip headers without a
+    timestamp, so two writes of the same rows give the same .gz bytes
+    (sha256 of every output file is a usable identity check), and it
+    returns the rows it wrote per (file, part)."""
     import hashlib
     import time
 
-    import pandas as pd
-    import ray.data
+    import pyarrow as pa
 
-    from yago4_ray.sources import MultiNTriplesGzDatasink
+    from yago4_ray.sources import NTriplesGzWriter
 
-    tagged = pd.DataFrame(
+    tagged = pa.table(
         {
             "subject": [f"<http://e/s{i}>" for i in range(50)],
-            "predicate": "<http://e/p>",
+            "predicate": ["<http://e/p>"] * 50,
             "object": [f'"v{i}"' for i in range(50)],
             "file": ["a", "b"] * 25,
             "__part": [i % 3 for i in range(50)],
@@ -199,8 +199,12 @@ def test_gz_sinks_write_identical_bytes(ray_session, tmp_path):
 
     def write(run: str) -> dict[str, str]:
         base = tmp_path / run
-        ray.data.from_pandas(tagged).write_datasink(
-            MultiNTriplesGzDatasink(str(base), {"a": "out-a", "b": "out-b"})
+        writer = NTriplesGzWriter(str(base), {"a": "out-a", "b": "out-b"})
+        writer.start()
+        written = writer.write(tagged)
+        assert sorted(zip(*written.to_pydict().values())) == sorted(
+            (f, p, sum(1 for i in range(50) if "ab"[i % 2] == f and i % 3 == p))
+            for f in "ab" for p in range(3)
         )
         return {
             str(p.relative_to(base)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -216,28 +220,29 @@ def test_gz_sinks_write_identical_bytes(ray_session, tmp_path):
 
 def test_gz_sink_requires_part_column(tmp_path):
     """Part files are named by the rows' `__part`, never by task order:
-    a non-empty block without it is refused, an empty schema-less
-    shuffle block is skipped."""
+    rows without it are refused, and an empty, schema-less part table
+    writes nothing."""
     import pyarrow as pa
     import pytest
 
-    from yago4_ray.sources import MultiNTriplesGzDatasink
+    from yago4_ray.sources import NTriplesGzWriter
 
-    sink = MultiNTriplesGzDatasink(str(tmp_path), {"a": "out-a"})
-    sink.on_write_start()
+    writer = NTriplesGzWriter(str(tmp_path), {"a": "out-a"})
+    writer.start()
     rows = pa.table(
         {"file": ["a"], "subject": ["<http://e/s>"], "predicate": ["<http://e/p>"],
          "object": ['"v"']}
     )
     with pytest.raises(ValueError, match="__part"):
-        sink.write([rows], ctx=None)
-    assert sink.write([pa.table({})], ctx=None) == {}
+        writer.write(rows)
+    assert writer.write(pa.table({})).num_rows == 0
     assert not list((tmp_path / "out-a").iterdir())
 
 
 def test_one_output_writer(tmp_path):
-    """The build has one output path: `yago4_ray/` defines exactly one
-    Datasink (the gz sink every output goes through), generate_yago
+    """The build has one output path: `yago4_ray/` calls the gzip
+    module in exactly one place, the part writer every output goes
+    through, and defines no Ray Data Datasink; generate_yago
     refuses write=False before it builds anything, and the
     single-output builders carry no dedup switch."""
     import ast
@@ -249,15 +254,24 @@ def test_one_output_writer(tmp_path):
     from yago4_ray import build, sources
 
     pkg = pathlib.Path(sources.__file__).parent
-    sinks = []
+    sinks, gzip_writes = [], []
     for path in sorted(pkg.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef) and any(
+        tree = ast.parse(path.read_text())
+        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for node in classes:
+            if any(
                 getattr(base, "id", getattr(base, "attr", None)) == "Datasink"
                 for base in node.bases
             ):
                 sinks.append(f"{path.relative_to(pkg)}:{node.name}")
-    assert sinks == ["sources.py:MultiNTriplesGzDatasink"]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) == "gzip"):
+                owner = [c.name for c in classes if node in ast.walk(c)]
+                gzip_writes.append(f"{path.relative_to(pkg)}:{owner}")
+    assert not sinks, sinks
+    assert gzip_writes == ["sources.py:['NTriplesGzWriter']"], gzip_writes
 
     with pytest.raises(ValueError, match="write"):
         build.generate_yago(str(tmp_path / "no-store"), out_dir=str(tmp_path), write=False)

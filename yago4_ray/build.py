@@ -24,12 +24,14 @@ Ray Data pipelines over the predicate-partitioned statement store:
 
 Outputs (same logical files as plan.rs:105-196):
   class, simple-types, full-types, labels, facts, annotated-facts,
-  sameAs, schema, shapes. generate_yago writes every one of them through
-  one gz sink (sources.MultiNTriplesGzDatasink) as rows of
-  (subject, predicate, object[, annotation_predicate, annotation_object]);
-  there is no in-memory output path. build_labels/build_full_types/
-  build_same_as serve single-output queries (queries.kg_*), each
-  deduplicated.
+  sameAs, schema, shapes. generate_yago writes every one of them as rows
+  of (subject, predicate, object[, annotation_predicate,
+  annotation_object]) through write_outputs: one full-key dedup exchange
+  whose inputs are the materialized legs, each under its row map, and
+  whose reduce tasks write the part files (sources.NTriplesGzWriter).
+  There is no in-memory output path and no Ray Data write job.
+  build_labels/build_full_types/build_same_as serve single-output
+  queries (queries.kg_*), each deduplicated.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from . import build_dist as D
 from . import cleaners as C
 from . import terms as T
 from .joins import (
+    _arrow_distinct,
     distinct_rows,
     exchange,
     get_broadcast,
@@ -473,12 +476,14 @@ def build_facts(
     # group's annotated rows with its fact rows.
     kept = _apply_max_count(joined, configs, num_partitions)
     path_ref = ray.put({c.cfg_id: c.path for c in all_configs})
-    facts = kept.map_batches(
-        _expander(path_ref, annotated=False), batch_format="pyarrow"
-    )
-    annotated = kept.map_batches(
-        _expander(path_ref, annotated=True), batch_format="pyarrow"
-    )
+    expand_facts = _expander(path_ref, annotated=False)
+    expand_ann = _expander(path_ref, annotated=True)
+    facts = kept.map_batches(expand_facts, batch_format="pyarrow")
+    annotated = kept.map_batches(expand_ann, batch_format="pyarrow")
+    # the materialized join and the row map of each kind: generate_yago
+    # maps the join's blocks inside its output exchanges' map tasks
+    facts.expanded_from = (kept, expand_facts)
+    annotated.expanded_from = (kept, expand_ann)
     if dedup:
         facts = distinct_rows(facts, ["subject", "predicate", "object"])
         annotated = distinct_rows(
@@ -527,9 +532,7 @@ def _store_output(root: str, state: BuildState, family: str) -> Dataset:
     of the family plan (build_dist.output_rows)."""
     rows = D.output_rows(D.resolved(root, state, {family}), state)
     return distinct_rows(
-        rows.map_batches(
-            lambda b: b.drop_columns(["file"]), batch_format="pyarrow"
-        ),
+        D.as_dataset(rows).drop_columns(["file"]),
         ["subject", "predicate", "object"],
     )
 
@@ -545,21 +548,15 @@ def build_labels(root: str, state: BuildState) -> Dataset:
 # Types / classes (plan.rs:734-814)
 # ---------------------------------------------------------------------------
 
-def build_simple_types(state: BuildState) -> Dataset:
-    """rdf:type triples straight from the shape-instances Dataset (ST3)
-    — no driver-side row materialization at any scale."""
-    inst = state.datasets.get("shape_instances")
-    if inst is None:
-        # instance strings never transit the driver (shape_instances
-        # holds packed hash sets); the Dataset is the only string source
-        raise ValueError(
-            "BuildState.datasets['shape_instances'] required for "
-            "simple-types (state built by build_state always carries it)"
-        )
-    return inst.map_batches(
-        lambda b: _spo_arrow(b["instance"], T.RDF_TYPE, b["shape"]),
-        batch_format="pandas",
-    )
+def _simple_type_rows(inst: pa.Table) -> pa.Table:
+    """rdf:type triples of a block of the shape-instances Dataset (ST3),
+    the only source of instance strings: they never transit the driver
+    (`BuildState.shape_instances` holds packed hash sets)."""
+    return pa.table({
+        "subject": inst.column("instance").cast(pa.string()),
+        "predicate": pa.repeat(pa.scalar(T.RDF_TYPE, pa.string()), inst.num_rows),
+        "object": inst.column("shape").cast(pa.string()),
+    })
 
 
 def build_full_types(root: str, state: BuildState) -> Dataset:
@@ -595,14 +592,20 @@ def build_scan_outputs(root: str, state: BuildState) -> Dataset:
     """Every store-reading output row but the facts' — labels, class
     label/comment, full-types, sameAs (freebase, wikipedia, wd and
     dbpedia links) — as (file, subject, predicate, object), for
-    generate_yago's in-memory dedup leg: the output families of the
-    family plan, the same selections the per-output builders read. On
-    the broadcast path that is ONE tagged pass over the union of their
+    generate_yago's in-memory dedup: the output families of the family
+    plan, the same selections the per-output builders read. On the
+    broadcast path that is ONE tagged pass over the union of their
     predicate partitions (four separate pipelines would re-read
     overlapping partitions and pay four executor startups); on the
     distributed path the item-keyed families are selections of the one
-    shared item join."""
-    return D.output_rows(D.resolved(root, state, D.OUTPUT_FAMILIES), state)
+    shared item join. The Dataset carries its legs (`legs`, see
+    build_dist), which generate_yago's output exchange takes as inputs:
+    it runs the selections over the materialized state and join
+    Datasets in its map tasks."""
+    legs = D.output_rows(D.resolved(root, state, D.OUTPUT_FAMILIES), state)
+    rows = D.as_dataset(legs)
+    rows.legs = legs
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -819,20 +822,17 @@ def _static_rows_table(state: BuildState) -> pa.Table:
     ).append_column("file", pa.array(files, pa.string()))
 
 
-def _dedup_rows(
-    ds: Dataset, file: str | None, nbytes: int = 0, rows: int = 0
-) -> Dataset:
-    """`ds` as output-dedup rows (_OUT_COLS, Arrow): the `file` column
-    the rows carry, else `file`; absent annotation columns empty. With
-    `rows`, map tasks bundle the input to the volume-sized block count
-    of `read_blocks_for_nbytes(nbytes)`: the dedup exchange runs one
-    map task per input block and up to that many reducers, so a leg
-    must not pass an upstream's part count through (measured under
-    Ray's sort shuffle: 161 input blocks → a 161×161 exchange and a
-    flat ~10 s dedup at every CPU count, PERF_NOTES #20/#23/#33)."""
-    from .sources import read_blocks_for_nbytes
+def _output_rows(file: str | None, rows=None):
+    """The per-block map of one output-exchange input: `rows` (a block
+    → output rows function, None: the block's rows as they are), then
+    the output-dedup columns (_OUT_COLS, string): the `file` column the
+    rows carry, else `file`; absent annotation columns empty. Then a
+    per-block distinct, the dedup's combiner."""
 
     def fn(batch: pa.Table) -> pa.Table:
+        if rows is not None:
+            batch = rows(batch)
+
         def col(c):
             if c in batch.column_names:
                 a = batch.column(c)
@@ -842,13 +842,42 @@ def _dedup_rows(
                 batch.num_rows,
             )
 
-        return pa.table({c: col(c) for c in _OUT_COLS})
+        return _arrow_distinct(pa.table({c: col(c) for c in _OUT_COLS}), _OUT_COLS)
 
-    batch_size = (
-        max(8192, -(-rows // read_blocks_for_nbytes(nbytes)))
-        if rows else None
+    return fn
+
+
+def write_outputs(
+    inputs: list, writer, num_parts: int, tag_batch_size: int | None = None
+) -> None:
+    """Deduplicate the rows of `inputs` (`(Dataset, fn)` pairs whose
+    `fn`, an `_output_rows` map, runs in the exchange's map tasks) on
+    the full row and write them with `writer` (sources.NTriplesGzWriter)
+    in ONE exchange: each part's reduce task dedups the part's rows and
+    writes its (file, part) files, and returns only their row counts,
+    from which the driver writes the manifests. The deduplicated rows
+    never reach the object store; no Ray Data write job runs.
+
+    `tag_batch_size` bundles the inputs' blocks into map tasks: the
+    exchange runs one map task per group and up to that many reducers,
+    so an input must not pass an upstream's part count through
+    (measured under Ray's sort shuffle: 161 input blocks → a 161×161
+    exchange and a flat ~10 s dedup at every CPU count, PERF_NOTES
+    #20/#23/#33)."""
+
+    def write_part(tables: list[pa.Table], _keys) -> pa.Table:
+        (t,) = tables
+        # __part is a pure function of the key columns: keying on it
+        # too changes nothing and keeps it for the part file's name
+        return writer.write(_arrow_distinct(t, _OUT_COLS + ["__part"]))
+
+    writer.start()
+    written = exchange(
+        [(inputs, None)], _OUT_COLS, write_part, num_parts,
+        tag_batch_size=tag_batch_size,
     )
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size)
+    # a materialized exchange result: to_arrow_refs runs nothing
+    writer.commit(ray.get(written.to_arrow_refs()))
 
 
 OUTPUT_FILE_NAMES = {
@@ -877,12 +906,13 @@ def generate_yago(
     `out_dir`: one in-memory plan at every input size. The facts join
     (build_facts) runs in one thread while the fused output scan
     (build_scan_outputs) materializes in another. The driver-built rows
-    (schema, shapes, class), the simple types, the output scan and the
-    facts then union into ONE full-key dedup shuffle feeding one
-    partitioned gz write; the annotated facts dedup and write as their
-    own job alongside. Every output dir holds hash-partitioned .nt.gz
-    parts, each sorted within itself, plus a checkpoint manifest;
-    completed outputs (same lineage) are skipped on rerun.
+    (schema, shapes, class), the simple types, the output scan's legs
+    and the facts are then the inputs of ONE full-key dedup exchange
+    whose reduce tasks write the parts (write_outputs); the annotated facts
+    dedup and write in their own exchange alongside. Every output dir
+    holds hash-partitioned .nt.gz parts, each sorted within itself,
+    plus a checkpoint manifest; completed outputs (same lineage) are
+    skipped on rerun.
 
     `write` has one legal value, True: the build always writes."""
     if not write:
@@ -895,12 +925,12 @@ def generate_yago(
     import concurrent.futures as _cf
 
     from .checkpoint import is_complete
-    from .sources import MultiNTriplesGzDatasink
+    from .sources import NTriplesGzWriter, read_blocks_for_nbytes
 
     os.makedirs(out_dir, exist_ok=True)
     lineage = output_lineage(statements_root, state)
     # partial resume: only outputs without a valid manifest are rewritten
-    # (the sink ignores rows of files not in its name map)
+    # (the writer skips rows of files not in its name map)
     triple_names = {
         k: v
         for k, v in OUTPUT_FILE_NAMES.items()
@@ -909,69 +939,74 @@ def generate_yago(
     if not triple_names:
         return  # resume: everything already written from this input
 
-    # Every dedup leg is a materialized input or a driver table under one
-    # map, so the dedup job's operator count stays small: a single
-    # union-of-9-pipelines DAG is scheduler-bound and anti-scales
-    # (measured 47.6 s vs 28.0 s at 32 CPUs on 2.2 M statements). No
-    # global sort: hash partitioning is deterministic and the sink sorts
-    # within each part file, so reruns are byte-identical.
+    # Every dedup input is a materialized Dataset or a driver table under
+    # a map that runs in the exchange's map tasks, so no Ray Data job
+    # feeds the dedup: a single union-of-9-pipelines DAG is
+    # scheduler-bound and anti-scales (measured 47.6 s vs 28.0 s at 32
+    # CPUs on 2.2 M statements). No global sort: hash partitioning is
+    # deterministic and the writer sorts within each part file, so
+    # reruns are byte-identical.
     with _cf.ThreadPoolExecutor(max_workers=3) as pool:
+        # through the module: a caller may wrap build.build_facts
         f_facts = pool.submit(build_facts, statements_root, state, dedup=False)
-        # on the distributed path the output scan waits on the item join
-        # the facts thread shares
+        # the output scan's lazy leg (its store scan) runs in this thread;
+        # on the distributed path it waits on the item join the facts
+        # thread shares
         f_scan = pool.submit(
-            lambda: build_scan_outputs(statements_root, state).materialize()
+            lambda: [
+                (ds.materialize(), fn)
+                for ds, fn in build_scan_outputs(statements_root, state).legs
+            ]
         )
         static = _static_rows_table(state)
-        simple_types = build_simple_types(state)
         inst = state.datasets["shape_instances"]
         facts, annotated = f_facts.result()
-        scan = f_scan.result()
+        scan_legs = f_scan.result()
+        kept, expand_facts = facts.expanded_from
+        _, expand_ann = annotated.expanded_from
 
         # the annotated facts are the materialized join's second row
         # kind; they share nothing else with the main dedup, so they run
-        # as their own (small) dedup+sink job in a thread, overlapped
-        # with the main dedup+write.
+        # as their own (small) exchange in a thread, overlapped with the
+        # main one.
         ann_name = "annotated-facts"
         facts_bytes = getattr(facts, "join_size_bytes", 0) or 0
 
         def ann_job():
-            distinct_rows(
-                _dedup_rows(annotated, ann_name),
-                _OUT_COLS,
-                # annotations are a small fraction of the facts join
-                num_parts=max(8, partitions_for_nbytes(facts_bytes) // 4),
-                keep_part_column=True,
-            ).write_datasink(
-                MultiNTriplesGzDatasink(
+            write_outputs(
+                [(kept, _output_rows(ann_name, expand_ann))],
+                NTriplesGzWriter(
                     out_dir, {ann_name: triple_names[ann_name]},
                     lineage=lineage, extensions={ann_name: ".ntx.gz"},
-                )
+                ),
+                # annotations are a small fraction of the facts join
+                num_parts=max(8, partitions_for_nbytes(facts_bytes) // 4),
             )
 
         f_ann = pool.submit(ann_job) if ann_name in triple_names else None
         main_names = {k: v for k, v in triple_names.items() if k != ann_name}
 
         if main_names:
-            # (rows, file tag, in-memory bytes, row count); the raw
-            # join's size bounds the max-count-filtered facts
+            # (input, in-memory bytes, rows); the raw join's size bounds
+            # the max-count-filtered facts
             legs = [
-                (ray.data.from_arrow(static), None, static.nbytes, static.num_rows),
-                (simple_types, "simple-types", inst.size_bytes() or 0,
-                 inst.count()),
-                (scan, None, scan.size_bytes() or 0, scan.count()),
-                (facts, "facts", facts_bytes, getattr(facts, "join_rows", 0)),
+                ((ray.data.from_arrow(static), _output_rows(None)),
+                 static.nbytes, static.num_rows),
+                ((inst, _output_rows("simple-types", _simple_type_rows)),
+                 inst.size_bytes() or 0, inst.count()),
+                *(((ds, _output_rows(None, fn)), ds.size_bytes() or 0, ds.count())
+                  for ds, fn in scan_legs),
+                ((kept, _output_rows("facts", expand_facts)),
+                 facts_bytes, getattr(facts, "join_rows", 0)),
             ]
-            tagged = [_dedup_rows(*leg) for leg in legs]
-            distinct_rows(
-                tagged[0].union(*tagged[1:]),
-                _OUT_COLS,  # full key incl. annotation columns ("")
-                num_parts=max(
-                    32, partitions_for_nbytes(sum(leg[2] for leg in legs))
-                ),
-                keep_part_column=True,  # the sink names parts by __part
-            ).write_datasink(
-                MultiNTriplesGzDatasink(out_dir, main_names, lineage=lineage)
+            nbytes = sum(leg[1] for leg in legs)
+            rows = sum(leg[2] for leg in legs)
+            write_outputs(
+                [leg[0] for leg in legs],
+                NTriplesGzWriter(out_dir, main_names, lineage=lineage),
+                num_parts=max(32, partitions_for_nbytes(nbytes)),
+                # the volume-sized map count of read_blocks_for_nbytes
+                tag_batch_size=max(8192, -(-rows // read_blocks_for_nbytes(nbytes))),
             )
         if f_ann is not None:
             f_ann.result()

@@ -76,6 +76,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data import Dataset, from_arrow_refs
+from ray.data.dataset import MaterializedDataset
 
 from . import cleaners as C
 from . import terms as T
@@ -142,6 +143,46 @@ def _empty(columns: list[str]) -> Dataset:
     return ray.data.from_arrow(
         pa.table({c: pa.array([], pa.string()) for c in columns})
     )
+
+
+# The plan's rows travel as LEGS, a list of (Dataset, fn | None) pairs
+# (the inputs of an exchange side, joins.exchange): a lazy Dataset maps
+# its rows in its own Ray Data execution (fn None), while the maps over
+# a materialized Dataset (a state Dataset, a shared exchange result)
+# compose into one per-block Arrow function that the consuming
+# exchange's map tasks run. So no Ray Data job runs just to map
+# materialized blocks, and no union of legs runs at all.
+
+def _then(legs: list, fn, batch_format: str = "pyarrow") -> list:
+    """Every leg of `legs` mapped by `fn` (a `map_batches` function of
+    `batch_format`)."""
+    on_arrow = functools.partial(_on_pandas, fn) if batch_format == "pandas" else fn
+    out = []
+    for ds, f in legs:
+        if not isinstance(ds, MaterializedDataset):  # a lazy leg has no fn
+            out.append((ds.map_batches(fn, batch_format=batch_format), None))
+        else:
+            out.append((ds, on_arrow if f is None
+                        else functools.partial(_compose, f, on_arrow)))
+    return out
+
+
+def _on_pandas(fn, t: pa.Table) -> pa.Table:
+    return fn(t.to_pandas())
+
+
+def _compose(f, g, t: pa.Table) -> pa.Table:
+    return g(f(t))
+
+
+def as_dataset(legs: list) -> Dataset:
+    """The rows of `legs` as one Dataset, a union: the single-output
+    queries' form. A build's exchanges take the legs themselves."""
+    parts = [
+        ds if fn is None else ds.map_batches(fn, batch_format="pyarrow")
+        for ds, fn in legs
+    ]
+    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +319,10 @@ def item_scan(root: str, schema) -> Dataset:
     return family_scan(root, schema, ITEM_FAMILIES)
 
 
-def _same_as_state_rows(state) -> list[Dataset]:
-    """The sameAs family's rows from the state Datasets: enwiki →
-    dbpedia links and the URI mapping's wd identity links, keyed by
-    item."""
+def _same_as_state_rows(state) -> list:
+    """The sameAs family's rows from the (materialized) state Datasets,
+    as legs: enwiki → dbpedia links and the URI mapping's wd identity
+    links, keyed by item."""
 
     def rows(values):
         def fn(b: pd.DataFrame) -> pa.Table:
@@ -292,13 +333,13 @@ def _same_as_state_rows(state) -> list[Dataset]:
         return fn
 
     return [
-        state.datasets["enwiki"].map_batches(
+        *_then(
+            [(state.datasets["enwiki"], None)],
             rows(lambda b: "<" + b["url"].map(C.enwiki_to_dbpedia) + ">"),
-            batch_format="pandas",
+            "pandas",
         ),
-        state.datasets["uri_mapping"].map_batches(
-            rows(lambda b: b["item"]), batch_format="pandas"
-        ),
+        *_then([(state.datasets["uri_mapping"], None)],
+               rows(lambda b: b["item"]), "pandas"),
     ]
 
 
@@ -331,13 +372,14 @@ def _admitted(schema) -> dict[tuple[str, str], tuple[str, ...]]:
 # Lookups: where a key meets its state
 # ---------------------------------------------------------------------------
 
-def resolved(root: str, state, families, configs=None) -> Dataset:
-    """(family, tag, value, shape, instance, extras) rows of `families`
-    (the cfg-fed families for the cfgs in `configs`; None: every cfg),
-    each key met with its state. The one place the state regime shows:
-    joined from the shared materialized exchanges on the distributed
-    path, a per-batch map over the consumer's own scan otherwise. The
-    selections filter the shared exchanges' rows down to `configs`."""
+def resolved(root: str, state, families, configs=None) -> list:
+    """The legs of the (family, tag, value, shape, instance, extras)
+    rows of `families` (the cfg-fed families for the cfgs in `configs`;
+    None: every cfg), each key met with its state. The one place the
+    state regime shows: joined from the shared materialized exchanges
+    on the distributed path, a per-batch map over the consumer's own
+    scan otherwise. The selections filter the shared exchanges' rows
+    down to `configs`."""
     cfg_ids = None if configs is None else {c.cfg_id for c in configs}
     # only the families some predicate of these cfgs feeds: a join leg
     # without rows would still read a whole materialized exchange
@@ -358,33 +400,27 @@ def resolved(root: str, state, families, configs=None) -> Dataset:
         # the two state exchanges materialize concurrently and the local
         # scan plans under them
         futures = [pool.submit(fn, root, state) for fn in joins]
-        legs = [_local_rows(root, state, local, cfg_ids)] if local else []
+        legs = _local_rows(root, state, local, cfg_ids) if local else []
         joined = [f.result() for f in futures]
     fams = pa.array(sorted(families), pa.string())
-    legs += [
-        ds.map_batches(
-            lambda b: b.filter(pc.is_in(b["family"], value_set=fams)),
-            batch_format="pyarrow",
-        )
-        for ds in joined
-        if ds is not None
-    ]
-    legs = [ds for ds in legs if ds is not None]
-    if not legs:
-        return _empty(RESOLVED)
-    return legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
+    legs += _then(
+        [(ds, None) for ds in joined if ds is not None],
+        lambda b: b.filter(pc.is_in(b["family"], value_set=fams)),
+    )
+    return legs or [(_empty(RESOLVED), None)]
 
 
-def _local_rows(root: str, state, families, cfg_ids) -> Dataset | None:
-    """`families` resolved by a per-batch map over packed refs."""
+def _local_rows(root: str, state, families, cfg_ids) -> list:
+    """The legs of `families` resolved by a per-batch map over packed
+    refs."""
     from .build import CLEAN_FAMILY, prop_configs
 
     scanned = family_scan(root, state.schema, families, cfg_ids)
-    legs = [scanned] if scanned is not None else []
+    legs = [(scanned, None)] if scanned is not None else []
     if "sameAs" in families:
         legs += _same_as_state_rows(state)
     if not legs:
-        return None
+        return []
     refs: dict = {}
     admitted = {}
     if families & (ITEM_FAMILIES | {"class"}):
@@ -451,8 +487,7 @@ def _local_rows(root: str, state, families, cfg_ids) -> Dataset | None:
                             g["instance"][keep], "")
         return out.table()
 
-    rows = legs[0].union(*legs[1:]) if len(legs) > 1 else legs[0]
-    return rows.map_batches(lookup, batch_format="pandas")
+    return _then(legs, lookup, "pandas")
 
 
 def _best_rank_ref(root: str, state) -> "ray.ObjectRef":
@@ -508,9 +543,9 @@ def si_by_item(state) -> Dataset:
     item join's only consumer and runs inside the item join's job, so
     its exchange overlaps the item rows' store scan (PERF_NOTES #39:
     each barrier is a fixed-latency all-to-all)."""
-    uri_items = state.datasets["uri_mapping"].map_batches(
-        lambda b: pd.DataFrame({"instance": b["uri"], "key": b["item"]}),
-        batch_format="pandas",
+    uri_items = _then(
+        [(state.datasets["uri_mapping"], None)],
+        lambda b: pa.table({"instance": b["uri"], "key": b["item"]}),
     )
     return copartition_join(
         state.datasets["shape_instances"], uri_items, "instance",
@@ -548,9 +583,10 @@ def item_join(root: str, state) -> Dataset:
             "extras", pa.repeat(pa.scalar("", pa.string()), out.num_rows)
         ).select(RESOLVED)
 
-    rows = [state.prewarmed["item_scan"].result(), *_same_as_state_rows(state)]
+    rows = [(state.prewarmed["item_scan"].result(), None),
+            *_same_as_state_rows(state)]
     return exchange(
-        [(rows[0].union(*rows[1:]), ["family", "tag", "value"]),
+        [(rows, ["family", "tag", "value"]),
          (si_by_item(state), ["shape", "instance"])],
         ["key"], keep_admitted, exchange_parts(root), hash_keys=True,
     )
@@ -609,10 +645,10 @@ def value_join(root: str, state) -> Dataset | None:
 # Selections
 # ---------------------------------------------------------------------------
 
-def subject_rows(rows: Dataset, configs: list) -> Dataset:
-    """(cfg, statement, subject): the subject family fanned out to every
-    cfg whose parent shape the row's admitted shape is
-    (plan.rs:1073-1102)."""
+def subject_rows(rows: list, configs: list) -> list:
+    """(cfg, statement, subject) legs: the subject family of the
+    resolved legs `rows` fanned out to every cfg whose parent shape the
+    row's admitted shape is (plan.rs:1073-1102)."""
     fan: dict[tuple[str, str], list[str]] = {}
     for cfg in configs:
         for pid in cfg.pids:
@@ -626,13 +662,13 @@ def subject_rows(rows: Dataset, configs: list) -> Dataset:
                 out.add(cfg_id, g["value"], g["instance"])
         return out.table()
 
-    return rows.map_batches(select, batch_format="pandas")
+    return _then(rows, select, "pandas")
 
 
-def object_rows(rows: Dataset, configs: list) -> Dataset:
-    """(cfg, statement, object, extras) of the range, stateless and
-    complex-value rows of `configs`, sh:pattern-filtered
-    (plan.rs:1388-1397). Range rows are NOT yet distinct — `facts_part`
+def object_rows(rows: list, configs: list) -> list:
+    """(cfg, statement, object, extras) legs of the range, stateless and
+    complex-value rows of `configs` in the resolved legs `rows`,
+    sh:pattern-filtered (plan.rs:1388-1397). Range rows are NOT yet distinct — `facts_part`
     makes them so."""
     from .build import matches_pattern
 
@@ -659,11 +695,11 @@ def object_rows(rows: Dataset, configs: list) -> Dataset:
                 mask.loc[sel] = matches_pattern(df.loc[sel, "object"], pattern)
         return out.filter(pa.array(mask.to_numpy(dtype=bool)))
 
-    return rows.map_batches(select, batch_format="pyarrow")
+    return _then(rows, select)
 
 
-def output_rows(rows: Dataset, state) -> Dataset:
-    """(file, subject, predicate, object) of the output families —
+def output_rows(rows: list, state) -> list:
+    """(file, subject, predicate, object) legs of the output families —
     labels, full types (the class-graph-scale class mapping fan-out,
     plan.rs:744-770), sameAs and class labels (plan.rs:1741-1781)."""
     from .build import label_shapes
@@ -688,7 +724,7 @@ def output_rows(rows: Dataset, state) -> Dataset:
                 out.add(file, g["instance"], g["tag"], g["value"])
         return out.table()
 
-    return rows.map_batches(select, batch_format="pandas")
+    return _then(rows, select, "pandas")
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ What "resumable from checkpoint" means for this engine (north_rule /
 SURVEY §4): every output directory carries a `_MANIFEST.json` recording
 the input *lineage* (a hash of the statement-store layout + the shape
 rule set + the output format version), the names of its part files, its
-total row count and the stage's throughput. A rerun with the same
-lineage skips the finished output entirely, provided every listed part
-still exists; a lineage mismatch (different input, rules or output
+rows per part and in total, and the stage's throughput. A rerun with
+the same lineage skips the finished output entirely, provided every
+listed part still exists; a lineage mismatch (different input, rules or output
 format) invalidates it.
 Part files themselves are written atomically (tmp + rename) by the
-N-Triples datasink, so a killed run never leaves a partial part behind —
+N-Triples writer, so a killed run never leaves a partial part behind —
 at worst a missing manifest, which forces that output (and only it) to
 rerun.
 """
@@ -45,18 +45,23 @@ def compute_lineage(
 def write_manifest(
     output_dir: str,
     lineage: str,
-    num_rows: int,
+    part_rows: dict[str, int],
     wall_seconds: float,
     extra: dict | None = None,
 ) -> None:
+    """Commit `output_dir`'s manifest: its part files, the rows the
+    writer wrote to each (`part_rows`, part file name → rows) and
+    their sum."""
     parts = sorted(
         f for f in os.listdir(output_dir) if not f.startswith("_")
     )
+    num_rows = sum(part_rows.values())
     manifest = {
         "lineage": lineage,
         "num_rows": int(num_rows),
         "num_parts": len(parts),
         "parts": parts,
+        "part_rows": dict(sorted(part_rows.items())),
         "wall_seconds": round(wall_seconds, 3),
         "rows_per_second": round(num_rows / wall_seconds, 1) if wall_seconds else None,
         "completed_unix": int(time.time()),

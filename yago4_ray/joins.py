@@ -150,13 +150,17 @@ _NO_ROWS = pa.table({"__part": pa.array([], pa.int64())})
 
 
 @ray.remote
-def _exchange_map(fns, side: int, num_reducers: int, num_parts: int, *blocks):
-    """One map task of `exchange`: tag the rows of adjacent `blocks` of
-    one side, sort them by `__part` and return one slice per reducer.
-    Reducer r owns the parts p with p * num_reducers // num_parts == r."""
-    tag, _ = fns
+def _exchange_map(fns, source: int, num_reducers: int, num_parts: int, *blocks):
+    """One map task of `exchange`: map the rows of adjacent `blocks` of
+    input `source` by its function, tag them for its side, sort them by
+    `__part` and return one slice per reducer. Reducer r owns the parts
+    p with p * num_reducers // num_parts == r."""
+    tag, _, inputs = fns
+    side, fn = inputs[source]
     tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
     # an empty upstream block may hold no column at all
+    if fn is not None:
+        tables = [fn(b) for b in tables if b.num_rows]
     t = _concat([tag(side, b) for b in tables if b.num_rows] or [_NO_ROWS])
     if num_reducers == 1:
         return t
@@ -174,7 +178,7 @@ def _exchange_reduce(fns, *slices):
     range and run the part function once per part present. Returns
     (block, its row count), the count None when no part was present
     (the block then has no column)."""
-    _, reduce = fns
+    _, reduce, _ = fns
     t = _concat(list(slices))
     if not t.num_rows:
         return pa.table({}), None
@@ -196,7 +200,7 @@ def _exchange_reduce(fns, *slices):
 
 
 def exchange(
-    sides: Sequence[tuple[Dataset, list[str] | None]],
+    sides: Sequence[tuple[Dataset | list[tuple[Dataset, Any]], list[str] | None]],
     keys: list[str],
     part_fn,
     num_parts: int,
@@ -218,7 +222,15 @@ def exchange(
     rests on it); `part_ids(batch)` replaces them (the statement
     store's predicate-crc-plus-subject-salt).
 
-    A side is `(Dataset, cols)`. A DECLARED side (`cols` a list) ships
+    A side is `(source, cols)`, its source a Dataset or a list of
+    `(Dataset, fn | None)` inputs. `fn(pa.Table) -> pa.Table` runs in
+    the map tasks, on each non-empty block of its input, before the
+    tag: a map over a materialized input costs no Ray Data execution,
+    and a union of legs is one side of several inputs, not a Ray Data
+    union. The input functions ship once, with the tag and the part
+    closures.
+
+    A DECLARED side (`cols` a list) ships
     only those columns: null or large_string columns are cast to their
     `col_types` entry (default string), and on a multi-side exchange
     the columns other sides declare travel as typed nulls, so every
@@ -244,17 +256,18 @@ def exchange(
     The shuffle is plain Ray tasks, no Ray Data all-to-all operator
     (a sort shuffle samples range boundaries and re-sorts to find the
     part ids the tag step already computed). The driver streams each
-    side's block refs (`iter_internal_ref_bundles`: a materialized side
-    yields its refs, a lazy one runs once; the sides stream
+    input's block refs (`iter_internal_ref_bundles`: a materialized
+    input yields its refs, a lazy one runs once; the inputs stream
     concurrently, which measured faster than one after the other) and
     groups adjacent blocks up to `tag_batch_size` rows (None: one block
-    per group). One `_exchange_map` task per group tags its rows, sorts
-    them by `__part` and returns one slice per reducer (`num_returns`).
+    per group). One `_exchange_map` task per group maps and tags its
+    rows, sorts them by `__part` and returns one slice per reducer
+    (`num_returns`).
     There are `min(num_parts, map tasks)` reducers, each owning a
     contiguous range of parts, so the object count is map tasks ×
     reducers and a reducer's block holds many small parts rather than
     one block per part (at benchmark size the statement store writes
-    one file per predicate directory). Map tasks start once every side
+    one file per predicate directory). Map tasks start once every input
     has streamed (the reducer count depends on the map count). Each
     `_exchange_reduce` task concatenates its slices and runs `part_fn`
     once per part present. The result is MATERIALIZED (`from_arrow_refs`
@@ -264,6 +277,11 @@ def exchange(
     an exchange with no input row at all returns an empty Dataset
     without a schema.
 
+    A part function may write: the output writer's
+    (`build.write_outputs`) writes its part's files and returns one
+    small row per file written, so the rows it reads never come back
+    to the object store.
+
     Why not `Dataset.join`: Ray's native hash join spawns one
     CPU-reserving aggregator actor per partition per call (~1 s startup
     each); a DAG with a dozen joins oversubscribes a session with idle
@@ -271,6 +289,11 @@ def exchange(
     session). This exchange is pure tasks and composes freely."""
     # the per-part closures see column lists only, never the Datasets
     side_cols = [cols for _, cols in sides]
+    inputs = [
+        (i, ds, fn)
+        for i, (source, _) in enumerate(sides)
+        for ds, fn in (source if isinstance(source, list) else [(source, None)])
+    ]
     multi = len(side_cols) > 1
     declared = list(dict.fromkeys(c for cols in side_cols for c in cols or ()))
     types = col_types or {}
@@ -348,19 +371,19 @@ def exchange(
             out = out.drop_columns([c for c in join_keys if c in out.column_names])
         return out
 
-    fns = ray.put((tag, reduce))
-    with ThreadPoolExecutor(max_workers=len(sides)) as pool:
-        per_side = list(pool.map(
-            lambda ds: _block_groups(ds, tag_batch_size), [ds for ds, _ in sides]
+    fns = ray.put((tag, reduce, [(side, fn) for side, _, fn in inputs]))
+    with ThreadPoolExecutor(max_workers=len(inputs)) as pool:
+        per_input = list(pool.map(
+            lambda ds: _block_groups(ds, tag_batch_size), [ds for _, ds, _ in inputs]
         ))
-    groups = [(i, refs) for i, side in enumerate(per_side) for refs in side]
-    del per_side
+    groups = [(j, refs) for j, found in enumerate(per_input) for refs in found]
+    del per_input
     num_reducers = min(num_parts, len(groups))
     splits = [
         _exchange_map.options(num_returns=num_reducers).remote(
-            fns, side, num_reducers, num_parts, *refs
+            fns, source, num_reducers, num_parts, *refs
         )
-        for side, refs in groups
+        for source, refs in groups
     ]
     # the driver keeps no ref it handed to a task: a lazy side's blocks
     # are freed when their map task ends, a reducer's slices when it ends
@@ -452,7 +475,6 @@ def partitioned_group_apply(
     key_columns: list[str],
     fn,
     num_parts: int = 32,
-    keep_part_column: bool = False,
 ) -> Dataset:
     """Grouped computation WITHOUT per-group Python overhead: one
     `exchange` on `key_columns`, then `fn` once per PART with a pandas
@@ -465,7 +487,7 @@ def partitioned_group_apply(
 
     def apply_part(tables: list[pd.DataFrame], _keys) -> pd.DataFrame:
         (part,) = tables
-        return fn(part if keep_part_column else part.drop(columns=["__part"]))
+        return fn(part.drop(columns=["__part"]))
 
     return exchange(
         [(ds, None)], key_columns, apply_part, num_parts, batch_format="pandas"
@@ -476,18 +498,15 @@ def distinct_rows(
     ds: Dataset,
     columns: list[str],
     num_parts: int = 32,
-    keep_part_column: bool = False,
 ) -> Dataset:
     """Exact distinct on `columns` (G6; SURVEY §2.7): per-batch
     combiner pre-dedup, then one `exchange` keyed on ALL columns, so
-    hub values in one column can't skew partitions. `keep_part_column`
-    exposes the deterministic partition id (`__part`) to downstream
-    sinks for stable part-file naming.
+    hub values in one column can't skew partitions.
 
-    Arrow end to end when `columns` covers every payload column (all
-    the hot callers — the output dedups): both the combiner and the
-    per-part dedup run Arrow's hash group-by. Otherwise both fall back
-    to drop_duplicates to keep the non-key columns."""
+    Arrow end to end when `columns` covers every payload column: both
+    the combiner and the per-part dedup run Arrow's hash group-by.
+    Otherwise both fall back to drop_duplicates to keep the non-key
+    columns."""
 
     def pre(batch: pa.Table) -> pa.Table:
         if batch.schema.metadata:
@@ -507,18 +526,12 @@ def distinct_rows(
 
     def per_part(tables: list[pa.Table], _keys) -> pa.Table:
         (t,) = tables
-        if all(c in columns or c == "__part" for c in t.column_names):
-            # __part is a pure function of the key columns, so keying
-            # on it too changes nothing and keeps it in the output
-            out = _arrow_distinct(t, columns + ["__part"])
-        else:
-            out = pa.Table.from_pandas(
-                t.to_pandas().drop_duplicates(columns),
-                preserve_index=False,
-            )
-        if not keep_part_column:
-            out = out.drop_columns(["__part"])
-        return out
+        t = t.drop_columns(["__part"])
+        if all(c in columns for c in t.column_names):
+            return _arrow_distinct(t, columns)
+        return pa.Table.from_pandas(
+            t.to_pandas().drop_duplicates(columns), preserve_index=False
+        )
 
     return exchange(
         [(ds.map_batches(pre, batch_format="pyarrow"), None)],

@@ -1,4 +1,4 @@
-"""Sources and sinks.
+"""Sources and the output writer.
 
 - Predicate-partitioned Parquet *statement store*: the distributed
   replacement for the reference's RocksDB (predicate, subject, object)
@@ -8,9 +8,10 @@
   `write_parquet`.
 - N-Triples (.nt / .nt.gz) reader (reference:
   partitioned_statements.rs:82-128), expressed as `read_text` +
-  vectorized parse, and the one output writer,
-  `MultiNTriplesGzDatasink` (plan.rs:2314-2358): hash-partitioned,
-  within-part sorted `.nt.gz`/`.ntx.gz` parts.
+  vectorized parse, and the one output writer, `NTriplesGzWriter`
+  (plan.rs:2314-2358): hash-partitioned, within-part sorted
+  `.nt.gz`/`.ntx.gz` parts, written by the reduce tasks of the output
+  exchange (`build.write_outputs`) — no Ray Data write job.
 - Interleaved-documents reader: Lance when the `lance` package is
   available, Parquet otherwise (same Arrow schema either way).
 """
@@ -26,8 +27,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ray.data import Dataset
-from ray.data.block import BlockAccessor
-from ray.data.datasource import Datasink
 
 from . import terms as T
 
@@ -447,15 +446,24 @@ def _clear_stale_parts(path: str) -> None:
             os.remove(os.path.join(path, f))
 
 
-class MultiNTriplesGzDatasink(Datasink):
-    """The N-Triples writer (plan.rs:2314-2358, model.rs:51-63): rows
-    carry a `file` column naming their logical output and a `__part`
-    hash-partition id (distinct_rows(keep_part_column=True)); the rows
-    of each (file, part) go, sorted, to
-    `<base>/<dirname>/part-<__part>.nt.gz` (atomic tmp+rename). Rows
+class NTriplesGzWriter:
+    """The N-Triples writer (plan.rs:2314-2358, model.rs:51-63), run
+    by the output exchange's reduce tasks (`build.write_outputs`): rows
+    carry a `file` column naming their logical output and the
+    exchange's hash-partition id `__part`; the rows of each (file,
+    part) go, sorted, to `<base>/<dirname>/part-<__part>.nt.gz`. Rows
     with (annotation_predicate, annotation_object) set become RDF*
-    lines. One Ray write job writes every output table at once; per-file
-    checkpoint manifests are committed on completion."""
+    lines. Rows of a file with no entry in `file_names` (an output a
+    resumed build keeps) are not written.
+
+    On the driver, `start` makes the output directories and clears
+    their parts before the exchange, and `commit` writes each output's
+    checkpoint manifest from what the reducers returned after it.
+
+    Each part file is written to a tmp file and renamed into place,
+    its gzip header without a write time: a retried reducer rewrites
+    the same bytes through the same tmp + rename, and a killed one
+    leaves no partial part behind."""
 
     def __init__(self, base_dir: str, file_names: dict[str, str],
                  lineage: str | None = None,
@@ -468,7 +476,10 @@ class MultiNTriplesGzDatasink(Datasink):
         self.extensions = extensions or {}
         self._start = None
 
-    def on_write_start(self):
+    def part_name(self, tag: str, part_id: int) -> str:
+        return f"part-{part_id:05d}{self.extensions.get(tag, '.nt.gz')}"
+
+    def start(self) -> None:
         import time
 
         self._start = time.perf_counter()
@@ -477,79 +488,71 @@ class MultiNTriplesGzDatasink(Datasink):
             os.makedirs(target, exist_ok=True)
             _clear_stale_parts(target)
 
-    def write(self, blocks, ctx):
-        counts: dict[str, int] = {}
-        writers: dict[tuple, object] = {}
-        tmp_paths: dict[tuple, tuple[str, str]] = {}
-        try:
-            for block in blocks:
-                table = BlockAccessor.for_block(block).to_arrow()
-                if table.num_rows == 0:
-                    continue  # an empty block may carry no schema
-                names_ = table.column_names
-                missing = [c for c in ("file", "__part") if c not in names_]
-                if missing:
-                    # part files are named by __part, a function of the
-                    # row alone: reruns write byte-identical files
-                    # whatever the task scheduling
-                    raise ValueError(
-                        f"MultiNTriplesGzDatasink rows need {missing} "
-                        "(distinct_rows(keep_part_column=True) adds __part)"
-                    )
-                keys = ["file", "__part"] + [
-                    c
-                    for c in ("subject", "predicate", "object",
-                              "annotation_predicate", "annotation_object")
-                    if c in names_
-                ]
-                # ONE Arrow sort keyed (file, __part, s, p, o, …) makes
-                # every (file, part) group a contiguous span; lines are
-                # assembled once for the whole block and each span's
-                # UTF-8 payload is sliced zero-copy from the Arrow
-                # buffer — no pandas frame, no Python strings (measured
-                # ~4× over the sort_values + Series-concat + join path)
-                st = table.select(keys).take(
-                    pc.sort_indices(
-                        table.select(keys),
-                        sort_keys=[(c, "ascending") for c in keys],
-                    )
-                ).combine_chunks()
-                lines = _line_array(st)
-                file_np = pc.dictionary_encode(
-                    st.column("file").chunk(0)
-                ).indices.to_numpy()
-                parts_np = st.column("__part").to_numpy()
-                bounds = _span_bounds(file_np, parts_np)
-                files = st.column("file")
-                for a, b in zip(bounds, bounds[1:]):
-                    tag = files[a].as_py()
-                    part_id = int(parts_np[a])
-                    name = self.file_names.get(tag)
-                    if name is None:
-                        continue
-                    wkey = (tag, part_id)
-                    if wkey not in writers:
-                        ext = self.extensions.get(tag, ".nt.gz")
-                        out = os.path.join(
-                            self.base_dir, name, f"part-{part_id:05d}{ext}"
-                        )
-                        tmp = out + ".tmp"
-                        tmp_paths[wkey] = (tmp, out)
-                        # mtime=0: no write time in the gzip header, so
-                        # a rerun writes byte-identical files
-                        writers[wkey] = gzip.GzipFile(
-                            tmp, "wb", compresslevel=1, mtime=0
-                        )
-                    writers[wkey].write(_utf8_payload(lines, a, b))
-                    counts[tag] = counts.get(tag, 0) + (b - a)
-        finally:
-            for _, f in writers.items():
-                f.close()
-        for _, (tmp, out) in tmp_paths.items():
-            os.replace(tmp, out)
-        return counts
+    def write(self, table: pa.Table) -> pa.Table:
+        """Write the (file, part) files of `table`'s rows; returns one
+        (file, __part, rows) row per file written."""
+        tags, part_ids, counts = [], [], []
+        if table.num_rows:
+            names = table.column_names
+            missing = [c for c in ("file", "__part") if c not in names]
+            if missing:
+                # part files are named by __part, a function of the row
+                # alone: reruns write byte-identical files whatever the
+                # task scheduling
+                raise ValueError(
+                    f"NTriplesGzWriter rows need {missing} (the output "
+                    "exchange's part id names the part file)"
+                )
+            keys = ["file", "__part"] + [
+                c
+                for c in ("subject", "predicate", "object",
+                          "annotation_predicate", "annotation_object")
+                if c in names
+            ]
+            # ONE Arrow sort keyed (file, __part, s, p, o, …) makes every
+            # (file, part) group a contiguous span; lines are assembled
+            # once for the whole table and each span's UTF-8 payload is
+            # sliced zero-copy from the Arrow buffer — no pandas frame,
+            # no Python strings (measured ~4× over the sort_values +
+            # Series-concat + join path)
+            st = table.select(keys)
+            st = st.take(
+                pc.sort_indices(st, sort_keys=[(c, "ascending") for c in keys])
+            ).combine_chunks()
+            lines = _line_array(st)
+            file_np = pc.dictionary_encode(
+                st.column("file").chunk(0)
+            ).indices.to_numpy()
+            parts_np = st.column("__part").to_numpy()
+            bounds = _span_bounds(file_np, parts_np)
+            files = st.column("file")
+            for a, b in zip(bounds, bounds[1:]):
+                tag = files[a].as_py()
+                name = self.file_names.get(tag)
+                if name is None:
+                    continue
+                part_id = int(parts_np[a])
+                out = os.path.join(
+                    self.base_dir, name, self.part_name(tag, part_id)
+                )
+                tmp = out + ".tmp"
+                # mtime=0: no write time in the gzip header, so a rerun
+                # writes byte-identical files
+                with gzip.GzipFile(tmp, "wb", compresslevel=1, mtime=0) as f:
+                    f.write(_utf8_payload(lines, a, b))
+                os.replace(tmp, out)
+                tags.append(tag)
+                part_ids.append(part_id)
+                counts.append(b - a)
+        return pa.table({
+            "file": pa.array(tags, pa.string()),
+            "__part": pa.array(part_ids, pa.int64()),
+            "rows": pa.array(counts, pa.int64()),
+        })
 
-    def on_write_complete(self, write_result):
+    def commit(self, written: list[pa.Table]) -> None:
+        """Write each output's manifest from the `write` returns of
+        every reducer: its rows per part file and their sum."""
         if self.lineage is None:
             return
         import time
@@ -557,16 +560,19 @@ class MultiNTriplesGzDatasink(Datasink):
         from .checkpoint import write_manifest
 
         wall = time.perf_counter() - (self._start or time.perf_counter())
-        totals: dict[str, int] = {}
-        for counts in write_result.write_returns:
-            for tag, n in (counts or {}).items():
-                totals[tag] = totals.get(tag, 0) + n
+        part_rows: dict[str, dict[str, int]] = {
+            tag: {} for tag in self.file_names
+        }
+        for t in written:
+            for tag, part_id, rows in zip(
+                t.column("file").to_pylist(), t.column("__part").to_pylist(),
+                t.column("rows").to_pylist(),
+            ):
+                part_rows[tag][self.part_name(tag, part_id)] = rows
         for tag, name in self.file_names.items():
             write_manifest(
-                os.path.join(self.base_dir, name),
-                self.lineage,
-                totals.get(tag, 0),
-                wall,
+                os.path.join(self.base_dir, name), self.lineage,
+                part_rows[tag], wall,
             )
 
 
