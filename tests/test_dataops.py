@@ -507,29 +507,6 @@ def test_partitioned_group_apply(ray_session):
     assert len(kept) == 3
 
 
-def test_salted_aggregate_hot_key(ray_session):
-    """Two-phase salted aggregate: a hub key spreads over salt buckets
-    in shuffle 1 and the result still matches the plain aggregate."""
-    import numpy as np
-
-    from yago4_ray.joins import salted_aggregate, top_hot_keys
-
-    rng = np.random.default_rng(3)
-    n = 20000
-    keys = np.where(rng.random(n) < 0.5, "Q5", rng.integers(0, 200, n).astype(str))
-    df = pd.DataFrame({"k": keys, "v": np.arange(n, dtype="int64")})
-    ds = ray.data.from_pandas(df)
-    hot = top_hot_keys(ds, "k", threshold=1000)
-    assert hot == ["Q5"]
-    out = salted_aggregate(
-        ds, "k", {"n": ("v", "size"), "total": ("v", "sum")}, hot_keys=hot, salt=8
-    ).to_pandas()
-    want = df.groupby("k", as_index=False).agg(n=("v", "size"), total=("v", "sum"))
-    got = out.sort_values("k").reset_index(drop=True)
-    want = want.sort_values("k").reset_index(drop=True)
-    assert got.equals(want.astype({"n": got["n"].dtype, "total": got["total"].dtype}))
-
-
 def test_multimodal_resize_stage(ray_session):
     """resize_media: real PNG payloads decode → nearest-neighbor resize
     → PPM re-encode, chained straight into decode_media; non-image rows

@@ -266,6 +266,30 @@ def test_one_exchange_implementation():
         assert isinstance(getattr(joins, fn), RemoteFunction), fn
 
 
+def test_one_aggregate_and_no_ray_data_shuffle_in_source():
+    """The build path keeps no pandas part table: build.py,
+    build_dist.py, state.py and cleaners.py call no
+    `partitioned_group_apply` (their part functions are Arrow, on
+    `exchange`). No module imports Ray Data's aggregate functions or
+    calls `map_groups`: grouped aggregates are `joins.aggregate` or the
+    queries' driver combine."""
+    import pathlib
+    import re
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "yago4_ray"
+    texts = {
+        str(path.relative_to(pkg)): path.read_text()
+        for path in sorted(pkg.rglob("*.py"))
+    }
+    build_path = ("build.py", "build_dist.py", "state.py", "cleaners.py")
+    assert not [
+        p for p in build_path if "partitioned_group_apply" in texts[p]
+    ]
+    agg_import = re.compile(r"ray\.data\.aggregate|from ray\.data import [^\n]*aggregate")
+    assert not [p for p, text in texts.items() if agg_import.search(text)]
+    assert not [p for p, text in texts.items() if ".map_groups(" in text]
+
+
 def test_one_maxcount_implementation():
     """maxCount is one subject-keyed exchange (`build._apply_max_count`):
     no volume cap chooses a second path, and no offender set is
@@ -335,9 +359,10 @@ def test_copartition_join_empty_side_and_large_string(ray_session):
 
 
 def test_asof_join_int_payload(ray_session):
-    """The left side pads the right payload with pd.NA (a null-typed
-    Arrow column beside the right side's int64): the one-side exchange
-    must ship both as they are."""
+    """The two sides are declared sides of one exchange: left rows
+    pad the right payload (int64) and right rows the left payload
+    (string) with nulls typed from the sides' schemas, so every slice
+    of a part concatenates."""
     import ray.data
 
     from yago4_ray.dataops.temporal import asof_join
@@ -407,26 +432,24 @@ _KEYS = [f"<http://ex.org/k{i}>" for i in range(12)]
     blocks=st.sampled_from([1, 3, 17]),
     num_parts=st.sampled_from([1, 4, 32]),
     tag_batch_size=st.sampled_from([None, 2]),
-    pandas_fn=st.booleans(),
     empty_block=st.booleans(),
 )
 @example(rows=[], blocks=1, num_parts=1, tag_batch_size=None,
-         pandas_fn=False, empty_block=True)
+         empty_block=True)
 @example(rows=[(_KEYS[0], 0)], blocks=17, num_parts=32, tag_batch_size=2,
-         pandas_fn=True, empty_block=True)
+         empty_block=True)
 @example(rows=[(k, i % 3) for i, k in enumerate(_KEYS * 4)], blocks=3,
-         num_parts=4, tag_batch_size=None, pandas_fn=False, empty_block=False)
+         num_parts=4, tag_batch_size=None, empty_block=False)
 @example(rows=[(k, 1) for k in _KEYS] * 2, blocks=17, num_parts=32,
-         tag_batch_size=None, pandas_fn=True, empty_block=False)
+         tag_batch_size=None, empty_block=False)
 @example(rows=[(_KEYS[1], 2), (_KEYS[3], 0)], blocks=3, num_parts=4,
-         tag_batch_size=None, pandas_fn=False, empty_block=False)
+         tag_batch_size=None, empty_block=False)
 def test_exchange_rows_per_part_independent_of_blocking(
-    ray_session, rows, blocks, num_parts, tag_batch_size, pandas_fn,
-    empty_block,
+    ray_session, rows, blocks, num_parts, tag_batch_size, empty_block,
 ):
     """However its input is blocked and bundled, the exchange calls the
-    part function once per part with exactly that part's rows (one side,
-    Arrow or pandas), joins two hash-keyed sides per part as pandas
+    part function once per part with exactly that part's rows (one
+    side, an Arrow table), joins two hash-keyed sides per part as pandas
     merges them, and returns no block without the part function's
     columns, also past a null-typed empty block. A 0-row block only
     stands alone: it keeps the columns when no part yields a row."""
@@ -456,8 +479,6 @@ def test_exchange_rows_per_part_independent_of_blocking(
 
     def per_part(tables, _keys):
         (t,) = tables
-        if pandas_fn:
-            return summary(t["k"], t["v"], t["__part"])
         got = summary(
             t["k"].to_pylist(), t["v"].to_pylist(), t["__part"].to_pylist()
         )
@@ -472,7 +493,6 @@ def test_exchange_rows_per_part_independent_of_blocking(
     cols = ["k", "n", "vs", "part", "parts"]
     one_side = exchange(
         [(left, None)], ["k"], per_part, num_parts,
-        batch_format="pandas" if pandas_fn else "pyarrow",
         tag_batch_size=tag_batch_size,
     )
     blocks_out = ray.get(one_side.to_arrow_refs())
@@ -550,3 +570,113 @@ def test_exchange_inputs_map_like_a_mapped_union(ray_session, tag_batch_size):
     assert run([([(first, upper), (second, suffixed)], None)]) == run(
         [(mapped, None)]
     )
+
+
+_AGGS = {
+    "n": (None, "count"),
+    "total": ("v", "sum"),
+    "lo": ("v", "min"),
+    "hi": ("v", "max"),
+}
+
+
+@settings(
+    max_examples=15, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(_KEYS[:6] + [None]), st.integers(-5, 5)),
+        max_size=60,
+    ),
+    blocks=st.sampled_from([1, 3, 17]),
+    num_parts=st.sampled_from([1, 4, 32]),
+    distinct=st.booleans(),
+)
+@example(rows=[], blocks=1, num_parts=1, distinct=False)
+@example(rows=[], blocks=17, num_parts=32, distinct=True)
+@example(rows=[(None, 1), (_KEYS[0], 2), (None, -3), (_KEYS[0], 2)],
+         blocks=17, num_parts=32, distinct=False)
+@example(rows=[(None, 1), (_KEYS[0], 2), (None, 1), (_KEYS[0], 2)],
+         blocks=3, num_parts=4, distinct=True)
+@example(rows=[(k, i % 4 - 2) for i, k in enumerate(_KEYS * 3)], blocks=3,
+         num_parts=4, distinct=False)
+def test_aggregate_matches_pandas(ray_session, rows, blocks, num_parts, distinct):
+    """`joins.aggregate` (count, sum, min, max per key; no aggregate is
+    `distinct_rows`) equals a pandas groupby however the input is
+    blocked and parted: a null key is its own group, and an input
+    without rows returns one 0-row block of typed output columns."""
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from yago4_ray.joins import aggregate, distinct_rows
+
+    df = pd.DataFrame(rows, columns=["k", "v"]).astype({"k": object, "v": "int64"})
+    schema = pa.schema([("k", pa.string()), ("v", pa.int64())])
+    ds = ray.data.from_arrow([
+        pa.Table.from_pandas(df.iloc[idx], schema=schema, preserve_index=False)
+        for idx in np.array_split(np.arange(len(df)), blocks)
+    ])
+    if distinct:
+        out = distinct_rows(ds, ["k", "v"], num_parts=num_parts)
+        want = df.drop_duplicates()
+        types = [pa.string(), pa.int64()]
+    else:
+        out = aggregate(ds, ["k"], _AGGS, num_parts=num_parts)
+        want = df.groupby("k", as_index=False, dropna=False).agg(
+            n=("v", "size"), total=("v", "sum"), lo=("v", "min"), hi=("v", "max"),
+        )
+        types = [pa.string()] + [pa.int64()] * 4
+    blocks_out = ray.get(out.to_arrow_refs())
+    assert blocks_out
+    assert all(b.num_rows for b in blocks_out) or len(blocks_out) == 1
+    got = pa.concat_tables(blocks_out)
+    assert got.schema.names == list(want.columns)
+    assert got.schema.types == types
+
+    def canon(rows):
+        rows = [tuple(None if pd.isna(x) else x for x in r) for r in rows]
+        return sorted(rows, key=lambda r: [(x is None, x or 0) for x in r])
+
+    assert canon(zip(*got.to_pydict().values())) == canon(
+        want.itertuples(index=False)
+    )
+
+
+# the queries that used Ray Data's groupby, sort, aggregate or union
+# before they ran on `joins.exchange` and the driver combine
+_GATED_QUERIES = [
+    "q4_top_parts_by_quantity", "q5_event_type_users",
+    "q6_filtered_lineitems", "q7_hourly_user_activity",
+    "q10_embedding_stats", "q11_supplier_region", "q12_language_share",
+    "q13_session_windows", "q14_daily_windows", "q15_asof_purchase_click",
+    "q16_customer_order_join",
+]
+
+
+def test_queries_run_no_ray_data_shuffle(ray_session, monkeypatch):
+    """The grouped, sorted and joined queries run with every Ray Data
+    shuffle (groupby, sort, aggregate, unique, join, union) raising,
+    and each still equals its DuckDB oracle."""
+    import duckdb
+    import ray.data
+
+    from tools.check_oracles import TABLES, canon
+    from yago4_ray.queries import QUERIES, SQL_ORACLES
+
+    sf_dir = "/root/testdata/sf0.001"
+    for name in ("groupby", "sort", "aggregate", "unique", "join", "union"):
+        def refuse(*_args, _name=name, **_kwargs):
+            raise AssertionError(f"Dataset.{_name} called")
+
+        monkeypatch.setattr(ray.data.Dataset, name, refuse)
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
+        )
+    for name in _GATED_QUERIES:
+        out = QUERIES[name](sf_dir)
+        got = out.to_pandas() if hasattr(out, "to_pandas") else out
+        assert canon(got) == canon(con.execute(SQL_ORACLES[name]).df()), name

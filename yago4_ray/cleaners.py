@@ -5,9 +5,9 @@ including its deliberate quirks (Gregorian-only times, Earth-only
 coordinates, the 4 supported duration units, the '-PT-5S' negative
 duration spelling, pattern filters dropping non-strings): see
 plan.rs:1209-1773. The Ray-side builders express the reference's
-value-node point-lookup chains (plan.rs:908-1032) as a single
-`groupby(value_node).map_groups` pivot per family — one shuffle over
-value nodes instead of per-row lookups.
+value-node point-lookup chains (plan.rs:908-1032) as one pivot per
+value node inside one `joins.exchange` keyed on the value node — one
+shuffle over value nodes instead of per-row lookups.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import re
 from datetime import datetime
 from urllib.parse import urlsplit, urlunsplit
 
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 from . import terms as T
@@ -231,11 +232,12 @@ def build_value_maps(
     Output rows: (family, value_node, object, extras_json) with family ∈
     {time, coordinates, duration, integer, quantity}.
     """
-    from .joins import get_broadcast, partitioned_group_apply
+    from .joins import exchange, get_broadcast
 
     ds = scan_predicate(statements_root, ALL_VALUE_PREDICATES)
 
-    def convert_part(pdf: pd.DataFrame) -> pd.DataFrame:
+    def convert_part(tables: list[pa.Table], _keys) -> pa.Table:
+        (t,) = tables
         uri_mapping = (
             get_broadcast(uri_mapping_ref)
             if uri_mapping_ref is not None
@@ -243,17 +245,36 @@ def build_value_maps(
         )
         # first value per (node, predicate) — the reference's
         # object_for_subject_predicate takes the first hit
-        pdf = pdf.drop_duplicates(["subject", "predicate"])
-        wide = pdf.pivot(index="subject", columns="predicate", values="object")
-        empty = pd.Series(index=wide.index, dtype=object)
+        first = t.group_by(["subject", "predicate"], use_threads=False).aggregate(
+            [("object", "first", pc.ScalarAggregateOptions(skip_nulls=False))]
+        )
+        # the pivot: the part's value nodes in sorted order, and per
+        # predicate one value (or None) per node
+        nodes = pc.unique(first["subject"])
+        nodes = nodes.take(pc.sort_indices(nodes))
+        at = pc.index_in(first["subject"], value_set=nodes).to_numpy()
+        objects = first["object_first"]
 
-        def col(p):
-            return wide[p] if p in wide.columns else empty
+        def col(p) -> list:
+            m = pc.equal(first["predicate"], p).to_numpy()
+            values = [None] * len(nodes)
+            for i, v in zip(at[m], objects.filter(pa.array(m)).to_pylist()):
+                values[i] = v
+            return values
+
+        nodes = nodes.to_pylist()
+
+        def having(*columns):
+            """(node, values) of the nodes with a value in every column."""
+            return [
+                (node, values) for node, *values in zip(nodes, *columns)
+                if all(v is not None for v in values)
+            ]
 
         out = {"family": [], "value_node": [], "object": [], "extras": []}
 
-        def emit_rows(family, nodes, results):
-            for node, res in zip(nodes, results):
+        def emit(family, results):
+            for node, res in results:
                 if res is None:
                     continue
                 obj, extras = res if isinstance(res, tuple) else (res, [])
@@ -262,59 +283,29 @@ def build_value_maps(
                 out["object"].append(obj)
                 out["extras"].append(json.dumps(extras) if extras else "")
 
-        # family masks are vectorized; the scalar converters run only on
-        # their own family's candidate rows (zip over aligned arrays —
-        # no per-node column lookups)
-        tv, tp, tc = (col(T.WIKIBASE_TIME_VALUE), col(T.WIKIBASE_TIME_PRECISION),
-                      col(T.WIKIBASE_TIME_CALENDAR_MODEL))
-        m = tv.notna() & tp.notna() & tc.notna()
-        if m.any():
-            emit_rows(
-                "time", wide.index[m],
-                [convert_time(v, p, c) for v, p, c in zip(tv[m], tp[m], tc[m])],
-            )
-        lat, lon = col(T.WIKIBASE_GEO_LATITUDE), col(T.WIKIBASE_GEO_LONGITUDE)
-        gp, gg = col(T.WIKIBASE_GEO_PRECISION), col(T.WIKIBASE_GEO_GLOBE)
-        m = lat.notna() & lon.notna() & gp.notna() & gg.notna()
-        if m.any():
-            emit_rows(
-                "coordinates", wide.index[m],
-                [
-                    convert_globe_coordinates(a, o, p, g)
-                    for a, o, p, g in zip(lat[m], lon[m], gp[m], gg[m])
-                ],
-            )
+        # the scalar converters run only on their own family's candidate
+        # nodes (zip over aligned columns — no per-node lookups)
+        times = having(col(T.WIKIBASE_TIME_VALUE), col(T.WIKIBASE_TIME_PRECISION),
+                       col(T.WIKIBASE_TIME_CALENDAR_MODEL))
+        emit("time", ((n, convert_time(*vs)) for n, vs in times))
+        coords = having(col(T.WIKIBASE_GEO_LATITUDE), col(T.WIKIBASE_GEO_LONGITUDE),
+                        col(T.WIKIBASE_GEO_PRECISION), col(T.WIKIBASE_GEO_GLOBE))
+        emit("coordinates", ((n, convert_globe_coordinates(*vs)) for n, vs in coords))
         amount, unit = col(T.WIKIBASE_QUANTITY_AMOUNT), col(T.WIKIBASE_QUANTITY_UNIT)
-        lower, upper = (col(T.WIKIBASE_QUANTITY_LOWER_BOUND),
-                        col(T.WIKIBASE_QUANTITY_UPPER_BOUND))
-        m = amount.notna() & unit.notna()
-        if m.any():
-            am, un = amount[m], unit[m]
-            emit_rows(
-                "duration", wide.index[m],
-                [convert_duration_quantity(a, u) for a, u in zip(am, un)],
-            )
-            emit_rows(
-                "integer", wide.index[m],
-                [convert_integer_quantity(a, u) for a, u in zip(am, un)],
-            )
-            # unit→YAGO lookup once per DISTINCT unit (units are
-            # class-graph scale)
-            unit_map = {u: uri_mapping.get(u) for u in un.unique()}
-            mq = m & lower.notna() & upper.notna() & unit.map(
-                lambda u: unit_map.get(u) is not None
-            ).fillna(False)
-            if mq.any():
-                emit_rows(
-                    "quantity", wide.index[mq],
-                    [
-                        convert_quantity(n, unit_map[u], a, lo, hi)
-                        for n, u, a, lo, hi in zip(
-                            wide.index[mq], unit[mq], amount[mq],
-                            lower[mq], upper[mq],
-                        )
-                    ],
-                )
-        return pd.DataFrame(out)
+        amounts = having(amount, unit)
+        emit("duration", ((n, convert_duration_quantity(a, u)) for n, (a, u) in amounts))
+        emit("integer", ((n, convert_integer_quantity(a, u)) for n, (a, u) in amounts))
+        # unit→YAGO lookup once per DISTINCT unit (units are
+        # class-graph scale)
+        unit_map = {u: uri_mapping.get(u) for u in {u for _, (_, u) in amounts}}
+        bounded = having(amount, unit, col(T.WIKIBASE_QUANTITY_LOWER_BOUND),
+                         col(T.WIKIBASE_QUANTITY_UPPER_BOUND))
+        emit("quantity", (
+            (n, convert_quantity(n, unit_map[u], a, lo, hi))
+            for n, (a, u, lo, hi) in bounded if unit_map[u] is not None
+        ))
+        return pa.table({c: pa.array(v, pa.string()) for c, v in out.items()})
 
-    return partitioned_group_apply(ds, ["subject"], convert_part)
+    return exchange(
+        [(ds, ["subject", "predicate", "object"])], ["subject"], convert_part, 32
+    )

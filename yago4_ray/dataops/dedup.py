@@ -23,6 +23,7 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 from ray.data import Dataset
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
@@ -40,31 +41,20 @@ def exact_dedup(
     ds: Dataset, text_col: str, id_col: str
 ) -> Dataset:
     """One representative row (min id) per distinct text.
-    Returns (id_col, n_dupes). Combiner per batch, then one groupby on
-    the 128-bit content hash."""
+    Returns (id_col, n_dupes): one `joins.aggregate` (min id, rows) on
+    the 128-bit content hash, its combiner per block."""
 
     def add_hash(batch: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "__h": batch[text_col].map(content_hash),
-                id_col: batch[id_col],
-            }
-        )
-        # per-batch partial: keep min id + count per hash (combiner)
-        return out.groupby("__h", as_index=False).agg(
-            **{id_col: (id_col, "min"), "n_dupes": (id_col, "size")}
+        return pd.DataFrame(
+            {"__h": batch[text_col].map(content_hash), id_col: batch[id_col]}
         )
 
-    def reduce_part(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pdf.groupby("__h", as_index=False).agg(
-            **{id_col: (id_col, "min"), "n_dupes": ("n_dupes", "sum")}
-        )[[id_col, "n_dupes"]]
+    from ..joins import aggregate
 
-    from ..joins import partitioned_group_apply
-
-    return partitioned_group_apply(
-        ds.map_batches(add_hash, batch_format="pandas"), ["__h"], reduce_part
-    )
+    return aggregate(
+        ds.map_batches(add_hash, batch_format="pandas"), ["__h"],
+        {id_col: (id_col, "min"), "n_dupes": (None, "count")},
+    ).drop_columns(["__h"])
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +104,6 @@ def shingles(text: str, k: int = 5) -> np.ndarray:
     """Distinct k-shingle hashes of one text (batch kernel, n=1)."""
     _, h = batch_shingle_hashes([text], k)
     return np.unique(h)
-
-
-def minhash_signature(text: str, a: np.ndarray, b: np.ndarray, k: int = 5) -> np.ndarray:
-    sh = shingles(text, k).astype(np.int64)
-    # (num_perm, n_shingles) universal hashing, min over shingles
-    h = (a[:, None] * sh[None, :] + b[:, None]) % _MERSENNE
-    return h.min(axis=1)
 
 
 class MinHasher:
@@ -269,7 +252,7 @@ def minhash_lsh_pairs(
             {"a": out_a, "b": out_b, "oversized": out_over}
         ).drop_duplicates(["a", "b"])
 
-    from ..joins import partitioned_group_apply
+    from ..joins import aggregate, partitioned_group_apply
 
     pairs = partitioned_group_apply(banded, ["band", "bh"], pairs_in_part)
     # dedupe pairs found in multiple bands (keep the max oversized flag
@@ -284,11 +267,7 @@ def minhash_lsh_pairs(
         if keep_bucket_stats:
             return pairs
         return pairs.drop_columns(["oversized"])
-    deduped = partitioned_group_apply(
-        pairs,
-        ["a", "b"],
-        lambda pdf: pdf.groupby(["a", "b"], as_index=False)["oversized"].max(),
-    )
+    deduped = aggregate(pairs, ["a", "b"], {"oversized": ("oversized", "max")})
     if keep_bucket_stats:
         return deduped
     return deduped.drop_columns(["oversized"])
@@ -885,15 +864,17 @@ def embedding_dedup_pairs(
             )
         return pd.DataFrame({"a": out_a, "b": out_b, "cosine": out_c})
 
-    from ..joins import distinct_rows, partitioned_group_apply
+    from ..joins import aggregate, partitioned_group_apply
 
-    return distinct_rows(
+    # a pair found in several buckets keeps its largest cosine
+    return aggregate(
         partitioned_group_apply(
             ds.map_batches(bucket, batch_format="pandas"),
             ["bucket"],
             pairs_in_part,
         ),
         ["a", "b"],
+        {"cosine": ("cosine", "max")},
     )
 
 
@@ -991,7 +972,7 @@ def ngram_jaccard_pairs(
     inverted-index skew); `max_doc_freq`, when set, drops shingles that
     occur in more docs than that (a standard stop-shingle cutoff — the
     100-TB knob, OFF by default so the result stays exact)."""
-    from ..joins import partitioned_group_apply
+    from ..joins import aggregate, partitioned_group_apply
 
     p_num, p_den = threshold
 
@@ -1035,19 +1016,21 @@ def ngram_jaccard_pairs(
         g["m"] = g["m"].astype("int64")
         return g
 
-    def reduce_pairs(pdf: pd.DataFrame) -> pd.DataFrame:
-        g = pdf.groupby(["a", "b", "ca", "cb"], as_index=False)["m"].sum()
-        union = g["ca"] + g["cb"] - g["m"]
-        keep = g["m"] * p_den >= union * p_num
-        out = g[keep].copy()
-        out["n_common"] = out["m"].astype("int64")
-        out["n_union"] = union[keep].astype("int64")
-        return out[["a", "b", "n_common", "n_union"]]
+    def keep_similar(t: pa.Table) -> pa.Table:
+        m = t["m"]
+        union = pc.subtract(pc.add(t["ca"], t["cb"]), m)
+        keep = pc.greater_equal(
+            pc.multiply(m, p_den), pc.multiply(union, p_num)
+        )
+        return pa.table({
+            "a": t["a"], "b": t["b"], "n_common": m, "n_union": union,
+        }).filter(keep)
 
     exploded = ds.map_batches(explode, batch_format="pandas")
     partials = partitioned_group_apply(
         exploded, ["s"], bucket_pairs, num_parts=num_parts
     )
-    return partitioned_group_apply(
-        partials, ["a", "b"], reduce_pairs, num_parts=num_parts
-    )
+    return aggregate(
+        partials, ["a", "b", "ca", "cb"], {"m": ("m", "sum")},
+        num_parts=num_parts,
+    ).map_batches(keep_similar, batch_format="pyarrow")

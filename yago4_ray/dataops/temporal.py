@@ -3,16 +3,18 @@
 Ray Data has no native as-of join; the portable pattern (ray_guide
 "joins and lookups") is: co-locate both sides by key via one
 partitioned shuffle, then `pd.merge_asof` per part with both sides
-sorted by the time column. Partitioning hashes the key, so every key's
-left and right rows meet in exactly one part.
+sorted by the time column. The shuffle is `joins.exchange` with one
+declared side per input, keyed on the `by` column, so every key's left
+and right rows meet in exactly one part.
 """
 
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
 from ray.data import Dataset
 
-from ..joins import partitioned_group_apply
+from ..joins import exchange
 
 
 def asof_join(
@@ -31,40 +33,26 @@ def asof_join(
     `left_columns` / `right_columns` are the payload columns to carry
     from each side (excluding `by` and `on`); right payloads come back
     suffixed. `on` must have the same numeric/timestamp dtype on both
-    sides. One shuffle keyed on `by`; merge_asof is vectorized per part.
+    sides. One exchange with the two inputs as its two sides, keyed on
+    `by`; merge_asof is vectorized per part. The exchange pads each
+    side's rows with nulls in the other side's payload columns, typed
+    from that side's blocks.
     """
     on_right = f"{on}{suffix}"
+    left_cols = [by, on] + left_columns
+    right_cols = [by, on] + right_columns
 
-    def prep_left(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[[by, on] + left_columns].copy()
-        for c in right_columns:
-            out[f"{c}{suffix}"] = pd.NA
-        out[on_right] = pd.NaT if df[on].dtype.kind == "M" else pd.NA
-        out["__side"] = 0
-        return out
+    def join_part(tables: list[pa.Table], _keys) -> pa.Table:
+        lhs, rhs = (t.to_pandas() for t in tables)
+        rhs = rhs.rename(columns={c: f"{c}{suffix}" for c in right_columns})
+        rhs.insert(2, on_right, rhs[on])
+        out = pd.merge_asof(
+            lhs.sort_values(on, kind="mergesort"),
+            rhs.sort_values(on, kind="mergesort"),
+            on=on, by=by, direction="backward",
+        )
+        return pa.Table.from_pandas(out, preserve_index=False)
 
-    def prep_right(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[[by, on]].copy()
-        for c in left_columns:
-            out[c] = pd.NA
-        for c in right_columns:
-            out[f"{c}{suffix}"] = df[c]
-        out[on_right] = df[on]
-        out["__side"] = 1
-        return out
-
-    def join_part(pdf: pd.DataFrame) -> pd.DataFrame:
-        lhs = pdf[pdf["__side"] == 0][[by, on] + left_columns]
-        rhs_cols = [f"{c}{suffix}" for c in right_columns]
-        rhs = pdf[pdf["__side"] == 1][[by, on, on_right] + rhs_cols]
-        if lhs.empty:
-            return pdf.iloc[0:0].drop(columns=["__side"])
-        lhs = lhs.sort_values(on, kind="mergesort")
-        rhs = rhs.sort_values(on, kind="mergesort")
-        out = pd.merge_asof(lhs, rhs, on=on, by=by, direction="backward")
-        return out
-
-    tagged = left.map_batches(prep_left, batch_format="pandas").union(
-        right.map_batches(prep_right, batch_format="pandas")
+    return exchange(
+        [(left, left_cols), (right, right_cols)], [by], join_part, num_parts
     )
-    return partitioned_group_apply(tagged, [by], join_part, num_parts=num_parts)

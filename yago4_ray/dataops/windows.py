@@ -2,10 +2,11 @@
 
 Ray Data has no event-time/watermark machinery (SURVEY §2.9: neither
 does the reference); windows over a bounded log are expressed as
-grouped computations per key with pandas doing the in-group time logic
-(ray_guide "streaming-shaped workloads"). All operators run through
-`partitioned_group_apply`, so every key's events land in one part and
-the per-part work is vectorized.
+grouped computations per key (ray_guide "streaming-shaped workloads"),
+each over one `joins.exchange`, so every key's events land in one part
+and the per-part work is vectorized: the bucketed windows are the
+decomposable `joins.aggregate`; sessions need the in-group time order,
+so pandas runs that logic in `partitioned_group_apply`.
 
 - tumbling_window: fixed-size buckets (floor(ts / size))
 - sliding_window: overlapping buckets (emit one row per covering window)
@@ -18,9 +19,14 @@ from __future__ import annotations
 import pandas as pd
 from ray.data import Dataset
 
-from ..joins import partitioned_group_apply
+from ..joins import aggregate, partitioned_group_apply
 
 US = 1_000_000  # timestamps arrive as int64 microseconds
+
+_WINDOW_AGGS = {
+    "n_events": (None, "count"),
+    "sum_value_cents": ("value_cents", "sum"),
+}
 
 
 def _to_epoch_us(series: pd.Series) -> pd.Series:
@@ -51,14 +57,9 @@ def tumbling_window(
         )
         return out
 
-    def agg(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pdf.groupby([key, "window_start_s"], as_index=False).agg(
-            n_events=("value_cents", "size"),
-            sum_value_cents=("value_cents", "sum"),
-        )
-
-    return partitioned_group_apply(
-        ds.map_batches(prep, batch_format="pandas"), [key, "window_start_s"], agg
+    return aggregate(
+        ds.map_batches(prep, batch_format="pandas"), [key, "window_start_s"],
+        _WINDOW_AGGS,
     )
 
 
@@ -98,14 +99,9 @@ def sliding_window(
             )
         return pd.concat(outs, ignore_index=True)
 
-    def agg(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pdf.groupby([key, "window_start_s"], as_index=False).agg(
-            n_events=("value_cents", "size"),
-            sum_value_cents=("value_cents", "sum"),
-        )
-
-    return partitioned_group_apply(
-        ds.map_batches(prep, batch_format="pandas"), [key, "window_start_s"], agg
+    return aggregate(
+        ds.map_batches(prep, batch_format="pandas"), [key, "window_start_s"],
+        _WINDOW_AGGS,
     )
 
 

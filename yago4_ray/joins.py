@@ -12,19 +12,20 @@ Two regimes, chosen explicitly per call site (SURVEY §2.4, ray_guide):
   tasks with no Ray Data all-to-all operator: map tasks tag each
   side's rows with a part id, normalize the block schema and split the
   rows by reducer (`num_returns`); each reduce task hands a part
-  function one table per side, once per part. Joins
-  (`copartition_join` and the build's N-way part functions), grouped
-  applies (`partitioned_group_apply`), exact dedups (`distinct_rows`),
-  connected-component rounds and the statement-store clustering all
-  run on it.
+  function one Arrow table per side, once per part. Joins
+  (`copartition_join` and the build's N-way part functions),
+  decomposable grouped aggregates (`aggregate`: one Arrow `group_by`
+  per block, one more per part), exact dedups (`distinct_rows`, the
+  aggregate without aggregates), connected-component rounds and the
+  statement-store clustering all run on it. `partitioned_group_apply`
+  is the one pandas adapter: its part function sees a DataFrame, the
+  exchange only Arrow.
 
 Exact dedup of triples hash-partitions on the *full* (s,p,o) key, so hub
 subjects (Q5-class entities) spread across partitions by construction —
 no salting needed there. maxCount ships the statement join's rows
 keyed on the mapped subject alone (build._apply_max_count): a subject's
-fact count is bounded, so a hub object cannot skew it;
-`salted_aggregate` spreads the hot keys of a decomposable aggregate
-that a `top_hot_keys` pre-pass finds.
+fact count is bounded, so a hub object cannot skew it.
 Join keys that range over object items (the build's item join) are
 skew-prone; ROADMAP item 10 salts them inside `exchange`.
 """
@@ -37,7 +38,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -116,25 +116,34 @@ def partitions_for_nbytes(
     return max(base, min(by_size, cap))
 
 
-def _block_groups(ds: Dataset, rows_per_group: int | None) -> list[list]:
+def _block_groups(
+    ds: Dataset, rows_per_group: int | None
+) -> tuple[list[list], dict]:
     """`ds`'s block refs in order, adjacent blocks grouped up to
-    `rows_per_group` rows (None: one block per group). A materialized
-    Dataset yields its refs; a lazy one runs once."""
+    `rows_per_group` rows (None: one block per group), and the first
+    non-null Arrow type each column has in the blocks' metadata. A
+    materialized Dataset yields its refs; a lazy one runs once."""
     if isinstance(ds, MaterializedDataset):
         # a from_arrow_refs/from_pandas plan is not marked executed, so
         # iterating it starts a bare Input execution; materialize()
         # marks it without running anything
         ds = ds.materialize()
     groups: list[list] = []
+    types: dict = {}
     rows = 0
     for bundle in ds.iter_internal_ref_bundles():
+        if bundle.schema is not None:
+            schema = ray.data.Schema(bundle.schema)
+            for name, t in zip(schema.names, schema.types):
+                if isinstance(t, pa.DataType) and not pa.types.is_null(t):
+                    types.setdefault(name, t)
         for ref, meta in bundle.blocks:
             if not groups or rows_per_group is None or rows >= rows_per_group:
                 groups.append([])
                 rows = 0
             groups[-1].append(ref)
             rows += meta.num_rows or 0
-    return groups
+    return groups, types
 
 
 def _concat(tables: list[pa.Table]) -> pa.Table:
@@ -186,14 +195,7 @@ def _exchange_reduce(fns, *slices):
     order = np.argsort(parts, kind="stable")
     t = t.take(order)
     bounds = [0, *(np.flatnonzero(np.diff(parts[order])) + 1), t.num_rows]
-    outs = [reduce(t.slice(a, b - a)) for a, b in zip(bounds, bounds[1:])]
-    # an empty part output (an empty pandas column is object-typed)
-    # must not decide the block's column types
-    outs = [o for o in outs if len(o)] or outs[:1]
-    if isinstance(outs[0], pd.DataFrame):
-        out = BlockAccessor.for_block(pd.concat(outs, ignore_index=True)).to_arrow()
-    else:
-        out = _concat(outs)
+    out = _concat([reduce(t.slice(a, b - a)) for a, b in zip(bounds, bounds[1:])])
     if out.schema.metadata:
         out = out.replace_schema_metadata(None)
     return out, out.num_rows
@@ -204,7 +206,6 @@ def exchange(
     keys: list[str],
     part_fn,
     num_parts: int,
-    batch_format: str = "pyarrow",
     col_types: dict | None = None,
     hash_keys: bool = False,
     tag_batch_size: int | None = None,
@@ -212,7 +213,8 @@ def exchange(
 ) -> Dataset:
     """The engine's one hash exchange: tag every row of every side with
     its part id, move each part's rows to one reduce task, and call
-    `part_fn(tables, keys)` once per PART with one table per side.
+    `part_fn(tables, keys)` once per PART with one Arrow table per
+    side; it returns an Arrow table.
     Every row of a key lands in one part, so per-key work inside
     `part_fn` (joins, semi-joins, exact dedups, group-wise filters) is
     exact, at one Python call per part rather than per group.
@@ -234,13 +236,17 @@ def exchange(
     only those columns: null or large_string columns are cast to their
     `col_types` entry (default string), and on a multi-side exchange
     the columns other sides declare travel as typed nulls, so every
-    slice of a part concatenates under one schema. Its part table is
+    slice of a part concatenates under one schema. A padded column
+    with no `col_types` entry takes the non-string type its declaring
+    input's blocks carry (their Ray metadata; an input under a map
+    function: string). Its part table is
     Arrow and holds `cols`. An UNDECLARED side (`cols` None, one-side
     exchanges only) ships its blocks as they are, and its part table
-    (`batch_format`, Arrow or pandas) keeps `__part`. Schema metadata
-    (pandas' dict) is stripped from every shipped and returned block.
-    The exchange itself always ships Arrow: pandas object frames would
-    pickle every string.
+    keeps `__part`. Schema metadata (pandas' dict) is stripped from
+    every shipped and returned block. Part tables are Arrow, never
+    pandas: object frames would pickle every string, and a caller that
+    wants a DataFrame converts inside its part function
+    (`partitioned_group_apply`).
 
     `hash_keys=True` ships a 128-bit key digest (two independently
     seeded polars `hash_rows` uint64 columns, `__k1`/`__k2`) instead
@@ -296,7 +302,7 @@ def exchange(
     ]
     multi = len(side_cols) > 1
     declared = list(dict.fromkeys(c for cols in side_cols for c in cols or ()))
-    types = col_types or {}
+    types = dict(col_types or {})
     join_keys = ["__k1", "__k2"] if hash_keys else keys
 
     def column(batch: pa.Table, c: str, ship: list[str]):
@@ -364,19 +370,29 @@ def exchange(
 
     def reduce(t: pa.Table):
         tables = [side_table(t, i, cols) for i, cols in enumerate(side_cols)]
-        if batch_format == "pandas":
-            tables = [BlockAccessor.for_block(s).to_pandas() for s in tables]
         out = part_fn(tables, join_keys)
-        if hash_keys and isinstance(out, pa.Table):
+        if hash_keys:
             out = out.drop_columns([c for c in join_keys if c in out.column_names])
         return out
 
-    fns = ray.put((tag, reduce, [(side, fn) for side, _, fn in inputs]))
     with ThreadPoolExecutor(max_workers=len(inputs)) as pool:
         per_input = list(pool.map(
             lambda ds: _block_groups(ds, tag_batch_size), [ds for _, ds, _ in inputs]
         ))
-    groups = [(j, refs) for j, found in enumerate(per_input) for refs in found]
+    # a column another side pads, with no col_types entry, pads with
+    # the type its own blocks carry unless that is a string (an input
+    # under a map function ships blocks whose types are not known here)
+    for (side, _, fn), (_, seen) in zip(inputs, per_input):
+        for c in side_cols[side] or ():
+            t = seen.get(c)
+            if (
+                fn is None and t is not None and c not in types
+                and not (pa.types.is_string(t) or pa.types.is_large_string(t))
+                and any(c not in (cols or ()) for cols in side_cols)
+            ):
+                types[c] = t
+    fns = ray.put((tag, reduce, [(side, fn) for side, _, fn in inputs]))
+    groups = [(j, refs) for j, (found, _) in enumerate(per_input) for refs in found]
     del per_input
     num_reducers = min(num_parts, len(groups))
     splits = [
@@ -460,14 +476,98 @@ def _part_ids(batch: pa.Table, key_columns: list[str], num_parts: int) -> pa.Arr
     return pa.array((h % np.uint64(num_parts)).astype("int64"), pa.int64())
 
 
+# the re-reduction of each aggregate over partials of itself
+_REFOLD = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def fold(
+    t: pa.Table, keys: list[str], aggs: dict, refold: bool = False
+) -> pa.Table:
+    """One Arrow hash group-by of `t` on `keys` (no key: one row).
+    `aggs` maps output column -> (input column, fn), fn in sum, min,
+    max or count (rows; its input column is unused). With `refold`,
+    `t` holds partials of the same spec (earlier folds' outputs,
+    concatenated) and each output column re-reduces its own partials:
+    sums of sums and of counts, min of mins, max of maxes. A null key
+    is a group of its own. Returns the keys, then `aggs`' columns."""
+    if refold:
+        specs = [(out, _REFOLD[fn]) for out, (_, fn) in aggs.items()]
+    else:
+        specs = [
+            ([], "count_all") if fn == "count" else (col, fn)
+            for col, fn in aggs.values()
+        ]
+    names = [
+        "count_all" if not col else f"{col}_{fn}" for col, fn in specs
+    ]
+    out = t.group_by(keys, use_threads=False).aggregate(specs)
+    return out.select(keys + names).rename_columns(keys + list(aggs))
+
+
 def _arrow_distinct(t: pa.Table, columns: list[str]) -> pa.Table:
-    """Exact distinct on `columns` via Arrow's hash group-by — ~6×
-    faster than a pandas round trip + drop_duplicates (no object
-    strings are ever materialized). Only valid when `columns` covers
-    every payload column (group_by drops the rest)."""
-    if t.num_rows == 0:
-        return t.select(columns)
-    return t.group_by(columns, use_threads=False).aggregate([]).select(columns)
+    """Exact distinct on `columns`: `fold` with no aggregate, Arrow's
+    hash group-by — ~6× faster than a pandas round trip +
+    drop_duplicates (no object strings are ever materialized). The
+    other columns of `t` are dropped."""
+    return fold(t, columns, {})
+
+
+def aggregate(
+    ds: Dataset,
+    keys: list[str],
+    aggs: dict,
+    num_parts: int = 32,
+) -> Dataset:
+    """Decomposable grouped aggregate over one `exchange` keyed on
+    `keys`: each block is folded (`fold`) in the exchange's map tasks,
+    so a block ships one partial row per group, and each part re-folds
+    its partials. `aggs` is `fold`'s spec; no aggregate is an exact
+    distinct on `keys` (`distinct_rows`). Returns the keys and the
+    aggregates, materialized. A null-typed key column (an all-null
+    pandas column) groups as string. With no input row the result is
+    one 0-row block of those columns, typed from `ds`'s schema (null
+    types as string)."""
+
+    def combine(t: pa.Table) -> pa.Table:
+        for c in keys:
+            if pa.types.is_null(t.schema.field(c).type):
+                t = t.set_column(
+                    t.schema.get_field_index(c), c, t[c].cast(pa.string())
+                )
+        return fold(t, keys, aggs)
+
+    def per_part(tables: list[pa.Table], _keys) -> pa.Table:
+        (t,) = tables
+        return fold(t, keys, aggs, refold=True)
+
+    cols = keys + list(aggs)
+    out = exchange([([(ds, combine)], cols)], keys, per_part, num_parts)
+    if out.count():  # materialized: a metadata read
+        return out
+    # no input row, so no part ran: fold an empty table of ds's schema
+    schema = ds.schema()
+    if schema is None:
+        return out
+    used = set(keys) | {c for c, _ in aggs.values()}
+    empty = pa.table({
+        n: pa.array([], pa.string() if pa.types.is_null(t) else t)
+        for n, t in zip(schema.names, schema.types) if n in used
+    })
+    return ray.data.from_arrow(
+        fold(fold(empty, keys, aggs), keys, aggs, refold=True)
+    ).materialize()
+
+
+def distinct_rows(
+    ds: Dataset,
+    columns: list[str],
+    num_parts: int = 32,
+) -> Dataset:
+    """Exact distinct on `columns` (G6; SURVEY §2.7): `aggregate` with
+    no aggregate, so the exchange is keyed on ALL columns and hub
+    values in one column can't skew partitions. `columns` must cover
+    every column of `ds`."""
+    return aggregate(ds, columns, {}, num_parts)
 
 
 def partitioned_group_apply(
@@ -479,138 +579,18 @@ def partitioned_group_apply(
     """Grouped computation WITHOUT per-group Python overhead: one
     `exchange` on `key_columns`, then `fn` once per PART with a pandas
     DataFrame of complete groups — `fn` does its own vectorized
-    `pdf.groupby(...)`. The part key hashes ALL key columns, so a
-    skewed single column only skews if one exact key dominates — for
-    that case raise num_parts or pre-salt (`salted_aggregate`). A
-    combiner (per-batch pre-reduction) is a `map_batches` on `ds`: it
-    runs in `ds`'s own execution, which the exchange streams once."""
+    `pdf.groupby(...)`. The engine's one pandas adapter: the part
+    table reaches `fn` as a DataFrame and `fn`'s DataFrame goes back
+    to Arrow before the exchange sees it; a decomposable aggregate is
+    `aggregate`, Arrow end to end. The part key hashes ALL key
+    columns, so a skewed single column only skews if one exact key
+    dominates (raise num_parts). A combiner (per-batch pre-reduction)
+    is a `map_batches` on `ds`: it runs in `ds`'s own execution, which
+    the exchange streams once."""
 
-    def apply_part(tables: list[pd.DataFrame], _keys) -> pd.DataFrame:
+    def apply_part(tables: list[pa.Table], _keys) -> pa.Table:
         (part,) = tables
-        return fn(part.drop(columns=["__part"]))
+        pdf = BlockAccessor.for_block(part.drop_columns(["__part"])).to_pandas()
+        return BlockAccessor.for_block(fn(pdf)).to_arrow()
 
-    return exchange(
-        [(ds, None)], key_columns, apply_part, num_parts, batch_format="pandas"
-    )
-
-
-def distinct_rows(
-    ds: Dataset,
-    columns: list[str],
-    num_parts: int = 32,
-) -> Dataset:
-    """Exact distinct on `columns` (G6; SURVEY §2.7): per-batch
-    combiner pre-dedup, then one `exchange` keyed on ALL columns, so
-    hub values in one column can't skew partitions.
-
-    Arrow end to end when `columns` covers every payload column: both
-    the combiner and the per-part dedup run Arrow's hash group-by.
-    Otherwise both fall back to drop_duplicates to keep the non-key
-    columns."""
-
-    def pre(batch: pa.Table) -> pa.Table:
-        if batch.schema.metadata:
-            batch = batch.replace_schema_metadata(None)
-        # empty upstream blocks surface columns as null type — cast to
-        # string so every block shares one schema through the shuffle
-        for i, c in enumerate(batch.column_names):
-            if pa.types.is_null(batch.column(i).type):
-                batch = batch.set_column(
-                    i, c, batch.column(i).cast(pa.string())
-                )
-        if all(c in columns for c in batch.column_names):
-            return _arrow_distinct(batch, columns)
-        return pa.Table.from_pandas(
-            batch.to_pandas().drop_duplicates(columns), preserve_index=False
-        ).replace_schema_metadata(None)
-
-    def per_part(tables: list[pa.Table], _keys) -> pa.Table:
-        (t,) = tables
-        t = t.drop_columns(["__part"])
-        if all(c in columns for c in t.column_names):
-            return _arrow_distinct(t, columns)
-        return pa.Table.from_pandas(
-            t.to_pandas().drop_duplicates(columns), preserve_index=False
-        )
-
-    return exchange(
-        [(ds.map_batches(pre, batch_format="pyarrow"), None)],
-        columns, per_part, num_parts,
-    )
-
-
-def top_hot_keys(
-    ds: Dataset, column: str, threshold: int, num_parts: int = 32
-) -> list[str]:
-    """Pre-pass hot-key detector: values of `column` whose row count
-    exceeds `threshold` (drives salting decisions). Combiner partials
-    per batch, partitioned reduce — the detection itself can't skew."""
-    partials = ds.map_batches(
-        lambda b: b.groupby(column, as_index=False).agg(n=(column, "size")),
-        batch_format="pandas",
-    )
-    counts = partitioned_group_apply(
-        partials,
-        [column],
-        lambda pdf: pdf.groupby(column, as_index=False).agg(n=("n", "sum")),
-        num_parts=num_parts,
-    ).to_pandas()
-    return sorted(counts.loc[counts["n"] > threshold, column])
-
-
-def salted_aggregate(
-    ds: Dataset,
-    key: str,
-    agg_spec: dict[str, tuple[str, str]],
-    hot_keys: list[str] | None = None,
-    hot_threshold: int | None = None,
-    salt: int = 16,
-    num_parts: int = 32,
-) -> Dataset:
-    """Two-phase aggregate with explicit hot-key salting (SURVEY §4 /
-    north_rule: hub entities like Q5 make a naive key-partitioned
-    aggregate one-reducer-bound).
-
-    Phase 1 groups on (key, salt) where salt spreads ONLY the hot keys
-    (detected by a pre-pass when `hot_keys` is None) across `salt`
-    sub-buckets; phase 2 merges the per-salt partials — tiny, because
-    each hot key now contributes at most `salt` rows. `agg_spec` maps
-    output column → (input column, 'sum'|'min'|'max'|'size') — the
-    decomposable aggregates salting is valid for."""
-    if hot_keys is None:
-        hot_keys = top_hot_keys(ds, key, hot_threshold or 100_000)
-    hot_ref = ray.put(set(hot_keys))
-
-    def add_salt(batch: pd.DataFrame) -> pd.DataFrame:
-        hot = get_broadcast(hot_ref)
-        batch = batch.copy()
-        is_hot = batch[key].isin(hot).to_numpy()
-        salts = np.arange(len(batch)) % salt  # round-robin within batch
-        batch["__salt"] = np.where(is_hot, salts, 0).astype("int64")
-        return batch
-
-    spec1 = {
-        out: (col, "size" if how == "size" else how)
-        for out, (col, how) in agg_spec.items()
-    }
-    merge_spec = {
-        out: (out, "sum" if how == "size" else how)
-        for out, (_, how) in agg_spec.items()
-    }
-
-    def phase1(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pdf.groupby([key, "__salt"], as_index=False).agg(**spec1)
-
-    def phase2(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pdf.groupby(key, as_index=False).agg(**merge_spec)
-
-    # shuffle 1 keyed on (key, salt): a hot key spreads over `salt`
-    # partitions; shuffle 2 merges its ≤`salt` partial rows per key
-    partials = partitioned_group_apply(
-        ds.map_batches(add_salt, batch_format="pandas"),
-        [key, "__salt"],
-        phase1,
-        num_parts=num_parts,
-    ).drop_columns(["__salt"])
-    return partitioned_group_apply(partials, [key], phase2, num_parts=num_parts)
-
+    return exchange([(ds, None)], key_columns, apply_part, num_parts)

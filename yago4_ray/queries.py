@@ -21,7 +21,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ray.data import Dataset
-from ray.data.aggregate import Count, Max, Min, Sum
+
+from .joins import _concat, aggregate, fold
 
 _CENTS = 100
 
@@ -90,7 +91,9 @@ def _lowest_rows_pq(
     for rg in range(md.num_row_groups):
         st = md.row_group(rg).column(leaf).statistics if leaf is not None else None
         if st is None or not st.has_min_max:
-            return _lowest_rows(_read(sf_dir, table, columns), col, n)
+            return _lowest_rows(
+                _read(sf_dir, table, columns), [(col, "ascending")], n
+            ).to_pandas()
         mins.append((st.min, rg))
     mins.sort()
     frames: list[pd.DataFrame] = []
@@ -105,14 +108,25 @@ def _lowest_rows_pq(
     return pd.concat(frames).nsmallest(n, col).reset_index(drop=True)
 
 
-def _lowest_rows(ds: Dataset, col: str, n: int) -> pd.DataFrame:
-    """The n rows with the smallest `col` values, by per-batch partial
-    nsmallest + a tiny driver reduce — a global `ds.sort(col).limit(n)`
-    is an all-to-all shuffle of the whole table for n rows."""
-    partials = ds.map_batches(
-        lambda b: b.nsmallest(n, col), batch_format="pandas"
-    ).to_pandas()
-    return partials.nsmallest(n, col).reset_index(drop=True)
+def _arrow_blocks(ds: Dataset) -> list[pa.Table]:
+    """`ds`'s blocks on the driver, in one execution (a lazy Dataset's
+    `to_arrow_refs` first runs a `limit(1)` job for its schema)."""
+    return ray.get(ds.materialize().to_arrow_refs())
+
+
+def _lowest_rows(
+    ds: Dataset, sort_keys: list[tuple[str, str]], n: int
+) -> pa.Table:
+    """The first n rows of `ds` in `sort_keys` order (Arrow `sort_by`
+    keys: (column, "ascending" | "descending") pairs), by a per-block
+    Arrow top-n + a tiny driver merge — a global
+    `ds.sort(...).limit(n)` is an all-to-all shuffle of the whole table
+    for n rows. The sort is stable, so ties keep block order."""
+
+    def top(t: pa.Table) -> pa.Table:
+        return t.sort_by(sort_keys).slice(0, n)
+
+    return top(_concat(_arrow_blocks(ds.map_batches(top, batch_format="pyarrow"))))
 
 
 # ---------------------------------------------------------------------------
@@ -122,46 +136,20 @@ def _lowest_rows(ds: Dataset, col: str, n: int) -> pd.DataFrame:
 def _partial_agg(ds, keys, aggs):
     """Decomposable aggregate as per-batch Arrow combiners + one tiny
     driver-side final combine (the brief's canonical pre-aggregation:
-    at 3-25 groups the native groupby().aggregate() pays per-query
-    aggregator-ACTOR startup to shuffle kilobytes). `aggs` maps output
-    column -> (input column, fn) with fn in {sum, min, max, count};
-    partials are (num_blocks x groups) rows, combined with the
-    matching re-reduction (sum of counts, min of mins, ...). Returns a
-    (tiny, materialized) Dataset so callers compose unchanged."""
-    arrow_aggs = []
-    renames = {}
-    for out, (col, fn) in aggs.items():
-        if fn == "count":
-            arrow_aggs.append(("__one", "sum"))
-            renames["__one_sum"] = out
-        else:
-            arrow_aggs.append((col, fn))
-            renames[f"{col}_{fn}"] = out
-    refold = {
-        out: ("count" if fn == "count" else fn)
-        for out, (col, fn) in aggs.items()
-    }
-
-    def partial(t: pa.Table) -> pa.Table:
-        if any(fn == "count" for _, fn in aggs.values()):
-            t = t.append_column(
-                "__one", pa.array(np.ones(t.num_rows, dtype=np.int64))
-            )
-        out = t.group_by(keys, use_threads=False).aggregate(arrow_aggs)
-        return out.rename_columns(
-            [renames.get(c, c) for c in out.column_names]
-        )
-
-    parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    # dropna=False: the per-batch Arrow group_by keeps a null-key group,
-    # so the final combine must too (pandas' default silently drops it)
-    final = parts.groupby(keys, as_index=False, dropna=False).agg(
-        {
-            out: ("sum" if fn in ("sum", "count") else fn)
-            for out, fn in refold.items()
-        }
+    at 1-25 groups a shuffle pays its tasks to move kilobytes).
+    `aggs` is `joins.fold`'s spec (output column -> (input column, fn),
+    fn in {sum, min, max, count}); no key is one global row. Partials
+    are (num_blocks x groups) rows, re-folded by the same Arrow kernel
+    (sum of counts, min of mins, ...). Returns a (tiny, materialized)
+    Dataset so callers compose unchanged."""
+    parts = _arrow_blocks(
+        ds.map_batches(lambda t: fold(t, keys, aggs), batch_format="pyarrow")
     )
-    return ray.data.from_pandas(final)
+    # materialize(): marks the plan executed without running it, so a
+    # consumer reads the block instead of starting an Input execution
+    return ray.data.from_arrow(
+        fold(_concat(parts), keys, aggs, refold=True)
+    ).materialize()
 
 
 def q1_lineitem_agg(sf_dir: str):
@@ -241,14 +229,8 @@ def q3_revenue_by_nation(sf_dir: str):
         })
         return out[out["n_name"].notna()]
 
-    joined = orders.map_batches(join_batch, batch_format="pandas")
     return _partial_agg(
-        joined.map_batches(
-            lambda t: (
-                t.replace_schema_metadata(None) if t.schema.metadata else t
-            ),
-            batch_format="pyarrow",
-        ),
+        orders.map_batches(join_batch, batch_format="pandas"),
         ["n_name"],
         {
             "n_orders": (None, "count"),
@@ -267,48 +249,28 @@ def q4_top_parts_by_quantity(sf_dir: str):
             "qty": pc.cast(t["l_quantity"], pa.int64()),
         })
 
-    from .joins import partitioned_group_apply
-
-    def agg_part(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pdf.groupby("l_partkey", as_index=False).agg(sum_qty=("qty", "sum"))
-
-    # high-cardinality key → partitioned pandas agg (native .aggregate()
-    # pays per-group Python overhead), with a per-batch combiner
-    agg = partitioned_group_apply(
-        ds.map_batches(prep, batch_format="pyarrow").map_batches(
-            lambda pdf: pdf.groupby("l_partkey", as_index=False).agg(
-                qty=("qty", "sum")
-            ),
-            batch_format="pandas",
-        ),
-        ["l_partkey"],
-        agg_part,
+    # high-cardinality key → the exchange aggregate, then a per-block
+    # top-10 and a driver merge instead of a sort shuffle
+    sums = aggregate(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["l_partkey"], {"sum_qty": ("qty", "sum")},
     )
-    top = agg.sort(["sum_qty", "l_partkey"], descending=[True, False]).limit(10)
-    return top
+    return ray.data.from_arrow(_lowest_rows(
+        sums, [("sum_qty", "descending"), ("l_partkey", "ascending")], 10
+    )).materialize()
 
 
 def q5_event_type_users(sf_dir: str):
     """Distinct users + row counts per event type (exact distinct)."""
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df.groupby(["event_type", "user_id"], as_index=False)
-            .agg(n=("user_id", "size"))
-        )
-
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_type": [g["event_type"].iloc[0]],
-            "n_users": [g["user_id"].nunique()],
-            "n_events": [int(g["n"].sum())],
-        })
-
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("event_type")
-        .map_groups(per_group, batch_format="pandas")
+    # inner level: rows per (type, user) over the exchange; outer: the
+    # handful of types, a driver combine
+    per_user = aggregate(
+        ds, ["event_type", "user_id"], {"n": (None, "count")}
+    )
+    return _partial_agg(
+        per_user, ["event_type"],
+        {"n_users": (None, "count"), "n_events": ("n", "sum")},
     )
 
 
@@ -332,13 +294,13 @@ def q6_filtered_lineitems(sf_dir: str):
             "revenue_ten_thousandths": pc.cast(pc.round(revenue), pa.int64()),
         })
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby(None)
-        .aggregate(
-            Count(alias_name="n_rows"),
-            Sum("revenue_ten_thousandths", alias_name="revenue_sum"),
-        )
+    return _partial_agg(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        [],
+        {
+            "n_rows": (None, "count"),
+            "revenue_sum": ("revenue_ten_thousandths", "sum"),
+        },
     )
 
 
@@ -354,31 +316,17 @@ def q7_hourly_user_activity(sf_dir: str):
             "value_cents": (df["value"] * _CENTS).round().astype("int64"),
         })
 
-    from .joins import partitioned_group_apply
-
-    # combiner BEFORE the shuffle: per-batch partials collapse ~100
-    # event rows per (user, hour) group to one — the exchange ships
-    # blocks × groups partial rows instead of every event (the same
+    # the exchange aggregate's per-block combiner collapses ~100 event
+    # rows per (user, hour) group to one before the shuffle (the same
     # decomposable-aggregate discipline as _partial_agg, kept
     # distributed here because the group count is high)
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["user_id", "epoch_hour"], as_index=False).agg(
-            n_events=("value_cents", "size"),
-            sum_value_cents=("value_cents", "sum"),
-        )
-
-    def reduce_part(pdf: pd.DataFrame) -> pd.DataFrame:
-        return pdf.groupby(["user_id", "epoch_hour"], as_index=False).agg(
-            n_events=("n_events", "sum"),
-            sum_value_cents=("sum_value_cents", "sum"),
-        )
-
-    return partitioned_group_apply(
-        ds.map_batches(prep, batch_format="pandas").map_batches(
-            partial, batch_format="pandas"
-        ),
+    return aggregate(
+        ds.map_batches(prep, batch_format="pandas"),
         ["user_id", "epoch_hour"],
-        reduce_part,
+        {
+            "n_events": (None, "count"),
+            "sum_value_cents": ("value_cents", "sum"),
+        },
     )
 
 
@@ -413,10 +361,10 @@ def q10_embedding_stats(sf_dir: str):
             "dims": pc.cast(pc.list_value_length(t["embedding"]), pa.int64()),
         })
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("label")
-        .aggregate(Count(alias_name="n_vecs"), Sum("dims", alias_name="total_dims"))
+    return _partial_agg(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["label"],
+        {"n_vecs": (None, "count"), "total_dims": ("dims", "sum")},
     )
 
 
@@ -444,22 +392,19 @@ def q11_supplier_region(sf_dir: str):
         })
         return out[out["r_name"].notna()]
 
-    return (
-        ds.map_batches(join_batch, batch_format="pandas")
-        .groupby("r_name")
-        .aggregate(
-            Count(alias_name="n_items"),
-            Sum("price_cents", alias_name="sum_price_cents"),
-        )
+    return _partial_agg(
+        ds.map_batches(join_batch, batch_format="pandas"),
+        ["r_name"],
+        {"n_items": (None, "count"), "sum_price_cents": ("price_cents", "sum")},
     )
 
 
 def q12_language_share(sf_dir: str):
     """Docs + total chars per language tag (metadata column)."""
     ds = _read(sf_dir, "documents", ["lang", "n_chars"])
-    return (
-        ds.groupby("lang")
-        .aggregate(Count(alias_name="n_docs"), Sum("n_chars", alias_name="total_chars"))
+    return _partial_agg(
+        ds, ["lang"],
+        {"n_docs": (None, "count"), "total_chars": ("n_chars", "sum")},
     )
 
 
@@ -485,13 +430,17 @@ def q15_asof_purchase_click(sf_dir: str):
     from .dataops.temporal import asof_join
 
     events = _read(sf_dir, "events", ["user_id", "ts", "event_type", "value"])
+
+    def of_type(event_type: str, columns: list[str]):
+        return lambda t: t.filter(
+            pc.equal(t["event_type"], event_type)
+        ).select(columns)
+
     purchases = events.map_batches(
-        lambda df: df[df["event_type"] == "purchase"][["user_id", "ts", "value"]],
-        batch_format="pandas",
+        of_type("purchase", ["user_id", "ts", "value"]), batch_format="pyarrow"
     )
     clicks = events.map_batches(
-        lambda df: df[df["event_type"] == "click"][["user_id", "ts"]],
-        batch_format="pandas",
+        of_type("click", ["user_id", "ts"]), batch_format="pyarrow"
     )
     joined = asof_join(
         purchases, clicks, by="user_id", on="ts",
@@ -1080,25 +1029,14 @@ def dedup_ngram_exact_pairs(sf_dir: str):
     from .dataops.dedup import ngram_jaccard_pairs
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = ngram_jaccard_pairs(ds, "text", "doc_id", n=3, threshold=(1, 2))
-    return out.map_batches(
-        lambda df: pd.DataFrame(
-            {
-                "a": df["a"].astype("int64"),
-                "b": df["b"].astype("int64"),
-                "n_common": df["n_common"].astype("int64"),
-                "n_union": df["n_union"].astype("int64"),
-            }
-        ),
-        batch_format="pandas",
-    )
+    return ngram_jaccard_pairs(ds, "text", "doc_id", n=3, threshold=(1, 2))
 
 
 def q16_customer_order_join(sf_dir: str):
     """orders ⨝ customer via the task-based co-partitioned join
     (joins.copartition_join) → per-market-segment order count + revenue
     in integer cents."""
-    from .joins import copartition_join, partitioned_group_apply
+    from .joins import copartition_join
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
         lambda df: pd.DataFrame(
@@ -1122,18 +1060,9 @@ def q16_customer_order_join(sf_dir: str):
         ["custkey", "price_cents"], ["custkey", "c_mktsegment"],
         col_types={"price_cents": pa.int64()},
     )
-    partials = joined.map_batches(
-        lambda df: df.assign(price_cents=df["price_cents"].astype("int64"))
-        .groupby("c_mktsegment", as_index=False)
-        .agg(n_orders=("price_cents", "size"), revenue_cents=("price_cents", "sum")),
-        batch_format="pandas",
-    )
-    return partitioned_group_apply(
-        partials,
-        ["c_mktsegment"],
-        lambda pdf: pdf.groupby("c_mktsegment", as_index=False).agg(
-            n_orders=("n_orders", "sum"), revenue_cents=("revenue_cents", "sum")
-        ),
+    return aggregate(
+        joined, ["c_mktsegment"],
+        {"n_orders": (None, "count"), "revenue_cents": ("price_cents", "sum")},
     )
 
 

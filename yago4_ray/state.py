@@ -66,7 +66,7 @@ except ImportError:
 from . import graph as G
 from . import terms as T
 from .broadcast import _hash_series
-from .joins import _arrow_distinct, get_broadcast, partitioned_group_apply
+from .joins import _arrow_distinct, exchange, get_broadcast
 from .schema import Schema
 from .sources import scan_predicate
 
@@ -993,6 +993,8 @@ def build_shape_instances(
     exchange on instance doing dedup + disjoint-instance removal.
     Returns (ref of the packed per-shape HashIndex sets, the resolved
     (shape, instance) Dataset, ref of the packed `yago_classes`)."""
+    import pyarrow.compute as pc
+
     # yago class → shapes whose closure contains it (driver, tiny)
     shape_targets = [s.target_class for s in schema.node_shapes()]
     class_to_shapes: dict[str, list[str]] = defaultdict(list)
@@ -1068,26 +1070,32 @@ def build_shape_instances(
 
     fanned = p31.map_batches(fan_out, batch_format="pandas")
 
-    def resolve_part(pdf: pd.DataFrame) -> pd.DataFrame:
+    def resolve_part(tables: list[pa.Table], _keys) -> pa.Table:
         """Dedup (shape, instance); drop instances that belong to two
         disjoint shapes (plan.rs:692-730). Vectorized set algebra over
         complete instance groups."""
         pairs = get_broadcast(refs["disjoint_pairs"])
-        pdf = pdf.drop_duplicates(["shape", "instance"])
-        bad: set = set()
+        (t,) = tables
+        t = _arrow_distinct(t, ["shape", "instance"])
         members = {
-            shape: set(pdf.loc[pdf["shape"] == shape, "instance"])
+            shape: t["instance"].filter(pc.equal(t["shape"], shape))
+            .combine_chunks()
             for shape in {a for a, _ in pairs} | {b for _, b in pairs}
         }
-        for a, b in pairs:
-            bad |= members.get(a, set()) & members.get(b, set())
-        if bad:
-            pdf = pdf[~pdf["instance"].isin(bad)]
-        return pdf
+        bad = [
+            members[a].filter(pc.is_in(members[a], value_set=members[b]))
+            for a, b in pairs
+        ]
+        bad = pa.concat_arrays(bad) if bad else pa.array([], pa.string())
+        if len(bad):
+            t = t.filter(pc.invert(pc.is_in(t["instance"], value_set=bad)))
+        return t
 
     # materialized (an exchange result): consumed by simple-types and
     # every distributed join
-    resolved = partitioned_group_apply(fanned, ["instance"], resolve_part)
+    resolved = exchange(
+        [(fanned, ["shape", "instance"])], ["instance"], resolve_part, 32
+    )
 
     # pack the per-shape sets in a REMOTE task over the materialized
     # blocks. The driver gets back only the refs: downstream

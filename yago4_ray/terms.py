@@ -298,14 +298,6 @@ def is_iri(term: str) -> bool:
     return term.startswith("<")
 
 
-def is_literal(term: str) -> bool:
-    return term.startswith('"')
-
-
-def is_blank(term: str) -> bool:
-    return term.startswith("_:")
-
-
 def iri_value(term: str) -> str:
     """'<http://x>' → 'http://x'."""
     return term[1:-1]
