@@ -121,10 +121,3 @@ def test_freebase():
     )
     assert C.convert_freebase_id('"/x/bad"') is None
     assert C.convert_freebase_id(T.lang_string("/m/02mjmr", "en")) is None
-
-
-def test_enwiki_to_dbpedia():
-    assert (
-        C.enwiki_to_dbpedia("https://en.wikipedia.org/wiki/Douglas_Adams")
-        == "http://dbpedia.org/resource/Douglas_Adams"
-    )

@@ -81,3 +81,15 @@ def test_cc_empty(ray_session):
         ray.data.from_pandas(pd.DataFrame({"a": [], "b": []}))
     ).to_pandas()
     assert len(out) == 0
+
+
+def test_cc_star_rounds_run_no_union(ray_session, monkeypatch):
+    """The star rounds' result is one Dataset over the materialized
+    edges' and roots' blocks: no Ray Data union runs."""
+
+    def no_union(self, *others):
+        raise AssertionError("Dataset.union called")
+
+    monkeypatch.setattr(ray.data.Dataset, "union", no_union)
+    edges = [(i, i + 1) for i in range(12)] + [(20, 21), (30, 5)]
+    assert _run(edges, small_cap=0) == _reference(edges)

@@ -290,6 +290,32 @@ def test_one_aggregate_and_no_ray_data_shuffle_in_source():
     assert not [p for p, text in texts.items() if ".map_groups(" in text]
 
 
+def test_build_path_is_arrow_only_in_source():
+    """build.py, build_dist.py and state.py import no pandas and make no
+    pandas batch or frame: every map from the store scan to the writer
+    is Arrow. The family plan's `_then` has no `batch_format`, and its
+    pandas adapter (`_on_pandas`) and accumulator (`_Rows`) are gone."""
+    import inspect
+    import pathlib
+    import re
+
+    from yago4_ray import build_dist
+
+    pkg = pathlib.Path(__file__).resolve().parent.parent / "yago4_ray"
+    pandas = re.compile(
+        r"^\s*(import pandas|from pandas)|batch_format=\"pandas\"|\.to_pandas\(",
+        re.M,
+    )
+    found = [
+        name for name in ("build.py", "build_dist.py", "state.py")
+        if pandas.search((pkg / name).read_text())
+    ]
+    assert not found, found
+    assert "batch_format" not in inspect.signature(build_dist._then).parameters
+    gone = [name for name in ("_Rows", "_on_pandas") if hasattr(build_dist, name)]
+    assert not gone, gone
+
+
 def test_one_maxcount_implementation():
     """maxCount is one subject-keyed exchange (`build._apply_max_count`):
     no volume cap chooses a second path, and no offender set is

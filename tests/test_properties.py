@@ -167,8 +167,7 @@ def _build_index(keys, cols, keep_keys, prehashed, presorted, container):
 def test_hash_index_matches_dict(construction, n_values, keys, probes, container):
     """contains / lookup / get / len agree with a plain dict built
     first-wins over the input order, on every construction and for
-    Series and Arrow probes."""
-    import pandas as pd
+    list and Arrow probes."""
     import pyarrow as pa
 
     cols = [
@@ -181,9 +180,8 @@ def test_hash_index_matches_dict(construction, n_values, keys, probes, container
     for i, k in enumerate(keys):
         want.setdefault(k, tuple(col[i] for col in cols))
     every = keys + probes
-    series = pd.Series(every, index=range(7, 7 + len(every)), dtype=object)
     assert len(index) == len(want)
-    assert list(index.contains(series)) == [p in want for p in every]
+    assert list(index.contains(every)) == [p in want for p in every]
     assert list(index.contains(pa.array(every, pa.string()))) == [
         p in want for p in every
     ]
@@ -192,14 +190,11 @@ def test_hash_index_matches_dict(construction, n_values, keys, probes, container
         assert got == (None if p not in want else
                        want[p][0] if n_values == 1 else want[p])
     if n_values:
-        by_series = index.lookup(series)
         by_arrow = index.lookup(pa.array(every, pa.string()))
         if n_values == 1:
-            by_series, by_arrow = (by_series,), (by_arrow,)
+            by_arrow = (by_arrow,)
         for j in range(n_values):
             expect = [want[p][j] if p in want else None for p in every]
-            assert list(by_series[j].index) == list(series.index)
-            assert list(by_series[j]) == expect
             assert by_arrow[j].to_pylist() == expect
 
 
@@ -221,12 +216,14 @@ def test_hashes_only_index_raises_on_equal_hashes():
     collision, so equal hashes raise (best-rank's caller then rebuilds
     from the statement strings)."""
     import numpy as np
-    import pandas as pd
+    import pyarrow as pa
 
     from yago4_ray.broadcast import HashIndex, _hash_series
 
     index = HashIndex.from_hashes(_hash_series(["b", "a"]))
-    assert list(index.contains(pd.Series(["a", "c", "b"]))) == [True, False, True]
+    assert index.contains(pa.array(["a", "c", "b"])).tolist() == [
+        True, False, True
+    ]
     with pytest.raises(ValueError):
         HashIndex.from_hashes(np.array([7, 3, 7], np.uint64))
 
@@ -254,7 +251,6 @@ def test_hashedmap_presorted_collision_falls_back_exact():
     the dict, duplicates still first-wins, keys kept or not, presorted
     or not — never silently wrong."""
     import numpy as np
-    import pandas as pd
     import pyarrow as pa
 
     from yago4_ray.broadcast import HashIndex
@@ -269,8 +265,8 @@ def test_hashedmap_presorted_collision_falls_back_exact():
             assert m._exact is not None and len(m) == 2
             assert m.get("<a>") == "<1>" and m.get("<b>") == "<2>"
             assert m.get("<c>") is None
-            probe = pd.Series(["<b>", "<c>", "<a>"])
-            assert list(m.lookup(probe)) == ["<2>", None, "<1>"]
+            probe = pa.array(["<b>", "<c>", "<a>"])
+            assert m.lookup(probe).to_pylist() == ["<2>", None, "<1>"]
             assert list(m.contains(pa.array(["<c>", "<a>"]))) == [False, True]
             chunked = pa.chunked_array([["<c>"], ["<a>", "<b>"]])
             assert list(m.contains(chunked)) == [False, True, True]
@@ -377,8 +373,8 @@ def _kernel_rows(kernel, subjects, objects, value_col):
             }
         )
     )
-    assert list(got["h"]) == list(_hash_series(got["item"]))
-    return list(zip(got["item"], got[value_col]))
+    assert got["h"].to_pylist() == list(_hash_series(got["item"]))
+    return list(zip(got["item"].to_pylist(), got[value_col].to_pylist()))
 
 
 def test_arrow_candidate_kernels_match_spec():
@@ -479,3 +475,97 @@ def test_label_kernel_parity_fuzz(texts, qids):
     objects = [f'"{t}"@en' for t in texts[:n]]
     got = _kernel_rows(_label_candidates_arrow, subjects, objects, "uri")
     assert got == _label_spec(subjects, objects)
+
+
+# ---------------------------------------------------------------------------
+# Term datatype and sh:pattern kernels: the Arrow kernels against the
+# pandas kernels they replaced, kept here as the reference
+# ---------------------------------------------------------------------------
+
+def _pandas_datatype_series(obj):
+    import pandas as pd
+
+    out = pd.Series([None] * len(obj), index=obj.index, dtype=object)
+    if len(obj) == 0:
+        return out
+    is_lit = obj.str.startswith('"')
+    out[is_lit & obj.str.endswith('"')] = T.XSD_STRING
+    lang = is_lit & obj.str.contains(r'"@[A-Za-z0-9-]+$', regex=True)
+    out[lang] = T.RDF_LANG_STRING
+    dt = obj.str.extract(r"\^\^<([^>]+)>$", expand=False)
+    typed = is_lit & dt.notna()
+    out[typed] = dt[typed]
+    return out
+
+
+def _pandas_matches_pattern(obj, pattern):
+    import warnings
+
+    lit = obj.str.extract(r'^"(.*)"$', expand=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        has_pat = lit.str.contains(pattern, regex=True, na=False)
+    return (_pandas_datatype_series(obj) == T.XSD_STRING) & lit.notna() & has_pat
+
+
+def _shape_patterns():
+    from yago4_ray.schema import Schema
+
+    return sorted({s.pattern for s in Schema.open().property_shapes()
+                   if s.pattern is not None})
+
+
+_ISBN = next(p for p in _shape_patterns() if p.startswith("^(97[89]"))
+_iri_body = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cs",), blacklist_characters='<>"{}|^`\\ '
+    ),
+    min_size=1, max_size=12,
+)
+# literal content as the store holds it: no raw quote or backslash;
+# the digit alphabet reaches the identifier patterns, non-ASCII
+# digits included
+_content = st.text(
+    alphabet=st.characters(
+        blacklist_categories=("Cs",), blacklist_characters='"\\'
+    ),
+    max_size=10,
+) | st.text(alphabet=st.sampled_from("0123456789-X٣٤٩０１"), max_size=14)
+_terms = st.one_of(
+    _iri_body.map(lambda s: f"<{s}>"),
+    st.from_regex(r"_:[A-Za-z0-9]{1,8}", fullmatch=True),
+    _content.map(lambda c: f'"{c}"'),
+    st.tuples(_content, langs).map(lambda t: f'"{t[0]}"@{t[1]}'),
+    st.tuples(_content, _iri_body).map(lambda t: f'"{t[0]}"^^<{t[1]}>'),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(_terms, max_size=12),
+       pattern=st.sampled_from(_shape_patterns()))
+@example(terms=[], pattern=_ISBN)
+@example(terms=['"١٢٣٤٥٦٧٨٩X"', '"123456789X"', '"12345678X"',
+                '"123456789X"@en', '"123456789X"^^<x>', "<123456789X>",
+                '"a\n"', '"a"@en', '"a"^^<b\nc>', '"'],
+         pattern=_ISBN)
+def test_arrow_term_kernels_match_pandas(terms, pattern):
+    """Hypothesis: `build.term_datatypes` and `build.matches_pattern`
+    equal the pandas kernels they replaced on canonical terms (IRIs,
+    blank nodes, plain, language-tagged and typed literals), under
+    every sh:pattern of the shapes, on empty input too. Non-ASCII
+    digits pass the ISBN pattern: it is searched with Python's `re`,
+    whose `\\d` is Unicode (RE2's is ASCII-only)."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from yago4_ray.build import matches_pattern, term_datatypes
+
+    arrow = pa.array(terms, pa.string())
+    series = pd.Series(terms, dtype=object)
+    assert term_datatypes(arrow).to_pylist() == list(
+        _pandas_datatype_series(series)
+    )
+    got = matches_pattern(arrow, pattern).to_pylist()
+    assert got == list(_pandas_matches_pattern(series, pattern))
+    if terms[:1] == ['"١٢٣٤٥٦٧٨٩X"'] and pattern == _ISBN:
+        assert got[:3] == [True, True, False]

@@ -11,7 +11,9 @@ through the object store with zero-copy buffers: `ray.get` in a worker
 costs ~nothing regardless of size, and lookups are vectorized
 (`np.searchsorted` over ascending 64-bit key hashes). One class serves
 every broadcast state question: no value column is a set, one is a
-str → str map, two are a str → (str, str) map.
+str → str map, two are a str → (str, str) map. A probe is an Arrow
+array or a Python sequence; `contains` answers a numpy mask and
+`lookup` Arrow arrays aligned to the probe (null on a miss).
 
 Duplicate keys: the first occurrence in input order wins, on every
 construction. Duplicates are told apart from distinct keys sharing a
@@ -67,9 +69,7 @@ def _column(values) -> pa.Array:
         return values.combine_chunks()
     if isinstance(values, pa.Array):
         return values
-    if isinstance(values, pd.Series):
-        values = values.to_numpy()
-    return pa.array(values, from_pandas=True)
+    return pa.array(values)
 
 
 def _uint64(hashes) -> np.ndarray:
@@ -88,7 +88,7 @@ class HashIndex:
         """`hashes` are `_hash_series(keys)` computed where the keys were
         read; `presorted` promises them ascending (checked, and sorted
         when the promise does not hold)."""
-        if not isinstance(keys, (pa.Array, pa.ChunkedArray, pd.Series)):
+        if not isinstance(keys, (pa.Array, pa.ChunkedArray)):
             keys = list(keys)
         h = _hash_series(keys) if hashes is None else _uint64(hashes)
         keys = _column(keys)
@@ -139,7 +139,8 @@ class HashIndex:
         return len(self.hashes if self._exact is None else self._exact)
 
     def _probe(self, probe) -> tuple[np.ndarray, np.ndarray]:
-        """(stored row, hit) per probe key; the row is 0 on a miss."""
+        """(stored row, hit) per probe key (an Arrow array or a Python
+        sequence); the row is 0 on a miss."""
         if self._exact is not None:
             arrow = isinstance(probe, (pa.Array, pa.ChunkedArray))
             ks = probe.to_pylist() if arrow else probe
@@ -161,27 +162,21 @@ class HashIndex:
         return self._probe(probe)[1]
 
     def lookup(self, probe):
-        """Value columns aligned to `probe` (a Series or an Arrow array),
-        missing keys None: index-aligned Series for a Series, Arrow
-        arrays for an Arrow array; one column bare, two as a tuple."""
+        """Value columns aligned to `probe`, as Arrow arrays, missing
+        keys null; one column bare, two as a tuple."""
         rows, hit = self._probe(probe)
         rows, mask = pa.array(rows), pa.array(hit)
-        cols = []
-        for v in self.values:
-            col = (
-                pc.if_else(mask, v.take(rows), pa.scalar(None, v.type))
-                if hit.any()  # an empty index has no row to take
-                else pa.nulls(len(probe), v.type)
-            )
-            if isinstance(probe, pd.Series):
-                col = col.to_pandas()
-                col.index = probe.index
-            cols.append(col)
+        cols = [
+            pc.if_else(mask, v.take(rows), pa.scalar(None, v.type))
+            if hit.any()  # an empty index has no row to take
+            else pa.nulls(len(probe), v.type)
+            for v in self.values
+        ]
         return cols[0] if len(cols) == 1 else tuple(cols)
 
     def get(self, key: str):
         """The key's value (a tuple of two), None when absent."""
-        rows, hit = self._probe(pd.Series([key], dtype=object))
+        rows, hit = self._probe([key])
         if not hit[0]:
             return None
         row = tuple(v[int(rows[0])].as_py() for v in self.values)

@@ -39,11 +39,11 @@ from __future__ import annotations
 import functools
 import json
 import os
-import warnings
+import re
 from dataclasses import dataclass
 
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data import Dataset
@@ -57,6 +57,7 @@ from .joins import (
     exchange,
     get_broadcast,
     partitions_for_nbytes,
+    string_table,
 )
 from .schema import PropertyShape, Schema
 from .sources import scan_predicate
@@ -69,22 +70,14 @@ _TIME_DTS = frozenset(
 )
 
 
-def _spo_arrow(subject, predicate, obj) -> "object":
-    """(subject, predicate, object) as an Arrow string block. Pandas
-    object-dtype outputs make Ray's block-size estimator fall back to
-    np.vectorize (which errors on empty frames and mis-sizes strings)
-    and get pickled through shuffles; Arrow string columns size exactly
-    and ship zero-copy."""
-    import pyarrow as pa
-
+def _spo_arrow(subject, predicate, obj) -> pa.Table:
+    """(subject, predicate, object) as an Arrow string block from
+    driver-built lists (a str is a constant column): Arrow string
+    columns size exactly in Ray's estimator and ship zero-copy."""
     n = len(subject)
 
     def col(v):
-        if isinstance(v, str):
-            return pa.array([v] * n, pa.string())
-        if isinstance(v, pd.Series):
-            v = v.to_numpy()
-        return pa.array(v, pa.string(), from_pandas=True)
+        return pa.array([v] * n if isinstance(v, str) else v, pa.string())
 
     return pa.table(
         {"subject": col(subject), "predicate": col(predicate), "object": col(obj)}
@@ -193,8 +186,6 @@ CLEAN_FAMILY = {
 @ray.remote
 def _count_families(block) -> dict[str, int]:
     """Rows per clean-value family of one block."""
-    import pyarrow.compute as pc
-
     counts = pc.value_counts(block["family"])
     return dict(
         zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist())
@@ -208,9 +199,6 @@ def _pack_clean_maps(*blocks) -> dict:
     driver, so the broadcast object goes worker → object store with no
     driver concat, build, or ray.put serialize (measured 3.7 s of idle-cluster driver
     wait at 22 M statements)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     from .broadcast import HashIndex, _hash_series
 
     tbl = pa.concat_tables(
@@ -250,55 +238,61 @@ def clean_maps(root: str, uri_ref) -> tuple:
     return _pack_clean_maps.remote(*blocks), counts
 
 
-def best_rank_statements(root: str) -> pd.Series:
-    """Statement ids typed wikibase:BestRank (M16/J6) as a Series
-    (HashIndex consumes it without a Python set pass; statement ids are
-    store-unique) — build_facts' exact fallback when the fused scan's
-    64-bit BestRank hashes collide. The distributed path joins against
-    the best-rank ids instead (build_dist.best_rank_sides)."""
-    ds = scan_predicate(root, T.RDF_TYPE)
-    df = ds.map_batches(
-        lambda b: b[b["object"] == T.WIKIBASE_BEST_RANK][["subject"]],
-        batch_format="pandas",
-    ).to_pandas()
-    return df["subject"]
+def best_rank_statements(root: str) -> pa.ChunkedArray:
+    """Statement ids typed wikibase:BestRank (M16/J6) as one Arrow
+    column (HashIndex consumes it without a Python set pass; statement
+    ids are store-unique) — build_facts' exact fallback when the fused
+    scan's 64-bit BestRank hashes collide. The distributed path joins
+    against the best-rank ids instead (build_dist.best_rank_sides)."""
+    ds = scan_predicate(root, T.RDF_TYPE).map_batches(
+        lambda b: b.filter(pc.equal(b["object"], T.WIKIBASE_BEST_RANK)),
+        batch_format="pyarrow",
+    ).materialize()
+    return pa.chunked_array(
+        [t["subject"] for t in ray.get(ds.to_arrow_refs())], pa.string()
+    )
 
 
 # ---------------------------------------------------------------------------
 # The combined facts pipeline
 # ---------------------------------------------------------------------------
 
-def datatype_series(obj: pd.Series) -> pd.Series:
-    """Vectorized YagoTerm::datatype over canonical term strings
-    (model.rs:141-155): None for IRIs/blank nodes."""
-    out = pd.Series([None] * len(obj), index=obj.index, dtype=object)
-    if len(obj) == 0:
-        return out
-    is_lit = obj.str.startswith('"')
-    out[is_lit & obj.str.endswith('"')] = T.XSD_STRING
-    lang = is_lit & obj.str.contains(r'"@[A-Za-z0-9-]+$', regex=True)
-    out[lang] = T.RDF_LANG_STRING
-    dt = obj.str.extract(r"\^\^<([^>]+)>$", expand=False)
-    typed = is_lit & dt.notna()
-    out[typed] = dt[typed]
-    return out
+def term_datatypes(obj) -> pa.Array:
+    """YagoTerm::datatype over an Arrow column of canonical term strings
+    (model.rs:141-155), null for IRIs/blank nodes: a typed literal's
+    datatype, else rdf:langString, else xsd:string. `\\n?$` keeps
+    Python's `$`, which also matches before a final newline (RE2's
+    does not)."""
+    is_lit = pc.starts_with(obj, '"')
+    typed = pc.struct_field(
+        pc.extract_regex(obj, r"\^\^<(?P<dt>[^>]+)>\n?$"), "dt"
+    )
+    lang = pc.match_substring_regex(obj, r'"@[A-Za-z0-9-]+\n?$')
+    none = pa.scalar(None, pa.string())
+    untyped = pc.if_else(
+        lang, T.RDF_LANG_STRING,
+        pc.if_else(pc.ends_with(obj, '"'), T.XSD_STRING, none),
+    )
+    return pc.if_else(
+        is_lit, pc.if_else(pc.is_valid(typed), typed, untyped), none
+    )
 
 
-def _literal_values(obj: pd.Series) -> pd.Series:
-    """Vectorized plain-string literal values (no unescaping; sh:pattern
-    targets — identifiers without escapes)."""
-    return obj.str.extract(r'^"(.*)"$', expand=False)
-
-
-def matches_pattern(obj: pd.Series, pattern: str) -> pd.Series:
-    """sh:pattern mask: only plain strings can pass (plan.rs:1388-1397)."""
-    lit = _literal_values(obj)
-    with warnings.catch_warnings():
-        # SHACL patterns carry capture groups; contains() only tests
-        # for a match, so pandas' groups warning is noise
-        warnings.simplefilter("ignore", UserWarning)
-        has_pat = lit.str.contains(pattern, regex=True, na=False)
-    return (datatype_series(obj) == T.XSD_STRING) & lit.notna() & has_pat
+def matches_pattern(obj, pattern: str) -> pa.Array:
+    """sh:pattern mask over an Arrow column of terms: only plain strings
+    can pass, their value searched with Python's `re`
+    (plan.rs:1388-1397). Not RE2: its `\\d` is ASCII-only, while the
+    SHACL patterns (the ISBN one) mean Python's Unicode digits."""
+    lit = pc.struct_field(pc.extract_regex(obj, r'^"(?P<v>.*)"$'), "v")
+    plain = pc.fill_null(pc.equal(term_datatypes(obj), T.XSD_STRING), False)
+    search = re.compile(pattern).search
+    return pa.array(
+        [
+            p and v is not None and search(v) is not None
+            for p, v in zip(plain.to_pylist(), lit.to_pylist())
+        ],
+        pa.bool_(),
+    )
 
 
 def _apply_max_count(
@@ -325,8 +319,6 @@ def _apply_max_count(
     })
 
     def drop_offending(tables: list[pa.Table], _keys) -> pa.Table:
-        import pyarrow.compute as pc
-
         rows = tables[0].drop_columns(["__part"])
         counts = (
             rows.filter(pc.is_null(rows["ann_cfg"]))
@@ -382,33 +374,34 @@ def _expander(path_ref, annotated: bool):
     plus (annotation path, annotation object). Each row's JSON `extras`
     (its complex value's node triples, plan.rs:1209-1399) follow as
     triples, their annotation columns empty. The base rows are a column
-    projection; only rows with extras take the Python loop."""
+    projection and the paths an Arrow map over the (cfg, path) table
+    `path_ref`; only rows with extras take the Python loop."""
     cols = ["subject", "predicate", "object"]
     if annotated:
         cols += ["annotation_predicate", "annotation_object"]
+    schema = pa.schema([(c, pa.string()) for c in cols])
 
     def expand(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         kind = pc.is_valid(batch["ann_cfg"])
-        rows = batch.filter(kind if annotated else pc.invert(kind)).to_pandas()
+        rows = batch.filter(kind if annotated else pc.invert(kind))
         paths = get_broadcast(path_ref)
-        base = [rows["subject"], rows["cfg"].map(paths), rows["object"]]
+
+        def path(cfg):
+            return D.map_values(rows[cfg], paths["cfg"], paths["path"])
+
+        base = [rows["subject"], path("cfg"), rows["object"]]
         if annotated:
-            base += [rows["ann_cfg"].map(paths), rows["ann_obj"]]
-        extras = rows["extras"].fillna("").to_numpy()
-        triples = [t for e in extras[extras != ""] for t in json.loads(e)]
+            base += [path("ann_cfg"), rows["ann_obj"]]
+        extras = rows["extras"].filter(
+            pc.fill_null(pc.not_equal(rows["extras"], ""), False)
+        )
+        triples = [t for e in extras.to_pylist() for t in json.loads(e)]
         added = [*zip(*triples)] or [(), (), ()]
         added += [[""] * len(triples)] * (len(cols) - 3)
-        return pa.table(
-            {
-                c: pa.concat_arrays(
-                    [pa.array(b.to_numpy(), pa.string(), from_pandas=True),
-                     pa.array(a, pa.string())]
-                )
-                for c, b, a in zip(cols, base, added)
-            }
-        )
+        return pa.concat_tables([
+            pa.table(dict(zip(cols, base))).cast(schema),
+            pa.table([pa.array(a, pa.string()) for a in added], schema=schema),
+        ])
 
     return expand
 
@@ -475,7 +468,9 @@ def build_facts(
     # mapped subject in one more exchange and drops an offending
     # group's annotated rows with its fact rows.
     kept = _apply_max_count(joined, configs, num_partitions)
-    path_ref = ray.put({c.cfg_id: c.path for c in all_configs})
+    path_ref = ray.put(string_table(
+        ["cfg", "path"], ((c.cfg_id, c.path) for c in all_configs)
+    ))
     expand_facts = _expander(path_ref, annotated=False)
     expand_ann = _expander(path_ref, annotated=True)
     facts = kept.map_batches(expand_facts, batch_format="pyarrow")

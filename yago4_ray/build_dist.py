@@ -39,6 +39,14 @@ only the middle one depends on the state regime:
 - Selections (`subject_rows`, `object_rows`, `output_rows`): resolved
   rows to the statement exchange's sides and to output triples.
 
+Every step is an Arrow function (pa.Table → pa.Table) from the store
+scan to the writer, with no pandas batch anywhere: a per-(family, tag)
+choice is a join against a small constant Arrow table ((family, tag,
+shape) admitted shapes, (tag, shape, cfg) subject fan-out, (wd class,
+yago class) types) or a `map_values` lookup; only the scalar converters
+(freebase ids, anyURIs) and sh:pattern's Python `re` run per value,
+over Arrow columns.
+
 build.build_facts runs the one statement exchange with `facts_part`:
 the best-rank semi-join (distributed), the exact range-row dedup (an
 sh:or range admits an item once per class, and maxCount counts rows),
@@ -71,7 +79,6 @@ import functools
 import threading
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -80,7 +87,13 @@ from ray.data.dataset import MaterializedDataset
 
 from . import cleaners as C
 from . import terms as T
-from .joins import _arrow_distinct, copartition_join, exchange, get_broadcast
+from .joins import (
+    _arrow_distinct,
+    copartition_join,
+    exchange,
+    get_broadcast,
+    string_table,
+)
 from .sources import scan_predicate
 
 ROUTED = ["family", "tag", "key", "value"]
@@ -90,6 +103,8 @@ OBJ_COLS = ["cfg", "statement", "object", "extras"]
 OUT_COLS = ["file", "subject", "predicate", "object"]
 
 ITEM_FAMILIES = frozenset({"subject", "range", "label", "types", "sameAs"})
+# the families whose key is a wd item (or class) the URI map resolves
+KEYED = ITEM_FAMILIES | {"class"}
 OBJECT_FAMILIES = frozenset({"range", "object", "value"})
 # output family → generate_yago output name
 OUTPUT_FILES = {
@@ -108,41 +123,30 @@ def exchange_parts(root: str) -> int:
     return partitions_for_nbytes(store_nbytes(root))
 
 
-class _Rows:
-    """Column-wise accumulator of string rows. `add` takes one aligned
-    Series/array or str constant per column; `table` makes one Arrow
-    string block, so empty and non-empty blocks share one schema through
-    the downstream exchanges."""
+def _table(cols: list[str], *values) -> pa.Table:
+    """One Arrow string block of `cols`, each value an aligned Arrow
+    column or a str constant: empty and non-empty blocks share one
+    schema through the downstream exchanges."""
+    n = next(len(v) for v in values if not isinstance(v, str))
+    return pa.table({
+        c: pa.repeat(pa.scalar(v, pa.string()), n) if isinstance(v, str)
+        else v.cast(pa.string())
+        for c, v in zip(cols, values)
+    })
 
-    def __init__(self, cols: list[str]):
-        self.parts: dict[str, list] = {c: [] for c in cols}
 
-    def add(self, *values) -> None:
-        n = next(len(v) for v in values if not isinstance(v, str))
-        if not n:
-            return
-        for part, v in zip(self.parts.values(), values):
-            part.append(
-                np.full(n, v, dtype=object) if isinstance(v, str)
-                else np.asarray(v, dtype=object)
-            )
-
-    def table(self) -> pa.Table:
-        return pa.table(
-            {
-                c: pa.array(
-                    np.concatenate(p) if p else np.empty(0, dtype=object),
-                    pa.string(), from_pandas=True,
-                )
-                for c, p in self.parts.items()
-            }
-        )
+def _no_rows(cols: list[str]) -> pa.Table:
+    return pa.table({c: pa.array([], pa.string()) for c in cols})
 
 
 def _empty(columns: list[str]) -> Dataset:
-    return ray.data.from_arrow(
-        pa.table({c: pa.array([], pa.string()) for c in columns})
-    )
+    return ray.data.from_arrow(_no_rows(columns))
+
+
+def map_values(values, keys, to):
+    """`to` at each value's position in `keys` (distinct), null where
+    absent: a small dict map as one Arrow lookup."""
+    return to.take(pc.index_in(values, value_set=keys))
 
 
 # The plan's rows travel as LEGS, a list of (Dataset, fn | None) pairs
@@ -153,22 +157,17 @@ def _empty(columns: list[str]) -> Dataset:
 # exchange's map tasks run. So no Ray Data job runs just to map
 # materialized blocks, and no union of legs runs at all.
 
-def _then(legs: list, fn, batch_format: str = "pyarrow") -> list:
-    """Every leg of `legs` mapped by `fn` (a `map_batches` function of
-    `batch_format`)."""
-    on_arrow = functools.partial(_on_pandas, fn) if batch_format == "pandas" else fn
+def _then(legs: list, fn) -> list:
+    """Every leg of `legs` mapped by `fn` (pa.Table → pa.Table)."""
     out = []
     for ds, f in legs:
         if not isinstance(ds, MaterializedDataset):  # a lazy leg has no fn
-            out.append((ds.map_batches(fn, batch_format=batch_format), None))
+            out.append((ds.map_batches(fn, batch_format="pyarrow"), None))
         else:
-            out.append((ds, on_arrow if f is None
-                        else functools.partial(_compose, f, on_arrow)))
+            out.append(
+                (ds, fn if f is None else functools.partial(_compose, f, fn))
+            )
     return out
-
-
-def _on_pandas(fn, t: pa.Table) -> pa.Table:
-    return fn(t.to_pandas())
 
 
 def _compose(f, g, t: pa.Table) -> pa.Table:
@@ -189,62 +188,77 @@ def as_dataset(legs: list) -> Dataset:
 # Routing
 # ---------------------------------------------------------------------------
 
-def _subject_keyed(g: pd.DataFrame, dtypes):
+# An emit maps one predicate's rows (a pa.Table) to its (key, value)
+# columns; `dtypes()` is the rows' term_datatypes, computed once.
+
+def _subject_keyed(g: pa.Table, dtypes):
     return g["subject"], g["object"]
 
 
-def _object_keyed(g: pd.DataFrame, dtypes):
+def _object_keyed(g: pa.Table, dtypes):
     return g["object"], g["subject"]
 
 
+def _of_datatypes(dtypes, dts) -> pa.Array:
+    return pc.is_in(dtypes(), value_set=pa.array(sorted(dts), pa.string()))
+
+
+def _converted(convert, col) -> pa.Array:
+    """A scalar converter (str → str | None) over an Arrow column."""
+    return pa.array([convert(v) for v in col.to_pylist()], pa.string())
+
+
 def _datatyped(dts: frozenset):
-    def emit(g: pd.DataFrame, dtypes):
-        keep = dtypes().isin(dts)
-        return g["subject"][keep], g["object"][keep]
+    def emit(g: pa.Table, dtypes):
+        keep = _of_datatypes(dtypes, dts)
+        return g["subject"].filter(keep), g["object"].filter(keep)
 
     return emit
 
 
-def _freebase(g: pd.DataFrame, dtypes):
+def _freebase(g: pa.Table, dtypes):
     """P646 rows → owl:sameAs freebase ids (plan.rs:1730-1739)."""
-    fb = g["object"].map(C.convert_freebase_id)
-    keep = fb.notna()
-    return g["subject"][keep], fb[keep]
+    fb = _converted(C.convert_freebase_id, g["object"])
+    keep = pc.is_valid(fb)
+    return g["subject"].filter(keep), fb.filter(keep)
 
 
-def _wikipedia(g: pd.DataFrame, dtypes):
+def _wikipedia(g: pa.Table, dtypes):
     """schema:about rows with wikipedia subjects → schema:sameAs URL
     literals (plan.rs:1711-1728)."""
     subj = g["subject"]
-    keep = subj.str.startswith("<") & subj.str.contains(
-        ".wikipedia.org/wiki/", regex=False
+    keep = pc.and_(
+        pc.starts_with(subj, "<"),
+        pc.match_substring(subj, ".wikipedia.org/wiki/"),
     )
-    urls = subj[keep].str.slice(1, -1)
-    return g["object"][keep], '"' + urls + f'"^^<{T.XSD_ANY_URI}>'
+    urls = pc.utf8_slice_codeunits(subj.filter(keep), 1, -1)
+    return g["object"].filter(keep), pc.binary_join_element_wise(
+        '"', urls, f'"^^<{T.XSD_ANY_URI}>', ""
+    )
 
 
 def _stateless(cfg):
     """ps:/pq: rows of a stateless cfg → (converted object, statement)
     (plan.rs:1209-1399's anyuri/image/datatype dispatch)."""
 
-    def emit(g: pd.DataFrame, dtypes):
+    def emit(g: pa.Table, dtypes):
         objs = g["object"]
         if cfg.mode == "anyuri":
-            objs = objs.map(C.validate_any_uri)
-            keep = objs.notna()
+            objs = _converted(C.validate_any_uri, objs)
+            keep = pc.is_valid(objs)
         elif cfg.mode == "image":
-            keep = objs.str.startswith("<" + C.COMMONS_PREFIX)
+            keep = pc.starts_with(objs, "<" + C.COMMONS_PREFIX)
         else:
-            keep = dtypes().isin(cfg.datatypes)
-        return objs[keep], g["subject"][keep]
+            keep = _of_datatypes(dtypes, cfg.datatypes)
+        return objs.filter(keep), g["subject"].filter(keep)
 
     return emit
 
 
 def _routes(schema, families, cfg_ids=None) -> dict[str, list]:
     """predicate → [(family, tag, emit)] for the rows of `families`,
-    restricted to the cfgs in `cfg_ids` (None: every cfg); emit(group,
-    dtypes) → (key, value) Series."""
+    restricted to the cfgs in `cfg_ids` (None: every cfg); emit(rows,
+    dtypes) → (key, value) columns."""
     from .build import label_shapes, prop_configs
 
     configs, ann_configs = prop_configs(schema)
@@ -288,25 +302,29 @@ def family_scan(root: str, schema, families, cfg_ids=None) -> Dataset | None:
     """The routed (family, tag, key, value) rows of `families` from ONE
     store scan over their predicates; None when no predicate feeds
     them."""
-    from .build import datatype_series
+    from .build import term_datatypes
 
     routes = _routes(schema, families, cfg_ids)
     if not routes:
         return None
 
-    def route(batch: pd.DataFrame) -> pa.Table:
-        rows = _Rows(ROUTED)
-        for pred, group in batch.groupby("predicate", sort=False):
+    def route(batch: pa.Table) -> pa.Table:
+        out = [_no_rows(ROUTED)]
+        preds = batch["predicate"]
+        unique = pc.unique(preds).to_pylist()
+        for pred in unique:
+            group = batch if len(unique) == 1 else batch.filter(
+                pc.equal(preds, pred)
+            )
             dtypes = functools.cache(
-                functools.partial(datatype_series, group["object"])
+                functools.partial(term_datatypes, group["object"])
             )
             for family, tag, emit in routes.get(pred, ()):
-                key, value = emit(group, dtypes)
-                rows.add(family, tag, key, value)
-        return rows.table()
+                out.append(_table(ROUTED, family, tag, *emit(group, dtypes)))
+        return pa.concat_tables(out)
 
     return scan_predicate(root, sorted(routes)).map_batches(
-        route, batch_format="pandas"
+        route, batch_format="pyarrow"
     )
 
 
@@ -324,48 +342,57 @@ def _same_as_state_rows(state) -> list:
     as legs: enwiki → dbpedia links and the URI mapping's wd identity
     links, keyed by item."""
 
-    def rows(values):
-        def fn(b: pd.DataFrame) -> pa.Table:
-            out = _Rows(ROUTED)
-            out.add("sameAs", T.OWL_SAME_AS, b["item"], values(b))
-            return out.table()
+    def dbpedia(b: pa.Table) -> pa.Table:
+        urls = pc.replace_substring(
+            b["url"], C.ENWIKI_PREFIX, C.DBPEDIA_PREFIX
+        )
+        return _table(ROUTED, "sameAs", T.OWL_SAME_AS, b["item"],
+                      pc.binary_join_element_wise("<", urls, ">", ""))
 
-        return fn
+    def wd(b: pa.Table) -> pa.Table:
+        return _table(ROUTED, "sameAs", T.OWL_SAME_AS, b["item"], b["item"])
 
     return [
-        *_then(
-            [(state.datasets["enwiki"], None)],
-            rows(lambda b: "<" + b["url"].map(C.enwiki_to_dbpedia) + ">"),
-            "pandas",
-        ),
-        *_then([(state.datasets["uri_mapping"], None)],
-               rows(lambda b: b["item"]), "pandas"),
+        *_then([(state.datasets["enwiki"], None)], dbpedia),
+        *_then([(state.datasets["uri_mapping"], None)], wd),
     ]
 
 
-def _admitted(schema) -> dict[tuple[str, str], tuple[str, ...]]:
-    """(family, tag) → the shapes an item of that family must be an
-    instance of; the row keeps one resolved row per such shape."""
+def _admitted(schema) -> pa.Table:
+    """(family, tag, shape) rows: the shapes an item of that family must
+    be an instance of; the row keeps one resolved row per such shape."""
     from .build import label_shapes, prop_configs
 
     configs, ann_configs = prop_configs(schema)
-    admitted: dict[tuple[str, str], list[str]] = {}
+    rows = []
     for cfg in configs:
         if cfg.parent_class is None:
             raise ValueError(f"No parent shape for {cfg.path}")
-        for pid in cfg.pids:
-            shapes = admitted.setdefault(("subject", pid), [])
-            if cfg.parent_class not in shapes:
-                shapes.append(cfg.parent_class)
-    for cfg in configs + ann_configs:
-        if cfg.mode == "range":
-            admitted[("range", cfg.cfg_id)] = list(dict.fromkeys(cfg.range_classes))
-    for i, (_path, _dts, parent, _preds) in enumerate(label_shapes(schema)):
-        admitted[("label", str(i))] = [parent]
-    admitted[("types", "")] = [T.SCHEMA_THING]
-    admitted[("sameAs", T.OWL_SAME_AS)] = [T.SCHEMA_THING]
-    admitted[("sameAs", T.SCHEMA_SAME_AS)] = [T.SCHEMA_THING]
-    return {k: tuple(v) for k, v in admitted.items()}
+        rows += [("subject", pid, cfg.parent_class) for pid in cfg.pids]
+    rows += [
+        ("range", cfg.cfg_id, cls)
+        for cfg in configs + ann_configs if cfg.mode == "range"
+        for cls in cfg.range_classes
+    ]
+    rows += [
+        ("label", str(i), parent)
+        for i, (_path, _dts, parent, _preds) in enumerate(label_shapes(schema))
+    ]
+    rows += [("types", "", T.SCHEMA_THING),
+             ("sameAs", T.OWL_SAME_AS, T.SCHEMA_THING),
+             ("sameAs", T.SCHEMA_SAME_AS, T.SCHEMA_THING)]
+    return string_table(["family", "tag", "shape"], dict.fromkeys(rows))
+
+
+def _clean_families(schema) -> pa.Table:
+    """(tag, clean): each complex-value cfg id's clean-value family."""
+    from .build import CLEAN_FAMILY, prop_configs
+
+    configs, ann_configs = prop_configs(schema)
+    return string_table(["tag", "clean"], (
+        (c.cfg_id, CLEAN_FAMILY[c.mode])
+        for c in configs + ann_configs if c.complex_value
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +439,10 @@ def resolved(root: str, state, families, configs=None) -> list:
 
 def _local_rows(root: str, state, families, cfg_ids) -> list:
     """The legs of `families` resolved by a per-batch map over packed
-    refs."""
-    from .build import CLEAN_FAMILY, prop_configs
-
+    refs: object rows pass through; value nodes meet their clean-value
+    map (one lookup per clean family); keyed rows meet the URI map, a
+    class row then the class set, an item row the admitted
+    (family, tag, shape) table and one membership probe per shape."""
     scanned = family_scan(root, state.schema, families, cfg_ids)
     legs = [(scanned, None)] if scanned is not None else []
     if "sameAs" in families:
@@ -422,72 +450,78 @@ def _local_rows(root: str, state, families, cfg_ids) -> list:
     if not legs:
         return []
     refs: dict = {}
-    admitted = {}
-    if families & (ITEM_FAMILIES | {"class"}):
+    if families & KEYED:
         refs["uri"] = state.uri_ref
     if families & ITEM_FAMILIES:
         refs["instances"] = state.shape_instances
-        admitted = _admitted(state.schema)
     if "subject" in families:
         refs["best"] = _best_rank_ref(root, state)
-    clean_family = {}
     if "value" in families:
         refs["clean"], _ = state.prewarmed["clean_maps"].result()
-        configs, ann_configs = prop_configs(state.schema)
-        clean_family = {
-            c.cfg_id: CLEAN_FAMILY[c.mode]
-            for c in configs + ann_configs if c.complex_value
-        }
     if "class" in families:
         refs["classes"] = state.yago_classes_ref
-    keyed = ITEM_FAMILIES | {"class"}
+    admitted = _admitted(state.schema)
+    clean_families = _clean_families(state.schema)
+    keyed_families = pa.array(sorted(KEYED), pa.string())
 
-    def lookup(batch: pd.DataFrame) -> pa.Table:
-        family = batch["family"]
+    def lookup(b: pa.Table) -> pa.Table:
         if "best" in refs:
-            subj = (family == "subject").to_numpy()
+            subj = pc.equal(b["family"], "subject").to_numpy(
+                zero_copy_only=False
+            )
             if subj.any():
                 keep = ~subj
                 keep[subj] = get_broadcast(refs["best"]).contains(
-                    batch["value"][subj]
+                    b["value"].filter(subj)
                 )
-                batch = batch[keep]
-                family = batch["family"]
-        inst = pd.Series(None, index=batch.index, dtype=object)
-        item = family.isin(keyed)
-        if item.any():
-            inst[item] = get_broadcast(refs["uri"]).lookup(batch["key"][item])
-        batch = batch.assign(instance=inst)
-        out = _Rows(RESOLVED)
-        for (fam, tag), g in batch.groupby(["family", "tag"], sort=False):
-            if fam == "object":
-                out.add(fam, tag, g["value"], "", g["key"], "")
-            elif fam == "value":
-                clean = get_broadcast(refs["clean"])[clean_family[tag]]
-                objs, extras = clean.lookup(g["key"])
-                keep = objs.notna()
-                out.add(fam, tag, g["value"][keep], "", objs[keep],
-                        extras[keep].fillna(""))
-            elif fam == "class":
-                found = g["instance"].fillna("")
-                keep = g["instance"].notna().to_numpy() & get_broadcast(
-                    refs["classes"]
-                ).contains(found)
-                out.add(fam, tag, g["value"][keep], "", g["instance"][keep], "")
-            else:
-                instances = get_broadcast(refs["instances"])
-                mapped = g["instance"].notna().to_numpy()
-                found = g["instance"].fillna("")
-                for shape in admitted.get((fam, tag), ()):
-                    members = instances.get(shape)
-                    if members is None:
-                        continue
-                    keep = mapped & members.contains(found)
-                    out.add(fam, tag, g["value"][keep], shape,
-                            g["instance"][keep], "")
-        return out.table()
+                b = b.filter(keep)
+        family = b["family"]
+        objs = b.filter(pc.equal(family, "object"))
+        out = [_table(RESOLVED, objs["family"], objs["tag"], objs["value"],
+                      "", objs["key"], "")]
+        values = b.filter(pc.equal(family, "value")).join(
+            clean_families, keys="tag", join_type="inner", use_threads=False
+        )
+        for name in pc.unique(values["clean"]).to_pylist():
+            g = values.filter(pc.equal(values["clean"], name))
+            obj, extras = get_broadcast(refs["clean"])[name].lookup(g["key"])
+            g = g.append_column("object", obj).append_column(
+                "extras", pc.fill_null(extras, "")
+            ).filter(pc.is_valid(obj))
+            out.append(_table(RESOLVED, g["family"], g["tag"], g["value"],
+                              "", g["object"], g["extras"]))
+        keyed = b.filter(pc.is_in(family, value_set=keyed_families))
+        if keyed.num_rows:
+            inst = get_broadcast(refs["uri"]).lookup(keyed["key"])
+            keyed = keyed.append_column(
+                "instance", inst.cast(pa.string())
+            ).filter(pc.is_valid(inst))
+            is_class = pc.equal(keyed["family"], "class")
+            classes = keyed.filter(is_class)
+            if classes.num_rows:
+                classes = classes.filter(
+                    get_broadcast(refs["classes"]).contains(classes["instance"])
+                )
+            out.append(_table(RESOLVED, classes["family"], classes["tag"],
+                              classes["value"], "", classes["instance"], ""))
+            items = keyed.filter(pc.invert(is_class)).join(
+                admitted, keys=["family", "tag"], join_type="inner",
+                use_threads=False,
+            )
+            shapes = items["shape"]
+            keep = np.zeros(items.num_rows, bool)
+            for shape in pc.unique(shapes).to_pylist():
+                members = get_broadcast(refs["instances"]).get(shape)
+                if members is not None:
+                    at = pc.equal(shapes, shape).to_numpy(zero_copy_only=False)
+                    keep[at] = members.contains(items["instance"].filter(at))
+            items = items.filter(keep)
+            out.append(_table(RESOLVED, items["family"], items["tag"],
+                              items["value"], items["shape"],
+                              items["instance"], ""))
+        return pa.concat_tables(out)
 
-    return _then(legs, lookup, "pandas")
+    return _then(legs, lookup)
 
 
 def _best_rank_ref(root: str, state) -> "ray.ObjectRef":
@@ -563,22 +597,13 @@ def item_join(root: str, state) -> Dataset:
     """Every item-keyed family resolved in ONE hash-keyed exchange
     against `si_by_item` (planned into the same job), keeping each row's
     admitted shapes only."""
-    admitted = pa.array(
-        sorted(
-            "\x00".join((family, tag, shape))
-            for (family, tag), shapes in _admitted(state.schema).items()
-            for shape in shapes
-        ),
-        pa.string(),
-    )
+    admitted = _admitted(state.schema)
 
     def keep_admitted(tables: list[pa.Table], keys: list[str]) -> pa.Table:
         rows, si = tables
         out = rows.join(si, keys=keys, join_type="inner", use_threads=False)
-        key = pc.binary_join_element_wise(
-            out["family"], out["tag"], out["shape"], "\x00"
-        )
-        out = out.filter(pc.is_in(key, value_set=admitted))
+        out = out.join(admitted, keys=["family", "tag", "shape"],
+                       join_type="left semi", use_threads=False)
         return out.append_column(
             "extras", pa.repeat(pa.scalar("", pa.string()), out.num_rows)
         ).select(RESOLVED)
@@ -600,22 +625,17 @@ def value_join(root: str, state) -> Dataset | None:
     """Every complex value node of the facts (psv:) AND the annotations
     (pqv:) resolved in ONE (family, value_node) exchange against the
     clean-value Dataset; None when no cfg has a complex value."""
-    from .build import CLEAN_FAMILY, prop_configs
-
     scanned = family_scan(root, state.schema, {"value"})
     if scanned is None:
         return None
-    configs, ann_configs = prop_configs(state.schema)
-    clean_family = {
-        c.cfg_id: CLEAN_FAMILY[c.mode]
-        for c in configs + ann_configs if c.complex_value
-    }
+    families = _clean_families(state.schema)
 
-    def to_nodes(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"tag": b["tag"], "value": b["value"],
-             "family": b["tag"].map(clean_family), "value_node": b["key"]}
-        )
+    def to_nodes(b: pa.Table) -> pa.Table:
+        return pa.table({
+            "tag": b["tag"], "value": b["value"],
+            "family": map_values(b["tag"], families["tag"], families["clean"]),
+            "value_node": b["key"],
+        })
 
     def to_resolved(tables: list[pa.Table], keys: list[str]) -> pa.Table:
         nodes, clean = tables
@@ -634,7 +654,7 @@ def value_join(root: str, state) -> Dataset | None:
 
     clean_blocks, _ = state.prewarmed["clean_values"].result()
     return exchange(
-        [(scanned.map_batches(to_nodes, batch_format="pandas"), ["tag", "value"]),
+        [(scanned.map_batches(to_nodes, batch_format="pyarrow"), ["tag", "value"]),
          (from_arrow_refs(clean_blocks), ["object", "extras"])],
         ["family", "value_node"], to_resolved, exchange_parts(root),
         hash_keys=True,
@@ -649,20 +669,18 @@ def subject_rows(rows: list, configs: list) -> list:
     """(cfg, statement, subject) legs: the subject family of the
     resolved legs `rows` fanned out to every cfg whose parent shape the
     row's admitted shape is (plan.rs:1073-1102)."""
-    fan: dict[tuple[str, str], list[str]] = {}
-    for cfg in configs:
-        for pid in cfg.pids:
-            fan.setdefault((pid, cfg.parent_class), []).append(cfg.cfg_id)
+    fan = string_table(["tag", "shape", "cfg"], (
+        (pid, cfg.parent_class, cfg.cfg_id)
+        for cfg in configs for pid in cfg.pids
+    ))
 
-    def select(b: pd.DataFrame) -> pa.Table:
-        out = _Rows(SUBJ_COLS)
-        subjects = b[b["family"] == "subject"]
-        for key, g in subjects.groupby(["tag", "shape"], sort=False):
-            for cfg_id in fan.get(key, ()):
-                out.add(cfg_id, g["value"], g["instance"])
-        return out.table()
+    def select(b: pa.Table) -> pa.Table:
+        s = b.filter(pc.equal(b["family"], "subject")).join(
+            fan, keys=["tag", "shape"], join_type="inner", use_threads=False
+        )
+        return _table(SUBJ_COLS, s["cfg"], s["value"], s["instance"])
 
-    return _then(rows, select, "pandas")
+    return _then(rows, select)
 
 
 def object_rows(rows: list, configs: list) -> list:
@@ -687,13 +705,14 @@ def object_rows(rows: list, configs: list) -> list:
         )
         if not patterns or not out.num_rows:
             return out
-        df = out.select(["cfg", "object"]).to_pandas()
-        mask = pd.Series(True, index=df.index)
+        keep = np.ones(out.num_rows, bool)
         for cfg_id, pattern in patterns.items():
-            sel = df["cfg"] == cfg_id
+            sel = pc.equal(out["cfg"], cfg_id).to_numpy(zero_copy_only=False)
             if sel.any():
-                mask.loc[sel] = matches_pattern(df.loc[sel, "object"], pattern)
-        return out.filter(pa.array(mask.to_numpy(dtype=bool)))
+                keep[sel] = matches_pattern(
+                    out["object"].filter(sel), pattern
+                ).to_numpy(zero_copy_only=False)
+        return out.filter(keep)
 
     return _then(rows, select)
 
@@ -704,27 +723,37 @@ def output_rows(rows: list, state) -> list:
     plan.rs:744-770), sameAs and class labels (plan.rs:1741-1781)."""
     from .build import label_shapes
 
-    paths = {str(i): s[0] for i, s in enumerate(label_shapes(state.schema))}
-    class_ref = ray.put(state.wd_to_yago_class_mapping)
+    paths = string_table(["tag", "path"], (
+        (str(i), s[0]) for i, s in enumerate(label_shapes(state.schema))
+    ))
+    files = string_table(["family", "file"], OUTPUT_FILES.items())
+    class_ref = ray.put(string_table(["value", "object"], (
+        (wd, yc)
+        for wd, ycs in state.wd_to_yago_class_mapping.items() for yc in ycs
+    )))
 
-    def select(b: pd.DataFrame) -> pa.Table:
-        out = _Rows(OUT_COLS)
-        for family, g in b.groupby("family", sort=False):
-            file = OUTPUT_FILES.get(family)
-            if file is None:
-                continue
-            if family == "label":
-                out.add(file, g["instance"], g["tag"].map(paths), g["value"])
-            elif family == "types":
-                class_map = get_broadcast(class_ref)
-                for wd_class, t in g.groupby("value", sort=False):
-                    for yago_class in class_map.get(wd_class, ()):
-                        out.add(file, t["instance"], T.RDF_TYPE, yago_class)
-            else:
-                out.add(file, g["instance"], g["tag"], g["value"])
-        return out.table()
+    def select(b: pa.Table) -> pa.Table:
+        family = b["family"]
+        labels = b.filter(pc.equal(family, "label"))
+        types = b.filter(pc.equal(family, "types")).join(
+            get_broadcast(class_ref), keys="value", join_type="inner",
+            use_threads=False,
+        )
+        links = b.filter(pc.is_in(family, value_set=pa.array(
+            ["class", "sameAs"], pa.string()
+        )))
+        return pa.concat_tables([
+            _table(OUT_COLS, OUTPUT_FILES["label"], labels["instance"],
+                   map_values(labels["tag"], paths["tag"], paths["path"]),
+                   labels["value"]),
+            _table(OUT_COLS, OUTPUT_FILES["types"], types["instance"],
+                   T.RDF_TYPE, types["object"]),
+            _table(OUT_COLS,
+                   map_values(links["family"], files["family"], files["file"]),
+                   links["instance"], links["tag"], links["value"]),
+        ])
 
-    return _then(rows, select, "pandas")
+    return _then(rows, select)
 
 
 # ---------------------------------------------------------------------------

@@ -193,10 +193,6 @@ ENWIKI_PREFIX = "https://en.wikipedia.org/wiki/"
 DBPEDIA_PREFIX = "http://dbpedia.org/resource/"
 
 
-def enwiki_to_dbpedia(url: str) -> str:
-    return url.replace(ENWIKI_PREFIX, DBPEDIA_PREFIX)
-
-
 # ---------------------------------------------------------------------------
 # Ray builders: value-node predicate scans → clean maps
 # ---------------------------------------------------------------------------

@@ -290,6 +290,8 @@ def connected_components_min_label(
         rounds += 1
     # fixpoint: edges are (node, root) stars; add (root, root) rows so
     # every member — including each component's minimum — gets a label
+    import ray.data
+
     from ..joins import distinct_rows
 
     roots = distinct_rows(
@@ -300,4 +302,6 @@ def connected_components_min_label(
         ["a", "b"],
         num_parts=num_parts,
     )
-    return edges.union(roots)
+    # both sides are materialized: one Dataset over their blocks, no
+    # union execution
+    return ray.data.from_arrow_refs(edges.to_arrow_refs() + roots.to_arrow_refs())

@@ -423,7 +423,7 @@ def minhash_dedup(
 
     def cand_shingles(b: pd.DataFrame) -> pa.Table:
         if ids_ref is not None:
-            sel = b[get_broadcast(ids_ref).contains(b[id_col])]
+            sel = b[get_broadcast(ids_ref).contains(pa.array(b[id_col]))]
         else:
             sel = b  # corpus already endpoint-narrowed by the semi-join
         doc_idx, h = batch_shingle_hashes(sel[text_col].tolist(), k)

@@ -171,16 +171,15 @@ def brute_force_pairs(
     mat_all = _normalize(_stack(df[vec_col], np.float64))
     ref = ray.put((ids_all, mat_all))
 
-    def pairs(batch: pa.Table) -> pd.DataFrame:
+    def pairs(batch: pa.Table) -> pa.Table:
         ids_a, mat = get_broadcast(ref)
         bmat = _normalize(_arrow_mat(batch.column(vec_col), np.float64))
         bids = batch.column(id_col).to_numpy(zero_copy_only=False)
         sims = bmat @ mat.T  # (batch, all)
         hit_i, hit_j = np.nonzero(sims >= threshold)
         keep = bids[hit_i] < ids_a[hit_j]  # emit each pair once, a < b
-        return pd.DataFrame(
-            {"a": bids[hit_i[keep]], "b": ids_a[hit_j[keep]]}
-        )
+        # Arrow out: an empty block keeps the id type
+        return pa.table({"a": bids[hit_i[keep]], "b": ids_a[hit_j[keep]]})
 
     return ds.map_batches(pairs, batch_format="pyarrow")
 

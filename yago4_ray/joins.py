@@ -504,6 +504,16 @@ def fold(
     return out.select(keys + names).rename_columns(keys + list(aggs))
 
 
+def string_table(columns: list[str], rows) -> pa.Table:
+    """A small constant table of string `rows` (tuples over `columns`),
+    such as the right side of the build's per-(family, tag) joins."""
+    rows = list(rows)
+    return pa.table({
+        c: pa.array([r[i] for r in rows], pa.string())
+        for i, c in enumerate(columns)
+    })
+
+
 def _arrow_distinct(t: pa.Table, columns: list[str]) -> pa.Table:
     """Exact distinct on `columns`: `fold` with no aggregate, Arrow's
     hash group-by — ~6× faster than a pandas round trip +

@@ -872,13 +872,8 @@ def dedup_embedding_pairs(sf_dir: str):
 
     planted = ds.map_batches(plant_dupes, batch_format="pandas")
     out = embedding_dedup_pairs(planted, "embedding", "vec_id", threshold=0.95)
-
-    def int_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"a": df["a"].astype("int64"), "b": df["b"].astype("int64")}
-        )
-
-    return out.map_batches(int_pairs, batch_format="pandas")
+    # the ids are int64 already: only the cosine column goes
+    return out.select_columns(["a", "b"])
 
 
 def sim_topk_brute(sf_dir: str):
@@ -1011,13 +1006,7 @@ def dedup_embedding_exact_pairs(sf_dir: str):
         return pd.concat([df, dupes], ignore_index=True)
 
     planted = ds.map_batches(plant_dupes, batch_format="pandas")
-    pairs = brute_force_pairs(planted, threshold=0.95)
-    return pairs.map_batches(
-        lambda df: pd.DataFrame(
-            {"a": df["a"].astype("int64"), "b": df["b"].astype("int64")}
-        ),
-        batch_format="pandas",
-    )
+    return brute_force_pairs(planted, threshold=0.95)  # int64 ids
 
 
 def dedup_ngram_exact_pairs(sf_dir: str):

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from urllib.parse import unquote
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
@@ -66,7 +66,7 @@ except ImportError:
 from . import graph as G
 from . import terms as T
 from .broadcast import _hash_series
-from .joins import _arrow_distinct, exchange, get_broadcast
+from .joins import _arrow_distinct, exchange, get_broadcast, string_table
 from .schema import Schema
 from .sources import scan_predicate
 
@@ -158,20 +158,23 @@ class BuildState:
 # ST2/ST5: URI-mapping candidates and enwiki sitelinks (fused-scan kernels)
 # ---------------------------------------------------------------------------
 
-def _slow_encode_scatter(values, simple_mask, fast, encode_one):
-    """Combine the vectorized fast-path results with the per-row slow
-    path: rows failing `simple_mask` (rare — labels/titles with
-    percent-escapes or non-ipchar bytes) run `encode_one` in Python and
-    scatter into the fast array. Returns a numpy object array."""
-    out = np.asarray(fast, dtype=object)
-    idx = np.nonzero(~np.asarray(simple_mask, dtype=bool))[0]
-    if len(idx):
-        vals = np.asarray(values, dtype=object)[idx]
-        out[idx] = [encode_one(v) for v in vals]
-    return out
+def _hashes(values) -> pa.Array:
+    return pa.array(_hash_series(values), pa.uint64())
 
 
-def _wiki_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
+def _slow_encode_scatter(values, simple, fast, encode_one):
+    """The vectorized fast-path results `fast` with the rows failing
+    `simple` (rare — labels/titles with percent-escapes or non-ipchar
+    bytes) replaced by `encode_one` of their `values`, run in Python
+    over those rows only."""
+    slow = pc.invert(simple).combine_chunks()
+    if not pc.sum(slow).as_py():
+        return fast
+    encoded = [encode_one(v) for v in values.filter(slow).to_pylist()]
+    return pc.replace_with_mask(fast, slow, pa.array(encoded, pa.string()))
+
+
+def _wiki_candidates_arrow(tbl: "pa.Table") -> pa.Table:
     """Priority-1 URI candidates from a schema:about batch: the enwiki
     title becomes the YAGO IRI (plan.rs:300-320). ONE extract_regex
     pass pulls the title; titles that are pure ipchar with no
@@ -179,8 +182,6 @@ def _wiki_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
     the per-row spec `terms.yago_resource_from_title(unquote(t))`
     (parity-gated against it by tests/test_properties)."""
     import re as _re
-
-    import pyarrow.compute as pc
 
     ex = pc.extract_regex(
         tbl.column("subject"),
@@ -200,41 +201,33 @@ def _wiki_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
         "",
     )
     uris = _slow_encode_scatter(
-        titles.to_pandas().to_numpy(),
-        simple.to_numpy(zero_copy_only=False),
-        fast.to_pandas().to_numpy(),
+        titles, simple, fast,
         lambda t: T.yago_resource_from_title(unquote(t)),
     )
-    items = sel.column("object").to_pandas()
-    return pd.DataFrame(
-        {"item": items, "priority": 1, "uri": uris, "h": _hash_series(items)}
-    )
+    items = sel.column("object")
+    return pa.table({"item": items, "uri": uris, "h": _hashes(items)})
 
 
-def _enwiki_pairs_arrow(tbl: "pa.Table") -> pd.DataFrame:
+def _enwiki_pairs_arrow(tbl: "pa.Table") -> pa.Table:
     """(item, url, h) rows for en.wikipedia sitelinks in a schema:about
     batch (ST5, plan.rs:206-223): the url is the subject IRI's value."""
     import re as _re
-
-    import pyarrow.compute as pc
 
     ex = pc.extract_regex(
         tbl.column("subject"),
         f"^<(?P<u>{_re.escape(ENWIKI_PREFIX)}(?s:.*))>$",
     )
     keep = pc.is_valid(ex)
-    items = tbl.filter(keep).column("object").to_pandas()
-    urls = pc.struct_field(ex.filter(keep), "u").to_pandas()
-    return pd.DataFrame({"item": items, "url": urls, "h": _hash_series(items)})
+    items = tbl.filter(keep).column("object")
+    urls = pc.struct_field(ex.filter(keep), "u")
+    return pa.table({"item": items, "url": urls, "h": _hashes(items)})
 
 
-def _label_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
+def _label_candidates_arrow(tbl: "pa.Table") -> pa.Table:
     """Priority-2 URI candidates from a skos:prefLabel batch: English
     label + _Q{id} (plan.rs:322-341). Two extract_regex passes pull the
     qid and the label; labels that are pure ipchar with no escapes skip
     the per-row spec `encode_iri_path(literal_value(...))`."""
-    import pyarrow.compute as pc
-
     qx = pc.extract_regex(
         tbl.column("subject"),
         r"^<http://www\.wikidata\.org/entity/(?P<q>Q[0-9]+)>$",
@@ -250,23 +243,19 @@ def _label_candidates_arrow(tbl: "pa.Table") -> pd.DataFrame:
     )
     fast = pc.replace_substring(values, " ", "_")
     encoded = _slow_encode_scatter(
-        values.to_pandas().to_numpy(),
-        simple.to_numpy(zero_copy_only=False),
-        fast.to_pandas().to_numpy(),
+        values, simple, fast,
         lambda v: T.encode_iri_path(T.literal_value(f'"{v}"')),
     )
-    items = sub.column("subject").to_pandas()
+    items = sub.column("subject")
     uris = pc.binary_join_element_wise(
         pa.scalar("<" + T.YAGO_RESOURCE_PREFIX),
-        pa.array(encoded, pa.string(), from_pandas=True),
+        encoded,
         pa.scalar("_"),
         qids,
         pa.scalar(">"),
         "",
-    ).to_pandas()
-    return pd.DataFrame(
-        {"item": items, "priority": 2, "uri": uris, "h": _hash_series(items)}
     )
+    return pa.table({"item": items, "uri": uris, "h": _hashes(items)})
 
 
 def merge_uri_candidates_arrow(tbl: "pa.Table") -> "pa.Table":
@@ -283,9 +272,6 @@ def merge_uri_candidates_arrow(tbl: "pa.Table") -> "pa.Table":
     norm). The pandas object-string form this replaces paid 5 s in
     pd.factorize alone at 6.2 M candidate rows; this form runs the
     whole merge in ~1.5 s with identical output content."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     # candidate rows carry "h" = _hash_series(item) computed in the scan
     # tasks; it rides through the merge so the HashIndex broadcast needs
     # no driver-side rehash of 2.4 M key strings
@@ -395,9 +381,6 @@ def _merge_uri_shard(schema_tbl, mandatory_tbl, shard: int, *blocks):
     range filter (top `_UM_BITS` bits of the worker-computed item hash)
     runs BEFORE the kind routing so each task touches ~1/shards of the
     candidate rows."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     shift = np.uint64(64 - _UM_BITS)
 
     def rng(t: pa.Table) -> pa.Table:
@@ -456,8 +439,6 @@ def _pack_best_rank(*blocks):
     (HashIndex | None, collision_free) — callers ray.get only the tiny
     flag; on the (never-observed) 64-bit collision they rebuild from
     the statement strings (build.best_rank_statements)."""
-    import pyarrow.compute as pc
-
     from .broadcast import HashIndex
 
     hs = []
@@ -477,8 +458,6 @@ def _driver_rows(*blocks):
     P31 count partials), filtered OFF the driver: the item markers, URI
     candidates and best-rank hashes — most of the scan's bytes — stay
     with the remote merge and pack."""
-    import pyarrow.compute as pc
-
     tbl = pa.concat_tables(blocks, promote_options="permissive")
     kinds = pa.array([_K_ENWIKI, _K_P279, _K_COUNT], pa.int8())
     return tbl.filter(pc.is_in(tbl.column("kind"), value_set=kinds))
@@ -493,8 +472,6 @@ def _assemble_uri(*shard_tbls):
     submitted — the clean-value scan (whose tasks only ray.get the ref
     lazily) is planned and launched while the merge still runs, and the
     packed map goes worker → object store with no driver serialize."""
-    import pyarrow as pa
-
     from .broadcast import HashIndex
 
     tbl = pa.concat_tables(list(shard_tbls)).combine_chunks()
@@ -512,8 +489,9 @@ def _assemble_uri(*shard_tbls):
 def _mapping_subset(mapping, keys) -> dict:
     """Plain-dict projection of the HashIndex `mapping` over `keys` —
     ONE vectorized lookup."""
-    ks = pd.Series(sorted(keys), dtype=object)
-    return {k: v for k, v in zip(ks, mapping.lookup(ks)) if pd.notna(v)}
+    ks = sorted(keys)
+    values = mapping.lookup(pa.array(ks, pa.string())).to_pylist()
+    return {k: v for k, v in zip(ks, values) if v is not None}
 
 
 def subclass_of_from_yago_schema(schema: Schema) -> list[tuple[str, str]]:
@@ -570,8 +548,6 @@ def collect_input_reductions(
     reads it at class scale) and the (item, url) Dataset of the sameAs
     family.
     """
-    import pyarrow.compute as pc
-
     p279_pred = f"<{T.WDT}P279>"
     p31_pred = f"<{T.WDT}P31>"
     # rdf:type is ALWAYS scanned: it carries the wikibase:Item markers
@@ -586,65 +562,46 @@ def collect_input_reductions(
     _zero_h = np.zeros(0, dtype=np.uint64)
 
     def _unified(kind: int, item, uri=None, n=None, h=None) -> pa.Table:
-        # Arrow out: the routed rows feed a shuffle-free to_arrow_refs
-        # collect; pandas object frames mis-size in Ray's estimator
-        # (np.vectorize errors on empty frames) and pickle every string
-        items = np.asarray(item, dtype=object)
-        m = len(items)
+        # one Arrow block schema for every row kind: absent columns are
+        # "" / 0 (the driver reads each kind's own columns only)
+        m = len(item)
         return pa.table(
             {
-                "kind": pa.array(np.full(m, kind, dtype=np.int8)),
-                "item": pa.array(items, pa.string(), from_pandas=True),
-                "uri": pa.array(
-                    np.asarray(uri, dtype=object)
-                    if uri is not None
-                    else np.full(m, "", dtype=object),
-                    pa.string(),
-                    from_pandas=True,
-                ),
-                "n": pa.array(
-                    np.asarray(n, dtype=np.int64)
-                    if n is not None
-                    else np.zeros(m, dtype=np.int64)
-                ),
-                "h": pa.array(
-                    np.asarray(h, dtype=np.uint64)
-                    if h is not None
-                    else np.zeros(m, dtype=np.uint64)
-                ),
+                "kind": pa.repeat(pa.scalar(kind, pa.int8()), m),
+                "item": item.cast(pa.string()),
+                "uri": pa.repeat(pa.scalar("", pa.string()), m)
+                if uri is None else uri.cast(pa.string()),
+                "n": pa.repeat(pa.scalar(0, pa.int64()), m)
+                if n is None else n,
+                "h": pa.repeat(pa.scalar(0, pa.uint64()), m)
+                if h is None else h,
             }
         )
 
     def route(batch: pa.Table) -> pa.Table:
-        # Arrow in, Arrow routing: the equality filters over rdf:type —
-        # the store's biggest partition — and the P31 count partials run
-        # as Arrow kernels; ONLY the subsets that feed the pandas
-        # siphash / URL-encode kernels convert to pandas (converting the
-        # whole 8 M-row frame cost ~2/3 of the scan wall at 32 CPUs —
-        # the read alone is 0.57 s, scan+pandas-route was 1.8 s)
+        # Arrow end to end: the equality filters over rdf:type — the
+        # store's biggest partition — the P31 count partials and the
+        # URI-candidate kernels are Arrow kernels; only the item hashes
+        # (`_hash_series`) and the rare slow-path encodes leave Arrow
         outs: list[pa.Table] = []
         predc = batch.column("predicate")
         t = batch.filter(pc.equal(predc, T.RDF_TYPE))
         if t.num_rows:
             if size == "full":
-                items = (
-                    t.filter(pc.equal(t.column("object"), T.WIKIBASE_ITEM))
-                    .column("subject")
-                    .to_pandas()
-                )
-                outs.append(_unified(_K_MARKER, items, h=_hash_series(items)))
+                items = t.filter(
+                    pc.equal(t.column("object"), T.WIKIBASE_ITEM)
+                ).column("subject")
+                outs.append(_unified(_K_MARKER, items, h=_hashes(items)))
             # BestRank membership travels as 8-byte hashes only
             # (statement ids never reach the driver as strings)
-            br = (
-                t.filter(pc.equal(t.column("object"), T.WIKIBASE_BEST_RANK))
-                .column("subject")
-                .to_pandas()
-            )
+            br = t.filter(
+                pc.equal(t.column("object"), T.WIKIBASE_BEST_RANK)
+            ).column("subject")
             outs.append(
                 _unified(
                     _K_BESTRANK,
-                    np.full(len(br), "", dtype=object),
-                    h=_hash_series(br),
+                    pa.repeat(pa.scalar("", pa.string()), len(br)),
+                    h=_hashes(br),
                 )
             )
         ab = batch.filter(pc.equal(predc, T.SCHEMA_ABOUT))
@@ -662,8 +619,8 @@ def collect_input_reductions(
             if size != "full":
                 items = ab.filter(
                     pc.match_substring(ab.column("subject"), needle)
-                ).column("object").to_pandas()
-                outs.append(_unified(_K_MARKER, items, h=_hash_series(items)))
+                ).column("object")
+                outs.append(_unified(_K_MARKER, items, h=_hashes(items)))
         lb = batch.filter(pc.equal(predc, T.SKOS_PREF_LABEL))
         if lb.num_rows:
             lab = _label_candidates_arrow(lb)
@@ -674,9 +631,7 @@ def collect_input_reductions(
         if p279.num_rows:
             outs.append(
                 _unified(
-                    _K_P279,
-                    p279.column("subject").to_pandas(),
-                    uri=p279.column("object").to_pandas(),
+                    _K_P279, p279.column("subject"), uri=p279.column("object")
                 )
             )
         p31 = batch.filter(pc.equal(predc, p31_pred))
@@ -692,12 +647,12 @@ def collect_input_reductions(
             outs.append(
                 _unified(
                     _K_COUNT,
-                    agg.column("object").to_pandas(),
-                    n=agg.column("subject_count_distinct").to_numpy(),
+                    agg.column("object"),
+                    n=agg.column("subject_count_distinct"),
                 )
             )
         if not outs:
-            return _unified(_K_MARKER, [])
+            return _unified(_K_MARKER, pa.array([], pa.string()))
         return pa.concat_tables(outs)
 
     # wide=True: this scan feeds to_arrow_refs + the per-range merge
@@ -877,8 +832,6 @@ def build_class_machinery(
 
     # the kept classes with an enwiki sitelink: the instance-scale item
     # column probes a class-scale value set, exactly (string equality)
-    import pyarrow.compute as pc
-
     keep_arr = pa.array(sorted(classes_to_keep), pa.string())
     items = enwiki_items.cast(pa.string())
     sitelinked = items.filter(pc.is_in(items, value_set=keep_arr))
@@ -958,9 +911,7 @@ def _pack_shape_instances(shape_targets, *blocks):
     construction that previously waited on the driver-side groupby. The
     task holds the instance strings, so the index tells a (never
     observed) 64-bit collision from a duplicate and answers it exactly."""
-    import pyarrow as pa
-
-    from .broadcast import HashIndex, _hash_series
+    from .broadcast import HashIndex
 
     parts = [t.select(["shape", "instance"]) for t in blocks]
     empty = HashIndex([], keep_keys=False)
@@ -969,8 +920,14 @@ def _pack_shape_instances(shape_targets, *blocks):
         tbl = pa.concat_tables(parts, promote_options="permissive")
         instances = tbl["instance"].combine_chunks()
         h = _hash_series(instances)
-        shapes = tbl["shape"].to_pandas()
-        for shape, rows in shapes.groupby(shapes).indices.items():
+        shapes = pc.dictionary_encode(tbl["shape"].combine_chunks())
+        codes = shapes.indices.to_numpy(zero_copy_only=False)
+        order = np.argsort(codes, kind="stable")  # input order per shape
+        bounds = np.searchsorted(
+            codes[order], np.arange(len(shapes.dictionary) + 1)
+        )
+        for i, shape in enumerate(shapes.dictionary.to_pylist()):
+            rows = order[bounds[i]:bounds[i + 1]]
             packs[shape] = HashIndex(
                 instances.take(pa.array(rows)), hashes=h[rows],
                 keep_keys=False,
@@ -993,8 +950,6 @@ def build_shape_instances(
     exchange on instance doing dedup + disjoint-instance removal.
     Returns (ref of the packed per-shape HashIndex sets, the resolved
     (shape, instance) Dataset, ref of the packed `yago_classes`)."""
-    import pyarrow.compute as pc
-
     # yago class → shapes whose closure contains it (driver, tiny)
     shape_targets = [s.target_class for s in schema.node_shapes()]
     class_to_shapes: dict[str, list[str]] = defaultdict(list)
@@ -1002,14 +957,13 @@ def build_shape_instances(
         for cls in G.transitive_closure([target], yago_super_class_of):
             class_to_shapes[cls].append(target)
 
-    # wd class → shape list via the yago class mapping
-    wd_class_to_shapes: dict[str, list[str]] = {}
-    for wd_class, yago_cls_list in wd_to_yago_class_mapping.items():
-        shapes = []
-        for yc in yago_cls_list:
-            shapes.extend(class_to_shapes.get(yc, ()))
-        if shapes:
-            wd_class_to_shapes[wd_class] = sorted(set(shapes))
+    # (wd class, shape) rows via the yago class mapping
+    wd_class_shapes = string_table(["wd_class", "shape"], sorted({
+        (wd_class, shape)
+        for wd_class, yago_cls_list in wd_to_yago_class_mapping.items()
+        for yc in yago_cls_list
+        for shape in class_to_shapes.get(yc, ())
+    }))
 
     # disjoint target-class pairs (both directions)
     disjoint_pairs: set[tuple[str, str]] = set()
@@ -1021,7 +975,7 @@ def build_shape_instances(
     from .broadcast import HashIndex
 
     refs = {
-        "wd_class_to_shapes": ray.put(wd_class_to_shapes),  # class-scale
+        "wd_class_shapes": ray.put(wd_class_shapes),  # class-scale
         "uri_mapping": uri_ref,
         "yago_classes": ray.put(HashIndex(yago_classes)),
         "disjoint_pairs": ray.put(disjoint_pairs),
@@ -1029,46 +983,27 @@ def build_shape_instances(
 
     p31 = scan_predicate(root, f"<{T.WDT}P31>")
 
-    def fan_out(batch: pd.DataFrame) -> pa.Table:
-        class_map = get_broadcast(refs["wd_class_to_shapes"])
-        uris = get_broadcast(refs["uri_mapping"])
-        classes = get_broadcast(refs["yago_classes"])
-        instances = uris.lookup(batch["subject"])
+    def fan_out(batch: pa.Table) -> pa.Table:
+        """P31 rows → (shape, instance): the subject's URI lookup, the
+        class filter, then a join with the (wd class, shape) table."""
+        instances = get_broadcast(refs["uri_mapping"]).lookup(batch["subject"])
+        rows = pa.table({
+            "wd_class": batch["object"],
+            "instance": instances.cast(pa.string()),
+        }).filter(pc.is_valid(instances))
         # "we do not want classes" (plan.rs:686)
-        keep = instances.notna().to_numpy() & ~classes.contains(
-            instances.fillna("")
+        rows = rows.filter(
+            ~get_broadcast(refs["yago_classes"]).contains(rows["instance"])
         )
-        base = pd.DataFrame(
-            {"wd_class": batch["object"], "instance": instances}
-        )[keep]
-        shs, insts = [], []
-        for wd_class, group in base.groupby("wd_class", sort=False):
-            for shape in class_map.get(wd_class, ()):
-                shs.append(np.full(len(group), shape, dtype=object))
-                insts.append(group["instance"].to_numpy())
-        # Arrow out with explicit string types: empty pandas object
-        # frames null-type in the exchange and mis-size in the estimator
-        if not shs:
-            return pa.table(
-                {
-                    "shape": pa.array([], pa.string()),
-                    "instance": pa.array([], pa.string()),
-                }
-            )
+        rows = rows.join(
+            get_broadcast(refs["wd_class_shapes"]), keys="wd_class",
+            join_type="inner", use_threads=False,
+        )
         # combiner: a batch's repeated (shape, instance) pairs never
         # reach the exchange
-        return _arrow_distinct(pa.table(
-            {
-                "shape": pa.array(
-                    np.concatenate(shs), pa.string(), from_pandas=True
-                ),
-                "instance": pa.array(
-                    np.concatenate(insts), pa.string(), from_pandas=True
-                ),
-            }
-        ), ["shape", "instance"])
+        return _arrow_distinct(rows, ["shape", "instance"])
 
-    fanned = p31.map_batches(fan_out, batch_format="pandas")
+    fanned = p31.map_batches(fan_out, batch_format="pyarrow")
 
     def resolve_part(tables: list[pa.Table], _keys) -> pa.Table:
         """Dedup (shape, instance); drop instances that belong to two
