@@ -295,9 +295,9 @@ def test_best_rank_collision_rebuilds_from_strings(
     calls = []
     original = build.best_rank_statements
 
-    def counted(root):
+    def counted(root, store):
         calls.append(root)
-        return original(root)
+        return original(root, store)
 
     monkeypatch.setattr(build, "best_rank_statements", counted)
     state.prewarmed["best_rank_ref"] = (ray.put(None), ray.put(False))

@@ -11,12 +11,16 @@ BuildState.
 Every build-path exchange is one `joins.exchange`, and each is a fixed
 all-to-all latency: the distributed path runs one exchange per join
 key, and neither path may grow new ones. The exchange is plain Ray
-tasks: no build execution holds a Ray Data all-to-all operator, and no
-Ray Data shuffle (groupby, sort, repartition, random_shuffle, join)
-is called during a build.
-Every store scan (`sources.scan_predicate`) costs driver planning that
-grows with the files it reads, so neither path may grow new scans
-either. generate_yago writes its outputs from memory: no parquet file is
+tasks, and no Ray Data shuffle (groupby, sort, repartition,
+random_shuffle, join) is called during a build.
+Every store scan (`sources.scan_predicate`) reads its files in plain
+Ray tasks and costs a round of read tasks, so neither path may grow
+new scans either. A build runs no Ray Data execution at all: the scans
+are materialized reads, their maps run in the consuming exchange's map
+tasks or in plain per-block tasks, and the build succeeds with
+`ray.data.read_parquet` raising. The store's footers are read once, by
+build_state; generate_yago reads none.
+generate_yago writes its outputs from memory: no parquet file is
 staged on the way to the output exchanges, whose reduce tasks write the
 parts. Each state object has one object-store copy: the packed URI map
 is the merge task's output, never put again from the driver, and the
@@ -41,11 +45,14 @@ def build_calls(request, statements_root, tmp_path_factory):
     calling function of every `joins.exchange` call and of every Ray
     Data shuffle method call, the operator classes and names of every
     Ray Data execution, the number of store-scan plans and of the
-    parquet writes generate_yago makes, and the value-column count (for
+    parquet writes generate_yago makes, the parquet footer reads of
+    build_state and of generate_yago, and the value-column count (for
     a HashIndex) and calling function of every driver `ray.put`
-    argument."""
+    argument. `ray.data.read_parquet` raises (and records the attempt)
+    throughout."""
     import pyarrow.parquet as pq
     import ray
+    import ray.data
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
     from ray.data.dataset import Dataset
 
@@ -61,6 +68,8 @@ def build_calls(request, statements_root, tmp_path_factory):
     scans = [0]
     executions: list[list[tuple[type, str]]] = []
     parquet_writes = [0]
+    footers = [0]
+    read_parquet_calls: list[str] = []
     puts: list[tuple[int | None, str]] = []
     put = ray.put
     scan_predicate = sources.scan_predicate
@@ -70,6 +79,7 @@ def build_calls(request, statements_root, tmp_path_factory):
     si_by_item = build_dist.si_by_item
     write_parquet = Dataset.write_parquet
     write_table = pq.write_table
+    read_metadata = pq.read_metadata
 
     def recording_to_arrow_refs(self):
         receivers.append(type(self))
@@ -109,6 +119,14 @@ def build_calls(request, statements_root, tmp_path_factory):
         parquet_writes[0] += 1
         return write_table(*args, **kwargs)
 
+    def counting_read_metadata(*args, **kwargs):
+        footers[0] += 1
+        return read_metadata(*args, **kwargs)
+
+    def raising_read_parquet(*args, **kwargs):
+        read_parquet_calls.append(_caller())
+        raise RuntimeError("the build must read the store without Ray Data")
+
     def recording_put(value, *args, **kwargs):
         # value columns of a put HashIndex (0: a set); None: not an index
         n_values = len(value.values) if isinstance(value, HashIndex) else None
@@ -133,12 +151,15 @@ def build_calls(request, statements_root, tmp_path_factory):
         mp.setattr(build_dist, "si_by_item", counting_si_by_item)
         mp.setattr(Dataset, "write_parquet", counting_write_parquet)
         mp.setattr(pq, "write_table", counting_write_table)
+        mp.setattr(pq, "read_metadata", counting_read_metadata)
+        mp.setattr(ray.data, "read_parquet", raising_read_parquet)
         mp.setattr(ray, "put", recording_put)
         # every module that scans imports the function by name
         for module in (sources, build, build_dist, state_mod):
             mp.setattr(module, "scan_predicate", counting_scan_predicate)
         state = build_state(statements_root, distributed=request.param)
         writes_before = parquet_writes[0]
+        state_footers = footers[0]
         generate_yago(statements_root, state=state, out_dir=out)
     assert state.distributed == request.param
     return {
@@ -150,6 +171,10 @@ def build_calls(request, statements_root, tmp_path_factory):
         "scans": scans[0],
         "executions": executions,
         "parquet_writes": parquet_writes[0] - writes_before,
+        "state_footers": state_footers,
+        "generate_footers": footers[0] - state_footers,
+        "read_parquet_calls": read_parquet_calls,
+        "store_files": len(state.store.of()),
         "puts": puts,
         "out_dir": out,
     }
@@ -197,57 +222,36 @@ def test_store_scan_budget(build_calls):
 
 
 def test_execution_budget(build_calls):
-    """Each Ray Data execution costs a fixed start before it touches a
-    row. An exchange streams each lazy input once (one execution each)
-    and maps a materialized input's blocks in its own map tasks, so the
-    build's executions are its store scans: the fused state scan, the
-    output scan and the exchanges' lazy inputs. Facts and annotated
-    facts are the two row kinds of one materialized statement exchange:
-    no annotation collect or second annotation join runs on either
-    path. maxCount exchanges the blocks of that materialized join as
-    they are, and the output exchanges' reduce tasks write the parts:
-    no Ray Data job maps the join's rows or writes them."""
-    n = len(build_calls["executions"])
-    if build_calls["distributed"]:
-        assert n <= 8, n
-    else:
-        assert n == 6, n
-
-
-def test_no_write_or_union_execution(build_calls):
-    """The legs of an exchange side are inputs of one exchange, not a
-    Ray Data union, and the parts are written by the output exchange's
-    reduce tasks, not a Ray Data write job."""
-    from ray.data._internal.execution.operators.union_operator import (
-        UnionOperator,
-    )
-
-    held = [
-        [name for op, name in ops if issubclass(op, UnionOperator) or name == "Write"]
-        for ops in build_calls["executions"]
+    """A build runs no Ray Data execution on either path: each would cost
+    a fixed start (and a read's fragment-sampling tasks) before it
+    touches a row. The store scans are plain read tasks whose blocks
+    come back materialized; every map over a scan runs in the consuming
+    exchange's map tasks (routing, the P31 fan-out, the best-rank ids,
+    the value nodes) or in plain per-block tasks (the fused state
+    scan's routing, the output scan's rows). So no execution can hold a
+    Ray Data all-to-all operator, a union of legs or a write job: the
+    exchanges are plain tasks, an exchange side's legs are inputs of
+    one exchange, and the output exchange's reduce tasks write the
+    parts."""
+    assert not build_calls["executions"], [
+        " -> ".join(name for _, name in ops) for ops in build_calls["executions"]
     ]
-    assert build_calls["executions"], "no execution recorded"
-    assert not [h for h in held if h], held
 
 
-def test_no_all_to_all_execution(build_calls):
-    """The exchange is plain Ray tasks: no build execution holds a Ray
-    Data all-to-all operator (a sort shuffle, or a hash shuffle behind a
-    native join or aggregate)."""
-    from ray.data._internal.execution.operators.base_physical_operator import (
-        AllToAllOperator,
+def test_store_read_without_ray_data(build_calls):
+    """build_state + generate_yago succeed with `ray.data.read_parquet`
+    raising: no caller reached it (nor caught its error)."""
+    assert not build_calls["read_parquet_calls"], build_calls["read_parquet_calls"]
+
+
+def test_one_footer_pass_per_build(build_calls):
+    """build_state reads each store file's footer once (one pass, kept
+    as BuildState.store); generate_yago's sizing calls and scans read
+    the kept facts and no footer."""
+    assert build_calls["state_footers"] == build_calls["store_files"] > 0, (
+        build_calls["state_footers"], build_calls["store_files"]
     )
-    from ray.data._internal.execution.operators.hash_shuffle import (
-        HashShufflingOperatorBase,
-    )
-
-    all_to_all = (AllToAllOperator, HashShufflingOperatorBase)
-    held = [
-        [op.__name__ for op, _ in ops if issubclass(op, all_to_all)]
-        for ops in build_calls["executions"]
-    ]
-    assert build_calls["executions"], "no execution recorded"
-    assert not [h for h in held if h], held
+    assert build_calls["generate_footers"] == 0, build_calls["generate_footers"]
 
 
 def test_state_objects_put_once(build_calls):

@@ -1,15 +1,19 @@
-"""Ray Data executions of one warm build on both state paths: build a
-seeded corpus's statement store, run `build_state` + `generate_yago`
-once to warm the workers, then once more while recording every
-`StreamingExecutor.execute` call, and print each execution's operator
-chain and the yago4_ray function that started it.
+"""Ray Data executions and store scans of one warm build on both state
+paths: build a seeded corpus's statement store, run `build_state` +
+`generate_yago` once to warm the workers, then once more while
+recording every `StreamingExecutor.execute` call and every store scan
+(`sources.scan_predicate`) with its plain read tasks, and print each
+execution's operator chain and each scan, with the yago4_ray function
+that started it.
 
     python tools/executions.py --entities 2000 --seed 7
 
 Per path one line per execution, `<path> <n> <caller> <chain>`, with
 `ALL-TO-ALL` before the chain when an operator of it is a Ray Data
-all-to-all (sort shuffle, hash shuffle, join or aggregate), then a
-summary line per path. The session is 2 CPUs wide, as perfbench's.
+all-to-all (sort shuffle, hash shuffle, join or aggregate); one line
+per scan, `<path> scan <n> <caller> <predicates> preds <files> files
+<tasks> read tasks <blocks> blocks`; then a summary line per path.
+The session is 2 CPUs wide, as perfbench's.
 The corpus is cached under `--work` (default `.bench_work/executions`);
 the store and the outputs are deleted on exit.
 """
@@ -20,6 +24,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
@@ -80,6 +85,7 @@ def main() -> int:
     import ray.data
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
+    from yago4_ray import build, build_dist, sources, state as state_mod
     from yago4_ray.build import generate_yago
     from yago4_ray.corpus import materialize_corpus
     from yago4_ray.sources import write_statement_store
@@ -94,7 +100,12 @@ def main() -> int:
     ray.data.DataContext.get_current().enable_progress_bars = False
     scratch = tempfile.mkdtemp(dir=args.work)
     execute = StreamingExecutor.execute
+    scan_predicate = sources.scan_predicate
+    read_groups = sources._read_groups
     log: list[tuple[str, str, bool]] = []
+    # per scan: [caller, predicates, files, read tasks, blocks]
+    scans: list[list] = []
+    current = threading.local()  # a scan runs in its caller's thread
 
     def recording_execute(self, dag, *a, **kw):
         ops = operators(dag)
@@ -104,6 +115,22 @@ def main() -> int:
             any(is_all_to_all(op) for op in ops),
         ))
         return execute(self, dag, *a, **kw)
+
+    def recording_scan(root, predicates, *a, **kw):
+        preds = [predicates] if isinstance(predicates, str) else predicates
+        current.scan = [caller(), len(preds), 0, 0, 0]
+        scans.append(current.scan)
+        return scan_predicate(root, predicates, *a, **kw)
+
+    def recording_read_groups(files, num_blocks):
+        groups = read_groups(files, num_blocks)
+        current.scan[2:] = [
+            len(files), len(groups), sum(k for _, k in groups)
+        ]
+        return groups
+
+    # every module that scans imports the function by name
+    scanning = (sources, build, build_dist, state_mod)
 
     try:
         corpus = materialize_corpus(
@@ -117,18 +144,32 @@ def main() -> int:
             for _ in ("cold", "warm"):  # the warm build's log is kept
                 out = tempfile.mkdtemp(dir=scratch)
                 log.clear()
+                scans.clear()
                 StreamingExecutor.execute = recording_execute
+                sources._read_groups = recording_read_groups
+                for module in scanning:
+                    module.scan_predicate = recording_scan
                 try:
                     state = build_state(store, distributed=distributed)
                     generate_yago(store, out_dir=out, state=state)
                 finally:
                     StreamingExecutor.execute = execute
+                    sources._read_groups = read_groups
+                    for module in scanning:
+                        module.scan_predicate = scan_predicate
             for i, (where, chain, a2a) in enumerate(log, 1):
                 flag = "ALL-TO-ALL " if a2a else ""
                 print(f"{name} {i} {where} {flag}{chain}")
+            for i, (where, preds, files, tasks, blocks) in enumerate(scans, 1):
+                print(
+                    f"{name} scan {i} {where} {preds} preds {files} files "
+                    f"{tasks} read tasks {blocks} blocks"
+                )
             print(
                 f"{name}: {len(log)} executions, "
-                f"{sum(a2a for *_, a2a in log)} with an all-to-all operator"
+                f"{sum(a2a for *_, a2a in log)} with an all-to-all operator, "
+                f"{len(scans)} scan plans, "
+                f"{sum(s[3] for s in scans)} plain read tasks"
             )
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -56,6 +56,7 @@ from .joins import (
     distinct_rows,
     exchange,
     get_broadcast,
+    map_blocks,
     partitions_for_nbytes,
     string_table,
 )
@@ -217,7 +218,7 @@ def _pack_clean_maps(*blocks) -> dict:
     return out
 
 
-def clean_values(root: str, uri_ref) -> tuple[list, list]:
+def clean_values(root: str, uri_ref, store) -> tuple[list, list]:
     """The clean values (ST4): ONE scan + ONE partitioned groupby into
     (family, value_node, object, extras) Arrow blocks (reference: five
     point-lookup chains in five threads, plan.rs:908-1032), units looked
@@ -226,30 +227,32 @@ def clean_values(root: str, uri_ref) -> tuple[list, list]:
     blocks (build_dist.value_join)."""
     # an exchange result, so materialized: to_arrow_refs runs nothing
     # (on a lazy Dataset it re-runs the scan for its schema, PERF_NOTES #50)
-    blocks = C.build_value_maps(root, scan_predicate, uri_ref).to_arrow_refs()
+    blocks = C.build_value_maps(
+        scan_predicate(root, C.ALL_VALUE_PREDICATES, store=store), uri_ref
+    ).to_arrow_refs()
     return blocks, [_count_families.remote(b) for b in blocks]
 
 
-def clean_maps(root: str, uri_ref) -> tuple:
+def clean_maps(root: str, uri_ref, store) -> tuple:
     """The broadcast path's clean values: (ref of the per-family maps
     packed remotely from clean_values' blocks, which are not kept past
     the pack, family-count refs)."""
-    blocks, counts = clean_values(root, uri_ref)
+    blocks, counts = clean_values(root, uri_ref, store)
     return _pack_clean_maps.remote(*blocks), counts
 
 
-def best_rank_statements(root: str) -> pa.ChunkedArray:
+def best_rank_statements(root: str, store) -> pa.ChunkedArray:
     """Statement ids typed wikibase:BestRank (M16/J6) as one Arrow
     column (HashIndex consumes it without a Python set pass; statement
     ids are store-unique) — build_facts' exact fallback when the fused
-    scan's 64-bit BestRank hashes collide. The distributed path joins
-    against the best-rank ids instead (build_dist.best_rank_sides)."""
-    ds = scan_predicate(root, T.RDF_TYPE).map_batches(
-        lambda b: b.filter(pc.equal(b["object"], T.WIKIBASE_BEST_RANK)),
-        batch_format="pyarrow",
-    ).materialize()
+    scan's 64-bit BestRank hashes collide, filtered out of the store
+    scan in plain tasks. The distributed path joins against the
+    best-rank ids instead (build_dist.best_rank_sides)."""
+    ids = map_blocks(
+        scan_predicate(root, T.RDF_TYPE, store=store), D.best_rank_ids
+    )
     return pa.chunked_array(
-        [t["subject"] for t in ray.get(ds.to_arrow_refs())], pa.string()
+        [t["statement"] for t in ray.get(ids.to_arrow_refs())], pa.string()
     )
 
 
@@ -417,7 +420,7 @@ def build_facts(
     # size the statement exchange by DATA volume, not CPU count: a
     # fixed count means per-partition size grows without bound as the
     # store grows (the 100-TB killer)
-    num_partitions = D.exchange_parts(root)
+    num_partitions = D.exchange_parts(state)
     configs, ann_configs = prop_configs(state.schema)
     all_configs = configs + ann_configs
 
@@ -430,8 +433,8 @@ def build_facts(
     )
     subjects = D.subject_rows(D.resolved(root, state, {"subject"}, configs), configs)
 
-    # task-based co-partitioned join: ONE Arrow exchange fed directly by
-    # the (lazy) subject/object scan stages — the native Dataset.join
+    # task-based co-partitioned join: ONE Arrow exchange whose map tasks
+    # run the subject/object legs' maps over the read scans — the native Dataset.join
     # here spawned num_partitions CPU-reserving aggregator actors (~1 s
     # startup each) and shuffled both sides separately
     # bundle the tag stages to ~32 MB blocks: the exchange width (and
@@ -439,10 +442,8 @@ def build_facts(
     # scales with session CPUs — without this a 32-CPU session pays a
     # 64×64 exchange where an 8-CPU one pays 16×16 on the same data
     # (the join phase is latency-bound, not compute-bound)
-    from .sources import store_nbytes as _snb, store_num_rows as _snr
-
-    _rows = _snr(root)
-    _row_bytes = max(1, _snb(root) // max(1, _rows))
+    _rows = state.store.num_rows()
+    _row_bytes = max(1, state.store.nbytes() // max(1, _rows))
     tag_bs = max(8192, (32 << 20) // _row_bytes)
     # plain string keys: at 22 M / 8 CPUs on single-node plasma the
     # string exchange measured ~1 s FASTER per join than 128-bit digest
@@ -527,7 +528,7 @@ def _store_output(root: str, state: BuildState, family: str) -> Dataset:
     of the family plan (build_dist.output_rows)."""
     rows = D.output_rows(D.resolved(root, state, {family}), state)
     return distinct_rows(
-        D.as_dataset(rows).drop_columns(["file"]),
+        D.as_dataset(D._then(rows, lambda b: b.drop_columns(["file"]))),
         ["subject", "predicate", "object"],
     )
 
@@ -590,17 +591,14 @@ def build_scan_outputs(root: str, state: BuildState) -> Dataset:
     generate_yago's in-memory dedup: the output families of the family
     plan, the same selections the per-output builders read. On the
     broadcast path that is ONE tagged pass over the union of their
-    predicate partitions (four separate pipelines would re-read
-    overlapping partitions and pay four executor startups); on the
-    distributed path the item-keyed families are selections of the one
-    shared item join. The Dataset carries its legs (`legs`, see
-    build_dist), which generate_yago's output exchange takes as inputs:
-    it runs the selections over the materialized state and join
-    Datasets in its map tasks."""
-    legs = D.output_rows(D.resolved(root, state, D.OUTPUT_FAMILIES), state)
-    rows = D.as_dataset(legs)
-    rows.legs = legs
-    return rows
+    predicate partitions (four separate scans would re-read
+    overlapping partitions); on the distributed path the item-keyed
+    families are selections of the one shared item join. Materialized:
+    each leg's blocks are mapped in plain tasks (`build_dist.as_dataset`),
+    beside generate_yago's facts thread."""
+    return D.as_dataset(
+        D.output_rows(D.resolved(root, state, D.OUTPUT_FAMILIES), state)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -899,10 +897,12 @@ def generate_yago(
 ) -> None:
     """Run the full build (plan.rs:64-203) and write every output under
     `out_dir`: one in-memory plan at every input size. The facts join
-    (build_facts) runs in one thread while the fused output scan
-    (build_scan_outputs) materializes in another. The driver-built rows
-    (schema, shapes, class), the simple types, the output scan's legs
-    and the facts are then the inputs of ONE full-key dedup exchange
+    (build_facts) runs in one thread while the fused output scan's rows
+    (build_scan_outputs' legs, mapped in plain per-block tasks) are
+    computed in another. No Ray Data job runs: every store scan is a
+    materialized plain-task read. The driver-built rows (schema,
+    shapes, class), the simple types, the output scan's rows and the
+    facts are then the inputs of ONE full-key dedup exchange
     whose reduce tasks write the parts (write_outputs); the annotated facts
     dedup and write in their own exchange alongside. Every output dir
     holds hash-partitioned .nt.gz parts, each sorted within itself,
@@ -944,19 +944,14 @@ def generate_yago(
     with _cf.ThreadPoolExecutor(max_workers=3) as pool:
         # through the module: a caller may wrap build.build_facts
         f_facts = pool.submit(build_facts, statements_root, state, dedup=False)
-        # the output scan's lazy leg (its store scan) runs in this thread;
-        # on the distributed path it waits on the item join the facts
-        # thread shares
-        f_scan = pool.submit(
-            lambda: [
-                (ds.materialize(), fn)
-                for ds, fn in build_scan_outputs(statements_root, state).legs
-            ]
-        )
+        # the output scan's rows are computed in this thread, in plain
+        # tasks beside the facts thread; on the distributed path it
+        # waits on the item join the facts thread shares
+        f_scan = pool.submit(build_scan_outputs, statements_root, state)
         static = _static_rows_table(state)
         inst = state.datasets["shape_instances"]
         facts, annotated = f_facts.result()
-        scan_legs = f_scan.result()
+        scan = f_scan.result()
         kept, expand_facts = facts.expanded_from
         _, expand_ann = annotated.expanded_from
 
@@ -989,8 +984,7 @@ def generate_yago(
                  static.nbytes, static.num_rows),
                 ((inst, _output_rows("simple-types", _simple_type_rows)),
                  inst.size_bytes() or 0, inst.count()),
-                *(((ds, _output_rows(None, fn)), ds.size_bytes() or 0, ds.count())
-                  for ds, fn in scan_legs),
+                ((scan, _output_rows(None)), scan.size_bytes() or 0, scan.count()),
                 ((kept, _output_rows("facts", expand_facts)),
                  facts_bytes, getattr(facts, "join_rows", 0)),
             ]

@@ -27,8 +27,9 @@ only the middle one depends on the state regime:
   classes, a label's parent shape, schema:Thing); a value node resolves
   to its cleaned (object, extras).
   - Broadcast state: a per-batch map over the packed refs (URI map,
-    shape instances, clean-value maps, best-rank set) streamed into the
-    consumer's own scan job; the best-rank filter runs in that map.
+    shape instances, clean-value maps, best-rank set) that runs in the
+    consuming exchange's map tasks over the materialized store scan;
+    the best-rank filter runs in that map.
   - Distributed state: the item families in ONE hash-keyed exchange
     against `si_by_item`, the value nodes in ONE (family, value_node)
     exchange against the clean-value Dataset, each materialized once
@@ -83,7 +84,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ray.data import Dataset, from_arrow_refs
-from ray.data.dataset import MaterializedDataset
 
 from . import cleaners as C
 from . import terms as T
@@ -92,6 +92,7 @@ from .joins import (
     copartition_join,
     exchange,
     get_broadcast,
+    map_blocks,
     string_table,
 )
 from .sources import scan_predicate
@@ -114,13 +115,12 @@ OUTPUT_FILES = {
 OUTPUT_FAMILIES = frozenset(OUTPUT_FILES)
 
 
-def exchange_parts(root: str) -> int:
+def exchange_parts(state) -> int:
     """Partition count of every build exchange: the store's data
-    volume."""
+    volume (from the footer facts build_state read once)."""
     from .joins import partitions_for_nbytes
-    from .sources import store_nbytes
 
-    return partitions_for_nbytes(store_nbytes(root))
+    return partitions_for_nbytes(state.store.nbytes())
 
 
 def _table(cols: list[str], *values) -> pa.Table:
@@ -150,24 +150,18 @@ def map_values(values, keys, to):
 
 
 # The plan's rows travel as LEGS, a list of (Dataset, fn | None) pairs
-# (the inputs of an exchange side, joins.exchange): a lazy Dataset maps
-# its rows in its own Ray Data execution (fn None), while the maps over
-# a materialized Dataset (a state Dataset, a shared exchange result)
-# compose into one per-block Arrow function that the consuming
-# exchange's map tasks run. So no Ray Data job runs just to map
-# materialized blocks, and no union of legs runs at all.
+# (the inputs of an exchange side, joins.exchange). Every leg's Dataset
+# is materialized (a store scan, a state Dataset, a shared exchange
+# result), and the maps over it compose into one per-block Arrow
+# function that the consuming exchange's map tasks run. So no Ray Data
+# job runs to map blocks, and no union of legs runs at all.
 
 def _then(legs: list, fn) -> list:
     """Every leg of `legs` mapped by `fn` (pa.Table → pa.Table)."""
-    out = []
-    for ds, f in legs:
-        if not isinstance(ds, MaterializedDataset):  # a lazy leg has no fn
-            out.append((ds.map_batches(fn, batch_format="pyarrow"), None))
-        else:
-            out.append(
-                (ds, fn if f is None else functools.partial(_compose, f, fn))
-            )
-    return out
+    return [
+        (ds, fn if f is None else functools.partial(_compose, f, fn))
+        for ds, f in legs
+    ]
 
 
 def _compose(f, g, t: pa.Table) -> pa.Table:
@@ -175,13 +169,12 @@ def _compose(f, g, t: pa.Table) -> pa.Table:
 
 
 def as_dataset(legs: list) -> Dataset:
-    """The rows of `legs` as one Dataset, a union: the single-output
-    queries' form. A build's exchanges take the legs themselves."""
-    parts = [
-        ds if fn is None else ds.map_batches(fn, batch_format="pyarrow")
-        for ds, fn in legs
-    ]
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    """The rows of `legs` (each under a map) as one materialized Dataset,
+    every leg's blocks mapped in plain tasks (`joins.map_blocks`): the
+    output scan's rows and the single-output queries' form. A build's
+    exchanges take the legs themselves."""
+    blocks = [b for ds, fn in legs for b in map_blocks(ds, fn).to_arrow_refs()]
+    return from_arrow_refs(blocks).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +291,17 @@ def _routes(schema, families, cfg_ids=None) -> dict[str, list]:
     return routes
 
 
-def family_scan(root: str, schema, families, cfg_ids=None) -> Dataset | None:
-    """The routed (family, tag, key, value) rows of `families` from ONE
-    store scan over their predicates; None when no predicate feeds
-    them."""
+def family_scan(root: str, schema, families, store, cfg_ids=None) -> list:
+    """The leg of the routed (family, tag, key, value) rows of
+    `families`: ONE store scan over their predicates under the routing
+    map, which the consuming exchange's map tasks run; no leg when no
+    predicate feeds them. `store` is the store's footer facts
+    (BuildState.store)."""
     from .build import term_datatypes
 
     routes = _routes(schema, families, cfg_ids)
     if not routes:
-        return None
+        return []
 
     def route(batch: pa.Table) -> pa.Table:
         out = [_no_rows(ROUTED)]
@@ -323,18 +318,14 @@ def family_scan(root: str, schema, families, cfg_ids=None) -> Dataset | None:
                 out.append(_table(ROUTED, family, tag, *emit(group, dtypes)))
         return pa.concat_tables(out)
 
-    return scan_predicate(root, sorted(routes)).map_batches(
-        route, batch_format="pyarrow"
-    )
+    return [(scan_predicate(root, sorted(routes), store=store), route)]
 
 
-def item_scan(root: str, schema) -> Dataset:
+def item_scan(root: str, schema, store) -> list:
     """The store leg of `item_join`: every item-keyed family in one
-    scan. build_state plans it (state.prewarmed["item_scan"]) while the
-    state builds: read_parquet fetches the footers of a scan over more
-    than a few dozen files in remote tasks, a wait that would otherwise
-    head the facts chain."""
-    return family_scan(root, schema, ITEM_FAMILIES)
+    scan. build_state reads it (state.prewarmed["item_scan"]) while the
+    state builds, so the read does not head the facts chain."""
+    return family_scan(root, schema, ITEM_FAMILIES, store)
 
 
 def _same_as_state_rows(state) -> list:
@@ -404,8 +395,8 @@ def resolved(root: str, state, families, configs=None) -> list:
     rows of `families` (the cfg-fed families for the cfgs in `configs`;
     None: every cfg), each key met with its state. The one place the
     state regime shows: joined from the shared materialized exchanges
-    on the distributed path, a per-batch map over the consumer's own
-    scan otherwise. The selections filter the shared exchanges' rows
+    on the distributed path, a per-batch map over the materialized
+    store scan (run in the consuming exchange's map tasks) otherwise. The selections filter the shared exchanges' rows
     down to `configs`."""
     cfg_ids = None if configs is None else {c.cfg_id for c in configs}
     # only the families some predicate of these cfgs feeds: a join leg
@@ -425,7 +416,7 @@ def resolved(root: str, state, families, configs=None) -> list:
         local = families - ITEM_FAMILIES - {"value"}
     with _cf.ThreadPoolExecutor(max_workers=2) as pool:
         # the two state exchanges materialize concurrently and the local
-        # scan plans under them
+        # scan reads under them
         futures = [pool.submit(fn, root, state) for fn in joins]
         legs = _local_rows(root, state, local, cfg_ids) if local else []
         joined = [f.result() for f in futures]
@@ -443,8 +434,7 @@ def _local_rows(root: str, state, families, cfg_ids) -> list:
     map (one lookup per clean family); keyed rows meet the URI map, a
     class row then the class set, an item row the admitted
     (family, tag, shape) table and one membership probe per shape."""
-    scanned = family_scan(root, state.schema, families, cfg_ids)
-    legs = [(scanned, None)] if scanned is not None else []
+    legs = family_scan(root, state.schema, families, state.store, cfg_ids)
     if "sameAs" in families:
         legs += _same_as_state_rows(state)
     if not legs:
@@ -535,26 +525,26 @@ def _best_rank_ref(root: str, state) -> "ray.ObjectRef":
         return set_ref
     from .broadcast import HashIndex
 
-    return ray.put(HashIndex(B.best_rank_statements(root)))
+    return ray.put(HashIndex(B.best_rank_statements(root, state.store)))
 
 
-def best_rank_sides(root: str, state) -> list[tuple[Dataset, list[str]]]:
+def best_rank_sides(root: str, state) -> list[tuple[list, list[str]]]:
     """The statement exchange's best-rank side: the distributed path
     semi-joins the best-rank ids inside `facts_part`; the broadcast
     lookup has already filtered the subject rows."""
     if not state.distributed:
         return []
     return [(
-        scan_predicate(root, T.RDF_TYPE).map_batches(
-            lambda b: pa.table(
-                {"statement": b.filter(
-                    pc.equal(b["object"], T.WIKIBASE_BEST_RANK)
-                )["subject"]}
-            ),
-            batch_format="pyarrow",
-        ),
+        [(scan_predicate(root, T.RDF_TYPE, store=state.store), best_rank_ids)],
         ["statement"],
     )]
+
+
+def best_rank_ids(b: pa.Table) -> pa.Table:
+    """The (statement) ids typed wikibase:BestRank of rdf:type rows."""
+    return pa.table({"statement": b.filter(
+        pc.equal(b["object"], T.WIKIBASE_BEST_RANK)
+    )["subject"]})
 
 
 _LOCKS = {"item_join": threading.Lock(), "value_join": threading.Lock()}
@@ -584,7 +574,7 @@ def si_by_item(state) -> Dataset:
     return copartition_join(
         state.datasets["shape_instances"], uri_items, "instance",
         ["shape", "instance"], ["key"],
-        num_parts=exchange_parts(state.statements_root),
+        num_parts=exchange_parts(state),
         hash_keys=True,
     )
 
@@ -608,12 +598,11 @@ def item_join(root: str, state) -> Dataset:
             "extras", pa.repeat(pa.scalar("", pa.string()), out.num_rows)
         ).select(RESOLVED)
 
-    rows = [(state.prewarmed["item_scan"].result(), None),
-            *_same_as_state_rows(state)]
+    rows = [*state.prewarmed["item_scan"].result(), *_same_as_state_rows(state)]
     return exchange(
         [(rows, ["family", "tag", "value"]),
          (si_by_item(state), ["shape", "instance"])],
-        ["key"], keep_admitted, exchange_parts(root), hash_keys=True,
+        ["key"], keep_admitted, exchange_parts(state), hash_keys=True,
     )
 
 
@@ -625,8 +614,8 @@ def value_join(root: str, state) -> Dataset | None:
     """Every complex value node of the facts (psv:) AND the annotations
     (pqv:) resolved in ONE (family, value_node) exchange against the
     clean-value Dataset; None when no cfg has a complex value."""
-    scanned = family_scan(root, state.schema, {"value"})
-    if scanned is None:
+    scanned = family_scan(root, state.schema, {"value"}, state.store)
+    if not scanned:
         return None
     families = _clean_families(state.schema)
 
@@ -654,9 +643,9 @@ def value_join(root: str, state) -> Dataset | None:
 
     clean_blocks, _ = state.prewarmed["clean_values"].result()
     return exchange(
-        [(scanned.map_batches(to_nodes, batch_format="pyarrow"), ["tag", "value"]),
+        [(_then(scanned, to_nodes), ["tag", "value"]),
          (from_arrow_refs(clean_blocks), ["object", "extras"])],
-        ["family", "value_node"], to_resolved, exchange_parts(root),
+        ["family", "value_node"], to_resolved, exchange_parts(state),
         hash_keys=True,
     )
 

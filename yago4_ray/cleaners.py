@@ -218,19 +218,16 @@ ALL_VALUE_PREDICATES = [
 ]
 
 
-def build_value_maps(
-    statements_root: str, scan_predicate, uri_mapping_ref
-) -> Dataset:
-    """ALL five cleaned-value families in ONE scan + ONE partitioned
-    groupby over value nodes (the reference runs five point-lookup
-    chains in five threads, plan.rs:908-1032).
+def build_value_maps(ds: Dataset, uri_mapping_ref) -> Dataset:
+    """ALL five cleaned-value families from ONE scan (`ds`, the store
+    rows of ALL_VALUE_PREDICATES) + ONE partitioned groupby over value
+    nodes (the reference runs five point-lookup chains in five threads,
+    plan.rs:908-1032).
 
     Output rows: (family, value_node, object, extras_json) with family ∈
     {time, coordinates, duration, integer, quantity}.
     """
     from .joins import exchange, get_broadcast
-
-    ds = scan_predicate(statements_root, ALL_VALUE_PREDICATES)
 
     def convert_part(tables: list[pa.Table], _keys) -> pa.Table:
         (t,) = tables

@@ -96,7 +96,7 @@ def partitions_for_nbytes(
     8-CPU/4-partition join over tens of millions of rows spills and
     anti-scales (measured: 44 M-row build at 8 CPUs took 4.4× the 22 M
     time before this sizing). `nbytes` is UNCOMPRESSED parquet data
-    bytes (`sources.parquet_data_nbytes` — codec-invariant; on-disk
+    bytes (`sources.StoreInfo` — codec-invariant; on-disk
     bytes swing 10–25× with codec and sort order); Arrow heap is
     ~2–2.5× that, so the 96 MB target bounds a partition at ~200–240 MB
     in a worker's heap. The cluster floor is itself capped so no
@@ -419,6 +419,25 @@ def exchange(
         blocks = [block for (block, _), n in zip(outs, rows) if n == 0][:1]
     # from_arrow_refs does not mark its plan executed: materialize() does
     # (no execution), so no consumer's to_arrow_refs starts one
+    return ray.data.from_arrow_refs(blocks).materialize()
+
+
+@ray.remote
+def _map_block(fn, block):
+    """One task of `map_blocks`."""
+    return fn(BlockAccessor.for_block(block).to_arrow())
+
+
+def map_blocks(ds: Dataset, fn) -> Dataset:
+    """`fn` (pa.Table → pa.Table) over every block of the materialized
+    `ds`, one plain Ray task per block, as a materialized Dataset: the
+    map of an input that no exchange consumes (the fused state scan's
+    routing, generate_yago's output scan), with no Ray Data job."""
+    # a from_arrow_refs/from_arrow plan is not marked executed, so
+    # reading its refs starts a bare Input execution; materialize()
+    # marks it without running anything
+    blocks = [_map_block.remote(fn, b) for b in ds.materialize().to_arrow_refs()]
+    # from_arrow_refs does not mark its plan executed: materialize() does
     return ray.data.from_arrow_refs(blocks).materialize()
 
 

@@ -3,9 +3,11 @@
 - Predicate-partitioned Parquet *statement store*: the distributed
   replacement for the reference's RocksDB (predicate, subject, object)
   index (partitioned_statements.rs:19-128). "Scan a predicate" becomes a
-  partition-pruned `read_parquet` of that predicate's directory — no KV
-  store, no index build; the write is a one-shot partitioned
-  `write_parquet`.
+  partition-pruned read of that predicate's directory in plain Ray
+  tasks (`scan_predicate`, pyarrow.dataset per file group, no Ray Data
+  read job) — no KV store, no index build; the write is a one-shot
+  partitioned `write_parquet`. The store's footer facts (files, rows,
+  bytes) are read in one pass (`store_info`).
 - N-Triples (.nt / .nt.gz) reader (reference:
   partitioned_statements.rs:82-128), expressed as `read_text` +
   vectorized parse, and the one output writer, `NTriplesGzWriter`
@@ -155,67 +157,71 @@ def write_statement_store(
     )
 
 
-def parquet_data_nbytes(paths: list[str]) -> int:
-    """UNCOMPRESSED (encoded) data bytes of parquet files, from the
-    footers' per-row-group `total_byte_size` — metadata reads only.
+class StoreInfo:
+    """The footer facts of a statement store, read in one pass
+    (`store_info`): per predicate directory (its `pred_key`) the parquet
+    files in name order, each as (path, rows, uncompressed data bytes).
 
-    This is the codec-invariant data-volume metric every shuffle /
-    partition sizing decision keys on. On-disk file size is NOT usable
-    for that: sorted string triples compress ~10–25× under zstd (and
-    variably under snappy, depending on dictionary-page fallback), so
-    the same logical data can read as 130 MB or 3 GB on disk. Footer
-    `total_byte_size` moves with the data, not the codec."""
+    Bytes are the footers' per-row-group `total_byte_size`: the
+    codec-invariant data-volume metric every shuffle / partition sizing
+    decision keys on. On-disk file size is NOT usable for that: sorted
+    string triples compress ~10–25× under zstd (and variably under
+    snappy, depending on dictionary-page fallback), so the same logical
+    data can read as 130 MB or 3 GB on disk. Footer `total_byte_size`
+    moves with the data, not the codec.
+
+    `build_state` reads it once and keeps it on the BuildState: the
+    build's sizing calls and every scan's read grouping take their
+    numbers from it, and no footer is read again."""
+
+    def __init__(self, root: str, files: dict[str, list[tuple[str, int, int]]]):
+        self.root = root
+        self.files = files
+
+    def of(self, predicates: list[str] | None = None) -> list[tuple[str, int, int]]:
+        """The (path, rows, bytes) of the files of `predicates`'
+        partitions (None: every file), in key then file name order."""
+        keys = (
+            sorted(self.files) if predicates is None
+            else sorted({predicate_key(p) for p in predicates})
+        )
+        return [f for k in keys for f in self.files.get(k, ())]
+
+    def nbytes(self, predicates: list[str] | None = None) -> int:
+        """Uncompressed data bytes of (some predicates' partitions of)
+        the store: the estimate that sizes shuffle partition counts
+        (`joins.partitions_for_nbytes`)."""
+        return sum(nbytes for *_, nbytes in self.of(predicates))
+
+    def num_rows(self, predicates: list[str] | None = None) -> int:
+        """Rows of (some predicates' partitions of) the store: pre-sizes
+        state decisions (whether the URI mapping fits driver RAM) BEFORE
+        any state is built."""
+        return sum(rows for _, rows, _ in self.of(predicates))
+
+
+def store_info(root: str, predicates: list[str] | None = None) -> StoreInfo:
+    """One pass over the footers of the store's files (only the
+    partitions of `predicates`, when given): metadata reads, no data
+    scan."""
     import pyarrow.parquet as pq
 
-    total = 0
-    for p in paths:
-        md = pq.read_metadata(p)
-        for i in range(md.num_row_groups):
-            total += md.row_group(i).total_byte_size
-    return total
-
-
-def store_nbytes(root: str, predicates: list[str] | None = None) -> int:
-    """Uncompressed data bytes of a statement store (optionally only
-    the partitions of some predicates) — the cheap codec-invariant
-    data-volume estimate that sizes shuffle partition counts
-    (`joins.partitions_for_nbytes`). Footer metadata reads only, no
-    data scan."""
-    roots = [root]
-    if predicates is not None:
-        roots = [
-            os.path.join(root, f"pred_key={predicate_key(p)}") for p in predicates
-        ]
-    paths = []
-    for r in roots:
-        for dirpath, _dirs, files in os.walk(r):
-            for f in files:
-                if f.endswith(".parquet"):
-                    paths.append(os.path.join(dirpath, f))
-    return parquet_data_nbytes(paths)
-
-
-def store_num_rows(root: str, predicates: list[str] | None = None) -> int:
-    """Row count of a statement store (optionally only some predicates'
-    partitions) from parquet FOOTERS — metadata reads only, no data
-    scan. Used to pre-size state decisions (e.g. whether the URI
-    mapping fits driver RAM) BEFORE any state is built."""
-    import pyarrow.parquet as pq
-
-    roots = [root]
-    if predicates is not None:
-        roots = [
-            os.path.join(root, f"pred_key={predicate_key(p)}") for p in predicates
-        ]
-    total = 0
-    for r in roots:
-        if not os.path.isdir(r):
+    keys = None if predicates is None else {predicate_key(p) for p in predicates}
+    files: dict[str, list[tuple[str, int, int]]] = {}
+    for d in sorted(os.listdir(root)) if os.path.isdir(root) else ():
+        key = d[len("pred_key="):]
+        if not d.startswith("pred_key=") or (keys is not None and key not in keys):
             continue
-        for dirpath, _dirs, files in os.walk(r):
-            for f in files:
-                if f.endswith(".parquet"):
-                    total += pq.read_metadata(os.path.join(dirpath, f)).num_rows
-    return total
+        found = files[key] = []
+        for f in sorted(os.listdir(os.path.join(root, d))):
+            if f.endswith(".parquet"):
+                path = os.path.join(root, d, f)
+                md = pq.read_metadata(path)
+                found.append((path, md.num_rows, sum(
+                    md.row_group(i).total_byte_size
+                    for i in range(md.num_row_groups)
+                )))
+    return StoreInfo(root, files)
 
 
 def read_blocks_for_nbytes(
@@ -229,7 +235,7 @@ def read_blocks_for_nbytes(
     count (measured under Ray's sort shuffle: the 44 M-row combined
     dedup ran 723×723 ≈ 523k objects, 85 s at 8 CPUs; bounded to 16–128
     blocks the same dedup is 25 s). Sizing: ~`target_mb` UNCOMPRESSED
-    parquet data bytes per block (`parquet_data_nbytes` metric), with a
+    parquet data bytes per block (`StoreInfo` bytes), with a
     2×-cluster-CPU parallelism floor that is ITSELF capped so no block
     falls under `min_mb` — an unconditional CPU floor makes tiny-volume
     shuffles scale their exchange width with the SESSION, not the data
@@ -248,41 +254,87 @@ def read_blocks_for_nbytes(
     return max(base, min(by_size, cap))
 
 
+_SPO = ["subject", "predicate", "object"]
+
+
+@ray.remote
+def _read_files(paths: list[str], predicates: list[str], columns: list[str],
+                num_blocks: int):
+    """One read task of `scan_predicate`: the rows of `paths` whose
+    predicate is one of `predicates` (the exact filter: partition keys
+    may collide), read by pyarrow.dataset in file order, as
+    `num_blocks` row slices."""
+    import pyarrow.dataset as pds
+
+    t = pds.dataset(paths, format="parquet").to_table(
+        columns=columns, filter=pc.field("predicate").isin(predicates),
+        use_threads=False,
+    )
+    if num_blocks == 1:
+        return t
+    bounds = [i * t.num_rows // num_blocks for i in range(num_blocks + 1)]
+    return tuple(t.slice(a, b - a) for a, b in zip(bounds, bounds[1:]))
+
+
+def _read_groups(files: list[tuple[str, int, int]], num_blocks: int) -> list:
+    """(paths, blocks) per read task: `files` ((path, rows, bytes), in
+    scan order) cut into contiguous runs of about equal bytes, about
+    `num_blocks` blocks in all. A file is never split across tasks:
+    with more blocks than files, each file is a task of its own that
+    slices its rows into its byte share of the blocks."""
+    total = sum(nbytes for *_, nbytes in files) or 1
+    if num_blocks >= len(files):
+        return [
+            ([path], max(1, round(nbytes * num_blocks / total)))
+            for path, _, nbytes in files
+        ]
+    groups: dict[int, list[str]] = {}
+    seen = 0
+    for path, _, nbytes in files:
+        # the run whose byte range holds the file's midpoint
+        at = min(num_blocks - 1, int((seen + nbytes / 2) * num_blocks / total))
+        groups.setdefault(at, []).append(path)
+        seen += nbytes
+    return [(paths, 1) for paths in groups.values()]
+
+
 def scan_predicate(
     root: str,
     predicates: str | list[str],
     columns: list[str] | None = None,
     wide: bool = False,
+    store: StoreInfo | None = None,
 ) -> Dataset:
     """All (subject, object[, predicate]) rows for the given predicate
     term(s); partition-pruned read (replaces the RocksDB prefix seek,
-    partitioned_statements.rs:39-48). Missing predicates yield no rows."""
+    partitioned_statements.rs:39-48). Missing predicates yield no rows.
+
+    The engine reads the store itself, with no Ray Data read job: plain
+    Ray tasks (`_read_files`), each running pyarrow.dataset over one
+    contiguous group of the partitions' files with the exact predicate
+    filter inside the task. The result is materialized (the call
+    returns once every block is read): a consumer maps its blocks in
+    its exchange's map tasks (`joins.exchange`'s `(Dataset, fn)`
+    inputs) or in plain tasks (`joins.map_blocks`). Ray Data's parquet
+    read samples fragments in tasks of its own and blocks on them
+    before it plans (measured on an idle 2-CPU session: the whole
+    67-file store in 0.24 s against 0.076 s in 2 plain tasks), and on
+    a busy session those tasks wait behind the build's exchanges.
+
+    `store` holds the files and their sizes (BuildState.store); without
+    it the partitions' footers are read here."""
     preds = [predicates] if isinstance(predicates, str) else list(predicates)
-    paths = []
-    for key in sorted({predicate_key(p) for p in preds}):
-        path = os.path.join(root, f"pred_key={key}")
-        if os.path.isdir(path):
-            # expand to files: read_parquet doesn't expand a *list* of dirs
-            paths.extend(
-                os.path.join(path, f)
-                for f in sorted(os.listdir(path))
-                if f.endswith(".parquet")
-            )
-    if not paths:
+    files = (store or store_info(root, preds)).of(preds)
+    cols = columns or _SPO
+    if not files:
         return ray.data.from_arrow(
-            pa.table(
-                {"subject": pa.array([], pa.string()),
-                 "predicate": pa.array([], pa.string()),
-                 "object": pa.array([], pa.string())}
-            )
-        )
+            pa.table({c: pa.array([], pa.string()) for c in cols})
+        ).materialize()
     # bound block count: these scans feed exchanges whose width
-    # follows input block count (see read_blocks_for_nbytes).
-    # ALWAYS override: None lets Ray's own avail_cpus×2 parallelism floor
-    # split small files into ~2×CPU kilobyte blocks (PERF_NOTES #29);
-    # with the volume-capped count, few-files reads split to a
-    # volume-appropriate width and many-files reads merge.
-    nbytes = parquet_data_nbytes(paths)
+    # follows input block count (see read_blocks_for_nbytes), with the
+    # volume-capped count: few-files reads split to a volume-appropriate
+    # width and many-files reads merge (PERF_NOTES #29)
+    nbytes = sum(n for *_, n in files)
     nblocks = read_blocks_for_nbytes(nbytes)
     if wide:
         # consumer is a map/materialize, NOT an exchange: the
@@ -297,19 +349,13 @@ def scan_predicate(
             else 4
         )
         nblocks = max(nblocks, min(2 * cpus, nbytes // (4 << 20) + 1))
-    ds = ray.data.read_parquet(
-        paths,
-        columns=["subject", "predicate", "object"],
-        override_num_blocks=nblocks,
-    )
-    pred_set = set(preds)
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.is_in(t["predicate"], pa.array(list(pred_set)))),
-        batch_format="pyarrow",
-    )
-    if columns:
-        ds = ds.select_columns(columns)
-    return ds
+    blocks = []
+    for paths, k in _read_groups(files, nblocks):
+        out = _read_files.options(num_returns=k).remote(paths, preds, cols, k)
+        blocks += [out] if k == 1 else out
+    # from_arrow_refs does not mark its plan executed: materialize() does
+    # (no execution)
+    return ray.data.from_arrow_refs(blocks).materialize()
 
 
 # ---------------------------------------------------------------------------

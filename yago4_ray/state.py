@@ -66,9 +66,9 @@ except ImportError:
 from . import graph as G
 from . import terms as T
 from .broadcast import _hash_series
-from .joins import _arrow_distinct, exchange, get_broadcast, string_table
+from .joins import _arrow_distinct, exchange, get_broadcast, map_blocks, string_table
 from .schema import Schema
-from .sources import scan_predicate
+from .sources import StoreInfo, scan_predicate, store_info
 
 ENWIKI_PREFIX = "https://en.wikipedia.org/wiki/"
 
@@ -147,11 +147,12 @@ class BuildState:
     # "best_rank_ref" (broadcast path) is (HashIndex ref,
     # collision-free flag ref) from the fused scan;
     # "item_scan" (distributed path) is a Future of build_dist.item_scan's
-    # planned store scan
+    # store leg
     prewarmed: dict = field(default_factory=dict)
-    # the statement store this state was built from (sizes the
-    # distributed state-side exchanges)
-    statements_root: str = ""
+    # the footer facts (files, rows, bytes) of the statement store this
+    # state was built from, read once: every build exchange's sizing
+    # and every store scan's read grouping read them
+    store: StoreInfo | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +527,14 @@ def collect_input_reductions(
     size: str = "full",
     on_uri_ref=None,
     pack_best_rank: bool = True,
+    store: StoreInfo | None = None,
 ):
     """Every driver-scale input reduction in ONE store scan: URI-mapping
     candidates (markers + wiki + label), enwiki sitelink pairs, P279
     edges and per-class P31 instance counts, routed by predicate inside
-    one map_batches and split by a `kind` column (the driver gets only
-    the enwiki, P279 and count kinds, see `_driver_rows`).
+    one per-block map (`joins.map_blocks`, plain tasks) and split by a
+    `kind` column (the driver gets only the enwiki, P279 and count
+    kinds, see `_driver_rows`).
 
     Replaces four CONCURRENT Ray jobs (enwiki map, URI mapping, P279
     edges, instance counts) that contended for the same CPUs — the URI
@@ -655,15 +658,13 @@ def collect_input_reductions(
             return _unified(_K_MARKER, pa.array([], pa.string()))
         return pa.concat_tables(outs)
 
-    # wide=True: this scan feeds to_arrow_refs + the per-range merge
-    # tasks (no exchange), so block count should track the SESSION
-    # width, not the shuffle-exchange bound. Materialized first: a lazy
-    # Dataset's to_arrow_refs fetches its schema through limit(1), which
-    # re-runs the scan (PERF_NOTES #50)
-    rows = scan_predicate(root, preds, wide=True).map_batches(
-        route, batch_format="pyarrow"
-    )
-    block_refs = rows.materialize().to_arrow_refs()
+    # wide=True: this scan feeds the per-range merge tasks (no
+    # exchange), so block count should track the SESSION width, not the
+    # shuffle-exchange bound. The routing runs in one plain task per
+    # read block; the result is materialized, so to_arrow_refs runs
+    # nothing
+    rows = map_blocks(scan_predicate(root, preds, wide=True, store=store), route)
+    block_refs = rows.to_arrow_refs()
     # submitted first: the driver's reductions wait on it, not the merge
     driver_rows_ref = _driver_rows.remote(*block_refs)
 
@@ -943,6 +944,7 @@ def build_shape_instances(
     yago_super_class_of: dict[str, list[str]],
     yago_classes: set[str],
     uri_ref: "ray.ObjectRef",
+    store: StoreInfo,
 ) -> tuple["ray.ObjectRef", Dataset, "ray.ObjectRef"]:
     """plan.rs:641-731 as: P31 scan → class-map flat join (broadcast the
     class mapping: class-graph scale; the URI map is `uri_ref`, the
@@ -981,7 +983,7 @@ def build_shape_instances(
         "disjoint_pairs": ray.put(disjoint_pairs),
     }
 
-    p31 = scan_predicate(root, f"<{T.WDT}P31>")
+    p31 = scan_predicate(root, f"<{T.WDT}P31>", store=store)
 
     def fan_out(batch: pa.Table) -> pa.Table:
         """P31 rows → (shape, instance): the subject's URI lookup, the
@@ -1002,8 +1004,6 @@ def build_shape_instances(
         # combiner: a batch's repeated (shape, instance) pairs never
         # reach the exchange
         return _arrow_distinct(rows, ["shape", "instance"])
-
-    fanned = p31.map_batches(fan_out, batch_format="pyarrow")
 
     def resolve_part(tables: list[pa.Table], _keys) -> pa.Table:
         """Dedup (shape, instance); drop instances that belong to two
@@ -1026,10 +1026,12 @@ def build_shape_instances(
             t = t.filter(pc.invert(pc.is_in(t["instance"], value_set=bad)))
         return t
 
-    # materialized (an exchange result): consumed by simple-types and
-    # every distributed join
+    # the fan-out runs in the exchange's map tasks over the read P31
+    # blocks; the result is materialized (an exchange result): consumed
+    # by simple-types and every distributed join
     resolved = exchange(
-        [(fanned, ["shape", "instance"])], ["instance"], resolve_part, 32
+        [([(p31, fan_out)], ["shape", "instance"])], ["instance"],
+        resolve_part, 32,
     )
 
     # pack the per-shape sets in a REMOTE task over the materialized
@@ -1065,6 +1067,9 @@ def build_state(
 
     schema = schema or Schema.open()
     stats = Stats()
+    # the store's one footer pass: the build's sizing calls and every
+    # scan's read grouping read it, none reads a footer again
+    store = store_info(statements_root)
     if distributed is None:
         # decide BEFORE building any state: with the decision taken
         # after the URI merge, auto mode would driver-collect the very
@@ -1073,13 +1078,8 @@ def build_state(
         # kept-item count (markers are its wikibase:Item subset), read
         # from parquet metadata only, which errs toward flipping to
         # the join path early (the safe direction at scale).
-        from .sources import store_num_rows
-
-        distributed = (
-            store_num_rows(statements_root, [T.RDF_TYPE])
-            >= DISTRIBUTED_STATE_THRESHOLD
-        )
-    # ONE fused scan job over the state-input predicates on BOTH state
+        distributed = store.num_rows([T.RDF_TYPE]) >= DISTRIBUTED_STATE_THRESHOLD
+    # ONE fused scan over the state-input predicates on BOTH state
     # paths (four concurrent scan jobs measured 14.8 s vs ~4 s fused at
     # 44 M / 32 CPUs, see collect_input_reductions); the paths differ
     # in the statement-path joins only (build_dist).
@@ -1096,11 +1096,13 @@ def build_state(
     _pre_pool = _cf.ThreadPoolExecutor(max_workers=2)
     _pre: dict = {}
     if distributed:
-        # the item join's store scan needs only the schema: plan it now,
+        # the item join's store scan needs only the schema: read it now,
         # under the state build (see build_dist.item_scan)
         from .build_dist import item_scan
 
-        _pre["item_scan"] = _pre_pool.submit(item_scan, statements_root, schema)
+        _pre["item_scan"] = _pre_pool.submit(
+            item_scan, statements_root, schema, store
+        )
 
     clean_key, clean_fn = (
         ("clean_values", B.clean_values)
@@ -1109,7 +1111,9 @@ def build_state(
     )
 
     def _launch_clean(uri_ref) -> None:
-        _pre[clean_key] = _pre_pool.submit(clean_fn, statements_root, uri_ref)
+        _pre[clean_key] = _pre_pool.submit(
+            clean_fn, statements_root, uri_ref, store
+        )
 
     (
         uri_mapping,
@@ -1122,7 +1126,7 @@ def build_state(
         uri_ref,
     ) = collect_input_reductions(
         statements_root, schema, stats, size, on_uri_ref=_launch_clean,
-        pack_best_rank=not distributed,
+        pack_best_rank=not distributed, store=store,
     )
     prewarmed = dict(_pre)
 
@@ -1158,6 +1162,7 @@ def build_state(
         yago_super_class_of,
         yago_classes,
         uri_ref,
+        store=store,
     )
     return BuildState(
         schema=schema,
@@ -1176,5 +1181,5 @@ def build_state(
             "enwiki": enwiki_ds,
         },
         prewarmed=prewarmed,
-        statements_root=statements_root,
+        store=store,
     )
