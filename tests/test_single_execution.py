@@ -49,7 +49,9 @@ def build_calls(request, statements_root, tmp_path_factory):
     build_state and of generate_yago, and the value-column count (for
     a HashIndex) and calling function of every driver `ray.put`
     argument. `ray.data.read_parquet` raises (and records the attempt)
-    throughout."""
+    throughout. One Ray Data job after the build checks that the
+    execution recorder is hooked, so an empty execution list means the
+    build ran none."""
     import pyarrow.parquet as pq
     import ray
     import ray.data
@@ -161,6 +163,9 @@ def build_calls(request, statements_root, tmp_path_factory):
         writes_before = parquet_writes[0]
         state_footers = footers[0]
         generate_yago(statements_root, state=state, out_dir=out)
+        n_build = len(executions)
+        # one Ray Data job under the same hooks: the recorder is live
+        ray.data.range(2).materialize()
     assert state.distributed == request.param
     return {
         "distributed": request.param,
@@ -169,7 +174,8 @@ def build_calls(request, statements_root, tmp_path_factory):
         "exchanges": exchanges,
         "shuffles": shuffles,
         "scans": scans[0],
-        "executions": executions,
+        "executions": executions[:n_build],
+        "probe_executions": len(executions) - n_build,
         "parquet_writes": parquet_writes[0] - writes_before,
         "state_footers": state_footers,
         "generate_footers": footers[0] - state_footers,
@@ -233,9 +239,46 @@ def test_execution_budget(build_calls):
     exchanges are plain tasks, an exchange side's legs are inputs of
     one exchange, and the output exchange's reduce tasks write the
     parts."""
+    assert build_calls["probe_executions"] == 1, "the execution recorder is not hooked"
     assert not build_calls["executions"], [
         " -> ".join(name for _, name in ops) for ops in build_calls["executions"]
     ]
+
+
+def test_no_write_or_union_execution(build_calls):
+    """The legs of an exchange side are inputs of one exchange, not a
+    Ray Data union, and the parts are written by the output exchange's
+    reduce tasks, not a Ray Data write job."""
+    from ray.data._internal.execution.operators.union_operator import (
+        UnionOperator,
+    )
+
+    held = [
+        [name for op, name in ops if issubclass(op, UnionOperator) or name == "Write"]
+        for ops in build_calls["executions"]
+    ]
+    assert build_calls["probe_executions"] == 1, "the execution recorder is not hooked"
+    assert not [h for h in held if h], held
+
+
+def test_no_all_to_all_execution(build_calls):
+    """The exchange is plain Ray tasks: no build execution holds a Ray
+    Data all-to-all operator (a sort shuffle, or a hash shuffle behind a
+    native join or aggregate)."""
+    from ray.data._internal.execution.operators.base_physical_operator import (
+        AllToAllOperator,
+    )
+    from ray.data._internal.execution.operators.hash_shuffle import (
+        HashShufflingOperatorBase,
+    )
+
+    all_to_all = (AllToAllOperator, HashShufflingOperatorBase)
+    held = [
+        [op.__name__ for op, _ in ops if issubclass(op, all_to_all)]
+        for ops in build_calls["executions"]
+    ]
+    assert build_calls["probe_executions"] == 1, "the execution recorder is not hooked"
+    assert not [h for h in held if h], held
 
 
 def test_store_read_without_ray_data(build_calls):
