@@ -59,7 +59,7 @@ def test_ingest_from_ntriples_gz(ray_session, tmp_path, corpus_triples):
     preds = {p for _, p, _ in sample}
     total = 0
     for pred in list(preds)[:5]:
-        df = scan_predicate(store, pred).to_pandas()
+        df = scan_predicate(store, pred).materialize().to_pandas()
         want = {(s, o) for s, p, o in sample if p == pred}
         assert set(zip(df["subject"], df["object"])) == want
         total += len(df)
@@ -201,7 +201,7 @@ def test_maxcount_without_offenders_drops_nothing(ray_session):
     })
 
     def as_set(ds):
-        df = ds.to_pandas()[list(rows.columns)]
+        df = ds.materialize().to_pandas()[list(rows.columns)]
         return set(map(tuple, df.astype(object).where(df.notna(), None).values))
 
     joined = ray.data.from_pandas(rows).materialize()
@@ -237,7 +237,9 @@ def test_maxcount_group_spans_items(
 
     def recording(joined, configs, *args, **kwargs):
         kept = apply_max_count(joined, configs, *args, **kwargs)
-        seen.append((joined.to_pandas(), kept.to_pandas()))
+        seen.append((
+            joined.materialize().to_pandas(), kept.materialize().to_pandas()
+        ))
         return kept
 
     monkeypatch.setattr(build, "_apply_max_count", recording)

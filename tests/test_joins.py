@@ -75,7 +75,7 @@ def test_hash_keyed_join_matches_plain(join_inputs):
         left_cols=["cfg", "statement", "subject"],
         right_cols=["cfg", "statement", "object", "extras"],
         num_parts=8,
-    ).to_pandas()
+    ).materialize().to_pandas()
     hashed = copartition_join(
         _ray_ds(left),
         _ray_ds(right),
@@ -84,7 +84,7 @@ def test_hash_keyed_join_matches_plain(join_inputs):
         right_cols=["object", "extras"],
         num_parts=8,
         hash_keys=True,
-    ).to_pandas()
+    ).materialize().to_pandas()
     cols = ["cfg", "statement", "subject", "object", "extras"]
     assert _canon(hashed, cols) == _canon(plain, cols)
     assert len(hashed) == len(plain)
@@ -105,7 +105,7 @@ def test_hash_keyed_semi_join(join_inputs):
         right_cols=[],
         num_parts=8,
         hash_keys=True,
-    ).to_pandas()
+    ).materialize().to_pandas()
     keys = set(map(tuple, members[["cfg", "statement"]].itertuples(index=False)))
     want = left[
         [t in keys for t in map(tuple, left[["cfg", "statement"]].itertuples(index=False))]
@@ -521,7 +521,7 @@ def test_exchange_rows_per_part_independent_of_blocking(
         [(left, None)], ["k"], per_part, num_parts,
         tag_batch_size=tag_batch_size,
     )
-    blocks_out = ray.get(one_side.to_arrow_refs())
+    blocks_out = ray.get(one_side.refs)
     check_blocks(blocks_out, cols)
     got = sorted(
         tuple(r) for b in blocks_out for r in b.to_pandas()[cols].itertuples(index=False)
@@ -545,7 +545,7 @@ def test_exchange_rows_per_part_independent_of_blocking(
         [(left, ["k", "v"]), (right, ["y"])], ["k"], join, num_parts,
         hash_keys=True, tag_batch_size=tag_batch_size,
     )
-    blocks_out = ray.get(joined.to_arrow_refs())
+    blocks_out = ray.get(joined.refs)
     check_blocks(blocks_out, ["k", "v", "y"])
     got = sorted(
         tuple(r) for b in blocks_out
@@ -587,7 +587,7 @@ def test_exchange_inputs_map_like_a_mapped_union(ray_session, tag_batch_size):
 
     def run(sides):
         out = exchange(sides, ["k"], per_part, 8, tag_batch_size=tag_batch_size)
-        got = pd.concat(b.to_pandas() for b in ray.get(out.to_arrow_refs()))
+        got = pd.concat(b.to_pandas() for b in ray.get(out.refs))
         return sorted(map(tuple, got.itertuples(index=False)))
 
     mapped = first.map_batches(upper, batch_format="pyarrow").union(
@@ -596,6 +596,115 @@ def test_exchange_inputs_map_like_a_mapped_union(ray_session, tag_batch_size):
     assert run([([(first, upper), (second, suffixed)], None)]) == run(
         [(mapped, None)]
     )
+
+
+def _ray_sizes(refs):
+    """(rows, bytes) Ray Data reports for each block ref on its own."""
+    import ray.data
+
+    sizes = []
+    for ref in refs:
+        ds = ray.data.from_arrow_refs([ref])
+        sizes.append((ds.count(), ds.size_bytes()))
+    return sizes
+
+
+def test_block_meta_matches_ray_data(ray_session, statements_root):
+    """The rows and bytes a producing task returns beside each block
+    equal what `ray.data.from_arrow_refs` reports for the same block: a
+    filtered store read sliced into blocks (its arrays carry validity
+    bitmaps without nulls), an exchange's blocks, a block map's blocks,
+    the no-column block of a reducer that got no part, and an exchange
+    with no input row."""
+    import pyarrow as pa
+    import ray
+
+    from yago4_ray import joins, sources
+    from yago4_ray.terms import RDF_TYPE
+
+    store = sources.store_info(statements_root, [RDF_TYPE])
+    paths = [path for path, *_ in store.of([RDF_TYPE])]
+    *refs, metas = sources._read_files.options(num_returns=4).remote(
+        paths, [RDF_TYPE], ["subject", "predicate", "object"], 3
+    )
+    read = joins.Blocks(refs, ray.get(metas))
+    assert read.count() > 3
+    mapped = joins.map_blocks(read, lambda t: t.select(["subject"]))
+
+    def first_rows(tables, _keys):
+        (t,) = tables
+        return t.slice(0, 1).drop_columns(["__part"])
+
+    exchanged = joins.exchange([(read, None)], ["subject"], first_rows, 4)
+    for blocks in (read, mapped, exchanged):
+        assert [(m.rows, m.nbytes) for m in blocks.meta] == _ray_sizes(blocks.refs)
+        assert blocks.materialize().size_bytes() == blocks.size_bytes()
+
+    block, meta = joins._exchange_reduce.remote((None, None, None), joins._NO_ROWS)
+    meta = ray.get(meta)
+    assert (meta.rows, meta.nbytes, len(meta.schema)) == (0, 0, 0)
+    assert [(meta.rows, meta.nbytes)] == _ray_sizes([block])
+
+    empty = joins.exchange(
+        [(joins.Blocks.of(pa.table({"k": pa.array([], pa.string())})), None)],
+        ["k"], first_rows, 4,
+    )
+    assert (empty.refs, empty.count(), empty.size_bytes(), empty.schema()) == (
+        [], 0, 0, None
+    )
+    ds = empty.materialize()
+    assert (ds.count(), ds.size_bytes()) == (0, 0)
+
+
+def test_exchange_pads_with_handle_schema_types(ray_session):
+    """A column one side declares and the other pads, with no
+    `col_types` entry, pads with the non-string type its declaring
+    input's blocks carry, read from the handle's schemas (past a
+    null-typed empty block), so both sides' rows share a part."""
+    import pyarrow as pa
+
+    import ray
+
+    from yago4_ray.joins import Blocks, exchange
+
+    left = Blocks.of(
+        pa.table({"k": pa.nulls(0), "n": pa.nulls(0)}),
+        pa.table({"k": ["a", "b", "c"], "n": pa.array([1, 2, 3], pa.int64())}),
+    )
+    right = Blocks.of(pa.table({"k": ["a", "c", "d"], "y": ["p", "q", "r"]}))
+
+    def join(tables, keys):
+        lhs, rhs = tables
+        return lhs.join(rhs, keys=keys, join_type="inner", use_threads=False)
+
+    out = exchange([(left, ["k", "n"]), (right, ["k", "y"])], ["k"], join, 1)
+    out = pa.concat_tables(ray.get(out.refs))
+    assert out.schema.field("n").type == pa.int64()
+    assert sorted(zip(*out.select(["k", "n", "y"]).to_pydict().values())) == [
+        ("a", 1, "p"), ("c", 3, "q")
+    ]
+
+
+def test_blocks_dataset_edge_round_trips(ray_session):
+    """`Blocks.materialize()`, the one Dataset edge, is a materialized
+    Dataset of the handle's rows, in block order."""
+    import pyarrow as pa
+    import ray
+    from ray.data.dataset import MaterializedDataset
+
+    from yago4_ray.joins import Blocks
+
+    tables = [
+        pa.table({"k": ["a", "b"], "v": pa.array([1, 2], pa.int64())}),
+        pa.table({"k": ["c"], "v": pa.array([3], pa.int64())}),
+    ]
+    blocks = Blocks.of(*tables)
+    ds = blocks.materialize()
+    assert isinstance(ds, MaterializedDataset)
+    assert (ds.count(), ds.num_blocks()) == (blocks.count(), 2)
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.to_pydict() == pa.concat_tables(tables).to_pydict()
+    assert blocks.schema() == tables[0].schema
 
 
 _AGGS = {

@@ -2,8 +2,12 @@
 
 A lazy Dataset's `to_arrow_refs()` executes the pipeline, then fetches
 its schema through `limit(1)`, which runs the pipeline a second time
-when the limit cannot be pushed below a sort or shuffle. Every receiver
-on the build path must therefore be materialized first. The distributed
+when the limit cannot be pushed below a sort or shuffle. Build stages
+therefore hand each other `joins.Blocks`: finished task results with
+the rows, bytes and schema of every block, which nothing re-runs, and
+no build stage wraps them in a Dataset (each construction a Ray Data
+stats-actor round trip, each `from_arrow_refs` a metadata task per
+block). The distributed
 path's item join (with its `si_by_item` pre-join) is one item-keyed
 exchange that every consumer shares, so it must be built once per
 BuildState.
@@ -41,7 +45,9 @@ def _caller() -> str:
 @pytest.fixture(scope="module", params=[False, True], ids=["broadcast", "distributed"])
 def build_calls(request, statements_root, tmp_path_factory):
     """Run build_state + generate_yago once, recording the class of every
-    `to_arrow_refs` receiver, the number of `si_by_item` builds, the
+    `to_arrow_refs` receiver and of every input an exchange or a block
+    map reads, every `ray.data.from_arrow_refs` call and `Dataset`
+    construction with its caller, the number of `si_by_item` builds, the
     calling function of every `joins.exchange` call and of every Ray
     Data shuffle method call, the operator classes and names of every
     Ray Data execution, the number of store-scan plans and of the
@@ -51,7 +57,8 @@ def build_calls(request, statements_root, tmp_path_factory):
     argument. `ray.data.read_parquet` raises (and records the attempt)
     throughout. One Ray Data job after the build checks that the
     execution recorder is hooked, so an empty execution list means the
-    build ran none."""
+    build ran none, and constructs a Dataset, so an empty construction
+    list means the build constructed none."""
     import pyarrow.parquet as pq
     import ray
     import ray.data
@@ -64,6 +71,9 @@ def build_calls(request, statements_root, tmp_path_factory):
     from yago4_ray.state import build_state
 
     receivers: list[type] = []
+    stage_inputs: list[type] = []
+    from_arrow_refs_calls: list[str] = []
+    constructions: list[str] = []
     si_calls = [0]
     exchanges: list[str] = []
     shuffles: list[str] = []
@@ -76,6 +86,10 @@ def build_calls(request, statements_root, tmp_path_factory):
     put = ray.put
     scan_predicate = sources.scan_predicate
     to_arrow_refs = Dataset.to_arrow_refs
+    blocks_of = joins._blocks_of
+    map_blocks = joins.map_blocks
+    from_arrow_refs = ray.data.from_arrow_refs
+    dataset_init = Dataset.__init__
     execute = StreamingExecutor.execute
     exchange = joins.exchange
     si_by_item = build_dist.si_by_item
@@ -86,6 +100,30 @@ def build_calls(request, statements_root, tmp_path_factory):
     def recording_to_arrow_refs(self):
         receivers.append(type(self))
         return to_arrow_refs(self)
+
+    def recording_blocks_of(ds):
+        stage_inputs.append(type(ds))
+        return blocks_of(ds)
+
+    def recording_map_blocks(blocks, fn):
+        stage_inputs.append(type(blocks))
+        return map_blocks(blocks, fn)
+
+    def recording_from_arrow_refs(*args, **kwargs):
+        from_arrow_refs_calls.append(_caller())
+        return from_arrow_refs(*args, **kwargs)
+
+    def recording_dataset_init(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame and not frame.f_globals.get("__name__", "").startswith(
+            "yago4_ray"
+        ):
+            frame = frame.f_back
+        constructions.append(
+            f"{frame.f_globals['__name__']}.{frame.f_code.co_name}" if frame
+            else "outside yago4_ray"
+        )
+        return dataset_init(self, *args, **kwargs)
 
     def recording_exchange(*args, **kwargs):
         exchanges.append(_caller())
@@ -142,6 +180,12 @@ def build_calls(request, statements_root, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("single_execution"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Dataset, "to_arrow_refs", recording_to_arrow_refs)
+        mp.setattr(joins, "_blocks_of", recording_blocks_of)
+        # every module that maps blocks imports the function by name
+        for module in (joins, build, build_dist, state_mod):
+            mp.setattr(module, "map_blocks", recording_map_blocks)
+        mp.setattr(ray.data, "from_arrow_refs", recording_from_arrow_refs)
+        mp.setattr(Dataset, "__init__", recording_dataset_init)
         for name in ("groupby", "sort", "repartition", "random_shuffle", "join"):
             mp.setattr(Dataset, name, recording_shuffle(name))
         # every module that exchanges imports the function by name
@@ -164,12 +208,17 @@ def build_calls(request, statements_root, tmp_path_factory):
         state_footers = footers[0]
         generate_yago(statements_root, state=state, out_dir=out)
         n_build = len(executions)
-        # one Ray Data job under the same hooks: the recorder is live
+        n_constructions = len(constructions)
+        # one Ray Data job under the same hooks: the recorders are live
         ray.data.range(2).materialize()
     assert state.distributed == request.param
     return {
         "distributed": request.param,
         "receivers": receivers,
+        "stage_inputs": stage_inputs,
+        "from_arrow_refs": from_arrow_refs_calls,
+        "constructions": constructions[:n_constructions],
+        "probe_constructions": len(constructions) - n_constructions,
         "si_calls": si_calls[0],
         "exchanges": exchanges,
         "shuffles": shuffles,
@@ -187,10 +236,19 @@ def build_calls(request, statements_root, tmp_path_factory):
 
 
 def test_to_arrow_refs_receivers_are_materialized(build_calls):
+    """No stage input re-runs a pipeline: every input an exchange or a
+    block map reads is a `joins.Blocks` (finished task results, nothing
+    to run), and a Dataset whose refs the build reads, if any, is
+    materialized."""
     from ray.data.dataset import MaterializedDataset
 
+    from yago4_ray.joins import Blocks
+
+    inputs = build_calls["stage_inputs"]
+    assert inputs, "no exchange or block-map input was recorded"
+    not_blocks = [t.__name__ for t in inputs if not issubclass(t, Blocks)]
+    assert not not_blocks, f"stage input(s) that may re-run a pipeline: {not_blocks}"
     receivers = build_calls["receivers"]
-    assert receivers, "the build path no longer calls to_arrow_refs"
     lazy = [r.__name__ for r in receivers if not issubclass(r, MaterializedDataset)]
     assert not lazy, f"{len(lazy)} lazy to_arrow_refs receiver(s) re-run their pipeline"
 
@@ -243,6 +301,16 @@ def test_execution_budget(build_calls):
     assert not build_calls["executions"], [
         " -> ".join(name for _, name in ops) for ops in build_calls["executions"]
     ]
+
+
+def test_no_dataset_between_stages(build_calls):
+    """Build stages hand each other `joins.Blocks`: build_state +
+    generate_yago call `ray.data.from_arrow_refs` (one metadata task per
+    block, the driver blocked on all of them) nowhere and construct no
+    Dataset (a Ray Data stats-actor round trip each) on either path."""
+    assert build_calls["probe_constructions"], "the construction recorder is not hooked"
+    assert not build_calls["from_arrow_refs"], build_calls["from_arrow_refs"]
+    assert not build_calls["constructions"], build_calls["constructions"]
 
 
 def test_no_write_or_union_execution(build_calls):

@@ -84,7 +84,7 @@ def test_scan_predicate_filters_exact(statements_root):
     from yago4_ray.sources import scan_predicate
 
     ds = scan_predicate(statements_root, f"<{T.WDT}P31>")
-    df = ds.to_pandas()
+    df = ds.materialize().to_pandas()
     assert len(df) > 0
     assert set(df["predicate"]) == {f"<{T.WDT}P31>"}
     # unknown predicate → empty, correct schema
@@ -107,7 +107,7 @@ def test_store_is_key_unique(ray_session, tmp_path):
     )
     root = str(tmp_path / "store")
     write_statement_store(ray.data.from_pandas(rows), root)
-    out = scan_predicate(root, "<http://e/p>").to_pandas()
+    out = scan_predicate(root, "<http://e/p>").materialize().to_pandas()
     assert len(out) == 2  # duplicate triples collapsed (RocksDB semantics)
 
 
@@ -173,6 +173,28 @@ def test_lance_documents_roundtrip(ray_session, corpus_dir, tmp_path):
     a = dict(zip(sig_lance["doc_id"], sig_lance["span_sig"]))
     b = dict(zip(sig_pq["doc_id"], sig_pq["span_sig"]))
     assert a == b
+
+
+def test_read_documents_part_file_directory(ray_session, tmp_path):
+    """Above 20,000 documents the corpus writes `documents.parquet` as a
+    directory of part files (`corpus.materialize_corpus`): read_documents
+    reads every part given that directory, and given the corpus
+    directory that holds it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from yago4_ray.sources import read_documents
+
+    parts = tmp_path / "corpus" / "documents.parquet"
+    parts.mkdir(parents=True)
+    for i in range(2):
+        pq.write_table(
+            pa.table({"doc_id": [f"d{i}", f"d{i + 2}"]}),
+            parts / f"part-{i:04d}.parquet",
+        )
+    for path in (parts, parts.parent):
+        got = read_documents(str(path)).to_pandas()
+        assert sorted(got["doc_id"]) == ["d0", "d1", "d2", "d3"], path
 
 
 def test_gz_sinks_write_identical_bytes(tmp_path):

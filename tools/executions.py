@@ -1,10 +1,10 @@
-"""Ray Data executions and store scans of one warm build on both state
-paths: build a seeded corpus's statement store, run `build_state` +
-`generate_yago` once to warm the workers, then once more while
-recording every `StreamingExecutor.execute` call and every store scan
-(`sources.scan_predicate`) with its plain read tasks, and print each
-execution's operator chain and each scan, with the yago4_ray function
-that started it.
+"""Ray Data executions, Dataset constructions and store scans of one
+warm build on both state paths: build a seeded corpus's statement
+store, run `build_state` + `generate_yago` once to warm the workers,
+then once more while recording every `StreamingExecutor.execute` call,
+every `ray.data.from_arrow_refs` call, every `Dataset` construction and
+every store scan (`sources.scan_predicate`) with its plain read tasks,
+and print each with the yago4_ray function that started it.
 
     python tools/executions.py --entities 2000 --seed 7
 
@@ -12,7 +12,9 @@ Per path one line per execution, `<path> <n> <caller> <chain>`, with
 `ALL-TO-ALL` before the chain when an operator of it is a Ray Data
 all-to-all (sort shuffle, hash shuffle, join or aggregate); one line
 per scan, `<path> scan <n> <caller> <predicates> preds <files> files
-<tasks> read tasks <blocks> blocks`; then a summary line per path.
+<tasks> read tasks <blocks> blocks`; one line per calling function of
+`from_arrow_refs` and of `Dataset` constructions, `<path> <what>
+<count> <caller>`; then a summary line per path.
 The session is 2 CPUs wide, as perfbench's.
 The corpus is cached under `--work` (default `.bench_work/executions`);
 the store and the outputs are deleted on exit.
@@ -81,9 +83,12 @@ def main() -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (ROOT, os.environ.get("PYTHONPATH")) if p
     )
+    import collections
+
     import ray
     import ray.data
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
+    from ray.data.dataset import Dataset
 
     from yago4_ray import build, build_dist, sources, state as state_mod
     from yago4_ray.build import generate_yago
@@ -100,9 +105,13 @@ def main() -> int:
     ray.data.DataContext.get_current().enable_progress_bars = False
     scratch = tempfile.mkdtemp(dir=args.work)
     execute = StreamingExecutor.execute
+    from_arrow_refs = ray.data.from_arrow_refs
+    dataset_init = Dataset.__init__
     scan_predicate = sources.scan_predicate
     read_groups = sources._read_groups
     log: list[tuple[str, str, bool]] = []
+    # (what, caller) -> count: from_arrow_refs calls, Dataset constructions
+    wrapped: collections.Counter = collections.Counter()
     # per scan: [caller, predicates, files, read tasks, blocks]
     scans: list[list] = []
     current = threading.local()  # a scan runs in its caller's thread
@@ -115,6 +124,14 @@ def main() -> int:
             any(is_all_to_all(op) for op in ops),
         ))
         return execute(self, dag, *a, **kw)
+
+    def recording_from_arrow_refs(*a, **kw):
+        wrapped["from_arrow_refs", caller()] += 1
+        return from_arrow_refs(*a, **kw)
+
+    def recording_dataset_init(self, *a, **kw):
+        wrapped["Dataset", caller()] += 1
+        return dataset_init(self, *a, **kw)
 
     def recording_scan(root, predicates, *a, **kw):
         preds = [predicates] if isinstance(predicates, str) else predicates
@@ -145,7 +162,10 @@ def main() -> int:
                 out = tempfile.mkdtemp(dir=scratch)
                 log.clear()
                 scans.clear()
+                wrapped.clear()
                 StreamingExecutor.execute = recording_execute
+                ray.data.from_arrow_refs = recording_from_arrow_refs
+                Dataset.__init__ = recording_dataset_init
                 sources._read_groups = recording_read_groups
                 for module in scanning:
                     module.scan_predicate = recording_scan
@@ -154,6 +174,8 @@ def main() -> int:
                     generate_yago(store, out_dir=out, state=state)
                 finally:
                     StreamingExecutor.execute = execute
+                    ray.data.from_arrow_refs = from_arrow_refs
+                    Dataset.__init__ = dataset_init
                     sources._read_groups = read_groups
                     for module in scanning:
                         module.scan_predicate = scan_predicate
@@ -165,11 +187,17 @@ def main() -> int:
                     f"{name} scan {i} {where} {preds} preds {files} files "
                     f"{tasks} read tasks {blocks} blocks"
                 )
+            for (what, where), n in sorted(wrapped.items()):
+                print(f"{name} {what} {n} {where}")
             print(
                 f"{name}: {len(log)} executions, "
                 f"{sum(a2a for *_, a2a in log)} with an all-to-all operator, "
                 f"{len(scans)} scan plans, "
-                f"{sum(s[3] for s in scans)} plain read tasks"
+                f"{sum(s[3] for s in scans)} plain read tasks, "
+                f"{sum(n for (w, _), n in wrapped.items() if w == 'from_arrow_refs')}"
+                " from_arrow_refs calls, "
+                f"{sum(n for (w, _), n in wrapped.items() if w == 'Dataset')}"
+                " Dataset constructions"
             )
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -11,12 +11,12 @@ Ray Data pipelines over the predicate-partitioned statement store:
   rows routed into families, each key met with its state (a per-batch
   map over packed broadcasts, or with `state.distributed=True` — auto
   above ~50M rdf:type rows — a co-partitioned join against the state
-  Datasets), then one set of selections to outputs.
+  blocks), then one set of selections to outputs.
 - The statement-subject × statement-object join is one task-based
   hash exchange keyed on statement id (`joins.exchange`). The
   qualifier objects ride its object side and meet their facts in the
   same part, so facts and annotated facts are the two row kinds of one
-  materialized join (build_dist.facts_part).
+  join (build_dist.facts_part).
 - maxCount drops the whole (shape, subject) group, its annotated rows
   with it — never truncates (A2, plan.rs:1141-1158): one exchange of
   the join's rows keyed on the mapped YAGO subject, counted and
@@ -27,8 +27,8 @@ Outputs (same logical files as plan.rs:105-196):
   sameAs, schema, shapes. generate_yago writes every one of them as rows
   of (subject, predicate, object[, annotation_predicate,
   annotation_object]) through write_outputs: one full-key dedup exchange
-  whose inputs are the materialized legs, each under its row map, and
-  whose reduce tasks write the part files (sources.NTriplesGzWriter).
+  whose inputs are the stages' `joins.Blocks`, each under its row map,
+  and whose reduce tasks write the part files (sources.NTriplesGzWriter).
   There is no in-memory output path and no Ray Data write job.
   build_labels/build_full_types/build_same_as serve single-output
   queries (queries.kg_*), each deduplicated.
@@ -41,6 +41,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -52,6 +53,7 @@ from . import build_dist as D
 from . import cleaners as C
 from . import terms as T
 from .joins import (
+    Blocks,
     _arrow_distinct,
     distinct_rows,
     exchange,
@@ -218,19 +220,17 @@ def _pack_clean_maps(*blocks) -> dict:
     return out
 
 
-def clean_values(root: str, uri_ref, store) -> tuple[list, list]:
+def clean_values(root: str, uri_ref, store) -> tuple[Blocks, list]:
     """The clean values (ST4): ONE scan + ONE partitioned groupby into
     (family, value_node, object, extras) Arrow blocks (reference: five
     point-lookup chains in five threads, plan.rs:908-1032), units looked
-    up in the URI ref (cleaners.build_value_maps). Returns (block refs,
-    one family-count ref per block); the distributed path joins the
-    blocks (build_dist.value_join)."""
-    # an exchange result, so materialized: to_arrow_refs runs nothing
-    # (on a lazy Dataset it re-runs the scan for its schema, PERF_NOTES #50)
+    up in the URI ref (cleaners.build_value_maps). Returns (the
+    exchange's Blocks, one family-count ref per block); the distributed
+    path joins the blocks (build_dist.value_join)."""
     blocks = C.build_value_maps(
         scan_predicate(root, C.ALL_VALUE_PREDICATES, store=store), uri_ref
-    ).to_arrow_refs()
-    return blocks, [_count_families.remote(b) for b in blocks]
+    )
+    return blocks, [_count_families.remote(b) for b in blocks.refs]
 
 
 def clean_maps(root: str, uri_ref, store) -> tuple:
@@ -238,7 +238,7 @@ def clean_maps(root: str, uri_ref, store) -> tuple:
     packed remotely from clean_values' blocks, which are not kept past
     the pack, family-count refs)."""
     blocks, counts = clean_values(root, uri_ref, store)
-    return _pack_clean_maps.remote(*blocks), counts
+    return _pack_clean_maps.remote(*blocks.refs), counts
 
 
 def best_rank_statements(root: str, store) -> pa.ChunkedArray:
@@ -252,7 +252,7 @@ def best_rank_statements(root: str, store) -> pa.ChunkedArray:
         scan_predicate(root, T.RDF_TYPE, store=store), D.best_rank_ids
     )
     return pa.chunked_array(
-        [t["statement"] for t in ray.get(ids.to_arrow_refs())], pa.string()
+        [t["statement"] for t in ray.get(ids.refs)], pa.string()
     )
 
 
@@ -299,10 +299,10 @@ def matches_pattern(obj, pattern: str) -> pa.Array:
 
 
 def _apply_max_count(
-    joined: Dataset, configs: list[PropConfig], num_partitions: int = 32
-) -> Dataset:
+    joined: Blocks, configs: list[PropConfig], num_partitions: int = 32
+) -> Blocks:
     """Whole-group drop for shapes with sh:maxCount (plan.rs:1141-1158):
-    `joined`, the materialized statement join, minus every (cfg,
+    `joined`, the statement join, minus every (cfg,
     subject) group with more fact rows than its cfg's limit, the
     group's annotated rows with it (annotations attach to the facts
     that pass maxCount). `joined` unchanged when no cfg has a limit.
@@ -371,7 +371,7 @@ def prop_configs(schema: Schema) -> tuple[tuple[PropConfig, ...], tuple[PropConf
 
 
 def _expander(path_ref, annotated: bool):
-    """The output rows of one row kind of the materialized statement
+    """The output rows of one row kind of the statement
     join (`build_dist.facts_part`): per fact row (ann_cfg null) the
     triple (subject, cfg path, object); per annotated row that triple
     plus (annotation path, annotation object). Each row's JSON `extras`
@@ -409,13 +409,33 @@ def _expander(path_ref, annotated: bool):
     return expand
 
 
+@dataclass(frozen=True)
+class JoinRows:
+    """One row kind of the statement join, as build_facts returns it
+    with dedup=False: the maxCount-filtered join's blocks under the
+    kind's row map, which generate_yago's output exchanges run in their
+    map tasks. `join_bytes`/`join_rows` are the raw join's size (both
+    row kinds, before maxCount): an upper bound on the kind's rows,
+    which is all shuffle sizing needs. `materialize()` maps the blocks
+    in plain tasks and returns the rows as a Dataset."""
+
+    blocks: Blocks
+    expand: Callable[[pa.Table], pa.Table]
+    join_bytes: int
+    join_rows: int
+
+    def materialize(self):
+        return map_blocks(self.blocks, self.expand).materialize()
+
+
 def build_facts(
     root: str,
     state: BuildState,
     dedup: bool = True,
-) -> tuple[Dataset, Dataset]:
-    """The core: (facts, annotated-facts) Datasets (plan.rs:896-1202),
-    the two row kinds of ONE statement exchange. See module docstring
+) -> tuple[Dataset, Dataset] | tuple[JoinRows, JoinRows]:
+    """The core: (facts, annotated-facts) (plan.rs:896-1202), the two
+    row kinds of ONE statement exchange, each deduplicated into a
+    Dataset, or with dedup=False as `JoinRows`. See module docstring
     for the dataflow."""
     # size the statement exchange by DATA volume, not CPU count: a
     # fixed count means per-partition size grows without bound as the
@@ -426,7 +446,7 @@ def build_facts(
 
     # objects first: on the distributed path it starts the item and
     # value-node exchanges together; the subject rows then select from
-    # the materialized item join. The annotation cfgs' objects (ids a…,
+    # the item join's blocks. The annotation cfgs' objects (ids a…,
     # disjoint from the facts' c…) ride the same side.
     objects = D.object_rows(
         D.resolved(root, state, D.OBJECT_FAMILIES, all_configs), all_configs
@@ -463,41 +483,32 @@ def build_facts(
         tag_batch_size=tag_bs,
     )
 
-    # the exchange results are materialized: the facts file, the
-    # annotated facts file and the stats read their blocks without
-    # recomputing the pipeline. maxCount re-keys the join's rows on the
-    # mapped subject in one more exchange and drops an offending
-    # group's annotated rows with its fact rows.
+    # maxCount re-keys the join's rows on the mapped subject in one
+    # more exchange and drops an offending group's annotated rows with
+    # its fact rows.
     kept = _apply_max_count(joined, configs, num_partitions)
     path_ref = ray.put(string_table(
         ["cfg", "path"], ((c.cfg_id, c.path) for c in all_configs)
     ))
-    expand_facts = _expander(path_ref, annotated=False)
-    expand_ann = _expander(path_ref, annotated=True)
-    facts = kept.map_batches(expand_facts, batch_format="pyarrow")
-    annotated = kept.map_batches(expand_ann, batch_format="pyarrow")
-    # the materialized join and the row map of each kind: generate_yago
-    # maps the join's blocks inside its output exchanges' map tasks
-    facts.expanded_from = (kept, expand_facts)
-    annotated.expanded_from = (kept, expand_ann)
-    if dedup:
-        facts = distinct_rows(facts, ["subject", "predicate", "object"])
-        annotated = distinct_rows(
-            annotated,
-            ["subject", "predicate", "object",
-             "annotation_predicate", "annotation_object"],
-        )
-    # advisory size/rows for downstream shuffle sizing (generate_yago
-    # sizes the combined dedup's partition count and re-bounds the
-    # facts leg's block count from them: an exchange's object count is
-    # its map tasks × reducers, so an unbounded union leg makes the
-    # dedup quadratic in block count — PERF_NOTES #20/#23)
-    # advisory sizes come from the RAW materialized join (free), both
-    # row kinds — an upper bound on the max-count-filtered fact rows,
-    # which is all shuffle sizing needs
-    facts.join_size_bytes = joined.size_bytes()
-    facts.join_rows = joined.count()
-    return facts, annotated
+    # advisory sizes for generate_yago's shuffle sizing come from the
+    # raw join's blocks (its partition count and the facts leg's block
+    # bound: an exchange's object count is its map tasks × reducers, so
+    # an unbounded union leg makes the dedup quadratic in block count —
+    # PERF_NOTES #20/#23)
+    facts, annotated = (
+        JoinRows(kept, _expander(path_ref, annotated=kind),
+                 joined.size_bytes(), joined.count())
+        for kind in (False, True)
+    )
+    if not dedup:
+        return facts, annotated
+    return (
+        distinct_rows(map_blocks(kept, facts.expand),
+                      ["subject", "predicate", "object"]),
+        distinct_rows(map_blocks(kept, annotated.expand),
+                      ["subject", "predicate", "object",
+                       "annotation_predicate", "annotation_object"]),
+    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -528,7 +539,7 @@ def _store_output(root: str, state: BuildState, family: str) -> Dataset:
     of the family plan (build_dist.output_rows)."""
     rows = D.output_rows(D.resolved(root, state, {family}), state)
     return distinct_rows(
-        D.as_dataset(D._then(rows, lambda b: b.drop_columns(["file"]))),
+        D.as_blocks(D._then(rows, lambda b: b.drop_columns(["file"]))),
         ["subject", "predicate", "object"],
     )
 
@@ -545,7 +556,7 @@ def build_labels(root: str, state: BuildState) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def _simple_type_rows(inst: pa.Table) -> pa.Table:
-    """rdf:type triples of a block of the shape-instances Dataset (ST3),
+    """rdf:type triples of a block of the shape-instances blocks (ST3),
     the only source of instance strings: they never transit the driver
     (`BuildState.shape_instances` holds packed hash sets)."""
     return pa.table({
@@ -584,7 +595,7 @@ def build_same_as(root: str, state: BuildState) -> Dataset:
 # Fused output scan (generate_yago's in-memory leg)
 # ---------------------------------------------------------------------------
 
-def build_scan_outputs(root: str, state: BuildState) -> Dataset:
+def build_scan_outputs(root: str, state: BuildState) -> Blocks:
     """Every store-reading output row but the facts' — labels, class
     label/comment, full-types, sameAs (freebase, wikipedia, wd and
     dbpedia links) — as (file, subject, predicate, object), for
@@ -593,10 +604,11 @@ def build_scan_outputs(root: str, state: BuildState) -> Dataset:
     broadcast path that is ONE tagged pass over the union of their
     predicate partitions (four separate scans would re-read
     overlapping partitions); on the distributed path the item-keyed
-    families are selections of the one shared item join. Materialized:
-    each leg's blocks are mapped in plain tasks (`build_dist.as_dataset`),
-    beside generate_yago's facts thread."""
-    return D.as_dataset(
+    families are selections of the one shared item join. Each leg's
+    blocks are mapped in plain tasks (`build_dist.as_blocks`), beside
+    generate_yago's facts thread; the `Blocks` answer `materialize()`
+    with a Dataset for a caller that wants one."""
+    return D.as_blocks(
         D.output_rows(D.resolved(root, state, D.OUTPUT_FAMILIES), state)
     )
 
@@ -843,8 +855,9 @@ def _output_rows(file: str | None, rows=None):
 def write_outputs(
     inputs: list, writer, num_parts: int, tag_batch_size: int | None = None
 ) -> None:
-    """Deduplicate the rows of `inputs` (`(Dataset, fn)` pairs whose
-    `fn`, an `_output_rows` map, runs in the exchange's map tasks) on
+    """Deduplicate the rows of `inputs` (`(input, fn)` pairs, an input a
+    `joins.Blocks` or a Dataset, whose `fn`, an `_output_rows` map,
+    runs in the exchange's map tasks) on
     the full row and write them with `writer` (sources.NTriplesGzWriter)
     in ONE exchange: each part's reduce task dedups the part's rows and
     writes its (file, part) files, and returns only their row counts,
@@ -869,8 +882,7 @@ def write_outputs(
         [(inputs, None)], _OUT_COLS, write_part, num_parts,
         tag_batch_size=tag_batch_size,
     )
-    # a materialized exchange result: to_arrow_refs runs nothing
-    writer.commit(ray.get(written.to_arrow_refs()))
+    writer.commit(ray.get(written.refs))
 
 
 OUTPUT_FILE_NAMES = {
@@ -899,8 +911,10 @@ def generate_yago(
     `out_dir`: one in-memory plan at every input size. The facts join
     (build_facts) runs in one thread while the fused output scan's rows
     (build_scan_outputs' legs, mapped in plain per-block tasks) are
-    computed in another. No Ray Data job runs: every store scan is a
-    materialized plain-task read. The driver-built rows (schema,
+    computed in another. No Ray Data job runs and no Dataset is built:
+    every store scan is a plain-task read, and every stage hands the
+    next its `joins.Blocks` (block refs with their rows, bytes and
+    schemas). The driver-built rows (schema,
     shapes, class), the simple types, the output scan's rows and the
     facts are then the inputs of ONE full-key dedup exchange
     whose reduce tasks write the parts (write_outputs); the annotated facts
@@ -934,8 +948,8 @@ def generate_yago(
     if not triple_names:
         return  # resume: everything already written from this input
 
-    # Every dedup input is a materialized Dataset or a driver table under
-    # a map that runs in the exchange's map tasks, so no Ray Data job
+    # Every dedup input is a stage's Blocks or a driver table under a
+    # map that runs in the exchange's map tasks, so no Ray Data job
     # feeds the dedup: a single union-of-9-pipelines DAG is
     # scheduler-bound and anti-scales (measured 47.6 s vs 28.0 s at 32
     # CPUs on 2.2 M statements). No global sort: hash partitioning is
@@ -952,19 +966,16 @@ def generate_yago(
         inst = state.datasets["shape_instances"]
         facts, annotated = f_facts.result()
         scan = f_scan.result()
-        kept, expand_facts = facts.expanded_from
-        _, expand_ann = annotated.expanded_from
 
-        # the annotated facts are the materialized join's second row
-        # kind; they share nothing else with the main dedup, so they run
-        # as their own (small) exchange in a thread, overlapped with the
-        # main one.
+        # the annotated facts are the join's second row kind; they share
+        # nothing else with the main dedup, so they run as their own
+        # (small) exchange in a thread, overlapped with the main one.
         ann_name = "annotated-facts"
-        facts_bytes = getattr(facts, "join_size_bytes", 0) or 0
+        facts_bytes = facts.join_bytes
 
         def ann_job():
             write_outputs(
-                [(kept, _output_rows(ann_name, expand_ann))],
+                [(annotated.blocks, _output_rows(ann_name, annotated.expand))],
                 NTriplesGzWriter(
                     out_dir, {ann_name: triple_names[ann_name]},
                     lineage=lineage, extensions={ann_name: ".ntx.gz"},
@@ -980,13 +991,13 @@ def generate_yago(
             # (input, in-memory bytes, rows); the raw join's size bounds
             # the max-count-filtered facts
             legs = [
-                ((ray.data.from_arrow(static), _output_rows(None)),
+                ((Blocks.of(static), _output_rows(None)),
                  static.nbytes, static.num_rows),
                 ((inst, _output_rows("simple-types", _simple_type_rows)),
-                 inst.size_bytes() or 0, inst.count()),
-                ((scan, _output_rows(None)), scan.size_bytes() or 0, scan.count()),
-                ((kept, _output_rows("facts", expand_facts)),
-                 facts_bytes, getattr(facts, "join_rows", 0)),
+                 inst.size_bytes(), inst.count()),
+                ((scan, _output_rows(None)), scan.size_bytes(), scan.count()),
+                ((facts.blocks, _output_rows("facts", facts.expand)),
+                 facts_bytes, facts.join_rows),
             ]
             nbytes = sum(leg[1] for leg in legs)
             rows = sum(leg[2] for leg in legs)

@@ -28,11 +28,11 @@ only the middle one depends on the state regime:
   to its cleaned (object, extras).
   - Broadcast state: a per-batch map over the packed refs (URI map,
     shape instances, clean-value maps, best-rank set) that runs in the
-    consuming exchange's map tasks over the materialized store scan;
+    consuming exchange's map tasks over the store scan's blocks;
     the best-rank filter runs in that map.
   - Distributed state: the item families in ONE hash-keyed exchange
     against `si_by_item`, the value nodes in ONE (family, value_node)
-    exchange against the clean-value Dataset, each materialized once
+    exchange against the clean-value blocks, each built once
     per BuildState and shared by every consumer; the best-rank ids are
     a side of the statement exchange (`best_rank_sides`).
   Stateless object rows and the class-graph-scale class labels take
@@ -83,11 +83,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data import Dataset, from_arrow_refs
 
 from . import cleaners as C
 from . import terms as T
 from .joins import (
+    Blocks,
     _arrow_distinct,
     copartition_join,
     exchange,
@@ -139,8 +139,8 @@ def _no_rows(cols: list[str]) -> pa.Table:
     return pa.table({c: pa.array([], pa.string()) for c in cols})
 
 
-def _empty(columns: list[str]) -> Dataset:
-    return ray.data.from_arrow(_no_rows(columns))
+def _empty(columns: list[str]) -> Blocks:
+    return Blocks.of(_no_rows(columns))
 
 
 def map_values(values, keys, to):
@@ -149,12 +149,12 @@ def map_values(values, keys, to):
     return to.take(pc.index_in(values, value_set=keys))
 
 
-# The plan's rows travel as LEGS, a list of (Dataset, fn | None) pairs
-# (the inputs of an exchange side, joins.exchange). Every leg's Dataset
-# is materialized (a store scan, a state Dataset, a shared exchange
-# result), and the maps over it compose into one per-block Arrow
-# function that the consuming exchange's map tasks run. So no Ray Data
-# job runs to map blocks, and no union of legs runs at all.
+# The plan's rows travel as LEGS, a list of (Blocks, fn | None) pairs
+# (the inputs of an exchange side, joins.exchange). Every leg's Blocks
+# are a finished task result (a store scan, a state relation, a shared
+# exchange result), and the maps over it compose into one per-block
+# Arrow function that the consuming exchange's map tasks run. So no Ray
+# Data job runs to map blocks, and no union of legs runs at all.
 
 def _then(legs: list, fn) -> list:
     """Every leg of `legs` mapped by `fn` (pa.Table → pa.Table)."""
@@ -168,13 +168,15 @@ def _compose(f, g, t: pa.Table) -> pa.Table:
     return g(f(t))
 
 
-def as_dataset(legs: list) -> Dataset:
-    """The rows of `legs` (each under a map) as one materialized Dataset,
-    every leg's blocks mapped in plain tasks (`joins.map_blocks`): the
-    output scan's rows and the single-output queries' form. A build's
+def as_blocks(legs: list) -> Blocks:
+    """The rows of `legs` (each under a map) as one `Blocks`, every
+    leg's blocks mapped in plain tasks (`joins.map_blocks`): the output
+    scan's rows and the single-output queries' form. A build's
     exchanges take the legs themselves."""
-    blocks = [b for ds, fn in legs for b in map_blocks(ds, fn).to_arrow_refs()]
-    return from_arrow_refs(blocks).materialize()
+    mapped = [map_blocks(blocks, fn) for blocks, fn in legs]
+    return Blocks(
+        [r for m in mapped for r in m.refs], [x for m in mapped for x in m.meta]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +331,9 @@ def item_scan(root: str, schema, store) -> list:
 
 
 def _same_as_state_rows(state) -> list:
-    """The sameAs family's rows from the (materialized) state Datasets,
-    as legs: enwiki → dbpedia links and the URI mapping's wd identity
-    links, keyed by item."""
+    """The sameAs family's rows from the state blocks, as legs: enwiki →
+    dbpedia links and the URI mapping's wd identity links, keyed by
+    item."""
 
     def dbpedia(b: pa.Table) -> pa.Table:
         urls = pc.replace_substring(
@@ -394,13 +396,13 @@ def resolved(root: str, state, families, configs=None) -> list:
     """The legs of the (family, tag, value, shape, instance, extras)
     rows of `families` (the cfg-fed families for the cfgs in `configs`;
     None: every cfg), each key met with its state. The one place the
-    state regime shows: joined from the shared materialized exchanges
-    on the distributed path, a per-batch map over the materialized
-    store scan (run in the consuming exchange's map tasks) otherwise. The selections filter the shared exchanges' rows
-    down to `configs`."""
+    state regime shows: joined from the shared exchange results on the
+    distributed path, a per-batch map over the store scan (run in the
+    consuming exchange's map tasks) otherwise. The selections filter
+    the shared exchanges' rows down to `configs`."""
     cfg_ids = None if configs is None else {c.cfg_id for c in configs}
     # only the families some predicate of these cfgs feeds: a join leg
-    # without rows would still read a whole materialized exchange
+    # without rows would still read a whole exchange result
     families = frozenset(
         f for routes in _routes(state.schema, families, cfg_ids).values()
         for f, _, _ in routes
@@ -415,14 +417,14 @@ def resolved(root: str, state, families, configs=None) -> list:
         ]
         local = families - ITEM_FAMILIES - {"value"}
     with _cf.ThreadPoolExecutor(max_workers=2) as pool:
-        # the two state exchanges materialize concurrently and the local
-        # scan reads under them
+        # the two state exchanges run concurrently and the local scan
+        # reads under them
         futures = [pool.submit(fn, root, state) for fn in joins]
         legs = _local_rows(root, state, local, cfg_ids) if local else []
         joined = [f.result() for f in futures]
     fams = pa.array(sorted(families), pa.string())
     legs += _then(
-        [(ds, None) for ds in joined if ds is not None],
+        [(blocks, None) for blocks in joined if blocks is not None],
         lambda b: b.filter(pc.is_in(b["family"], value_set=fams)),
     )
     return legs or [(_empty(RESOLVED), None)]
@@ -550,23 +552,23 @@ def best_rank_ids(b: pa.Table) -> pa.Table:
 _LOCKS = {"item_join": threading.Lock(), "value_join": threading.Lock()}
 
 
-def _cached(state, name: str, build) -> Dataset | None:
-    """`build()` (an exchange result, so materialized) once per
-    BuildState under its own lock (the facts thread and the scan-output
-    thread reach it at once)."""
+def _cached(state, name: str, build) -> Blocks | None:
+    """`build()` (an exchange result) once per BuildState under its own
+    lock (the facts thread and the scan-output thread reach it at
+    once)."""
     with _LOCKS[name]:
         if name not in state.datasets:
             state.datasets[name] = build()
         return state.datasets[name]
 
 
-def si_by_item(state) -> Dataset:
+def si_by_item(state) -> Blocks:
     """(key, instance, shape): shape_instances pre-joined with the URI
     mapping, keyed by wd item — the item join then attaches the uri AND
-    its shape memberships in a SINGLE item-keyed exchange. It is the
-    item join's only consumer and runs inside the item join's job, so
-    its exchange overlaps the item rows' store scan (PERF_NOTES #39:
-    each barrier is a fixed-latency all-to-all)."""
+    its shape memberships in a SINGLE item-keyed exchange (PERF_NOTES
+    #39: each barrier is a fixed-latency all-to-all); the item join is
+    its only consumer. Its `Blocks` answer `materialize()` with a
+    Dataset for a caller that wants one."""
     uri_items = _then(
         [(state.datasets["uri_mapping"], None)],
         lambda b: pa.table({"instance": b["uri"], "key": b["item"]}),
@@ -579,14 +581,13 @@ def si_by_item(state) -> Dataset:
     )
 
 
-def item_join_cached(root: str, state) -> Dataset:
+def item_join_cached(root: str, state) -> Blocks:
     return _cached(state, "item_join", lambda: item_join(root, state))
 
 
-def item_join(root: str, state) -> Dataset:
+def item_join(root: str, state) -> Blocks:
     """Every item-keyed family resolved in ONE hash-keyed exchange
-    against `si_by_item` (planned into the same job), keeping each row's
-    admitted shapes only."""
+    against `si_by_item`, keeping each row's admitted shapes only."""
     admitted = _admitted(state.schema)
 
     def keep_admitted(tables: list[pa.Table], keys: list[str]) -> pa.Table:
@@ -606,14 +607,14 @@ def item_join(root: str, state) -> Dataset:
     )
 
 
-def value_join_cached(root: str, state) -> Dataset | None:
+def value_join_cached(root: str, state) -> Blocks | None:
     return _cached(state, "value_join", lambda: value_join(root, state))
 
 
-def value_join(root: str, state) -> Dataset | None:
+def value_join(root: str, state) -> Blocks | None:
     """Every complex value node of the facts (psv:) AND the annotations
     (pqv:) resolved in ONE (family, value_node) exchange against the
-    clean-value Dataset; None when no cfg has a complex value."""
+    clean-value blocks; None when no cfg has a complex value."""
     scanned = family_scan(root, state.schema, {"value"}, state.store)
     if not scanned:
         return None
@@ -641,10 +642,10 @@ def value_join(root: str, state) -> Dataset | None:
             }
         )
 
-    clean_blocks, _ = state.prewarmed["clean_values"].result()
+    clean, _ = state.prewarmed["clean_values"].result()
     return exchange(
         [(_then(scanned, to_nodes), ["tag", "value"]),
-         (from_arrow_refs(clean_blocks), ["object", "extras"])],
+         (clean, ["object", "extras"])],
         ["family", "value_node"], to_resolved, exchange_parts(state),
         hash_keys=True,
     )

@@ -15,13 +15,16 @@ from __future__ import annotations
 import math
 import re
 from datetime import datetime
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit, urlunsplit
 
 import pyarrow as pa
 import pyarrow.compute as pc
-from ray.data import Dataset
 
 from . import terms as T
+
+if TYPE_CHECKING:
+    from .joins import Blocks
 
 # ---------------------------------------------------------------------------
 # Pure scalar converters
@@ -196,8 +199,8 @@ DBPEDIA_PREFIX = "http://dbpedia.org/resource/"
 # ---------------------------------------------------------------------------
 # Ray builders: value-node predicate scans → clean maps
 # ---------------------------------------------------------------------------
-# Each builder takes the statement-store root and returns a Dataset
-# (value_node, object [, extras]) where `extras` is a serialized list of
+# build_value_maps takes the store scan's blocks and returns the blocks of
+# (family, value_node, object, extras), `extras` a serialized list of
 # describing triples; the maps are value-node-scale and are either
 # broadcast (small runs) or hash-joined (at scale).
 
@@ -218,11 +221,11 @@ ALL_VALUE_PREDICATES = [
 ]
 
 
-def build_value_maps(ds: Dataset, uri_mapping_ref) -> Dataset:
-    """ALL five cleaned-value families from ONE scan (`ds`, the store
+def build_value_maps(scan: Blocks, uri_mapping_ref) -> Blocks:
+    """ALL five cleaned-value families from ONE scan (`scan`, the store
     rows of ALL_VALUE_PREDICATES) + ONE partitioned groupby over value
     nodes (the reference runs five point-lookup chains in five threads,
-    plan.rs:908-1032).
+    plan.rs:908-1032), as the exchange's `joins.Blocks`.
 
     Output rows: (family, value_node, object, extras_json) with family ∈
     {time, coordinates, duration, integer, quantity}.
@@ -300,5 +303,5 @@ def build_value_maps(ds: Dataset, uri_mapping_ref) -> Dataset:
         return pa.table({c: pa.array(v, pa.string()) for c, v in out.items()})
 
     return exchange(
-        [(ds, ["subject", "predicate", "object"])], ["subject"], convert_part, 32
+        [(scan, ["subject", "predicate", "object"])], ["subject"], convert_part, 32
     )

@@ -492,7 +492,7 @@ def minhash_dedup(
                 partitions_for_nbytes(corpus_nbytes) if corpus_nbytes else 32
             ),
             col_types={id_col: id_type, text_col: pa.string()},
-        )
+        ).materialize()
     sh_ds = sh_src.map_batches(cand_shingles, batch_format="pandas").materialize()
     if star_ref is not None:
         _report_stars(ray.get(star_ref))  # resolved during the scan
@@ -581,7 +581,9 @@ def minhash_dedup(
                 )
             )
 
-        verified = with_both.map_batches(verify_joined, batch_format="pandas")
+        verified = with_both.materialize().map_batches(
+            verify_joined, batch_format="pandas"
+        )
     # min-label clustering stays DISTRIBUTED: the verified edge set was
     # the last thing this pipeline pulled to the driver (a union-find
     # whose memory grew with the duplicate count — O(corpus) at a

@@ -55,4 +55,4 @@ def asof_join(
 
     return exchange(
         [(left, left_cols), (right, right_cols)], [by], join_part, num_parts
-    )
+    ).materialize()

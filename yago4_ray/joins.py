@@ -28,6 +28,17 @@ keyed on the mapped subject alone (build._apply_max_count): a subject's
 fact count is bounded, so a hub object cannot skew it.
 Join keys that range over object items (the build's item join) are
 skew-prone; ROADMAP item 10 salts them inside `exchange`.
+
+Stages hand each other `Blocks`, not Datasets: the block refs of a
+result of the engine's own tasks plus, per block, the rows, bytes and
+schema the producing task returned beside it (`num_returns`). The
+exchange's reduce tasks, `map_blocks`' tasks and the store's read
+tasks (`sources.scan_predicate`) are those producers, so reading a
+result's sizes or handing it to the next stage starts no task, and no
+Ray Data `Dataset` (a stats-actor round trip per construction, a
+metadata task per block under `from_arrow_refs`) is built between
+stages. `Blocks.materialize()` is the one Dataset edge, for the
+queries, the dataops and the ingest's write.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -68,6 +79,88 @@ def get_broadcast(ref: "ray.ObjectRef") -> Any:
         while len(_BROADCAST_CACHE) > _BROADCAST_CACHE_SIZE:
             _BROADCAST_CACHE.popitem(last=False)
     return value
+
+
+# ---------------------------------------------------------------------------
+# The handle build stages hand each other
+# ---------------------------------------------------------------------------
+
+class BlockMeta(NamedTuple):
+    """What a producing task returns beside its block: the rows, the
+    Arrow bytes of the block as the object store holds it (what Ray
+    Data reports as the block's size) and the schema. A block without
+    columns is an empty reducer's."""
+
+    rows: int
+    nbytes: int
+    schema: pa.Schema
+
+
+def block_meta(t: pa.Table) -> BlockMeta:
+    """`t`'s `BlockMeta`. Ray's Arrow serializer stores no validity
+    bitmap for an array without nulls (a filtered parquet read
+    allocates them), so those bitmaps' bytes are not counted."""
+    nbytes = t.nbytes
+    for col in t.columns:
+        for a in col.chunks:
+            bitmap, *rest = a.buffers()
+            if (
+                bitmap is not None and not a.null_count and not a.type.num_fields
+                and not pa.types.is_dictionary(a.type)
+            ):
+                nbytes -= a.nbytes - pa.Array.from_buffers(
+                    a.type, len(a), [None, *rest], 0, a.offset
+                ).nbytes
+    return BlockMeta(t.num_rows, nbytes, t.schema)
+
+
+class Blocks:
+    """A materialized result of the engine's own tasks: Arrow block refs
+    in order and, per block, the `BlockMeta` its task returned. Reading
+    it starts no task; `materialize()` is the one Dataset edge."""
+
+    def __init__(self, refs: list, meta: list[BlockMeta]):
+        self.refs = list(refs)
+        self.meta = list(meta)
+
+    @classmethod
+    def of(cls, *tables: pa.Table) -> "Blocks":
+        """Driver-built tables, each put once."""
+        return cls([ray.put(t) for t in tables], [block_meta(t) for t in tables])
+
+    def count(self) -> int:
+        return sum(m.rows for m in self.meta)
+
+    def size_bytes(self) -> int:
+        return sum(m.nbytes for m in self.meta)
+
+    def schema(self) -> pa.Schema | None:
+        """The first block schema with columns; None when none has any."""
+        return next((m.schema for m in self.meta if len(m.schema)), None)
+
+    def materialize(self) -> MaterializedDataset:
+        """The blocks as a Ray Data Dataset, for a public caller."""
+        # from_arrow_refs does not mark its plan executed: materialize()
+        # does (no execution), so no consumer's to_arrow_refs starts one
+        return ray.data.from_arrow_refs(self.refs).materialize()
+
+
+def _blocks_of(ds: "Blocks | Dataset"):
+    """(ref, rows, schema | None) of every block of `ds` in order. A
+    Dataset (a public caller's) streams its bundles: a materialized one
+    yields its refs, a lazy one runs once."""
+    if isinstance(ds, Blocks):
+        yield from ((ref, m.rows, m.schema) for ref, m in zip(ds.refs, ds.meta))
+        return
+    if isinstance(ds, MaterializedDataset):
+        # a from_arrow_refs/from_pandas plan is not marked executed, so
+        # iterating it starts a bare Input execution; materialize()
+        # marks it without running anything
+        ds = ds.materialize()
+    for bundle in ds.iter_internal_ref_bundles():
+        schema = None if bundle.schema is None else ray.data.Schema(bundle.schema)
+        for ref, meta in bundle.blocks:
+            yield ref, meta.num_rows or 0, schema
 
 
 # ---------------------------------------------------------------------------
@@ -117,32 +210,25 @@ def partitions_for_nbytes(
 
 
 def _block_groups(
-    ds: Dataset, rows_per_group: int | None
+    ds: "Blocks | Dataset", rows_per_group: int | None
 ) -> tuple[list[list], dict]:
     """`ds`'s block refs in order, adjacent blocks grouped up to
     `rows_per_group` rows (None: one block per group), and the first
-    non-null Arrow type each column has in the blocks' metadata. A
-    materialized Dataset yields its refs; a lazy one runs once."""
-    if isinstance(ds, MaterializedDataset):
-        # a from_arrow_refs/from_pandas plan is not marked executed, so
-        # iterating it starts a bare Input execution; materialize()
-        # marks it without running anything
-        ds = ds.materialize()
+    non-null Arrow type each column has in the blocks' schemas. A
+    `Blocks` is read as it is, with no task and no Dataset."""
     groups: list[list] = []
     types: dict = {}
     rows = 0
-    for bundle in ds.iter_internal_ref_bundles():
-        if bundle.schema is not None:
-            schema = ray.data.Schema(bundle.schema)
+    for ref, n, schema in _blocks_of(ds):
+        if schema is not None:
             for name, t in zip(schema.names, schema.types):
                 if isinstance(t, pa.DataType) and not pa.types.is_null(t):
                     types.setdefault(name, t)
-        for ref, meta in bundle.blocks:
-            if not groups or rows_per_group is None or rows >= rows_per_group:
-                groups.append([])
-                rows = 0
-            groups[-1].append(ref)
-            rows += meta.num_rows or 0
+        if not groups or rows_per_group is None or rows >= rows_per_group:
+            groups.append([])
+            rows = 0
+        groups[-1].append(ref)
+        rows += n
     return groups, types
 
 
@@ -185,12 +271,13 @@ def _exchange_map(fns, source: int, num_reducers: int, num_parts: int, *blocks):
 def _exchange_reduce(fns, *slices):
     """One reduce task of `exchange`: concatenate the slices of its part
     range and run the part function once per part present. Returns
-    (block, its row count), the count None when no part was present
-    (the block then has no column)."""
+    (block, its `BlockMeta`); the block has no column when no part was
+    present."""
     _, reduce, _ = fns
     t = _concat(list(slices))
     if not t.num_rows:
-        return pa.table({}), None
+        out = pa.table({})
+        return out, block_meta(out)
     parts = t["__part"].to_numpy()
     order = np.argsort(parts, kind="stable")
     t = t.take(order)
@@ -198,11 +285,11 @@ def _exchange_reduce(fns, *slices):
     out = _concat([reduce(t.slice(a, b - a)) for a, b in zip(bounds, bounds[1:])])
     if out.schema.metadata:
         out = out.replace_schema_metadata(None)
-    return out, out.num_rows
+    return out, block_meta(out)
 
 
 def exchange(
-    sides: Sequence[tuple[Dataset | list[tuple[Dataset, Any]], list[str] | None]],
+    sides: Sequence[tuple[Blocks | Dataset | list[tuple[Any, Any]], list[str] | None]],
     keys: list[str],
     part_fn,
     num_parts: int,
@@ -210,7 +297,7 @@ def exchange(
     hash_keys: bool = False,
     tag_batch_size: int | None = None,
     part_ids=None,
-) -> Dataset:
+) -> Blocks:
     """The engine's one hash exchange: tag every row of every side with
     its part id, move each part's rows to one reduce task, and call
     `part_fn(tables, keys)` once per PART with one Arrow table per
@@ -224,13 +311,13 @@ def exchange(
     rests on it); `part_ids(batch)` replaces them (the statement
     store's predicate-crc-plus-subject-salt).
 
-    A side is `(source, cols)`, its source a Dataset or a list of
-    `(Dataset, fn | None)` inputs. `fn(pa.Table) -> pa.Table` runs in
-    the map tasks, on each non-empty block of its input, before the
-    tag: a map over a materialized input costs no Ray Data execution,
-    and a union of legs is one side of several inputs, not a Ray Data
-    union. The input functions ship once, with the tag and the part
-    closures.
+    A side is `(source, cols)`, its source an input or a list of
+    `(input, fn | None)` pairs; an input is a `Blocks` (a build stage's
+    result) or a Dataset (a public caller's). `fn(pa.Table) -> pa.Table`
+    runs in the map tasks, on each non-empty block of its input, before
+    the tag: a map costs no task round of its own, and a union of legs
+    is one side of several inputs, not a Ray Data union. The input
+    functions ship once, with the tag and the part closures.
 
     A DECLARED side (`cols` a list) ships
     only those columns: null or large_string columns are cast to their
@@ -238,8 +325,8 @@ def exchange(
     the columns other sides declare travel as typed nulls, so every
     slice of a part concatenates under one schema. A padded column
     with no `col_types` entry takes the non-string type its declaring
-    input's blocks carry (their Ray metadata; an input under a map
-    function: string). Its part table is
+    input's blocks carry (a `Blocks`' schemas, a Dataset's bundle
+    metadata; an input under a map function: string). Its part table is
     Arrow and holds `cols`. An UNDECLARED side (`cols` None, one-side
     exchanges only) ships its blocks as they are, and its part table
     keeps `__part`. Schema metadata (pandas' dict) is stripped from
@@ -261,12 +348,12 @@ def exchange(
 
     The shuffle is plain Ray tasks, no Ray Data all-to-all operator
     (a sort shuffle samples range boundaries and re-sorts to find the
-    part ids the tag step already computed). The driver streams each
-    input's block refs (`iter_internal_ref_bundles`: a materialized
-    input yields its refs, a lazy one runs once; the inputs stream
-    concurrently, which measured faster than one after the other) and
-    groups adjacent blocks up to `tag_batch_size` rows (None: one block
-    per group). One `_exchange_map` task per group maps and tags its
+    part ids the tag step already computed). The driver reads each
+    input's block refs and rows (a `Blocks` as it is; a Dataset through
+    `iter_internal_ref_bundles`, a lazy one running once; the inputs
+    stream concurrently, which measured faster than one after the
+    other) and groups adjacent blocks up to `tag_batch_size` rows
+    (None: one block per group). One `_exchange_map` task per group maps and tags its
     rows, sorts them by `__part` and returns one slice per reducer
     (`num_returns`).
     There are `min(num_parts, map tasks)` reducers, each owning a
@@ -276,12 +363,12 @@ def exchange(
     one file per predicate directory). Map tasks start once every input
     has streamed (the reducer count depends on the map count). Each
     `_exchange_reduce` task concatenates its slices and runs `part_fn`
-    once per part present. The result is MATERIALIZED (`from_arrow_refs`
-    of the reducers that returned rows): the call returns once every
-    part is done, and a part without rows yields no block. When no part
-    yields rows, one 0-row block carries the part function's columns;
-    an exchange with no input row at all returns an empty Dataset
-    without a schema.
+    once per part present and returns its block with the block's rows,
+    bytes and schema. The result is a `Blocks` of the reducers that
+    returned rows: the call returns once every part is done, and a part
+    without rows yields no block. When no part yields rows, one 0-row
+    block carries the part function's columns; an exchange with no
+    input row at all returns no block (and no schema).
 
     A part function may write: the output writer's
     (`build.write_outputs`) writes its part's files and returns one
@@ -293,7 +380,7 @@ def exchange(
     each); a DAG with a dozen joins oversubscribes a session with idle
     actors and stalls (measured: 28 aggregators deadlocked a 4-CPU
     session). This exchange is pure tasks and composes freely."""
-    # the per-part closures see column lists only, never the Datasets
+    # the per-part closures see column lists only, never the inputs
     side_cols = [cols for _, cols in sides]
     inputs = [
         (i, ds, fn)
@@ -380,8 +467,9 @@ def exchange(
             lambda ds: _block_groups(ds, tag_batch_size), [ds for _, ds, _ in inputs]
         ))
     # a column another side pads, with no col_types entry, pads with
-    # the type its own blocks carry unless that is a string (an input
-    # under a map function ships blocks whose types are not known here)
+    # the type its own blocks' schemas carry unless that is a string (an
+    # input under a map function ships blocks whose types are not known
+    # here)
     for (side, _, fn), (_, seen) in zip(inputs, per_input):
         for c in side_cols[side] or ():
             t = seen.get(c)
@@ -411,50 +499,46 @@ def exchange(
         for r in range(num_reducers)
     ]
     del splits
-    rows = ray.get([n for _, n in outs])
-    blocks = [block for (block, _), n in zip(outs, rows) if n]
-    if not blocks:
+    out = list(zip([block for block, _ in outs], ray.get([m for _, m in outs])))
+    kept = [(block, meta) for block, meta in out if meta.rows]
+    if not kept:
         # no part yielded rows: one 0-row block keeps the part
         # function's columns, so the result's schema stays known
-        blocks = [block for (block, _), n in zip(outs, rows) if n == 0][:1]
-    # from_arrow_refs does not mark its plan executed: materialize() does
-    # (no execution), so no consumer's to_arrow_refs starts one
-    return ray.data.from_arrow_refs(blocks).materialize()
+        kept = [(block, meta) for block, meta in out if len(meta.schema)][:1]
+    return Blocks([block for block, _ in kept], [meta for _, meta in kept])
 
 
-@ray.remote
-def _map_block(fn, block):
-    """One task of `map_blocks`."""
-    return fn(BlockAccessor.for_block(block).to_arrow())
+@ray.remote(num_returns=2)
+def _map_block(fn, block: pa.Table):
+    """One task of `map_blocks`: (the mapped block, its `BlockMeta`)."""
+    out = fn(block)
+    return out, block_meta(out)
 
 
-def map_blocks(ds: Dataset, fn) -> Dataset:
-    """`fn` (pa.Table → pa.Table) over every block of the materialized
-    `ds`, one plain Ray task per block, as a materialized Dataset: the
-    map of an input that no exchange consumes (the fused state scan's
-    routing, generate_yago's output scan), with no Ray Data job."""
-    # a from_arrow_refs/from_arrow plan is not marked executed, so
-    # reading its refs starts a bare Input execution; materialize()
-    # marks it without running anything
-    blocks = [_map_block.remote(fn, b) for b in ds.materialize().to_arrow_refs()]
-    # from_arrow_refs does not mark its plan executed: materialize() does
-    return ray.data.from_arrow_refs(blocks).materialize()
+def map_blocks(blocks: Blocks, fn) -> Blocks:
+    """`fn` (pa.Table → pa.Table) over every block of `blocks`, one plain
+    Ray task per block: the map of an input that no exchange consumes
+    (the fused state scan's routing, generate_yago's output scan). It
+    returns once every block is mapped."""
+    outs = [_map_block.remote(fn, b) for b in blocks.refs]
+    return Blocks([b for b, _ in outs], ray.get([m for _, m in outs]))
 
 
 def copartition_join(
-    left: Dataset,
-    right: Dataset,
+    left: Blocks | Dataset | list,
+    right: Blocks | Dataset | list,
     on: str | tuple[str, ...],
     left_cols: list[str],
     right_cols: list[str],
     num_parts: int = 32,
     col_types: dict | None = None,
     hash_keys: bool = False,
-) -> Dataset:
-    """Inner equi-join of two Datasets over one `exchange`, joined per
-    part by acero's C++ hash join. `left_cols`/`right_cols` are each
-    side's full column lists (known statically at every call site;
-    asking the Dataset would trigger execution); non-key columns must
+) -> Blocks:
+    """Inner equi-join of two exchange sources over one `exchange`,
+    joined per part by acero's C++ hash join; the join's `Blocks`.
+    `left_cols`/`right_cols` are each side's full column lists (known
+    statically at every call site; asking a lazy Dataset would trigger
+    execution); non-key columns must
     be disjoint across the two sides. Under `hash_keys` the key columns
     reach the output only if a side lists them.
 
@@ -542,7 +626,7 @@ def _arrow_distinct(t: pa.Table, columns: list[str]) -> pa.Table:
 
 
 def aggregate(
-    ds: Dataset,
+    ds: Blocks | Dataset,
     keys: list[str],
     aggs: dict,
     num_parts: int = 32,
@@ -552,7 +636,8 @@ def aggregate(
     so a block ships one partial row per group, and each part re-folds
     its partials. `aggs` is `fold`'s spec; no aggregate is an exact
     distinct on `keys` (`distinct_rows`). Returns the keys and the
-    aggregates, materialized. A null-typed key column (an all-null
+    aggregates as a materialized Dataset (the dataops' and the
+    queries' edge). A null-typed key column (an all-null
     pandas column) groups as string. With no input row the result is
     one 0-row block of those columns, typed from `ds`'s schema (null
     types as string)."""
@@ -571,12 +656,12 @@ def aggregate(
 
     cols = keys + list(aggs)
     out = exchange([([(ds, combine)], cols)], keys, per_part, num_parts)
-    if out.count():  # materialized: a metadata read
-        return out
+    if out.count():
+        return out.materialize()
     # no input row, so no part ran: fold an empty table of ds's schema
     schema = ds.schema()
     if schema is None:
-        return out
+        return out.materialize()
     used = set(keys) | {c for c, _ in aggs.values()}
     empty = pa.table({
         n: pa.array([], pa.string() if pa.types.is_null(t) else t)
@@ -588,7 +673,7 @@ def aggregate(
 
 
 def distinct_rows(
-    ds: Dataset,
+    ds: Blocks | Dataset,
     columns: list[str],
     num_parts: int = 32,
 ) -> Dataset:
@@ -615,11 +700,11 @@ def partitioned_group_apply(
     columns, so a skewed single column only skews if one exact key
     dominates (raise num_parts). A combiner (per-batch pre-reduction)
     is a `map_batches` on `ds`: it runs in `ds`'s own execution, which
-    the exchange streams once."""
+    the exchange streams once. Returns a materialized Dataset."""
 
     def apply_part(tables: list[pa.Table], _keys) -> pa.Table:
         (part,) = tables
         pdf = BlockAccessor.for_block(part.drop_columns(["__part"])).to_pandas()
         return BlockAccessor.for_block(fn(pdf)).to_arrow()
 
-    return exchange([(ds, None)], key_columns, apply_part, num_parts)
+    return exchange([(ds, None)], key_columns, apply_part, num_parts).materialize()

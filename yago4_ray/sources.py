@@ -5,8 +5,8 @@
   index (partitioned_statements.rs:19-128). "Scan a predicate" becomes a
   partition-pruned read of that predicate's directory in plain Ray
   tasks (`scan_predicate`, pyarrow.dataset per file group, no Ray Data
-  read job) — no KV store, no index build; the write is a one-shot
-  partitioned `write_parquet`. The store's footer facts (files, rows,
+  read job, a `joins.Blocks` result) — no KV store, no index build;
+  the write is a one-shot partitioned `write_parquet`. The store's footer facts (files, rows,
   bytes) are read in one pass (`store_info`).
 - N-Triples (.nt / .nt.gz) reader (reference:
   partitioned_statements.rs:82-128), expressed as `read_text` +
@@ -31,6 +31,7 @@ import ray.data
 from ray.data import Dataset
 
 from . import terms as T
+from .joins import Blocks, block_meta, default_join_partitions, exchange
 
 # ---------------------------------------------------------------------------
 # Statement store (predicate-partitioned parquet)
@@ -99,8 +100,6 @@ def write_statement_store(
 
     import pandas as pd
 
-    from .joins import exchange
-
     def part_ids(batch: pa.Table) -> pa.Array:
         # per-DISTINCT-predicate crc via ONE dictionary encoding (a
         # batch holds FEW distinct predicates) + per-row subject-hash salt
@@ -152,7 +151,7 @@ def write_statement_store(
     # stage; ~half the on-disk bytes vs snappy for a decode cost that
     # parallelizes across scan tasks (this host's disk is ~100 MB/s,
     # so store I/O otherwise bounds ingest AND every wide scan)
-    clustered.write_parquet(
+    clustered.materialize().write_parquet(
         root, partition_cols=["pred_key"], compression="zstd"
     )
 
@@ -244,8 +243,6 @@ def read_blocks_for_nbytes(
     from 24–33 s to ~15 s with the volume-capped floor, while 8-CPU
     times and large-volume runs, where by_size dominates, are
     unchanged)."""
-    from .joins import default_join_partitions
-
     base = min(
         2 * default_join_partitions(cap=None),
         int(nbytes // (min_mb << 20)) + 1,
@@ -263,17 +260,17 @@ def _read_files(paths: list[str], predicates: list[str], columns: list[str],
     """One read task of `scan_predicate`: the rows of `paths` whose
     predicate is one of `predicates` (the exact filter: partition keys
     may collide), read by pyarrow.dataset in file order, as
-    `num_blocks` row slices."""
+    `num_blocks` row slices, then the slices' `BlockMeta`s (one more
+    return)."""
     import pyarrow.dataset as pds
 
     t = pds.dataset(paths, format="parquet").to_table(
         columns=columns, filter=pc.field("predicate").isin(predicates),
         use_threads=False,
     )
-    if num_blocks == 1:
-        return t
     bounds = [i * t.num_rows // num_blocks for i in range(num_blocks + 1)]
-    return tuple(t.slice(a, b - a) for a, b in zip(bounds, bounds[1:]))
+    slices = [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+    return (*slices, [block_meta(b) for b in slices])
 
 
 def _read_groups(files: list[tuple[str, int, int]], num_blocks: int) -> list:
@@ -304,7 +301,7 @@ def scan_predicate(
     columns: list[str] | None = None,
     wide: bool = False,
     store: StoreInfo | None = None,
-) -> Dataset:
+) -> Blocks:
     """All (subject, object[, predicate]) rows for the given predicate
     term(s); partition-pruned read (replaces the RocksDB prefix seek,
     partitioned_statements.rs:39-48). Missing predicates yield no rows.
@@ -312,10 +309,11 @@ def scan_predicate(
     The engine reads the store itself, with no Ray Data read job: plain
     Ray tasks (`_read_files`), each running pyarrow.dataset over one
     contiguous group of the partitions' files with the exact predicate
-    filter inside the task. The result is materialized (the call
+    filter inside the task; each task returns its blocks' rows, bytes
+    and schema beside them. The result is a `joins.Blocks` (the call
     returns once every block is read): a consumer maps its blocks in
-    its exchange's map tasks (`joins.exchange`'s `(Dataset, fn)`
-    inputs) or in plain tasks (`joins.map_blocks`). Ray Data's parquet
+    its exchange's map tasks (`joins.exchange`'s `(input, fn)` inputs)
+    or in plain tasks (`joins.map_blocks`). Ray Data's parquet
     read samples fragments in tasks of its own and blocks on them
     before it plans (measured on an idle 2-CPU session: the whole
     67-file store in 0.24 s against 0.076 s in 2 plain tasks), and on
@@ -327,9 +325,7 @@ def scan_predicate(
     files = (store or store_info(root, preds)).of(preds)
     cols = columns or _SPO
     if not files:
-        return ray.data.from_arrow(
-            pa.table({c: pa.array([], pa.string()) for c in cols})
-        ).materialize()
+        return Blocks.of(pa.table({c: pa.array([], pa.string()) for c in cols}))
     # bound block count: these scans feed exchanges whose width
     # follows input block count (see read_blocks_for_nbytes), with the
     # volume-capped count: few-files reads split to a volume-appropriate
@@ -349,13 +345,14 @@ def scan_predicate(
             else 4
         )
         nblocks = max(nblocks, min(2 * cpus, nbytes // (4 << 20) + 1))
-    blocks = []
+    blocks, metas = [], []
     for paths, k in _read_groups(files, nblocks):
-        out = _read_files.options(num_returns=k).remote(paths, preds, cols, k)
-        blocks += [out] if k == 1 else out
-    # from_arrow_refs does not mark its plan executed: materialize() does
-    # (no execution)
-    return ray.data.from_arrow_refs(blocks).materialize()
+        *out, meta = _read_files.options(num_returns=k + 1).remote(
+            paths, preds, cols, k
+        )
+        blocks += out
+        metas.append(meta)
+    return Blocks(blocks, [m for ms in ray.get(metas) for m in ms])
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +641,9 @@ def read_documents(path: str, columns: list[str] | None = None) -> Dataset:
             return ray.data.read_lance(path, columns=columns)
         except ImportError:
             pass
-    if os.path.isdir(path):
+    # a corpus directory holds documents.parquet; a large corpus writes
+    # documents.parquet itself as a directory of part files
+    if os.path.exists(os.path.join(path, "documents.parquet")):
         path = os.path.join(path, "documents.parquet")
     return ray.data.read_parquet(path, columns=columns)
 

@@ -23,17 +23,18 @@ Each state object is built once and BuildState holds one handle to it:
   (`uri_mapping`) for class machinery;
 - ST3, the shape instances: per-shape HashIndex sets packed by a remote
   task (`shape_instances` is that task's ref), plus the resolved
-  (shape, instance) Dataset;
+  (shape, instance) blocks;
 - ST4, the clean values: materialized Arrow blocks built by
   `build.clean_values` while the state builds; the broadcast path packs
   them into per-family maps and keeps only the pack;
 - ST5, the enwiki links: the sitelinked item column (class machinery
-  reads it at class scale) and an (item, url) Dataset for the sameAs
+  reads it at class scale) and an (item, url) block for the sameAs
   family; no driver-side map.
 
 Fact-pipeline workers read the packed refs (zero-copy, cached per
 worker process). With `distributed=True` the family plan (build_dist)
-joins the Datasets in `BuildState.datasets` instead.
+joins the `joins.Blocks` in `BuildState.datasets` instead: handles on
+task results with their rows, bytes and schemas, no Ray Data Dataset.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data import Dataset
 
 # fsspec's http module needs aiohttp (absent here). Ray re-imports it on
 # every path resolution and catches the ModuleNotFoundError — but when
@@ -66,7 +66,15 @@ except ImportError:
 from . import graph as G
 from . import terms as T
 from .broadcast import _hash_series
-from .joins import _arrow_distinct, exchange, get_broadcast, map_blocks, string_table
+from .joins import (
+    Blocks,
+    _arrow_distinct,
+    block_meta,
+    exchange,
+    get_broadcast,
+    map_blocks,
+    string_table,
+)
 from .schema import Schema
 from .sources import StoreInfo, scan_predicate, store_info
 
@@ -138,12 +146,14 @@ class BuildState:
     # `datasets` (build_dist) instead of the packed broadcasts above;
     # chosen by build_state from state size or its `distributed=`
     distributed: bool = False
-    datasets: dict[str, Dataset] = field(default_factory=dict)
+    # the state relations as block handles (uri_mapping, enwiki,
+    # shape_instances), and build_dist's shared exchange results
+    datasets: dict[str, Blocks] = field(default_factory=dict)
     # state build_facts needs, started EARLY by build_state. The clean
     # values are a Future submitted the moment the URI merge ref exists:
     # "clean_maps" (broadcast path) of build.clean_maps' (packed-maps
     # ref, family-count refs), "clean_values" (distributed path) of
-    # build.clean_values' (Arrow block refs, family-count refs);
+    # build.clean_values' (Blocks, family-count refs);
     # "best_rank_ref" (broadcast path) is (HashIndex ref,
     # collision-free flag ref) from the fused scan;
     # "item_scan" (distributed path) is a Future of build_dist.item_scan's
@@ -464,11 +474,12 @@ def _driver_rows(*blocks):
     return tbl.filter(pc.is_in(tbl.column("kind"), value_set=kinds))
 
 
-@ray.remote(num_returns=2)
+@ray.remote(num_returns=3)
 def _assemble_uri(*shard_tbls):
     """Concat the hash-range merge shards (globally h-sorted by
     construction) and pack the HashIndex broadcast without re-sorting.
-    Returning (HashIndex, (item, uri) table) straight from a task means
+    Returning (HashIndex, (item, uri) table, the table's `BlockMeta`)
+    straight from a task means
     the broadcast ObjectRef EXISTS the moment the shard tasks are
     submitted — the clean-value scan (whose tasks only ray.get the ref
     lazily) is planned and launched while the merge still runs, and the
@@ -480,7 +491,8 @@ def _assemble_uri(*shard_tbls):
         tbl["item"], tbl["uri"], hashes=tbl["h"], presorted=True,
         keep_keys=False,
     )
-    return mapping, tbl.select(["item", "uri"])
+    tbl = tbl.select(["item", "uri"])
+    return mapping, tbl, block_meta(tbl)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +556,12 @@ def collect_input_reductions(
     into per-batch partials summed on the driver (class-graph scale)
     instead of a shuffle.
 
-    Returns (uri_mapping, uri_ds, enwiki_items, enwiki_ds, p279_edges,
-    instance_counts, (best_rank_set_ref, collision_free_ref), uri_ref):
-    the driver copy of the packed URI map and the ref it was packed
-    into, the sitelinked items as one Arrow column (class machinery
-    reads it at class scale) and the (item, url) Dataset of the sameAs
-    family.
+    Returns (uri_mapping, uri_blocks, enwiki_items, enwiki_blocks,
+    p279_edges, instance_counts, (best_rank_set_ref, collision_free_ref),
+    uri_ref): the driver copy of the packed URI map and the ref it was
+    packed into, the (item, uri) Blocks, the sitelinked items as one
+    Arrow column (class machinery reads it at class scale) and the
+    (item, url) Blocks of the sameAs family.
     """
     p279_pred = f"<{T.WDT}P279>"
     p31_pred = f"<{T.WDT}P31>"
@@ -661,10 +673,10 @@ def collect_input_reductions(
     # wide=True: this scan feeds the per-range merge tasks (no
     # exchange), so block count should track the SESSION width, not the
     # shuffle-exchange bound. The routing runs in one plain task per
-    # read block; the result is materialized, so to_arrow_refs runs
-    # nothing
-    rows = map_blocks(scan_predicate(root, preds, wide=True, store=store), route)
-    block_refs = rows.to_arrow_refs()
+    # read block
+    block_refs = map_blocks(
+        scan_predicate(root, preds, wide=True, store=store), route
+    ).refs
     # submitted first: the driver's reductions wait on it, not the merge
     driver_rows_ref = _driver_rows.remote(*block_refs)
 
@@ -701,7 +713,7 @@ def collect_input_reductions(
         _merge_uri_shard.remote(schema_tbl, mandatory_tbl, s, *block_refs)
         for s in range(1 << _UM_BITS)
     ]
-    uri_ref, uri_tbl_ref = _assemble_uri.remote(*shard_refs)
+    uri_ref, uri_tbl_ref, uri_meta_ref = _assemble_uri.remote(*shard_refs)
     if on_uri_ref is not None:
         on_uri_ref(uri_ref)
     # best-rank membership packs REMOTELY too (same discipline as the
@@ -749,9 +761,9 @@ def collect_input_reductions(
     # submitted before the collect); here the driver only fetches the
     # packed map for class machinery
     uri_mapping = ray.get(uri_ref)
-    uri_ds = ray.data.from_arrow_refs([uri_tbl_ref])
+    uri_blocks = Blocks([uri_tbl_ref], [ray.get(uri_meta_ref)])
     enwiki = part(_K_ENWIKI)
-    enwiki_ds = ray.data.from_arrow(
+    enwiki_blocks = Blocks.of(
         enwiki.select(["item", "uri"]).rename_columns(["item", "url"])
     )
     p279_edges = f_p279.result()
@@ -760,9 +772,9 @@ def collect_input_reductions(
     stats.set_global("Total URI mapping size", len(uri_mapping))
     return (
         uri_mapping,
-        uri_ds,
+        uri_blocks,
         enwiki["item"],
-        enwiki_ds,
+        enwiki_blocks,
         p279_edges,
         instance_counts,
         (rank_set_ref, rank_ok_ref),
@@ -945,13 +957,13 @@ def build_shape_instances(
     yago_classes: set[str],
     uri_ref: "ray.ObjectRef",
     store: StoreInfo,
-) -> tuple["ray.ObjectRef", Dataset, "ray.ObjectRef"]:
+) -> tuple["ray.ObjectRef", Blocks, "ray.ObjectRef"]:
     """plan.rs:641-731 as: P31 scan → class-map flat join (broadcast the
     class mapping: class-graph scale; the URI map is `uri_ref`, the
     packed map build_state already holds) → shape fan-out → ONE
     exchange on instance doing dedup + disjoint-instance removal.
     Returns (ref of the packed per-shape HashIndex sets, the resolved
-    (shape, instance) Dataset, ref of the packed `yago_classes`)."""
+    (shape, instance) Blocks, ref of the packed `yago_classes`)."""
     # yago class → shapes whose closure contains it (driver, tiny)
     shape_targets = [s.target_class for s in schema.node_shapes()]
     class_to_shapes: dict[str, list[str]] = defaultdict(list)
@@ -1027,20 +1039,20 @@ def build_shape_instances(
         return t
 
     # the fan-out runs in the exchange's map tasks over the read P31
-    # blocks; the result is materialized (an exchange result): consumed
-    # by simple-types and every distributed join
+    # blocks; the exchange's Blocks are consumed by simple-types and
+    # every distributed join
     resolved = exchange(
         [([(p31, fan_out)], ["shape", "instance"])], ["instance"],
         resolve_part, 32,
     )
 
-    # pack the per-shape sets in a REMOTE task over the materialized
+    # pack the per-shape sets in a REMOTE task over the exchange's
     # blocks. The driver gets back only the refs: downstream
     # broadcast consumers read packs_ref, stats resolve the count dict
     # lazily (Stats.set_lazy), and the pack overlaps the facts-plan
     # construction instead of serializing build_state.
     packs_ref, counts_ref = _pack_shape_instances.remote(
-        shape_targets, *resolved.to_arrow_refs()
+        shape_targets, *resolved.refs
     )
     stats.set_lazy("Instances of a shape", lambda: ray.get(counts_ref))
     return packs_ref, resolved, refs["yago_classes"]
@@ -1052,7 +1064,7 @@ def build_shape_instances(
 
 # above this many URI-mapping entries the packed broadcasts stop being
 # "small state" and every fact-pipeline call site flips to hash joins
-# against the state Datasets (build_dist) — a worker-heap bound, not a
+# against the state blocks (build_dist) — a worker-heap bound, not a
 # correctness one (both paths are verified identical)
 DISTRIBUTED_STATE_THRESHOLD = 50_000_000
 
@@ -1117,9 +1129,9 @@ def build_state(
 
     (
         uri_mapping,
-        uri_ds,
+        uri_blocks,
         enwiki_items,
-        enwiki_ds,
+        enwiki_blocks,
         p279_edges,
         instance_counts,
         best_rank_refs,
@@ -1154,7 +1166,7 @@ def build_state(
             all_sub_class_of=p279_edges, instance_counts=instance_counts,
         )
     )
-    shape_instances, inst_ds, yago_classes_ref = build_shape_instances(
+    shape_instances, inst_blocks, yago_classes_ref = build_shape_instances(
         statements_root,
         schema,
         stats,
@@ -1176,9 +1188,9 @@ def build_state(
         yago_classes_ref=yago_classes_ref,
         distributed=bool(distributed),
         datasets={
-            "uri_mapping": uri_ds,
-            "shape_instances": inst_ds,
-            "enwiki": enwiki_ds,
+            "uri_mapping": uri_blocks,
+            "shape_instances": inst_blocks,
+            "enwiki": enwiki_blocks,
         },
         prewarmed=prewarmed,
         store=store,
